@@ -168,24 +168,44 @@ def distribute_evenly(
 ) -> list[int]:
     """Split ``total`` units across members as evenly as bounds allow.
 
-    Used to expand a cluster's allocation to its members: start at each
-    member's minimum, then grant one unit at a time to the member with the
-    smallest current weight (ties to the lowest index) that still has
+    Used to expand a cluster's allocation to its members. The result is
+    what granting one unit at a time would give — start at each member's
+    minimum, then always grant the member with the smallest current weight
+    (ties to the lowest index) that still has headroom — computed as a
+    water level: every member sits at the highest common level the total
+    can pay for, clamped into its own bounds, and the units left over go
+    one each to the lowest-indexed members standing at that level with
     headroom.
     """
     if len(minima) != len(maxima):
         raise ValueError("minima and maxima must have the same length")
-    weights = list(minima)
-    remaining = total - sum(weights)
-    if remaining < 0:
+    if total < sum(minima):
         raise ValueError(f"total {total} is below the sum of minima")
-    while remaining > 0:
-        candidates = [j for j in range(len(weights)) if weights[j] < maxima[j]]
-        if not candidates:
-            raise ValueError(f"total {total} exceeds the sum of maxima")
-        j = min(candidates, key=lambda k: (weights[k], k))
-        weights[j] += 1
-        remaining -= 1
+    if total > sum(maxima):
+        raise ValueError(f"total {total} exceeds the sum of maxima")
+    if not minima:
+        return []
+
+    def at_level(level: int) -> list[int]:
+        return [max(lo, min(hi, level)) for lo, hi in zip(minima, maxima)]
+
+    # The allocation's sum is monotone in the level: bisect for the last
+    # level the total can pay for.
+    low, high = min(minima), max(maxima)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if sum(at_level(mid)) <= total:
+            low = mid
+        else:
+            high = mid - 1
+    weights = at_level(low)
+    leftover = total - sum(weights)
+    for j, hi in enumerate(maxima):
+        if leftover == 0:
+            break
+        if weights[j] == low and low < hi:
+            weights[j] += 1
+            leftover -= 1
     return weights
 
 

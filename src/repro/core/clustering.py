@@ -75,6 +75,23 @@ def distance_alpha(resolution: int, delta: float = DEFAULT_DELTA) -> float:
     return math.log(resolution) / abs(math.log(resolution * delta))
 
 
+def _check_shared_resolution(functions: Sequence[BlockingRateFunction]) -> None:
+    resolution = functions[0].resolution
+    if any(fn.resolution != resolution for fn in functions):
+        raise ValueError("functions must share a resolution")
+
+
+def _feature_distance(
+    a: FunctionFeatures, b: FunctionFeatures, alpha: float
+) -> float:
+    """The Section 5.3 distance between two extracted feature triples."""
+    return max(
+        abs(math.log(a.knee_weight / b.knee_weight)),
+        alpha * abs(math.log(a.knee_value / b.knee_value)),
+        alpha * abs(math.log(a.full_value / b.full_value)),
+    )
+
+
 def function_distance(
     fa: BlockingRateFunction,
     fb: BlockingRateFunction,
@@ -82,15 +99,11 @@ def function_distance(
     delta: float = DEFAULT_DELTA,
 ) -> float:
     """Distance between two blocking rate functions (Section 5.3)."""
-    if fa.resolution != fb.resolution:
-        raise ValueError("functions must share a resolution")
-    a = extract_features(fa, delta=delta)
-    b = extract_features(fb, delta=delta)
-    alpha = distance_alpha(fa.resolution, delta)
-    return max(
-        abs(math.log(a.knee_weight / b.knee_weight)),
-        alpha * abs(math.log(a.knee_value / b.knee_value)),
-        alpha * abs(math.log(a.full_value / b.full_value)),
+    _check_shared_resolution((fa, fb))
+    return _feature_distance(
+        extract_features(fa, delta=delta),
+        extract_features(fb, delta=delta),
+        distance_alpha(fa.resolution, delta),
     )
 
 
@@ -102,9 +115,16 @@ def agglomerative_cluster(
 
     ``distances`` is a symmetric matrix. Starting from singletons, the two
     clusters whose *maximum* pairwise member distance is smallest are
-    merged, repeatedly, while that linkage stays at or below ``threshold``.
+    merged, repeatedly, while that linkage stays at or below ``threshold``;
+    among equal linkages the first pair in row-major order merges.
     Returns clusters as sorted index lists, ordered by their smallest
     member, so results are deterministic.
+
+    Each row caches its nearest later neighbour, so finding the pair to
+    merge and folding the merge into the linkage matrix cost O(N) each;
+    only rows whose cached neighbour was one of the merged pair are
+    rescanned. That is O(N^2) overall unless many rows keep pointing at
+    the clusters being merged.
     """
     n = len(distances)
     if n == 0:
@@ -115,35 +135,49 @@ def agglomerative_cluster(
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
 
-    clusters: list[list[int]] = [[i] for i in range(n)]
+    inf = math.inf
+    # A cluster lives in the slot of its smallest member; a merge retires
+    # the higher slot by setting its row and column to infinity, which no
+    # minimum ever selects. Slot order is therefore row-major order.
+    clusters: list[list[int] | None] = [[i] for i in range(n)]
     # Cluster-to-cluster complete linkage, maintained incrementally via the
     # Lance-Williams update: link(x+y, k) = max(link(x, k), link(y, k)).
     link = [[float(distances[i][j]) for j in range(n)] for i in range(n)]
+    nearest = [-1] * n
+    nearest_link = [inf] * n
 
-    while len(clusters) > 1:
-        best_pair: tuple[int, int] | None = None
-        best_link = math.inf
-        for x in range(len(clusters)):
-            row = link[x]
-            for y in range(x + 1, len(clusters)):
-                if row[y] < best_link:
-                    best_link = row[y]
-                    best_pair = (x, y)
-        if best_pair is None or best_link > threshold:
+    def rescan(x: int) -> None:
+        """Row ``x``'s first minimum among the slots after it."""
+        later = link[x][x + 1:]
+        best = min(later, default=inf)
+        nearest_link[x] = best
+        nearest[x] = x + 1 + later.index(best) if best < inf else -1
+
+    for x in range(n):
+        rescan(x)
+
+    for _ in range(n - 1):
+        best_link = min(nearest_link)
+        if best_link == inf or best_link > threshold:
             break
-        x, y = best_pair
+        x = nearest_link.index(best_link)
+        y = nearest[x]
         clusters[x] = sorted(clusters[x] + clusters[y])
-        for k in range(len(clusters)):
-            merged_link = max(link[x][k], link[y][k])
-            link[x][k] = merged_link
-            link[k][x] = merged_link
-        # Remove cluster y from both the cluster list and the linkage matrix.
-        del clusters[y]
-        del link[y]
-        for row in link:
-            del row[y]
+        clusters[y] = None
+        row_x, row_y = link[x], link[y]
+        for k, row_k in enumerate(link):
+            if clusters[k] is not None:
+                row_x[k] = row_k[x] = max(row_x[k], row_y[k])
+            row_k[y] = inf
+        link[y] = [inf] * n
+        nearest[y], nearest_link[y] = -1, inf
+        # Linkages to x only grew and y is gone: a row keeps its cached
+        # neighbour unless that neighbour was x or y.
+        for k in range(y):
+            if k == x or nearest[k] == x or nearest[k] == y:
+                rescan(k)
 
-    return sorted(clusters, key=lambda c: c[0])
+    return [cluster for cluster in clusters if cluster is not None]
 
 
 def cluster_functions(
@@ -152,12 +186,22 @@ def cluster_functions(
     *,
     delta: float = DEFAULT_DELTA,
 ) -> list[list[int]]:
-    """Cluster connections by the distance between their functions."""
+    """Cluster connections by the distance between their functions.
+
+    One round's work is done once: the shared resolution is checked and
+    ``alpha`` computed on entry, each function's features are extracted
+    once (O(N)), and the O(N^2) distance matrix is filled from them.
+    """
     n = len(functions)
     matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = function_distance(functions[i], functions[j], delta=delta)
-            matrix[i][j] = d
-            matrix[j][i] = d
+    if n > 1:
+        _check_shared_resolution(functions)
+        alpha = distance_alpha(functions[0].resolution, delta)
+        features = [extract_features(fn, delta=delta) for fn in functions]
+        for i, a in enumerate(features):
+            row = matrix[i]
+            for j in range(i + 1, n):
+                row[j] = matrix[j][i] = _feature_distance(
+                    a, features[j], alpha
+                )
     return agglomerative_cluster(matrix, threshold)

@@ -28,13 +28,15 @@ Caching
 
 Both the monotone fit and the full fitted table ``[F(0) .. F(R)]`` are
 cached and invalidated together by every mutation (:meth:`observe`,
-:meth:`decay_above`, :meth:`forget`). The solvers walk the table through
-:meth:`table` in O(1) per evaluation instead of re-running a bisect
-interpolation per marginal step; :meth:`values`, integer-weight
-:meth:`value` calls, and :meth:`knee_weight` all read the same table. The
-table is built segment-by-segment with the exact same arithmetic the
-point-wise interpolation used, so cached and uncached evaluations are
-bit-identical.
+:meth:`decay_above`, :meth:`forget`). The table is built only where a
+caller asks for it (:meth:`table`, :meth:`values`): the solvers walk it
+in O(1) per evaluation instead of re-running a bisect interpolation per
+marginal step. :meth:`value` reads the table when one exists and
+otherwise evaluates the fit's breakpoints; :meth:`knee_weight` always
+works from the breakpoints. A function nobody walks (a clustered round's
+member functions) therefore never pays for ``R + 1`` entries. The table
+is built segment-by-segment with the exact same arithmetic as the
+point-wise evaluation, so the two are bit-identical.
 """
 
 from __future__ import annotations
@@ -240,29 +242,33 @@ class BlockingRateFunction:
 
         Accepts fractional weights (linear interpolation); used by the
         cluster-level functions, which evaluate at ``W / cluster_size``.
-        Integer weights are read straight from the cached table.
+        An integer weight is read from the cached table when one exists;
+        otherwise the fit's breakpoints are evaluated point-wise with the
+        arithmetic of :meth:`_build_table`, so the result is the same
+        double either way.
         """
         if not 0 <= weight <= self.resolution:
             raise ValueError(
                 f"weight must be in [0, {self.resolution}], got {weight}"
             )
-        iw = int(weight)
-        if iw == weight:
-            table = self._table
-            if table is None:
-                table = self._build_table()
-            return table[iw]
+        table = self._table
+        if table is not None:
+            iw = int(weight)
+            if iw == weight:
+                return table[iw]
         xs, ys, slope = self._fit()
-        if weight >= xs[-1]:
-            return ys[-1] + slope * (weight - xs[-1])
+        last_x = xs[-1]
+        if weight >= last_x:
+            if slope == 0.0:
+                return ys[-1]
+            return ys[-1] + slope * (weight - last_x)
+        # xs[0] == 0 <= weight < xs[-1]: a segment always brackets it.
         idx = bisect.bisect_right(xs, weight)
-        if idx == 0:
-            return ys[0]
-        x0, x1 = xs[idx - 1], xs[idx]
-        y0, y1 = ys[idx - 1], ys[idx]
-        if x1 == x0:
-            return y1
-        return y0 + (y1 - y0) * (weight - x0) / (x1 - x0)
+        x0, y0 = xs[idx - 1], ys[idx - 1]
+        dy = ys[idx] - y0
+        if dy == 0.0:
+            return y0
+        return y0 + dy * (weight - x0) / (xs[idx] - x0)
 
     def table(self) -> list[float]:
         """The cached fitted table ``[F(0), F(1), ..., F(R)]``.
@@ -287,10 +293,32 @@ class BlockingRateFunction:
         service rate, it experiences no blocking". Returns ``resolution``
         when the function never exceeds the threshold (no blocking seen).
         """
-        table = self.table()
-        # The table is monotone non-decreasing: the knee is the last index
-        # at or below the threshold.
-        return max(0, bisect.bisect_right(table, threshold) - 1)
+        # Read off the fit's breakpoints, not the table: the fitted values
+        # are monotone non-decreasing, so the knee lies on the ramp that
+        # leaves the last breakpoint at or below the threshold, and that
+        # ramp is bisected with the table's own arithmetic — the index
+        # ``bisect_right(table(), threshold) - 1`` without the table.
+        xs, ys, slope = self._fit()
+        idx = bisect.bisect_right(ys, threshold) - 1
+        if idx < 0:
+            return 0
+        x0, y0 = xs[idx], ys[idx]
+        if idx + 1 < len(xs):
+            # ys[idx + 1] > threshold >= y0, so this ramp is sloped.
+            dy, dx, hi = ys[idx + 1] - y0, xs[idx + 1] - x0, xs[idx + 1] - 1
+        elif slope == 0.0:
+            return self.resolution
+        else:
+            # The extrapolated tail, as a ramp of run 1 (x / 1 is exact).
+            dy, dx, hi = slope, 1, self.resolution
+        lo = x0
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if y0 + dy * (mid - x0) / dx <= threshold:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     # ------------------------------------------------------------- internal
 
@@ -326,7 +354,7 @@ class BlockingRateFunction:
         Uses the identical arithmetic of the point-wise interpolation
         (``y0 + (y1 - y0) * (w - x0) / (x1 - x0)`` inside a segment,
         ``ys[-1] + slope * (w - xs[-1])`` beyond the last raw point), so
-        every entry equals what :meth:`value` computed before caching.
+        every entry equals what :meth:`value` computes point-wise.
         With numpy, each sloped segment fills as one vectorized ramp whose
         elementwise expression mirrors the scalar arithmetic literally —
         ``w - x0`` values are small exact integers, so the vector and

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.balancer import BalancerConfig, LoadBalancer
+from repro.core.balancer import BalancerConfig, LoadBalancer, distribute_evenly
 
 
 class TestSolverSelection:
@@ -89,6 +89,30 @@ class TestClusteredEdgeCases:
         balancer.update(0.0, [0.0] * 3)
         balancer.update(1.0, [0.5, 0.5, 0.0])
         assert all(len(c) == 1 for c in balancer.last_clusters)
+
+
+class TestDistributeEvenlyBounds:
+    """Infeasible totals are refused up front, whatever the unit count."""
+
+    def test_total_above_maxima_raises_before_granting(self):
+        # A billion units of headroom short by one: refused at once, not
+        # after a billion grants.
+        with pytest.raises(ValueError, match="exceeds the sum of maxima"):
+            distribute_evenly(10**9 + 1, [0, 0], [10**9 - 5, 5])
+
+    def test_total_below_minima_raises(self):
+        with pytest.raises(ValueError, match="below the sum of minima"):
+            distribute_evenly(10**9 - 1, [10**9 - 4, 4], [10**9, 10**9])
+
+    def test_cost_does_not_grow_with_the_total(self):
+        assert distribute_evenly(10**9, [0, 7, 0], [10**9, 10**9, 3]) == [
+            499999999, 499999998, 3,
+        ]
+
+    def test_empty_membership(self):
+        assert distribute_evenly(0, [], []) == []
+        with pytest.raises(ValueError, match="exceeds the sum of maxima"):
+            distribute_evenly(1, [], [])
 
 
 class TestHysteresisBehaviour:

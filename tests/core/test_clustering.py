@@ -129,6 +129,21 @@ class TestClusterFunctions:
         assert [0, 1] in clusters
         assert [2, 3] in clusters
 
+    @pytest.mark.parametrize("position", [0, 5])
+    def test_resolution_mismatch_rejected_on_entry(self, monkeypatch, position):
+        # A mismatch anywhere — first or last position — is reported
+        # before a single feature is extracted or distance computed.
+        from repro.core import clustering
+
+        def no_work_expected(*_args, **_kwargs):
+            raise AssertionError("features extracted before validation")
+
+        monkeypatch.setattr(clustering, "extract_features", no_work_expected)
+        functions = [fn_with([(100, 0.5)]) for _ in range(6)]
+        functions[position] = fn_with([(100, 0.5)], resolution=500)
+        with pytest.raises(ValueError, match="functions must share a resolution"):
+            cluster_functions(functions, threshold=1.0)
+
     def test_partition_covers_all(self):
         functions = [fn_with([(100 * (j + 1), 0.1 * (j + 1))]) for j in range(5)]
         clusters = cluster_functions(functions, threshold=0.5)

@@ -1,0 +1,55 @@
+"""Pinned digests of the clustered control round.
+
+300 rounds of ``LoadBalancer(n, BalancerConfig(clustering=True))`` closed
+over a :class:`~repro.sim.fluid.FluidRegion` with Figure 12's capacity
+classes (the benchmark's ``control-n64`` workload), hashing every round's
+``(weights, last_clusters)``. The digests were recorded at commit e92cefa,
+before the control round was rebuilt to compute each piece once, and are
+the same with and without numpy: any optimisation of clustering, rate
+functions or the member expansion has to reproduce every decision of
+every round exactly, not approximately.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from repro.core.balancer import BalancerConfig, LoadBalancer
+from repro.sim.fluid import FluidRegion
+
+#: Fig. 12's capacity classes as (share of connections, relative capacity).
+CAPACITY_CLASSES = ((20 / 64, 1 / 100), (20 / 64, 1 / 5), (24 / 64, 1.0))
+
+PINNED = {
+    (8, 1): "cd62c437b6243df43b6f0dfbce5c66bc8466eee086eb51910b88addc099d7177",
+    (8, 2): "67a699e8775e76a5b41fb9691b32cca5a4da59401252fed78dacb29d47aea752",
+    (64, 1): "89d1f692b47bcd8bba70fc752f5e6f885439a3695687bfd25d9ec8f50536549b",
+    (64, 2): "cabf8908dcb32f2dddf18ddd295d79a7de205a3f3a445b8b241df9b128ea710e",
+}
+
+
+def control_round_digest(n: int, seed: int, rounds: int = 300) -> str:
+    capacities: list[float] = []
+    for share, capacity in CAPACITY_CLASSES[:-1]:
+        capacities += [capacity] * round(share * n)
+    capacities += [CAPACITY_CLASSES[-1][1]] * (n - len(capacities))
+    random.Random(seed).shuffle(capacities)
+    rates = [333.0 * c for c in capacities]
+    fluid = FluidRegion(rates, splitter_rate=1.25 * sum(rates))
+    balancer = LoadBalancer(n, BalancerConfig(clustering=True))
+    digest = hashlib.sha256()
+    for _ in range(rounds):
+        fluid.advance(1.0)
+        weights = balancer.update(
+            fluid.time, [c.read() for c in fluid.blocking_counters]
+        )
+        if weights is not None:
+            fluid.set_weights(weights)
+        digest.update(repr((weights, balancer.last_clusters)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(("n", "seed"), sorted(PINNED))
+def test_clustered_rounds_reproduce_the_recorded_decisions(n, seed):
+    assert control_round_digest(n, seed) == PINNED[(n, seed)]

@@ -208,7 +208,7 @@ class TestTableCache:
 
     def test_knee_weight_reads_from_table(self):
         fn = fn_with([(100, 0.0), (200, 1.0)])
-        # Knee via the table must agree with a linear scan of values().
+        # The knee must agree with a linear scan of values().
         values = fn.values()
         expected = max(w for w, v in enumerate(values) if v <= 0.5)
         assert fn.knee_weight(threshold=0.5) == expected
