@@ -121,7 +121,9 @@ def run_recovery() -> dict:
         driver = None
         t0 = time.perf_counter()
         try:
-            region.start()
+            # All three workers serving before tuple 0: the victim then
+            # holds its share of the window when the kill lands.
+            region.start().wait_ready(timeout=60.0)
             if kill:
                 driver = RealFaultDriver(region, poll_interval=0.002)
                 FaultSchedule.crash_after_emitted(

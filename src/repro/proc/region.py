@@ -26,18 +26,36 @@ Correctness invariants, in the order they matter:
    gap-free sequence. The dead slot's outbox is discarded wholesale:
    everything in it is in ``unacked`` and re-batches through replay.
 
-3. *No blocking sends under the region lock.* Death handling collects
-   replay entries under the lock but performs the sends outside it;
-   a send that fails simply funnels into the same death path. Batch
-   flushes pop a whole outbox under the region lock and ship it with
-   one send-lock acquisition and one ``sendall`` outside it.
+3. *No blocking sends under the region lock, no receiver waiting on a
+   send.* Death handling collects replay entries under the lock but
+   performs the sends outside it; a send that fails simply funnels into
+   the same death path. Batch flushes pop a whole outbox under the
+   region lock and ship it with one send-lock acquisition and one
+   ``sendall`` outside it. Receiver threads send too — the idle flush
+   below — but only to their own worker, only after taking its send
+   lock *without waiting*, and only a run popped while that worker owed
+   nothing: a single-threaded worker that is blocked writing results is
+   therefore never waited on by the one thread that reads them.
 
 With ``batch_size=B > 1`` the splitter accumulates each worker's run in
-its slot outbox and flushes a single columnar ``DATA_BATCH`` frame when
-the run reaches ``B`` tuples — or earlier, whenever the splitter is
-about to block, drain, close, or finish a failover, so no tuple is ever
-stranded in a buffer the worker cannot see. ``batch_size=1`` keeps the
-original one-``DATA``-frame-per-tuple wire behavior byte for byte.
+its slot outbox, and ``B`` is a **cap, not a target**. A run leaves as a
+single columnar ``DATA_BATCH`` frame when it reaches ``B`` (*full*);
+when the splitter is about to block (*backpressure*), drain or close
+(*drain*), or finish a failover (*failover*); and **whenever nothing of
+that slot's is on the wire** (*idle*) — every unacked tuple of the slot
+is still sitting in its outbox. The idle rule is checked at the two
+places that can make it true: right after a tuple is appended (the
+first tuple to an idle worker leaves at once) and right after a result
+frame is absorbed (the ack that empties the wire releases whatever
+accumulated behind it). That is Nagle's rule applied to runs: under
+saturation acks are always outstanding, so frames still fill to ``B``;
+at low load a tuple waits one round trip, not for ``B - 1`` successors.
+There is no flush timer, and a source that pauses strands nothing — no
+tuple ever sits in a buffer the worker cannot see while that worker's
+wire is idle. A run that was popped but not yet sent is in ``unacked``
+and not in the outbox, so it counts as in flight and an idle flush can
+never overtake it. ``batch_size=1`` keeps the original
+one-``DATA``-frame-per-tuple wire behavior byte for byte.
 
 The ordered merger is a tiny reorder buffer keyed on the global
 sequence number; output order is submission order regardless of which
@@ -63,6 +81,13 @@ from repro.proc.supervisor import (
     WorkerSlot,
 )
 from repro.util.validation import check_positive
+
+#: One pending flush: ``(slot index, incarnation, entries, reason)``.
+_FlushOrder = tuple[int, int, list[tuple[int, float, bytes]], str]
+
+#: Why a data frame left its outbox — the keys of
+#: :attr:`ProcessRunStats.flushes_by_reason`.
+FLUSH_REASONS = ("full", "idle", "backpressure", "drain", "failover")
 
 
 @dataclass(slots=True)
@@ -105,6 +130,11 @@ class ProcessRunStats:
     data_flushes: int = 0
     #: Mean tuples per data flush (1.0 exactly when ``batch_size=1``).
     mean_batch_occupancy: float = 0.0
+    #: Data flushes by what released them (keys: ``FLUSH_REASONS``):
+    #: the run reached ``batch_size``; nothing of the worker's was on
+    #: the wire; the splitter was about to block; drain/close; the
+    #: trailing flush of a failover. Sums to ``data_flushes``.
+    flushes_by_reason: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -126,6 +156,7 @@ class ProcessRunStats:
             "wire_frames_received": self.wire_frames_received,
             "data_flushes": self.data_flushes,
             "mean_batch_occupancy": self.mean_batch_occupancy,
+            "flushes_by_reason": dict(self.flushes_by_reason),
         }
 
 
@@ -213,14 +244,17 @@ class ProcessRegion:
             total = sum(initial_weights)
             if total <= 0:
                 raise ValueError("initial_weights must sum to > 0")
-            self._route_weights = [w / total for w in initial_weights]
+            self._set_route_weights([w / total for w in initial_weights])
         elif balancer is not None:
-            self._route_weights = [float(w) for w in balancer.weights]
+            self._set_route_weights(balancer.weights)
         else:
             inv = [1.0 / m for m in multipliers]
             total = sum(inv)
-            self._route_weights = [w / total for w in inv]
+            self._set_route_weights([w / total for w in inv])
         self._wrr = [0.0] * n_workers
+        # The pick writes its candidate scores here and swaps the two
+        # lists on success, so a blocked pick leaves ``_wrr`` untouched.
+        self._wrr_next = [0.0] * n_workers
         self._last_balance = 0.0
         self._socks: list[socket.socket | None] = [None] * n_workers
         self._send_locks = [threading.Lock() for _ in range(n_workers)]
@@ -232,6 +266,9 @@ class ProcessRegion:
         self._wire_frames_in = [0] * n_workers
         self._data_flushes = [0] * n_workers
         self._data_tuples_flushed = [0] * n_workers
+        self._flush_reasons = [
+            dict.fromkeys(FLUSH_REASONS, 0) for _ in range(n_workers)
+        ]
         self._recv_threads: list[threading.Thread] = []
         self._owner: dict[int, int] = {}
         self._parked: list[tuple[int, float, bytes]] = []
@@ -320,7 +357,10 @@ class ProcessRegion:
                     for s in live
                 ):
                     return self
-                wait = 0.05
+                # Every transition the predicate reads (socket attached,
+                # slot up/down/quarantined, fatal) notifies ``_cv``, so
+                # the only deadline is the caller's.
+                remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -328,32 +368,26 @@ class ProcessRegion:
                             "workers did not all connect within "
                             f"{timeout}s"
                         )
-                    wait = min(wait, remaining)
-                self._cv.wait(wait)
+                self._cv.wait(remaining)
 
     def submit(self, cost_seconds: float, body: bytes = b"") -> int:
         """Route one tuple; blocks on backpressure; returns its seq."""
         if not self._started:
             raise RuntimeError("region not started")
-        if self._closing:
-            raise RuntimeError("region is closing")
-        with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-        self._route_and_send(seq, cost_seconds, body, replay=False)
-        return seq
+        return self._route_and_send(None, cost_seconds, body, replay=False)
 
     def drain(self, timeout: float | None = None) -> None:
         """Block until every submitted tuple's result has been merged.
 
-        Flushes every partial send buffer on entry (and on each wake, so
-        replays re-batched mid-drain cannot strand a short run): a
-        trailing batch below ``batch_size`` must still reach its worker.
+        Flushes every partial send buffer on entry and on each wake: the
+        idle rule alone would deliver the trailing runs one round trip
+        at a time, and the caller has just said no more tuples are
+        coming to fill them.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             # Outside the region lock: flushing performs socket sends.
-            self._flush_outboxes()
+            self._flush_outboxes("drain")
             with self._cv:
                 if self._fatal is not None:
                     raise self._fatal
@@ -368,8 +402,8 @@ class ProcessRegion:
                         f"drain timed out with {self._results} of "
                         f"{self._next_seq} results after {timeout:g}s"
                     )
-                self._cv.wait(timeout=0.1 if remaining is None
-                              else min(0.1, remaining))
+                # Woken by every absorbed result and every failure.
+                self._cv.wait(remaining)
 
     def close(self) -> list[tuple[int, str]]:
         """Graceful shutdown: EOS to every live worker, then escalate.
@@ -384,7 +418,7 @@ class ProcessRegion:
             self._cv.notify_all()
         # Ship any buffered partial batches before EOS so the drain
         # request never overtakes data on the same stream.
-        self._flush_outboxes()
+        self._flush_outboxes("drain")
         for slot in self.slots:
             if slot.state == UP:
                 self._send_frame(slot.index, framing.encode_eos())
@@ -458,13 +492,26 @@ class ProcessRegion:
                 mean_batch_occupancy=(
                     flushed / flushes if flushes else 0.0
                 ),
+                flushes_by_reason={
+                    reason: self._flushes(reason)
+                    for reason in FLUSH_REASONS
+                },
             )
+
+    def _flushes(self, reason: str) -> int:
+        """Data flushes released by ``reason``, over all workers."""
+        return sum(cells[reason] for cells in self._flush_reasons)
 
     # --------------------------------------------------------------- control
 
     def send_control(self, index: int, multiplier: float) -> bool:
         """Set a live worker's service-time multiplier (slowdown faults)."""
-        return self._send_frame(index, framing.encode_control(multiplier))
+        sent = self._send_frame(index, framing.encode_control(multiplier))
+        # This send may have made the receiver's idle flush stand down
+        # (it never waits for the send lock) with no ack left to retry.
+        slot = self.slots[index]
+        self._flush_if_idle(slot, slot.incarnation)
+        return sent
 
     @property
     def results(self) -> int:
@@ -531,6 +578,13 @@ class ProcessRegion:
             lambda: sum(self._data_flushes),
             help="DATA/DATA_BATCH flushes (one sendall each)",
         )
+        for reason in FLUSH_REASONS:
+            registry.gauge_fn(
+                "process_region_flushes_total",
+                lambda reason=reason: self._flushes(reason),
+                help="DATA/DATA_BATCH flushes by what released them",
+                reason=reason,
+            )
         self._occupancy_hist = registry.histogram(
             "process_region_batch_occupancy",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
@@ -567,8 +621,9 @@ class ProcessRegion:
         for seq, (cost, body) in entries:
             self._route_and_send(seq, cost, body, replay=True)
         # Replays re-batch through the survivors' outboxes; a trailing
-        # partial run must not wait for unrelated future traffic.
-        self._flush_outboxes()
+        # partial run must not wait out a round trip of unrelated
+        # traffic while the merger is stalled on exactly these tuples.
+        self._flush_outboxes("failover")
 
     def on_slot_up(self, slot: WorkerSlot) -> None:
         """A (re)connected worker is serving: flush parked tuples."""
@@ -577,7 +632,7 @@ class ProcessRegion:
             self._cv.notify_all()
         for seq, cost, body in sorted(parked):
             self._route_and_send(seq, cost, body, replay=True)
-        self._flush_outboxes()
+        self._flush_outboxes("failover")
 
     def on_slot_quarantined(self, slot: WorkerSlot) -> None:
         """The circuit breaker removed a slot: re-solve the weights."""
@@ -585,9 +640,7 @@ class ProcessRegion:
             if self.balancer is not None:
                 if slot.index not in self.balancer.quarantined:
                     self.balancer.quarantine(slot.index)
-                self._route_weights = [
-                    float(w) for w in self.balancer.weights
-                ]
+                self._set_route_weights(self.balancer.weights)
             else:
                 # Renormalize speed-proportional weights over survivors.
                 live = [
@@ -596,10 +649,10 @@ class ProcessRegion:
                 if live:
                     inv = {s.index: 1.0 / s.multiplier for s in live}
                     total = sum(inv.values())
-                    self._route_weights = [
+                    self._set_route_weights([
                         inv.get(j, 0.0) / total
                         for j in range(self.n_workers)
-                    ]
+                    ])
             if all(s.state == QUARANTINED for s in self.slots):
                 self._fatal = RegionStalledError(
                     "every worker slot exhausted its restart budget; "
@@ -609,6 +662,10 @@ class ProcessRegion:
 
     # -------------------------------------------------------------- routing
 
+    def _set_route_weights(self, weights: Sequence[float]) -> None:
+        """Install routing weights, floored so no serving slot starves."""
+        self._route_weights = [max(float(w), 1e-9) for w in weights]
+
     def _pick_locked(self) -> tuple[WorkerSlot | None, int | None]:
         """Smooth weighted round-robin over serving slots.
 
@@ -617,48 +674,58 @@ class ProcessRegion:
         mutating scheduler state — the caller blocks on that slot (the
         paper's blocking signal) and retries the identical choice.
         Returns ``(None, None)`` when no slot is serving at all.
+
+        One pass: every slot's next score lands in the spare list, which
+        becomes the live one only when the pick succeeds.
         """
-        eligible = [
-            s for s in self.slots
-            if s.state == UP and self._socks[s.index] is not None
-        ]
-        if not eligible:
-            return None, None
+        wrr = self._wrr
+        scores = self._wrr_next
+        weights = self._route_weights
+        socks = self._socks
         total = 0.0
         best = None
         best_score = 0.0
-        for s in eligible:
-            w = max(self._route_weights[s.index], 1e-9)
-            total += w
-            score = self._wrr[s.index] + w
-            if best is None or score > best_score:
-                best, best_score = s, score
+        for i, s in enumerate(self.slots):
+            score = wrr[i]
+            if s.state == UP and socks[i] is not None:
+                w = weights[i]
+                total += w
+                score += w
+                if best is None or score > best_score:
+                    best, best_score = s, score
+            scores[i] = score
+        if best is None:
+            return None, None
         if len(best.unacked) >= self.window:
             return None, best.index
-        for s in eligible:
-            self._wrr[s.index] += max(self._route_weights[s.index], 1e-9)
-        self._wrr[best.index] -= total
+        scores[best.index] = best_score - total
+        self._wrr, self._wrr_next = scores, wrr
         return best, None
 
     def _route_and_send(
-        self, seq: int, cost: float, body: bytes, *, replay: bool
-    ) -> None:
+        self, seq: int | None, cost: float, body: bytes, *, replay: bool
+    ) -> int:
         """Route one tuple into its worker's run; flush when it is due."""
-        flush = self._route_one(seq, cost, body, replay=replay)
-        if flush is not None:
-            self._dispatch_entries(*flush)
+        seq, order = self._route_one(seq, cost, body, replay=replay)
+        if order is not None:
+            self._dispatch_entries(*order)
+        return seq
 
     def _route_one(
-        self, seq: int, cost: float, body: bytes, *, replay: bool
-    ) -> tuple[int, int, list[tuple[int, float, bytes]]] | None:
+        self, seq: int | None, cost: float, body: bytes, *, replay: bool
+    ) -> tuple[int, _FlushOrder | None]:
         """Pick a worker and buffer one tuple, blocking on backpressure.
 
-        Returns a ``(index, incarnation, entries)`` flush order when the
-        chosen slot's run reached ``batch_size`` (always, at B=1), or
-        ``None`` when the tuple is parked or left buffered for a later
-        flush. Before the caller ever blocks waiting for window space,
-        every non-empty outbox is flushed — a buffered tuple cannot be
-        acked, so waiting on it without flushing would deadlock.
+        ``seq=None`` issues the next sequence number under the same lock
+        acquisition that routes it. Returns the tuple's seq and, when
+        the chosen slot's run is due — it reached ``batch_size``
+        (always, at B=1) or nothing else of that slot's is on the wire —
+        a flush order for the caller to send outside the lock; ``None``
+        when the tuple is parked or left buffered behind a frame in
+        flight, whose ack will release it. Before the caller ever blocks
+        waiting for window space, every non-empty outbox is flushed — a
+        buffered tuple cannot be acked, so waiting on it without
+        flushing would deadlock.
 
         Replays never block: a full window is tolerated (transiently up
         to 2x bounded) and a dead region parks the tuple for the next
@@ -666,14 +733,18 @@ class ProcessRegion:
         """
         block_started: float | None = None
         block_slot: int | None = None
-        stall_deadline = time.monotonic() + self.send_stall_timeout
+        # Only a splitter that actually blocks needs a deadline (or the
+        # clock read behind it).
+        stall_deadline: float | None = None
         while True:
-            to_flush: list = []
             with self._cv:
                 if self._fatal is not None:
                     raise self._fatal
                 if self._closing and not replay:
                     raise RuntimeError("region is closing")
+                if seq is None:
+                    seq = self._next_seq
+                    self._next_seq += 1
                 self._maybe_rebalance_locked()
                 slot, blocked_on = self._pick_locked()
                 if slot is None and replay:
@@ -683,38 +754,52 @@ class ProcessRegion:
                         slot = self.slots[blocked_on]
                     else:
                         self._parked.append((seq, cost, body))
-                        return None
+                        return seq, None
                 if slot is not None:
                     if block_started is not None:
                         self._charge_block(block_started, block_slot)
-                        block_started = None
                     slot.unacked[seq] = (cost, body)
                     self._owner[seq] = slot.index
-                    slot.outbox.append((seq, cost, body))
-                    if len(slot.outbox) >= self.batch_size:
-                        entries, slot.outbox = slot.outbox, []
-                        return slot.index, slot.incarnation, entries
-                    return None
+                    run = slot.outbox
+                    run.append((seq, cost, body))
+                    if len(run) >= self.batch_size:
+                        reason = "full"
+                    elif len(slot.unacked) <= len(run):
+                        # Everything this slot owes is in ``run``: its
+                        # wire is idle, so holding the tuple back would
+                        # buy nothing but latency.
+                        reason = "idle"
+                    else:
+                        return seq, None
+                    slot.outbox = []
+                    return seq, (slot.index, slot.incarnation, run, reason)
+                now = time.monotonic()
                 if blocked_on is not None:
                     if block_started is None or block_slot != blocked_on:
                         if block_started is not None:
                             self._charge_block(block_started, block_slot)
-                        block_started = time.monotonic()
+                        block_started = now
                         block_slot = blocked_on
                 elif block_started is not None:
                     # An outage (no serving slot) is downtime, not
                     # backpressure: close the blocking episode.
                     self._charge_block(block_started, block_slot)
                     block_started = None
-                if time.monotonic() > stall_deadline:
+                if stall_deadline is None:
+                    stall_deadline = now + self.send_stall_timeout
+                elif now > stall_deadline:
                     raise RegionStalledError(
                         f"no worker accepted seq {seq} within "
                         f"{self.send_stall_timeout:g}s "
                         f"(blocked_on={blocked_on})"
                     )
-                to_flush = self._pop_outboxes_locked()
+                to_flush = self._pop_outboxes_locked("backpressure")
                 if not to_flush:
-                    self._cv.wait(timeout=0.05)
+                    # Every way out — an ack shrinking a window, a slot
+                    # coming up, going down or being quarantined, close,
+                    # fatal — notifies ``_cv``; the only timeout is the
+                    # stall deadline itself.
+                    self._cv.wait(stall_deadline - now)
                     continue
             # Socket I/O strictly outside the region lock: ship every
             # pending run so acks can free the window, then retry the
@@ -724,64 +809,110 @@ class ProcessRegion:
 
     # ------------------------------------------------------------- flushing
 
-    def _pop_outboxes_locked(
-        self,
-    ) -> list[tuple[int, int, list[tuple[int, float, bytes]]]]:
+    def _pop_outboxes_locked(self, reason: str) -> list[_FlushOrder]:
         """Take every non-empty outbox (lock held); sends happen later."""
         orders = []
         for slot in self.slots:
             if slot.outbox:
                 entries, slot.outbox = slot.outbox, []
-                orders.append((slot.index, slot.incarnation, entries))
+                orders.append(
+                    (slot.index, slot.incarnation, entries, reason)
+                )
         return orders
 
-    def _flush_outboxes(self) -> None:
+    def _flush_outboxes(self, reason: str) -> None:
         """Flush every buffered partial run (no region lock held)."""
         with self._lock:
-            orders = self._pop_outboxes_locked()
+            orders = self._pop_outboxes_locked(reason)
         for order in orders:
             self._dispatch_entries(*order)
+
+    def _flush_if_idle(self, slot: WorkerSlot, incarnation: int) -> None:
+        """The ack half of the idle rule: release the run behind an ack.
+
+        Runs on ``slot``'s receiver thread, the one thread a worker
+        blocked writing results is waiting on — so it never waits for
+        the send lock. Whoever holds it is putting a frame on this wire,
+        whose own ack re-runs this check. With the lock in hand the wire
+        is re-examined under the region lock; a run popped here leaves a
+        worker that owes nothing and a socket carrying nothing of ours,
+        so the one ``sendall`` cannot be stuck behind results nobody is
+        reading.
+
+        In flight means unacked and no longer in the outbox — sent, or
+        popped and about to be. The test is ``<=`` rather than ``==``:
+        an outbox entry whose result already arrived by another road (a
+        dying incarnation's last frame racing the replay) is in the
+        outbox but not in ``unacked``, and must not disable the rule.
+        """
+        send_lock = self._send_locks[slot.index]
+        if not send_lock.acquire(blocking=False):
+            return
+        try:
+            with self._lock:
+                entries = slot.outbox
+                if (
+                    not entries
+                    or len(slot.unacked) > len(entries)
+                    or incarnation != slot.incarnation
+                ):
+                    return
+                slot.outbox = []
+            sent = self._write_frame(
+                slot.index, self._encode_run(entries), len(entries), "idle"
+            )
+        finally:
+            send_lock.release()
+        if not sent:
+            self._send_failed(slot.index, incarnation, entries)
 
     def _dispatch_entries(
         self,
         index: int,
         incarnation: int,
         entries: list[tuple[int, float, bytes]],
+        reason: str,
     ) -> None:
-        """One flush: one frame, one send lock, one ``sendall``.
+        """One flush: one frame, one send lock, one ``sendall``."""
+        frame = self._encode_run(entries)
+        if not self._send_frame(index, frame, len(entries), reason):
+            self._send_failed(index, incarnation, entries)
 
-        A failed send is a death; the failover replays everything it
-        finds in ``unacked``. Entries it did *not* see (we registered
-        after a concurrent death was handled) are reclaimed here and
-        re-routed — as replays, so a closing or dead region can park
-        them instead of blocking.
+    def _send_failed(
+        self,
+        index: int,
+        incarnation: int,
+        entries: list[tuple[int, float, bytes]],
+    ) -> None:
+        """A failed send is a death; re-route what its failover missed.
+
+        The failover replays everything it finds in ``unacked``. Entries
+        it did *not* see (we registered after a concurrent death was
+        handled) are reclaimed here and re-routed — as replays, so a
+        closing or dead region can park them instead of blocking.
         """
-        if self._send_batch(index, entries):
-            return
         self.supervisor.declare_dead(
             index, "send failed", incarnation=incarnation
         )
         stranded = []
-        with self._lock:
+        with self._cv:
             for seq, cost, body in entries:
                 if self._owner.get(seq) == index:
                     self._owner.pop(seq)
                     self.slots[index].unacked.pop(seq, None)
                     stranded.append((seq, cost, body))
+            if stranded:
+                self._cv.notify_all()
         for seq, cost, body in stranded:
             self._route_and_send(seq, cost, body, replay=True)
 
-    def _send_batch(
-        self, index: int, entries: list[tuple[int, float, bytes]]
-    ) -> bool:
-        """Encode one run as a single frame and ship it."""
+    def _encode_run(self, entries: list[tuple[int, float, bytes]]) -> bytes:
+        """Encode one run as a single frame."""
         if self.batch_size == 1 and len(entries) == 1:
             # Byte-identical to the unbatched protocol: golden tests at
             # B=1 pin this wire format.
-            frame = framing.encode_data(*entries[0])
-        else:
-            frame = framing.encode_data_batch(entries)
-        return self._send_frame(index, frame, tuples=len(entries))
+            return framing.encode_data(*entries[0])
+        return framing.encode_data_batch(entries)
 
     def _charge_block(self, started: float, slot_index: int | None) -> None:
         """Close one splitter blocking episode (lock held)."""
@@ -809,32 +940,43 @@ class ProcessRegion:
             now, [c.read() for c in self.block_counters]
         )
         if weights is not None:
-            self._route_weights = [float(w) for w in weights]
+            self._set_route_weights(weights)
 
     # ------------------------------------------------------------ transport
 
     def _send_frame(
-        self, index: int, frame: bytes, tuples: int = 0
+        self,
+        index: int,
+        frame: bytes,
+        tuples: int = 0,
+        reason: str | None = None,
     ) -> bool:
         """Ship one frame; ``tuples > 0`` marks it as a data flush."""
         with self._send_locks[index]:
-            sock = self._socks[index]
-            if sock is None:
-                return False
-            try:
-                sock.sendall(frame)
-            except OSError:
-                return False
-            # Wire accounting under the send lock: per-worker cells, so
-            # concurrent flushes to different workers never contend.
-            self._wire_frames_out[index] += 1
-            self._wire_bytes_out[index] += len(frame)
-            if tuples:
-                self._data_flushes[index] += 1
-                self._data_tuples_flushed[index] += tuples
-                if self._occupancy_hist is not None:
-                    self._occupancy_hist.observe(tuples)
-            return True
+            return self._write_frame(index, frame, tuples, reason)
+
+    def _write_frame(
+        self, index: int, frame: bytes, tuples: int, reason: str | None
+    ) -> bool:
+        """``sendall`` + wire accounting (``index``'s send lock held)."""
+        sock = self._socks[index]
+        if sock is None:
+            return False
+        try:
+            sock.sendall(frame)
+        except OSError:
+            return False
+        # Wire accounting under the send lock: per-worker cells, so
+        # concurrent flushes to different workers never contend.
+        self._wire_frames_out[index] += 1
+        self._wire_bytes_out[index] += len(frame)
+        if tuples:
+            self._data_flushes[index] += 1
+            self._data_tuples_flushed[index] += tuples
+            self._flush_reasons[index][reason] += 1
+            if self._occupancy_hist is not None:
+                self._occupancy_hist.observe(tuples)
+        return True
 
     def _accept_loop(self) -> None:
         # The listener carries an accept timeout: closing a socket from
@@ -907,6 +1049,11 @@ class ProcessRegion:
             name=f"repro-region-recv-{worker_id}",
             daemon=True,
         )
+        # One receiver per (re)connect: drop the ones whose connection
+        # already ended, or a kill cadence grows this list without bound.
+        self._recv_threads = [
+            t for t in self._recv_threads if t.is_alive()
+        ]
         self._recv_threads.append(receiver)
         receiver.start()
         if not self.supervisor.on_connected(worker_id, incarnation):
@@ -971,26 +1118,35 @@ class ProcessRegion:
     def _handle_message(
         self, slot: WorkerSlot, incarnation: int, message: framing.Message
     ) -> None:
-        if message.type == framing.MSG_RESULT:
-            seq, _service, body = message.result()
-            with self._cv:
-                self._absorb_result_locked(slot, seq, body)
-                self._cv.notify_all()
-            self.supervisor.heartbeat(slot.index, incarnation)
-        elif message.type == framing.MSG_RESULT_BATCH:
+        kind = message.type
+        if kind == framing.MSG_RESULT:
+            entries = (message.result(),)
+        elif kind == framing.MSG_RESULT_BATCH:
             # One cumulative ack run: one lock acquisition, one wakeup,
             # one liveness refresh for the whole batch. A replayed batch
             # overlapping already-acked seqs dedupes entry by entry —
             # first result wins, the rest count as duplicates.
             entries = message.result_batch()
-            with self._cv:
-                for seq, _service, body in entries:
-                    self._absorb_result_locked(slot, seq, body)
-                self._cv.notify_all()
-            self.supervisor.heartbeat(slot.index, incarnation)
-        elif message.type == framing.MSG_HEARTBEAT:
+        elif kind == framing.MSG_HEARTBEAT:
             _processed, beat_incarnation = message.heartbeat()
             self.supervisor.heartbeat(slot.index, beat_incarnation)
-        elif message.type == framing.MSG_BYE:
+            return
+        elif kind == framing.MSG_BYE:
             self.supervisor.heartbeat(slot.index, incarnation)
-        # HELLO/DATA/CONTROL/EOS are parent->worker or handled at admit.
+            return
+        else:
+            # HELLO/DATA/CONTROL/EOS are parent->worker or handled at
+            # admit.
+            return
+        with self._cv:
+            for seq, _service, body in entries:
+                self._absorb_result_locked(slot, seq, body)
+            self._cv.notify_all()
+            # The supervisor's lock is this (reentrant) one: refreshing
+            # liveness here saves the second acquisition per frame.
+            self.supervisor.heartbeat(slot.index, incarnation)
+            run = slot.outbox
+            idle = run and len(slot.unacked) <= len(run)
+        if idle:
+            # The ack that emptied the wire releases the run behind it.
+            self._flush_if_idle(slot, incarnation)

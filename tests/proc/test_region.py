@@ -12,17 +12,24 @@ real signals. They are the acceptance tests for the process backend:
   while the survivors still finish the run;
 * repeated SIGKILLs (the CI ``process-chaos`` job's smoke case).
 
+The flush-rule, wake-up and receiver-list classes at the end use no
+processes at all: :class:`tests.proc.fakewire.FakeWire` plays the
+workers over socketpairs, so what is on the wire is an exact question.
+
 Everything is bounded by internal deadlines (``drain(timeout=...)``), so
 a hung dataplane fails the assertion instead of hanging pytest.
 """
 
 import os
 import signal
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.faults.schedule import FaultSchedule
+from repro.net import framing
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
 from repro.proc.faults import RealFaultDriver
 from repro.proc.region import ProcessRegion
@@ -32,6 +39,7 @@ from repro.proc.supervisor import (
     UP,
     SupervisorConfig,
 )
+from tests.proc.fakewire import FakeWire
 
 pytestmark = pytest.mark.sockets
 
@@ -47,12 +55,21 @@ FAST = SupervisorConfig(
 )
 
 
-def run_region(region, costs, *, bodies=None, timeout=30.0, schedule=None):
-    """Run ``region`` to completion with an optional real-fault schedule."""
+def run_region(
+    region, costs, *, bodies=None, timeout=30.0, schedule=None, ready=False
+):
+    """Run ``region`` to completion with an optional real-fault schedule.
+
+    ``ready=True`` waits for every worker before the first submit, so
+    the load spreads evenly from tuple 0 (otherwise the first worker up
+    takes a whole window and the rest idle behind its backpressure).
+    """
     driver = None
     outputs = None
     try:
         region.start()
+        if ready:
+            region.wait_ready(timeout=30.0)
         if schedule is not None:
             driver = RealFaultDriver(region, poll_interval=0.002)
             schedule.arm_real(driver)
@@ -124,7 +141,10 @@ class TestKillRecovery:
         driver = RealFaultDriver(region, poll_interval=0.002)
         schedule.arm_real(driver)
         try:
-            region.start()
+            # Every worker serving before tuple 0, so the victim holds
+            # its share of the window when the kill lands (a submit no
+            # longer sleeps out a poll period while the rest connect).
+            region.start().wait_ready(timeout=30.0)
             driver.start()
             # Submit + drain by hand (run() would close the region): the
             # region must stay open so the replacement incarnation can
@@ -318,18 +338,55 @@ class TestBatchedWire:
             4, supervisor_config=FAST, window=64, batch_size=16
         )
         schedule = FaultSchedule.crash_after_emitted(1, 50)
+        # All four workers serving before tuple 0: the victim then holds
+        # a window's worth of unacked runs when the kill lands, instead
+        # of idling behind the first-up worker's backpressure.
         stats, outputs = run_region(
             region,
             [0.001] * n,
             bodies=[b"payload-%d" % i for i in range(n)],
             timeout=90.0,
             schedule=schedule,
+            ready=True,
         )
         expect_ordered(outputs, n, lambda i: b"payload-%d" % i)
         assert stats.results == n
         assert stats.restarts >= 1
         assert stats.episodes >= 1
         assert stats.replayed >= 1
+
+    def test_batched_paced_sigkill_lands_among_idle_flushes(self):
+        # A paced source (about 1 k tuples/s against four workers that
+        # could take 4 k) keeps every wire mostly idle, so the frames in
+        # flight when the kill lands are idle flushes — short runs — not
+        # full ones. Exactly-once must not depend on runs being full.
+        n = 600
+        region = ProcessRegion(
+            4, supervisor_config=FAST, window=64, batch_size=16
+        )
+        driver = RealFaultDriver(region, poll_interval=0.002)
+        FaultSchedule.crash_after_emitted(1, 150).arm_real(driver)
+        try:
+            region.start().wait_ready(timeout=30.0)
+            driver.start()
+            start = time.monotonic()
+            for i in range(n):
+                delay = start + i / 1000.0 - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+                region.submit(0.001, b"payload-%d" % i)
+            region.drain(timeout=60.0)
+            stats = region.stats()
+            outputs = list(region.outputs)
+        finally:
+            driver.stop()
+            region.close()
+        expect_ordered(outputs, n, lambda i: b"payload-%d" % i)
+        assert stats.results == n
+        assert stats.episodes >= 1
+        reasons = stats.flushes_by_reason
+        assert sum(reasons.values()) == stats.data_flushes
+        assert reasons["idle"] > reasons["full"]
 
     def test_result_batch_overlapping_replay_dedups(self):
         # Unit-level: a replayed RESULT_BATCH overlapping already-acked
@@ -463,3 +520,357 @@ class TestGracefulDegradation:
             region.close()
         expect_ordered(outputs, n)
         assert stats.results == n
+
+
+def seqs(frame):
+    return [seq for seq, _cost, _body in frame]
+
+
+class TestIdleFlush:
+    """``batch_size`` is a cap: a run leaves as soon as its wire is idle.
+
+    No processes, no sleeps — :class:`FakeWire` is the worker. One
+    worker, so every tuple routes to slot 0.
+    """
+
+    def test_idle_flush_sends_first_tuple_to_an_idle_slot_at_once(self):
+        with FakeWire(1, batch_size=16, window=64) as wire:
+            wire.region.submit(0.0, b"a")
+            # (a) one DATA_BATCH frame carrying exactly that tuple.
+            assert wire.read(0) == [[(0, 0.0, b"a")]]
+            assert wire.raw[0] == framing.encode_data_batch([(0, 0.0, b"a")])
+            assert wire.region.stats().flushes_by_reason["idle"] == 1
+
+    def test_idle_flush_releases_the_run_behind_an_ack(self):
+        with FakeWire(1, batch_size=16, window=64) as wire:
+            region = wire.region
+            region.submit(0.0, b"t0")
+            wire.read(0)
+            # (b) k < B more tuples: nothing reaches the wire.
+            for i in range(1, 6):
+                region.submit(0.0, b"t%d" % i)
+            assert wire.read(0) == []
+            assert len(region.slots[0].outbox) == 5
+            # (c) the ack that empties the wire releases exactly one
+            # frame carrying those k tuples in routing order.
+            wire.ack(0)
+            assert [seqs(f) for f in wire.read(0)] == [[1, 2, 3, 4, 5]]
+            assert region.slots[0].outbox == []
+            assert region.stats().flushes_by_reason == {
+                "full": 0, "idle": 2, "backpressure": 0,
+                "drain": 0, "failover": 0,
+            }
+
+    def test_batch_fills_to_the_cap_while_acks_are_withheld(self):
+        with FakeWire(1, batch_size=16, window=256) as wire:
+            for i in range(1 + 16 * 5):
+                wire.region.submit(0.0, b"")
+            frames = wire.read(0)
+            # (d) after the lone first tuple every frame carries B.
+            assert [len(f) for f in frames] == [1] + [16] * 5
+            assert seqs(sum(frames, [])) == list(range(81))
+            reasons = wire.region.stats().flushes_by_reason
+            assert (reasons["idle"], reasons["full"]) == (1, 5)
+
+    def test_idle_flush_never_overtakes_a_popped_but_unsent_run(self):
+        with FakeWire(1, batch_size=4, window=64) as wire:
+            region = wire.region
+            region.submit(0.0, b"")  # seq 0: in flight
+            # Route a full run but hold its flush order back, as a
+            # submitter descheduled between the pop and the send.
+            order = None
+            for seq in range(1, 5):
+                _, order = region._route_one(seq, 0.0, b"", replay=False)
+            region._next_seq = 5
+            assert order is not None and order[3] == "full"
+            region.submit(0.0, b"")  # seq 5: buffered behind it
+            region.submit(0.0, b"")  # seq 6
+            assert [seqs(f) for f in wire.read(0)] == [[0]]
+            # (e) seq 0's ack leaves nothing of ours on the socket, but
+            # the popped run still counts as in flight: no idle flush.
+            wire.ack(0)
+            assert wire.read(0) == []
+            assert seqs(region.slots[0].outbox) == [5, 6]
+            region._dispatch_entries(*order)
+            assert [seqs(f) for f in wire.read(0)] == [[1, 2, 3, 4]]
+            wire.ack(0)
+            assert [seqs(f) for f in wire.read(0)] == [[5, 6]]
+
+    def test_batch_size_one_wire_is_byte_identical_per_tuple(self):
+        with FakeWire(1, batch_size=1, window=64) as wire:
+            bodies = [b"p%d" % i for i in range(10)]
+            for i, body in enumerate(bodies):
+                wire.region.submit(0.5 * i, body)
+                if i % 3 == 0:
+                    wire.read(0)
+                    wire.ack(0, batched=False)
+            wire.read(0)
+            # (f) one DATA frame per tuple, the pre-batching bytes.
+            assert wire.raw[0] == b"".join(
+                framing.encode_data(i, 0.5 * i, body)
+                for i, body in enumerate(bodies)
+            )
+            stats = wire.region.stats()
+            assert stats.data_flushes == 10
+            assert stats.flushes_by_reason["full"] == 10
+            assert stats.mean_batch_occupancy == 1.0
+
+    def test_idle_flush_is_not_a_stale_receivers_business(self):
+        with FakeWire(2, batch_size=16, window=64) as wire:
+            region = wire.region
+            for _ in range(6):
+                region.submit(0.0, b"")
+            wire.read_all()
+            old = region.slots[0].incarnation
+            wire.down(0)
+            wire.up(0)
+            wire.read_all()
+            for _ in range(6):
+                region.submit(0.0, b"")
+            wire.read_all()
+            assert region.slots[0].outbox
+            # The dead incarnation's last results arrive late: they may
+            # dedupe, but the sending is the live receiver's business.
+            _, frames = wire.orphans[0]
+            wire.inject(0, sum(frames, []), incarnation=old)
+            assert wire.read(0) == []
+
+    def test_idle_flush_survives_a_stale_outbox_entry(self):
+        # A replayed tuple waiting in a survivor's outbox can be acked
+        # by its dead owner's last breath before the failover's own
+        # flush ships it: it stays in the outbox but leaves ``unacked``.
+        # The rule must read that as "one entry fewer owed", not as
+        # "something is in flight".
+        with FakeWire(1, batch_size=16, window=64) as wire:
+            region = wire.region
+            # The race, frozen: seq 1 arrives as a replay (its trailing
+            # failover flush not yet run) behind seq 0 in flight, and is
+            # then acked by another road.
+            region.submit(0.0, b"")
+            region._next_seq = 2
+            _, order = region._route_one(1, 0.0, b"", replay=True)
+            assert order is None
+            with region._lock:
+                region._owner.pop(1)
+                region.slots[0].unacked.pop(1)
+            wire.ack(0)  # the wire falls silent over a stale outbox
+            wire.read(0)
+            seq = region.submit(0.0, b"fresh")
+            assert seq in seqs(sum(wire.read(0), []))
+
+    def test_idle_flush_and_other_reasons_feed_the_hub(self):
+        with FakeWire(1, batch_size=4, window=64) as wire:
+            region = wire.region
+            hub = ObservabilityHub(region.clock, ObservabilityConfig())
+            region.attach_observability(hub)
+            for _ in range(1 + 4 + 2):
+                region.submit(0.0, b"")
+            region._flush_outboxes("drain")
+            read = hub.registry.read
+            assert read("process_region_flushes_total", reason="idle") == 1
+            assert read("process_region_flushes_total", reason="full") == 1
+            assert read("process_region_flushes_total", reason="drain") == 1
+            stats = region.stats()
+            assert sum(stats.flushes_by_reason.values()) == stats.data_flushes
+
+    def test_stranded_lone_tuple_reaches_the_sink_without_drain(self):
+        # (g) B = 16, one tuple, nobody calls drain: real processes.
+        seen = threading.Event()
+        region = ProcessRegion(
+            2, supervisor_config=FAST, window=64, batch_size=16,
+            sink=lambda seq, body: seen.set(),
+        )
+        try:
+            region.start().wait_ready(timeout=30.0)
+            region.submit(0.0, b"lonely")
+            assert seen.wait(timeout=10.0), (
+                "a lone tuple sat in its outbox with both workers idle"
+            )
+        finally:
+            region.close()
+
+
+class TestPick:
+    def test_one_pass_pick_replays_the_two_pass_sequence_exactly(self):
+        # The reference is the scheduler as it was written before it
+        # was fused into one pass: same float operations, same order,
+        # so choices *and* residual scores must match bit for bit —
+        # through full windows, dead slots and a weight change.
+        def reference(weights, wrr, eligible, full):
+            total, best, best_score = 0.0, None, 0.0
+            for j in eligible:
+                w = max(weights[j], 1e-9)
+                total += w
+                score = wrr[j] + w
+                if best is None or score > best_score:
+                    best, best_score = j, score
+            if best is None or best in full:
+                return None
+            for j in eligible:
+                wrr[j] += max(weights[j], 1e-9)
+            wrr[best] -= total
+            return best
+
+        weights = [0.05, 0.45, 0.0, 0.3, 0.2]
+        with FakeWire(5, initial_weights=weights, window=3) as wire:
+            region = wire.region
+            expected_wrr = [0.0] * 5
+            norm = [w / sum(weights) for w in weights]
+            for step in range(600):
+                if step == 200:
+                    wire.down(1)
+                if step == 300:
+                    norm = [0.5, 0.1, 0.1, 0.2, 0.1]
+                    region._set_route_weights(norm)
+                if step == 400:
+                    wire.up(1)
+                eligible = [j for j in range(5) if wire.is_up(j)]
+                full = {
+                    j for j in eligible
+                    if len(region.slots[j].unacked) >= region.window
+                }
+                want = reference(norm, expected_wrr, eligible, full)
+                if want is None:
+                    # The weighted choice is full and the reference left
+                    # its state alone; so must the real pick.
+                    with region._lock:
+                        slot, blocked_on = region._pick_locked()
+                    assert slot is None and blocked_on in full
+                    assert region._wrr == expected_wrr
+                    wire.read(blocked_on)
+                    while wire.in_flight[blocked_on]:
+                        wire.ack(blocked_on)
+                    want = reference(norm, expected_wrr, eligible, set())
+                seq = region.submit(0.0, b"")
+                assert region._owner[seq] == want
+                assert region._wrr == expected_wrr
+
+
+class WaitSpy:
+    """Records what every ``Condition.wait`` on the region was given/got."""
+
+    def __init__(self, region):
+        self.entered = threading.Event()
+        self.calls = []
+        real_wait = region._cv.wait
+
+        def wait(timeout=None):
+            self.entered.set()
+            woken = real_wait(timeout)
+            self.calls.append((timeout, woken))
+            return woken
+
+        region._cv.wait = wait
+
+
+def run_blocked(target):
+    """Run ``target`` on a thread; return ``(thread, errors)``."""
+    errors = []
+
+    def body():
+        try:
+            target()
+        except BaseException as exc:  # noqa: BLE001 - reported by the test
+            errors.append(exc)
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    return thread, errors
+
+
+class TestNoPolling:
+    """Waiters sleep until notified or until the caller's own deadline."""
+
+    def assert_released(self, spy, thread, errors, deadline):
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "the waiter was never woken"
+        assert errors == []
+        assert spy.calls, "the waiter never had to wait"
+        # Never a timed-out wait, and never a poll period: the timeout
+        # handed to Condition.wait is the caller's deadline itself.
+        for timeout, woken in spy.calls:
+            assert woken is True
+            if deadline is None:
+                assert timeout is None
+            else:
+                assert deadline - 5.0 < timeout <= deadline
+
+    def test_submit_blocked_on_full_window_is_released_by_an_ack(self):
+        with FakeWire(1, batch_size=1, window=4,
+                      send_stall_timeout=60.0) as wire:
+            region = wire.region
+            for _ in range(4):
+                region.submit(0.0, b"")
+            spy = WaitSpy(region)
+            thread, errors = run_blocked(lambda: region.submit(0.0, b""))
+            assert spy.entered.wait(timeout=10.0)
+            wire.ack(0, batched=False)
+            self.assert_released(spy, thread, errors, 60.0)
+            assert region.stats().tuples == 5
+            assert region.block_counters[0].lifetime_seconds > 0.0
+
+    def test_drain_is_released_by_the_last_ack(self):
+        with FakeWire(1, batch_size=16, window=64) as wire:
+            region = wire.region
+            for _ in range(3):
+                region.submit(0.0, b"")
+            spy = WaitSpy(region)
+            thread, errors = run_blocked(region.drain)
+            assert spy.entered.wait(timeout=10.0)
+            while thread.is_alive() and (wire.read(0) or wire.in_flight[0]):
+                wire.ack(0)
+            self.assert_released(spy, thread, errors, None)
+            assert region.results == 3
+
+    def test_wait_ready_is_released_by_the_slot_coming_up(self):
+        with FakeWire(2, batch_size=1) as wire:
+            wire.down(1)
+            spy = WaitSpy(wire.region)
+            thread, errors = run_blocked(
+                lambda: wire.region.wait_ready(timeout=60.0)
+            )
+            assert spy.entered.wait(timeout=10.0)
+            wire.up(1)
+            self.assert_released(spy, thread, errors, 60.0)
+
+    def test_stall_deadline_still_raises(self):
+        from repro.net.socket_transport import RegionStalledError
+
+        with FakeWire(1, batch_size=1, window=1,
+                      send_stall_timeout=0.05) as wire:
+            wire.region.submit(0.0, b"")
+            with pytest.raises(RegionStalledError, match="blocked_on=0"):
+                wire.region.submit(0.0, b"")
+
+
+class TestReceiverThreads:
+    def test_finished_receivers_are_dropped_on_reconnect(self):
+        n_workers = 2
+        region = ProcessRegion(n_workers, supervisor_config=FAST)
+        region._started = True
+        peers = []
+        try:
+            for kill in range(20):
+                index = kill % n_workers
+                slot = region.slots[index]
+                with region._lock:
+                    slot.incarnation += 1
+                    slot.state = STARTING
+                ours, peer = socket.socketpair()
+                peers.append(peer)
+                peer.sendall(framing.encode_hello(index, slot.incarnation))
+                region._admit(ours)
+                assert slot.state == UP
+                assert len(region._recv_threads) <= n_workers
+                # The kill: EOF ends this receiver, which declares the
+                # slot dead itself (the third detection prong).
+                receiver = region._recv_threads[-1]
+                peer.close()
+                receiver.join(timeout=10.0)
+                assert not receiver.is_alive()
+                assert slot.state != UP
+            assert region.stats().episodes == 20
+        finally:
+            region.close()
+            for peer in peers:
+                peer.close()

@@ -107,8 +107,11 @@ class TestWorkerLoop:
         parent = ParentStub()
 
         def script(conn):
-            for seq in range(5):
-                conn.sendall(framing.encode_data(seq, 0.0, b""))
+            # One write: the worker may die (and reset the connection)
+            # as soon as it has seen two tuples.
+            conn.sendall(b"".join(
+                framing.encode_data(seq, 0.0, b"") for seq in range(5)
+            ))
             # No EOS: the worker must die on its own after 2 tuples.
 
         parent.start(script)
