@@ -30,7 +30,6 @@ from conftest import SMOKE, run_once, smoke_scale
 
 from repro.analysis.shape import assert_faster
 from repro.core.policies import WeightedPolicy
-from repro.util.arrays import HAVE_NUMPY
 from repro.sim.engine import Simulator
 from repro.streams.hosts import Host, Placement
 from repro.streams.region import ParallelRegion, RegionParams
@@ -93,7 +92,6 @@ def collect_report() -> dict:
             "tuple_cost_multiplies": TUPLE_COST,
             "n_workers": N_WORKERS,
             "repeats": REPEATS,
-            "numpy": HAVE_NUMPY,
         },
         "sweep": rows,
     }

@@ -4,29 +4,15 @@ The controller touches every connection's function every control round:
 smooth in a sample, decay the region above the current weight, refit
 (monotone regression + interpolation), and evaluate during the Fox solve.
 These benches measure that per-round cost at realistic data volumes, plus
-the clustering distance computation at 64 channels, and the vectorized
-(numpy) vs stdlib-fallback cost of the refit itself — the two backends
-are bit-identical by contract, so the only thing that may differ is
-speed, recorded as ``rate_fn_vectorized`` in ``BENCH_core.json``.
+the clustering distance computation at 64 channels.
 """
-
-import json
-import pathlib
-import time
 
 import pytest
 
-from conftest import SMOKE, run_once, smoke_scale
-
-from repro.core import monotone as monotone_mod
-from repro.core import rate_function as rate_function_mod
 from repro.core.clustering import cluster_functions
 from repro.core.monotone import monotone_regression
 from repro.core.rate_function import BlockingRateFunction
-from repro.util.arrays import HAVE_NUMPY
 from repro.util.perf import COUNTERS
-
-BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_core.json"
 
 
 def populated_function(points=40, seed=7):
@@ -98,77 +84,6 @@ def bench_monotone_regression(benchmark, size):
     values = [(j * 7919) % 100 / 10.0 for j in range(size)]
     fitted = benchmark(monotone_regression, values)
     assert len(fitted) == size
-
-
-def _refit_rounds_per_sec(rounds: int) -> float:
-    """Control rounds/sec of mutate + full refit (PAVA + table fill).
-
-    A sparse function (12 raw points over the 1000-weight axis) keeps
-    the fitted segments long enough for the vectorized ramp fill to
-    engage (``rate_function.VECTOR_MIN_SPAN``) — the regime where the
-    backends diverge in cost; denser fits fall back to the scalar loop
-    on both legs by design. Each round re-observes one of the raw
-    weights with a jittered rate that keeps the fit *sloped* (flat
-    segments take the same list-repeat fill on both backends, which
-    would measure nothing).
-    """
-    weights = [1 + 83 * j for j in range(12)]
-    fn = BlockingRateFunction()
-    state = 11
-    for w in weights:
-        fn.observe(w, w / 1000.0)
-    fn.table()  # prime: the timed loop measures steady-state rebuilds
-    t0 = time.perf_counter()
-    for i in range(rounds):
-        state = (state * 1103515245 + 12345) % (2**31)
-        w = weights[i % len(weights)]
-        fn.observe(w, w / 1000.0 * (0.8 + (state & 0xFF) / 640.0))
-        fn.table()
-    return rounds / (time.perf_counter() - t0)
-
-
-def collect_vector_report() -> dict:
-    """Time the refit round on both column backends, in one process.
-
-    The decay makes each round's input non-monotone, so every rebuild
-    pays the PAVA merge *and* the sloped interpolation fill — the two
-    paths the array backend vectorizes. The fallback leg forces the
-    stdlib implementation by flipping the modules' ``HAVE_NUMPY`` flags
-    (the same switch the numpy-absent CI leg exercises at import time).
-    """
-    rounds = smoke_scale(400, 40)
-    repeats = smoke_scale(3, 1)
-    vector = max(_refit_rounds_per_sec(rounds) for _ in range(repeats))
-    saved = (rate_function_mod.HAVE_NUMPY, monotone_mod.HAVE_NUMPY)
-    rate_function_mod.HAVE_NUMPY = False
-    monotone_mod.HAVE_NUMPY = False
-    try:
-        fallback = max(_refit_rounds_per_sec(rounds) for _ in range(repeats))
-    finally:
-        rate_function_mod.HAVE_NUMPY, monotone_mod.HAVE_NUMPY = saved
-    return {
-        "rounds": rounds,
-        "numpy": HAVE_NUMPY,
-        "rate_fn_vector_rounds_per_sec": round(vector, 1),
-        "rate_fn_fallback_rounds_per_sec": round(fallback, 1),
-        "vector_speedup": round(vector / fallback, 2),
-    }
-
-
-def bench_vectorized_refit_rounds(benchmark):
-    """Vector vs fallback refit cost; records ``rate_fn_vectorized``."""
-    payload = run_once(benchmark, collect_vector_report)
-    if not SMOKE:  # tiny smoke runs must not overwrite recorded numbers
-        existing = {}
-        if BENCH_JSON.exists():
-            existing = json.loads(BENCH_JSON.read_text())
-        existing["rate_fn_vectorized"] = payload
-        BENCH_JSON.write_text(json.dumps(existing, indent=1) + "\n")
-    if HAVE_NUMPY:
-        # Loose tripwire, not a perf floor (this bench also runs on CI
-        # runners): the vectorized backend must never be a regression
-        # beyond noise against its own stdlib fallback.
-        assert payload["vector_speedup"] > 0.8, payload
 
 
 def bench_cluster_64_channels(benchmark):

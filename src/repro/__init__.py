@@ -36,9 +36,8 @@ __version__ = "1.0.0"
 #: Public name -> defining module. Resolved lazily (PEP 562) so that
 #: importing ``repro`` costs nothing: worker processes of the
 #: multi-process dataplane (``python -m repro.proc.worker``) must not
-#: pay for numpy, the simulator, or the experiment harness just to run
-#: a select loop — eager package imports were the dominant term in
-#: worker spawn cost.
+#: pay for the simulator or the experiment harness just to run a select
+#: loop — eager package imports would dominate worker spawn cost.
 _EXPORTS = {
     "BalancerConfig": "repro.core",
     "BlockingRateEstimator": "repro.core",

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from repro.core.blocking_rate import BlockingRateEstimator
 from repro.core.clustering import DEFAULT_DELTA, cluster_functions
 from repro.core.constraints import WeightConstraints
-from repro.core.rap import solve_minimax_binary_search, solve_minimax_fox
+from repro.core.rap import solve_minimax_fox
 from repro.core.rate_function import DEFAULT_RESOLUTION, BlockingRateFunction
 from repro.obs.audit import ControlRoundRecord, DecisionAuditLog
 from repro.util.perf import COUNTERS
@@ -46,11 +46,6 @@ from repro.util.validation import (
     check_positive,
     check_positive_fraction,
 )
-
-_SOLVERS = {
-    "fox": solve_minimax_fox,
-    "binary-search": solve_minimax_binary_search,
-}
 
 
 @dataclass(slots=True)
@@ -81,7 +76,6 @@ class BalancerConfig:
     clustering: bool = False
     cluster_threshold: float = 1.0
     delta: float = DEFAULT_DELTA
-    solver: str = "fox"
     #: Relative predicted improvement a candidate allocation must show
     #: before it replaces the current one. Prevents drift between
     #: allocations the (sparse, decayed) functions cannot distinguish;
@@ -132,10 +126,6 @@ class BalancerConfig:
         check_positive("delta", self.delta)
         if not 0.0 <= self.hysteresis < 1.0:
             raise ValueError(f"hysteresis must be in [0, 1), got {self.hysteresis}")
-        if self.solver not in _SOLVERS:
-            raise ValueError(
-                f"unknown solver {self.solver!r}; choose from {sorted(_SOLVERS)}"
-            )
         check_fraction("safe_saturation", self.safe_saturation)
         check_positive("safe_recover_rounds", self.safe_recover_rounds)
         if self.max_churn is not None:
@@ -369,7 +359,7 @@ class LoadBalancer:
                 for j, w in enumerate(self._weights)
             ],
             decayed_channels=list(decayed),
-            solver=self.config.solver,
+            solver="fox",
             solver_calls=COUNTERS.solver_calls - counters0[0],
             model_fits=COUNTERS.fits - counters0[1],
             clusters=[list(c) for c in self.last_clusters],
@@ -413,9 +403,10 @@ class LoadBalancer:
                 for j in range(self.n_connections)
             ),
         )
-        solver = _SOLVERS[self.config.solver]
         evaluators = [fn.table() for fn in self.functions]
-        self._weights = solver(evaluators, self.config.resolution, constraints)
+        self._weights = solve_minimax_fox(
+            evaluators, self.config.resolution, constraints
+        )
         if self._audit is not None:
             self._audit_churn_limited = False
             self._emit_audit(
@@ -700,13 +691,14 @@ class LoadBalancer:
         return self._solve_direct()
 
     def _solve_direct(self) -> list[int]:
-        solver = _SOLVERS[self.config.solver]
         constraints = self._member_constraints()
-        # The solvers index the cached [F(0)..F(R)] tables directly — O(1)
+        # The solver indexes the cached [F(0)..F(R)] tables directly — O(1)
         # per marginal step; entries are bit-identical to fn.value(w).
         evaluators = [fn.table() for fn in self.functions]
         self.last_clusters = [[j] for j in range(self.n_connections)]
-        return solver(evaluators, self.config.resolution, constraints)
+        return solve_minimax_fox(
+            evaluators, self.config.resolution, constraints
+        )
 
     def _solve_clustered(self) -> list[int]:
         clusters = cluster_functions(
@@ -749,8 +741,7 @@ class LoadBalancer:
                 for cluster in clusters
             ),
         )
-        solver = _SOLVERS[self.config.solver]
-        cluster_weights = solver(
+        cluster_weights = solve_minimax_fox(
             evaluators, self.config.resolution, cluster_constraints
         )
 

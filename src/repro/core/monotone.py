@@ -11,24 +11,14 @@ The pool-adjacent-violators algorithm (PAVA) computes the weighted
 least-squares non-decreasing fit in O(n).
 
 Because violations are the exception (they come from noise, not from the
-physics), the hot path is the *already-monotone* check: for wide columns
-(``VECTOR_MIN_POINTS`` and up) with numpy it is one vectorized compare
-over the whole column; narrow columns and the pure-python fallback run
-the same scan as a loop. Either way an already-monotone input is returned
-as-is (as floats), bit-identical across backends, and the block-merging
-loop runs only on actual violations.
+physics), the hot path is the *already-monotone* check: one scan over the
+column. An already-monotone input is returned as-is (as floats), and the
+block-merging loop runs only on actual violations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-from repro.util.arrays import HAVE_NUMPY, numpy
-
-#: Below this many points the scalar scan beats the numpy round-trip
-#: (array construction dominates); the two checks decide identically, so
-#: the crossover is a pure speed knob — results are bit-identical.
-VECTOR_MIN_POINTS = 64
 
 
 def monotone_regression(
@@ -54,24 +44,16 @@ def monotone_regression(
 
     # Already-monotone fast path: the fit of a non-decreasing input is the
     # input itself (every PAVA block stays a singleton), so return it as
-    # floats without running the merge loop. The vectorized and scalar
-    # checks decide identically, and ``float(v)``/``tolist()`` produce the
-    # same doubles — numpy-present and numpy-absent results are
-    # bit-identical.
-    if HAVE_NUMPY and n >= VECTOR_MIN_POINTS:
-        column = numpy.asarray(values, dtype=numpy.float64)
-        if not (column[1:] < column[:-1]).any():
-            return column.tolist()
-    else:
-        monotone = True
-        prev = values[0]
-        for value in values:
-            if value < prev:
-                monotone = False
-                break
-            prev = value
-        if monotone:
-            return [float(value) for value in values]
+    # floats without running the merge loop.
+    monotone = True
+    prev = values[0]
+    for value in values:
+        if value < prev:
+            monotone = False
+            break
+        prev = value
+    if monotone:
+        return [float(value) for value in values]
 
     # Each block is [mean, weight, count]; merge backwards while the
     # monotonicity constraint is violated.

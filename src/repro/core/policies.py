@@ -24,14 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.util.arrays import HAVE_NUMPY, numpy
-
-#: Width at which :meth:`WeightedPolicy.allocate_batch` switches to the
-#: vectorized (numpy) apportionment. Below it the scalar loop wins; the
-#: two paths are bit-identical (pinned by tests), so the threshold is a
-#: pure performance knob.
-VECTOR_MIN_CONNECTIONS = 32
-
 
 class RoundRobinPolicy:
     """Cycle through connections 0..N-1 forever."""
@@ -123,15 +115,6 @@ class WeightedPolicy:
         # and their sum once per change instead of filtering per pick.
         self._active = [(j, w) for j, w in enumerate(cleaned) if w]
         self._total = sum(w for _, w in self._active)
-        self._active_idx = [j for j, _ in self._active]
-        if HAVE_NUMPY:
-            # Column form of the active weights for the vectorized
-            # apportionment (float64: exact for any realistic weight).
-            self._active_weights = numpy.array(
-                [w for _, w in self._active], dtype=numpy.float64
-            )
-        else:
-            self._active_weights = None
 
     def next_connection(self) -> int:
         """Pick by smooth weighted round-robin."""
@@ -163,12 +146,6 @@ class WeightedPolicy:
         alloc = [0] * self.n_connections
         if count == 0:
             return alloc
-        if HAVE_NUMPY and len(self._active) >= VECTOR_MIN_CONNECTIONS:
-            return self._allocate_batch_vector(count, alloc)
-        return self._allocate_batch_scalar(count, alloc)
-
-    def _allocate_batch_scalar(self, count: int, alloc: list[int]) -> list[int]:
-        """Reference apportionment loop (and the numpy-absent fallback)."""
         credits = self._batch_credits
         total = self._total
         assigned = 0
@@ -186,33 +163,6 @@ class WeightedPolicy:
             alloc[j] = floor
             assigned += floor
             credits[j] = share - floor
-        if assigned != count:
-            self._settle(alloc, assigned, count)
-        return alloc
-
-    def _allocate_batch_vector(self, count: int, alloc: list[int]) -> list[int]:
-        """Vectorized apportionment — bit-identical to the scalar loop.
-
-        Every elementwise expression mirrors the scalar arithmetic
-        literally (``credits[j] + count * w / total``, true floor, clamp
-        at zero), so realized allocations and carried credits match the
-        fallback to the last bit — the equality tests pin this. The rare
-        settling pass stays in Python: it is ordering-sensitive and off
-        the common path.
-        """
-        active_idx = self._active_idx
-        credits_all = self._batch_credits
-        credits = numpy.array(
-            [credits_all[j] for j in active_idx], dtype=numpy.float64
-        )
-        shares = credits + (count * self._active_weights) / self._total
-        floors = numpy.floor(shares)
-        numpy.maximum(floors, 0.0, out=floors)
-        remainders = shares - floors
-        assigned = int(floors.sum())
-        for i, j in enumerate(active_idx):
-            credits_all[j] = remainders[i]
-            alloc[j] = int(floors[i])
         if assigned != count:
             self._settle(alloc, assigned, count)
         return alloc

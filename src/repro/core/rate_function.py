@@ -44,14 +44,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from repro.util.arrays import HAVE_NUMPY, numpy
 from repro.util.perf import COUNTERS
-
-#: Minimum segment length for the vectorized table fill. Short ramps are
-#: cheaper in the scalar loop (the numpy round-trip costs more than it
-#: saves); both fills compute the identical doubles, so the crossover is
-#: a pure speed knob.
-VECTOR_MIN_SPAN = 64
 from repro.util.validation import check_fraction, check_non_negative, check_positive
 
 #: The paper's resolution: 1000 units of 0.1% each.
@@ -355,10 +348,6 @@ class BlockingRateFunction:
         (``y0 + (y1 - y0) * (w - x0) / (x1 - x0)`` inside a segment,
         ``ys[-1] + slope * (w - xs[-1])`` beyond the last raw point), so
         every entry equals what :meth:`value` computes point-wise.
-        With numpy, each sloped segment fills as one vectorized ramp whose
-        elementwise expression mirrors the scalar arithmetic literally —
-        ``w - x0`` values are small exact integers, so the vector and
-        scalar tables are bit-identical (pinned by tests).
         """
         COUNTERS.table_builds += 1
         xs, ys, slope = self._fit()
@@ -371,9 +360,6 @@ class BlockingRateFunction:
             end = min(x1, resolution + 1)
             if dy == 0.0:
                 table[x0:end] = [y0] * (end - x0)
-            elif HAVE_NUMPY and end - x0 >= VECTOR_MIN_SPAN:
-                offsets = numpy.arange(end - x0, dtype=numpy.float64)
-                table[x0:end] = (y0 + dy * offsets / (x1 - x0)).tolist()
             else:
                 dx = x1 - x0
                 for w in range(x0, end):
@@ -381,11 +367,6 @@ class BlockingRateFunction:
         last_x, last_y = xs[-1], ys[-1]
         if slope == 0.0:
             table[last_x:] = [last_y] * (resolution + 1 - last_x)
-        elif HAVE_NUMPY and resolution + 1 - last_x >= VECTOR_MIN_SPAN:
-            offsets = numpy.arange(
-                resolution + 1 - last_x, dtype=numpy.float64
-            )
-            table[last_x:] = (last_y + slope * offsets).tolist()
         else:
             for w in range(last_x, resolution + 1):
                 table[w] = last_y + slope * (w - last_x)

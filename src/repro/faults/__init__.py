@@ -17,29 +17,38 @@ needs to survive exactly that:
   their in-flight tuples, and reintegrates them on recovery.
 """
 
-from repro.faults.injector import FaultInjector, FaultRecord
-from repro.faults.recovery import (
-    ChannelRecovery,
-    RecoveryConfig,
-    RecoveryCoordinator,
-)
-from repro.faults.schedule import (
-    CountCrashEvent,
-    CrashEvent,
-    FaultSchedule,
-    SlowdownEvent,
-    StallEvent,
-)
+import importlib
 
-__all__ = [
-    "ChannelRecovery",
-    "CountCrashEvent",
-    "CrashEvent",
-    "FaultInjector",
-    "FaultRecord",
-    "FaultSchedule",
-    "RecoveryConfig",
-    "RecoveryCoordinator",
-    "SlowdownEvent",
-    "StallEvent",
-]
+#: Public name -> defining module, resolved lazily (PEP 562): the process
+#: supervisor needs only :class:`~repro.faults.recovery.ChannelRecovery`
+#: and must not load the injector (and with it the simulated dataplane).
+_EXPORTS = {
+    "FaultInjector": "repro.faults.injector",
+    "FaultRecord": "repro.faults.injector",
+    "ChannelRecovery": "repro.faults.recovery",
+    "RecoveryConfig": "repro.faults.recovery",
+    "RecoveryCoordinator": "repro.faults.recovery",
+    "CountCrashEvent": "repro.faults.schedule",
+    "CrashEvent": "repro.faults.schedule",
+    "FaultSchedule": "repro.faults.schedule",
+    "SlowdownEvent": "repro.faults.schedule",
+    "StallEvent": "repro.faults.schedule",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_EXPORTS))

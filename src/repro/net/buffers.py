@@ -118,23 +118,6 @@ class BoundedBuffer(Generic[T]):
             raise IndexError("pop from empty buffer")
         return self._items.popleft()
 
-    def pop_many(self, max_n: int) -> list[T]:
-        """Remove and return up to ``max_n`` oldest items, in FIFO order.
-
-        The batched dataplane's bulk take: one call drains a run where the
-        per-tuple path would pop (and re-check emptiness) ``max_n`` times.
-        Returns an empty list when the buffer is empty.
-        """
-        if max_n <= 0:
-            raise ValueError(f"max_n must be positive, got {max_n}")
-        items = self._items
-        if len(items) <= max_n:
-            drained = list(items)
-            items.clear()
-            return drained
-        popleft = items.popleft
-        return [popleft() for _ in range(max_n)]
-
     def peek(self) -> T:
         """The oldest item, without removing it."""
         if not self._items:

@@ -52,8 +52,6 @@ class SimulatedConnection:
         send_capacity: int = 32,
         recv_capacity: int = 32,
         wire_delay: float = 0.0,
-        batch_transfers: bool = True,
-        coalesce_delivery: bool = False,
         block_mode: bool = False,
     ) -> None:
         check_non_negative("wire_delay", wire_delay)
@@ -66,17 +64,6 @@ class SimulatedConnection:
         #: :meth:`send_run`/:meth:`take_runs`. The per-item APIs
         #: (``send_nowait``/``take``/...) are not valid in this mode.
         self.block_mode = block_mode
-        #: Coalesce all in-flight transfers started by one pump into a
-        #: single arrival event (semantics-preserving; see :meth:`_pump`).
-        #: Disable to schedule one event per tuple, as the pre-batching
-        #: engine did — the determinism tests assert results are identical
-        #: either way.
-        self.batch_transfers = batch_transfers
-        #: Batched-dataplane mode: notify the consumer once per delivered
-        #: *run* instead of once per tuple, so a batched worker sees the
-        #: whole run on its first wakeup. Off by default — per-tuple
-        #: notification is the paper-faithful (and golden-traced) behavior.
-        self.coalesce_delivery = coalesce_delivery
         if block_mode:
             self._send_buffer: Any = RunBuffer(send_capacity)
             self._recv_buffer: Any = RunBuffer(recv_capacity)
@@ -126,27 +113,6 @@ class SimulatedConnection:
         self._pump()
         return True
 
-    def send_many(self, items: "list[Any]", start: int = 0) -> int:
-        """Push ``items[start:]`` into the send buffer until it fills.
-
-        The batched dataplane's bulk send: accepted tuples are pushed with
-        one flow-control pump at the end instead of one per tuple. Returns
-        how many were accepted (0 on would-block with a full buffer); the
-        caller keeps the unaccepted tail and elects to block, exactly like
-        a partial ``sendmsg``.
-        """
-        buffer = self._send_buffer
-        accepted = 0
-        n = len(items)
-        i = start
-        while i < n and buffer.try_push(items[i]):
-            i += 1
-            accepted += 1
-        if accepted:
-            self.tuples_sent += accepted
-            self._pump()
-        return accepted
-
     def wait_for_send_space(self, callback: Callable[[], None]) -> None:
         """Register a one-shot wakeup for when the send buffer has space.
 
@@ -173,17 +139,6 @@ class SimulatedConnection:
         self._pump()
         return item
 
-    def take_many(self, max_n: int) -> "list[Any]":
-        """Remove and return up to ``max_n`` received tuples, oldest first.
-
-        One flow-control pump per run instead of one per tuple; the
-        batched worker's counterpart to :meth:`send_many`.
-        """
-        items = self._recv_buffer.pop_many(max_n)
-        if items:
-            self._pump()
-        return items
-
     def requeue_front(self, item: Any) -> None:
         """Return a taken-but-unprocessed tuple to the head of the queue.
 
@@ -199,9 +154,9 @@ class SimulatedConnection:
     def send_run(self, block) -> int:
         """Bulk send of a tuple block; returns tuples accepted.
 
-        The block-native counterpart of :meth:`send_many`: as much of the
-        block as fits enters the send buffer (the caller keeps the split
-        tail on partial accept), followed by one flow-control pump.
+        As much of the block as fits enters the send buffer (the caller
+        keeps the split tail on partial accept, exactly like a partial
+        ``sendmsg``), followed by one flow-control pump.
 
         Steady state — zero wire delay, nothing queued or stalled, and
         the whole block fits in free receive space — skips the send
@@ -317,8 +272,7 @@ class SimulatedConnection:
         """Complete delayed in-flight block transfers in one landing.
 
         The whole pump's worth of blocks lands, the consumer is notified
-        once, then flow control catches up — the block-mode analogue of
-        the coalesced :meth:`_arrive_batch`. A generation mismatch means
+        once, then flow control catches up. A generation mismatch means
         the transfers died with a failed connection; drop them.
         """
         if generation != self._generation:
@@ -413,14 +367,11 @@ class SimulatedConnection:
         loop via the ``_pumping`` guard.
 
         With a nonzero ``wire_delay``, every transfer this pump starts
-        shares the same start time and arrives after the same delay, and
-        the pre-batching engine queued those arrivals as consecutive
-        same-time events nothing could interleave with. Batching them into
-        one event (:meth:`_arrive_batch`, the ``batch_transfers`` default)
-        therefore preserves semantics exactly while scheduling one event
-        per pump instead of one per tuple. Blocking accounting is
-        untouched: space is reserved per tuple when its transfer starts,
-        and delivery/counters advance per tuple on arrival.
+        shares the same start time and arrives after the same delay, so
+        nothing can interleave with their arrivals: they land in one event
+        (:meth:`_arrive_batch`) per pump instead of one per tuple. Blocking
+        accounting stays per tuple: space is reserved when a transfer
+        starts, and delivery/counters advance per tuple on arrival.
         """
         if self._pumping or self.stalled:
             return
@@ -430,30 +381,13 @@ class SimulatedConnection:
         recv_buffer = self._recv_buffer
         try:
             if self.wire_delay == 0.0:
-                if self.coalesce_delivery:
-                    # Batched mode: move the whole run, then notify once.
-                    # The consumer's take may free receive space, so loop
-                    # move-then-notify rounds until nothing moves.
-                    while True:
-                        moved = 0
-                        while send_buffer and not recv_buffer.is_full():
-                            recv_buffer.push(send_buffer.pop())
-                            moved += 1
-                        if moved == 0:
-                            break
-                        freed_send_space = True
-                        self.tuples_delivered += moved
-                        if self.on_deliver is None:
-                            break
+                while send_buffer and not recv_buffer.is_full():
+                    item = send_buffer.pop()
+                    freed_send_space = True
+                    recv_buffer.push(item)
+                    self.tuples_delivered += 1
+                    if self.on_deliver is not None:
                         self.on_deliver()
-                else:
-                    while send_buffer and not recv_buffer.is_full():
-                        item = send_buffer.pop()
-                        freed_send_space = True
-                        recv_buffer.push(item)
-                        self.tuples_delivered += 1
-                        if self.on_deliver is not None:
-                            self.on_deliver()
             else:
                 batch: list[Any] | None = None
                 while send_buffer and not recv_buffer.is_full():
@@ -466,21 +400,12 @@ class SimulatedConnection:
                         batch.append(item)
                 if batch is not None:
                     generation = self._generation
-                    if self.batch_transfers:
-                        self.sim.schedule_after(
-                            self.wire_delay,
-                            lambda items=batch, gen=generation: (
-                                self._arrive_batch(items, gen)
-                            ),
-                        )
-                    else:
-                        for item in batch:
-                            self.sim.schedule_after(
-                                self.wire_delay,
-                                lambda it=item, gen=generation: (
-                                    self._arrive_batch((it,), gen)
-                                ),
-                            )
+                    self.sim.schedule_after(
+                        self.wire_delay,
+                        lambda items=batch, gen=generation: (
+                            self._arrive_batch(items, gen)
+                        ),
+                    )
         finally:
             self._pumping = False
         if freed_send_space:
@@ -488,31 +413,21 @@ class SimulatedConnection:
 
     def _arrive_batch(
         self,
-        items: "tuple[Any, ...] | list[Any]",
+        items: "list[Any]",
         generation: int | None = None,
     ) -> None:
         """Complete delayed in-flight transfers, one tuple at a time.
 
-        Each tuple runs the exact per-arrival sequence of the unbatched
-        engine: convert its reservation, count it, notify the consumer,
-        then let flow control catch up (the delivery callback may have
-        consumed tuples and freed receive space).
+        Each tuple runs the full per-arrival sequence: convert its
+        reservation, count it, notify the consumer, then let flow control
+        catch up (the delivery callback may have consumed tuples and freed
+        receive space).
 
         ``generation`` is the connection generation the transfer started
         under; a fail/reset in between invalidates the transfer (the bytes
         died with the old socket), so the arrival is dropped.
         """
         if generation is not None and generation != self._generation:
-            return
-        if self.coalesce_delivery:
-            # Batched mode: land the whole run, notify the consumer once,
-            # then let flow control catch up once.
-            for item in items:
-                self._recv_buffer.push_reserved(item)
-            self.tuples_delivered += len(items)
-            if self.on_deliver is not None:
-                self.on_deliver()
-            self._pump()
             return
         for item in items:
             self._recv_buffer.push_reserved(item)

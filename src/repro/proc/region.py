@@ -72,7 +72,6 @@ from dataclasses import dataclass, field
 
 from repro.net import framing
 from repro.net.blocking import BlockingCounter
-from repro.net.socket_transport import RegionStalledError
 from repro.proc.supervisor import (
     UP,
     QUARANTINED,
@@ -80,6 +79,7 @@ from repro.proc.supervisor import (
     SupervisorConfig,
     WorkerSlot,
 )
+from repro.streams.splitter import RegionStalledError
 from repro.util.validation import check_positive
 
 #: One pending flush: ``(slot index, incarnation, entries, reason)``.

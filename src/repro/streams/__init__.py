@@ -13,54 +13,54 @@ semantics. Backpressure and drafting are emergent properties of this model,
 not scripted behaviours; tests assert they emerge.
 """
 
-from repro.streams.application import Application, ParallelRegionHandle
-from repro.streams.graph import GraphError, StreamGraph
-from repro.streams.hosts import Host, Placement
-from repro.streams.merger import OrderedMerger, UnorderedMerger
-from repro.streams.operators import (
-    BurstySourceOp,
-    Filter,
-    Functor,
-    Operator,
-    PassThrough,
-    SinkOp,
-    SourceOp,
-)
-from repro.streams.pe import WorkerPE
-from repro.streams.region import ParallelRegion, RegionParams
-from repro.streams.sources import (
-    FiniteSource,
-    InfiniteSource,
-    RatedSource,
-    TupleSource,
-)
-from repro.streams.splitter import RegionStalledError, Splitter
-from repro.streams.tuples import StreamTuple
+import importlib
 
-__all__ = [
-    "Application",
-    "BurstySourceOp",
-    "ParallelRegionHandle",
-    "GraphError",
-    "StreamGraph",
-    "Filter",
-    "Functor",
-    "Operator",
-    "PassThrough",
-    "SinkOp",
-    "SourceOp",
-    "UnorderedMerger",
-    "Host",
-    "Placement",
-    "OrderedMerger",
-    "WorkerPE",
-    "ParallelRegion",
-    "RegionParams",
-    "FiniteSource",
-    "InfiniteSource",
-    "RatedSource",
-    "TupleSource",
-    "RegionStalledError",
-    "Splitter",
-    "StreamTuple",
-]
+#: Public name -> defining module, resolved lazily (PEP 562): the process
+#: dataplane needs one exception class from this package
+#: (:class:`~repro.streams.splitter.RegionStalledError`) and must not pay
+#: for the simulator, the application layer and the control plane to get it.
+_EXPORTS = {
+    "Application": "repro.streams.application",
+    "ParallelRegionHandle": "repro.streams.application",
+    "GraphError": "repro.streams.graph",
+    "StreamGraph": "repro.streams.graph",
+    "Host": "repro.streams.hosts",
+    "Placement": "repro.streams.hosts",
+    "OrderedMerger": "repro.streams.merger",
+    "UnorderedMerger": "repro.streams.merger",
+    "BurstySourceOp": "repro.streams.operators",
+    "Filter": "repro.streams.operators",
+    "Functor": "repro.streams.operators",
+    "Operator": "repro.streams.operators",
+    "PassThrough": "repro.streams.operators",
+    "SinkOp": "repro.streams.operators",
+    "SourceOp": "repro.streams.operators",
+    "WorkerPE": "repro.streams.pe",
+    "ParallelRegion": "repro.streams.region",
+    "RegionParams": "repro.streams.region",
+    "FiniteSource": "repro.streams.sources",
+    "InfiniteSource": "repro.streams.sources",
+    "RatedSource": "repro.streams.sources",
+    "TupleSource": "repro.streams.sources",
+    "RegionStalledError": "repro.streams.splitter",
+    "Splitter": "repro.streams.splitter",
+    "StreamTuple": "repro.streams.tuples",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -188,57 +188,6 @@ class OrderedMerger:
         if self._flow_gate is not None:
             self._flow_gate.update(len(pending) + self._pending_run_tuples)
 
-    def accept_run(self, worker_id: int, run: "list[StreamTuple]") -> None:
-        """Receive a whole run of processed tuples from one worker.
-
-        The batched dataplane's bulk :meth:`accept`: per-tuple sequence
-        bookkeeping is identical, but the run is inserted in one pass and
-        the ready prefix drained once at the end — emitting a contiguous
-        sequence range with a single occupancy/flow-gate update instead of
-        one per tuple. A batched worker completes its whole run at one
-        simulated instant, so deferring the drain to the end of the run is
-        observationally equivalent to accepting the tuples one by one.
-        """
-        if not run:
-            return
-        pending = self._pending
-        accepted = 0
-        for tup in run:
-            seq = tup.seq
-            if seq < self._next_seq or seq in pending:
-                if seq in self._skipped or seq in self._lost:
-                    # A tuple the recovery layer already gave up on (skip
-                    # gap policy) straggled in — drop it, order preserved.
-                    self._lost.discard(seq)
-                    self.late_arrivals += 1
-                    continue
-                raise SequenceError(
-                    f"tuple seq {seq} already merged or pending "
-                    f"(next expected: {self._next_seq})"
-                )
-            if seq in self._lost:
-                self._lost.discard(seq)
-                self.late_arrivals += 1
-                continue
-            pending[seq] = tup
-            accepted += 1
-        if accepted:
-            received = self.received_per_worker
-            received[worker_id] = received.get(worker_id, 0) + accepted
-            occupancy = len(pending)
-            if occupancy > self.max_pending:
-                self.max_pending = occupancy
-        while self._next_seq in pending:
-            ready = pending.pop(self._next_seq)
-            self._next_seq += 1
-            self._emit(ready)
-        if self._pending_runs and self._next_seq in self._pending_runs:
-            self._drain_ready()
-        if self._lost and self._next_seq in self._lost:
-            self._advance_past_lost()
-        if self._flow_gate is not None:
-            self._flow_gate.update(len(pending) + self._pending_run_tuples)
-
     def accept_runs(self, worker_id: int, runs: "list[TupleBlock]") -> None:
         """Receive whole column blocks of processed tuples from one worker.
 
@@ -486,9 +435,6 @@ class OrderedMerger:
         self.last_emit_time = now
         borns = block.borns
         if borns is not None:
-            # .tolist() yields plain Python floats on both column
-            # backends, so the accumulation is bit-identical with and
-            # without numpy.
             total = 0.0
             for born in borns.tolist():
                 total += now - born
@@ -547,15 +493,6 @@ class UnorderedMerger(OrderedMerger):
             self.received_per_worker.get(worker_id, 0) + 1
         )
         self._emit(tup)
-
-    def accept_run(self, worker_id: int, run: "list[StreamTuple]") -> None:
-        """Forward a run downstream immediately, tuple by tuple.
-
-        Without sequential semantics there is no reordering state to
-        batch, so the bulk path is the per-tuple one.
-        """
-        for tup in run:
-            self.accept(worker_id, tup)
 
     def accept_runs(self, worker_id: int, runs: "list[TupleBlock]") -> None:
         """Forward blocks downstream immediately, tuple by tuple.

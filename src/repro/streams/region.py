@@ -44,14 +44,12 @@ class RegionParams:
     #: Off by default — the plain hot path is byte-identical to a region
     #: without fault support.
     fault_tolerant: bool = False
-    #: Per-connection retransmit-buffer cap (``None`` sizes it to the
-    #: connection's total queue capacity plus one in-service tuple, which
-    #: can never overflow because acks retire entries synchronously).
+    #: Per-connection retransmit-buffer cap. ``None`` sizes it to what a
+    #: channel can hold unacknowledged: both system buffers plus a run of
+    #: ``batch_size`` in transit and a run in service at the worker. A
+    #: smaller explicit cap evicts the oldest entries, which a crash then
+    #: cannot replay (counted in ``Splitter.retransmit_dropped``).
     retransmit_capacity: int | None = None
-    #: Coalesce same-pump in-flight transfers into one arrival event (see
-    #: :class:`~repro.net.connection.SimulatedConnection`); semantics are
-    #: identical either way, batching just schedules fewer events.
-    batch_transfers: bool = True
     #: Allow the overload-management layer (:mod:`repro.overload`) to
     #: attach: admission control at the source, merger->splitter flow
     #: control, and the overload detector. Off by default — with it off
@@ -138,8 +136,6 @@ class ParallelRegion:
                 send_capacity=self.params.send_capacity,
                 recv_capacity=self.params.recv_capacity,
                 wire_delay=self.params.wire_delay,
-                batch_transfers=self.params.batch_transfers,
-                coalesce_delivery=self.params.batch_size > 1,
                 block_mode=self.params.batch_size > 1,
             )
             for i in range(n_workers)
@@ -166,10 +162,12 @@ class ParallelRegion:
             retransmit_capacity = self.params.retransmit_capacity
             if retransmit_capacity is None:
                 # Everything a channel can hold unacknowledged: both system
-                # buffers, plus one tuple in flight on the wire and one in
-                # service at the worker.
+                # buffers, plus one run in flight on the wire and one run in
+                # service at the worker (a run is a single tuple at B = 1).
                 retransmit_capacity = (
-                    self.params.send_capacity + self.params.recv_capacity + 2
+                    self.params.send_capacity
+                    + self.params.recv_capacity
+                    + 2 * self.params.batch_size
                 )
         self.splitter = Splitter(
             sim,

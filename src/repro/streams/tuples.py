@@ -12,10 +12,9 @@ by every per-tuple API. The batched dataplane (``batch_size > 1``) instead
 moves :class:`TupleBlock` objects — contiguous *columns* of tuples. A block
 never stores N Python objects: sequence numbers are an implicit
 ``range(start, start + count)``, and cost/birth-time are either a shared
-scalar (the common constant-cost workload) or a contiguous numeric column
-(numpy ``float64`` array when the optional ``[perf]`` extra is installed,
-stdlib ``array('d')`` otherwise). Splitting, routing, transferring and
-merging a run of B tuples is then O(blocks), not O(B).
+scalar (the common constant-cost workload) or a contiguous ``array('d')``
+column. Splitting, routing, transferring and merging a run of B tuples is
+then O(blocks), not O(B).
 """
 
 from __future__ import annotations
@@ -24,19 +23,10 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.util.arrays import HAVE_NUMPY, numpy
 
-if HAVE_NUMPY:
-
-    def _column(values: "Sequence[float]"):
-        """A contiguous float64 column (vectorized backend)."""
-        return numpy.asarray(values, dtype=numpy.float64)
-
-else:
-
-    def _column(values: "Sequence[float]"):
-        """A contiguous float64 column (stdlib fallback backend)."""
-        return values if isinstance(values, array) else array("d", values)
+def _column(values: "Sequence[float]") -> array:
+    """A contiguous float64 column."""
+    return values if isinstance(values, array) else array("d", values)
 
 
 @dataclass(slots=True)
@@ -85,10 +75,7 @@ class TupleBlock:
 
     Blocks are cheap to split at any tuple boundary (column slices), so
     partial bulk sends, buffer-capacity cuts, and apportionment all
-    operate on whole blocks. Determinism note: :meth:`total_cost`
-    accumulates left-to-right over ``.tolist()`` on both column backends,
-    so numpy-present and numpy-absent runs add identical doubles in an
-    identical order.
+    operate on whole blocks.
     """
 
     __slots__ = ("start", "count", "cost", "costs", "born", "borns")
@@ -186,7 +173,7 @@ class TupleBlock:
         return head, tail
 
     def total_cost(self) -> float:
-        """Sum of per-tuple costs (left-to-right on both backends)."""
+        """Sum of per-tuple costs, accumulated left to right."""
         if self.cost is not None:
             return self.cost * self.count
         return sum(self.costs.tolist())

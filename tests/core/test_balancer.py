@@ -52,10 +52,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             BalancerConfig(decay=1.0)
 
-    def test_invalid_solver_rejected(self):
-        with pytest.raises(ValueError):
-            BalancerConfig(solver="magic")
-
     def test_invalid_hysteresis_rejected(self):
         with pytest.raises(ValueError):
             BalancerConfig(hysteresis=1.0)

@@ -1,35 +1,8 @@
-"""Edge-case tests for the controller: solvers, bounds, clustering paths."""
+"""Edge-case tests for the controller: bounds and clustering paths."""
 
 import pytest
 
 from repro.core.balancer import BalancerConfig, LoadBalancer, distribute_evenly
-
-
-class TestSolverSelection:
-    def test_binary_search_solver_produces_valid_weights(self):
-        balancer = LoadBalancer(3, BalancerConfig(solver="binary-search"))
-        balancer.update(0.0, [0.0, 0.0, 0.0])
-        weights = balancer.update(1.0, [0.9, 0.1, 0.0])
-        assert sum(weights) == 1000
-        assert weights[0] < weights[2]
-
-    def test_solvers_agree_on_identical_histories(self):
-        counters = [
-            [0.0, 0.0],
-            [0.8, 0.0],
-            [1.5, 0.1],
-            [2.0, 0.4],
-        ]
-        results = {}
-        for solver in ("fox", "binary-search"):
-            balancer = LoadBalancer(2, BalancerConfig(solver=solver))
-            for step, values in enumerate(counters):
-                weights = balancer.update(float(step), list(values))
-            results[solver] = weights
-        # Identical inputs, exact solvers: the adopted weights agree in
-        # the minimax objective (ties may pick different vectors).
-        fox, binary = results["fox"], results["binary-search"]
-        assert sum(fox) == sum(binary) == 1000
 
 
 class TestBoundsInteraction:

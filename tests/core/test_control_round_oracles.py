@@ -13,11 +13,9 @@ changed scan order or a re-associated float expression would show.
 import copy
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import monotone, rate_function
 from repro.core.balancer import distribute_evenly
 from repro.core.clustering import (
     DEFAULT_DELTA,
@@ -26,7 +24,7 @@ from repro.core.clustering import (
     extract_features,
     function_distance,
 )
-from repro.core.rate_function import VECTOR_MIN_SPAN, BlockingRateFunction
+from repro.core.rate_function import BlockingRateFunction
 
 # -------------------------------------------------------------- references
 
@@ -260,25 +258,19 @@ class TestPointwiseEvaluationOracle:
     def test_every_weight_matches_the_table(self, history):
         self.assert_pointwise_is_table(build(history))
 
-    @pytest.mark.parametrize("numpy_leg", [True, False])
-    def test_long_ramps_and_extrapolated_tail_on_both_numpy_legs(
-        self, monkeypatch, numpy_leg
-    ):
-        if not numpy_leg:
-            monkeypatch.setattr(rate_function, "HAVE_NUMPY", False)
-            monkeypatch.setattr(monotone, "HAVE_NUMPY", False)
-        # Two sloped segments and a sloped tail, each longer than the
-        # vectorized fill's crossover, plus a short ramp and a flat run.
+    def test_long_ramps_and_extrapolated_tail(self):
+        # Two long sloped segments and a long sloped tail, plus a short
+        # ramp and a flat run.
         fn = build([
             ("observe", 3, 0.1),
-            ("observe", 3 + VECTOR_MIN_SPAN + 9, 0.7),
-            ("observe", 3 + 3 * VECTOR_MIN_SPAN, 0.7),
-            ("observe", 3 + 5 * VECTOR_MIN_SPAN, 1.9),
+            ("observe", 76, 0.7),
+            ("observe", 195, 0.7),
+            ("observe", 323, 1.9),
         ])
         xs, _ys, slope = fn._fit()
-        assert slope > 0.0 and fn.resolution - xs[-1] >= VECTOR_MIN_SPAN
+        assert slope > 0.0 and fn.resolution - xs[-1] >= 64
         self.assert_pointwise_is_table(fn)
-        # A flat tail (slope 0) and a tail shorter than the crossover.
+        # A flat tail (slope 0) and a short sloped tail.
         self.assert_pointwise_is_table(build([("observe", 400, 0.0)]))
         self.assert_pointwise_is_table(
             build([("observe", 900, 0.2), ("observe", 990, 0.9)])

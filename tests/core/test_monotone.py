@@ -1,5 +1,7 @@
 """Unit tests for pool-adjacent-violators monotone regression."""
 
+import random
+
 import pytest
 
 from repro.core.monotone import is_non_decreasing, monotone_regression
@@ -12,6 +14,19 @@ class TestBasics:
     def test_already_monotone_unchanged(self):
         values = [0.0, 1.0, 1.0, 3.0]
         assert monotone_regression(values) == values
+        # Sorted input of any width, weighted or not, is its own fit —
+        # exactly what the block-merge loop would have produced.
+        rng = random.Random(99)
+        for _ in range(50):
+            n = rng.randint(1, 150)
+            values = sorted(rng.random() * 10 for _ in range(n))
+            weights = [float(rng.randint(1, 5)) for _ in range(n)]
+            assert monotone_regression(values, weights) == values
+
+    def test_already_monotone_integers_returned_as_floats(self):
+        fitted = monotone_regression([0, 1, 1, 3])
+        assert fitted == [0.0, 1.0, 1.0, 3.0]
+        assert all(type(value) is float for value in fitted)
 
     def test_single_violation_pooled(self):
         assert monotone_regression([1.0, 3.0, 2.0]) == [1.0, 2.5, 2.5]

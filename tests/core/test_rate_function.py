@@ -1,5 +1,7 @@
 """Unit tests for the blocking rate function F_j."""
 
+import random
+
 import pytest
 
 from repro.core.rate_function import BlockingRateFunction
@@ -170,9 +172,25 @@ class TestPooled:
 class TestTableCache:
     def test_table_matches_pointwise_values(self):
         fn = fn_with([(100, 0.5), (400, 2.0), (700, 2.5)])
+        pointwise = [fn.value(w) for w in range(1001)]
+        assert fn._table is None, "evaluated from the breakpoints"
         table = fn.table()
         assert len(table) == 1001
-        assert table == [fn.value(w) for w in range(1001)]
+        assert table == pointwise
+
+    def test_table_matches_pointwise_values_on_long_histories(self):
+        # Dense random histories with decays: many short ramps, flat runs
+        # after PAVA pooling, and sloped or flat tails of every length.
+        for seed in range(5):
+            rng = random.Random(seed)
+            fn = BlockingRateFunction(resolution=400)
+            for _ in range(150):
+                fn.observe(rng.randint(1, 400), rng.random() * 20)
+                if rng.random() < 0.25:
+                    fn.decay_above(rng.randint(0, 400), 0.1)
+            pointwise = [fn.value(w) for w in range(401)]
+            assert fn._table is None
+            assert fn.table() == pointwise, f"seed {seed}"
 
     def test_table_is_cached_between_reads(self):
         fn = fn_with([(100, 0.5)])

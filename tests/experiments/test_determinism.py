@@ -4,8 +4,7 @@ Three guarantees pinned here:
 
 * the engine's event order is reproducible bit-for-bit (golden trace
   hash over every fired event's ``(time, seq)``);
-* transfer batching (one arrival event per pump instead of one per
-  tuple) does not change any experiment result;
+* transfers started by one pump share one arrival event;
 * the process-pool sweep executor returns exactly the rows the serial
   path produces.
 """
@@ -17,7 +16,6 @@ import pytest
 
 from repro.core.policies import RoundRobinPolicy
 from repro.experiments.figures import fig09_config
-from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_sweep
 from repro.sim.engine import Simulator
 from repro.streams.hosts import Host, Placement
@@ -50,7 +48,7 @@ def result_fingerprint(result):
     return json.dumps(payload, sort_keys=True)
 
 
-def small_region_trace(*, wire_delay: float, batch_transfers: bool) -> str:
+def small_region_trace(*, wire_delay: float) -> str:
     """Event-trace digest of a small two-worker region run."""
     sim = Simulator()
     sim.enable_tracing()
@@ -61,7 +59,6 @@ def small_region_trace(*, wire_delay: float, batch_transfers: bool) -> str:
         Placement.single_host(2, Host("h", cores=2, thread_speed=1e6)),
         params=RegionParams(
             wire_delay=wire_delay,
-            batch_transfers=batch_transfers,
             service_jitter=0.05,
         ),
     )
@@ -73,65 +70,41 @@ def small_region_trace(*, wire_delay: float, batch_transfers: bool) -> str:
 
 class TestGoldenTrace:
     def test_event_order_is_reproducible(self):
-        first = small_region_trace(wire_delay=0.0, batch_transfers=True)
-        second = small_region_trace(wire_delay=0.0, batch_transfers=True)
+        first = small_region_trace(wire_delay=0.0)
+        second = small_region_trace(wire_delay=0.0)
         assert first == second
 
     def test_event_order_reproducible_with_wire_delay(self):
-        first = small_region_trace(wire_delay=1e-4, batch_transfers=True)
-        second = small_region_trace(wire_delay=1e-4, batch_transfers=True)
+        first = small_region_trace(wire_delay=1e-4)
+        second = small_region_trace(wire_delay=1e-4)
         assert first == second
 
 
 class TestBatchingInvariance:
-    def test_figure9_results_identical_with_batching_on_and_off(self):
-        # Nonzero wire delay exercises the batched arrival path (with
-        # zero delay hand-off is synchronous and batching is moot).
-        def run(batch: bool):
-            config = fig09_config(2, dynamic=True)
-            config = dataclasses.replace(
-                config,
-                region=dataclasses.replace(
-                    config.region,
-                    wire_delay=1e-4,
-                    batch_transfers=batch,
-                ),
-            )
-            return run_experiment(config, "lb-adaptive")
-
-        batched = run(True)
-        unbatched = run(False)
-        assert result_fingerprint(batched) == result_fingerprint(unbatched)
-
     def test_batch_moves_multiple_tuples_in_one_event(self):
         from repro.net.connection import SimulatedConnection
 
-        def pump_burst(batch: bool) -> int:
-            """Events scheduled by one pump that moves two backlogged tuples."""
-            sim = Simulator()
-            conn = SimulatedConnection(
-                sim,
-                0,
-                send_capacity=8,
-                recv_capacity=4,
-                wire_delay=1e-3,
-                batch_transfers=batch,
-            )
-            for i in range(12):
-                assert conn.send_nowait(i)
-            sim.run_until(1.0)
-            assert conn.recv_available() == 4  # receive buffer full
-            assert conn.queued_tuples() == 12
-            # Free two receive slots at once (a bursty consumer), then let
-            # flow control catch up in a single pump.
-            conn._recv_buffer.pop()
-            conn._recv_buffer.pop()
-            before = sim.perf.events_scheduled
-            conn._pump()
-            return sim.perf.events_scheduled - before
-
-        assert pump_burst(batch=True) == 1  # both tuples share one event
-        assert pump_burst(batch=False) == 2  # pre-batching: one event each
+        sim = Simulator()
+        conn = SimulatedConnection(
+            sim,
+            0,
+            send_capacity=8,
+            recv_capacity=4,
+            wire_delay=1e-3,
+        )
+        for i in range(12):
+            assert conn.send_nowait(i)
+        sim.run_until(1.0)
+        assert conn.recv_available() == 4  # receive buffer full
+        assert conn.queued_tuples() == 12
+        # Free two receive slots at once (a bursty consumer), then let
+        # flow control catch up in a single pump.
+        conn._recv_buffer.pop()
+        conn._recv_buffer.pop()
+        before = sim.perf.events_scheduled
+        conn._pump()
+        # Both backlogged tuples share one arrival event.
+        assert sim.perf.events_scheduled - before == 1
 
 
 class TestSweepParallelism:

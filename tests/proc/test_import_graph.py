@@ -1,0 +1,69 @@
+"""What the process dataplane's entry points import, in a fresh interpreter.
+
+A worker process is spawned per slot and respawned after every kill, and
+``ProcessRegion`` is what a user of the real-socket backend imports: both
+pay their import graph on every start, so neither may pull in the
+simulator, the control plane or the experiment harness by accident.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import repro
+
+SRC = pathlib.Path(repro.__file__).resolve().parents[1]
+
+#: Never needed to move tuples through a process region.
+HEAVY = [
+    "numpy",
+    "repro.streams.application",
+    "repro.core.balancer",
+    "repro.sim.engine",
+    "repro.experiments",
+]
+
+PROBE = """
+import json, sys
+import repro.proc.worker
+after_worker = sorted(sys.modules)
+import repro.proc.region
+import repro.net.socket_transport, repro.streams
+same_class = (
+    repro.proc.region.RegionStalledError
+    is repro.net.socket_transport.RegionStalledError
+    is repro.streams.RegionStalledError
+    is repro.RegionStalledError
+)
+print(json.dumps([after_worker, sorted(sys.modules), same_class]))
+"""
+
+
+def test_process_entry_points_import_no_simulator_or_control_plane():
+    # Worker first: importing the region afterwards can only add modules.
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    after_worker, after_region, same_class = json.loads(done.stdout)
+    assert [m for m in HEAVY + ["repro.streams"] if m in after_worker] == []
+    assert [m for m in HEAVY if m in after_region] == []
+    # Lazy package exports hand out the defining module's own class: all
+    # three raisers (simulated splitter, thread mini-region, process
+    # region) raise, and every caller catches, one RegionStalledError.
+    assert same_class
+
+
+def test_source_tree_has_one_numeric_backend():
+    offenders = [
+        f"{path.relative_to(SRC)}: {token}"
+        for path in sorted(SRC.rglob("*.py"))
+        for token in ("import numpy", "HAVE_NUMPY", "REPRO_NO_NUMPY")
+        if token in path.read_text()
+    ]
+    assert offenders == []

@@ -136,6 +136,11 @@ def test_crash_and_replay_preserve_order_at_any_batch_size(workload, plan):
         sim.run_until(1e6)
         assert seqs == list(range(total)), f"batch_size={batch_size}"
         assert region.merger.tuples_lost == 0
+        # Default sizing covers everything a channel can hold unacked,
+        # a whole run in service included: nothing is ever evicted.
+        assert region.splitter.retransmit_dropped == 0, (
+            f"batch_size={batch_size}"
+        )
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,10 +1,12 @@
 """Unit tests for the batched dataplane fast path.
 
 Component-level coverage for the pieces the batch-equivalence property
-test exercises end to end: batch allocation in the routing policies, bulk
+test exercises end to end: batch allocation in the routing policies, block
 buffer/connection operations, the merger's run acceptance, the splitter's
 apportion-and-dispatch cycle, and the worker's batched service loop.
 """
+
+import random
 
 import pytest
 
@@ -13,14 +15,14 @@ from repro.core.policies import (
     RoundRobinPolicy,
     WeightedPolicy,
 )
-from repro.net.buffers import BoundedBuffer
+from repro.net.buffers import RunBuffer
 from repro.net.connection import SimulatedConnection
 from repro.sim.engine import Simulator
 from repro.streams.hosts import Host, Placement
 from repro.streams.merger import OrderedMerger, SequenceError, UnorderedMerger
 from repro.streams.region import ParallelRegion, RegionParams
 from repro.streams.sources import FiniteSource, constant_cost
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import StreamTuple, TupleBlock
 from repro.util.perf import BatchStats
 
 
@@ -84,6 +86,30 @@ class TestWeightedAllocateBatch:
             for j, w in enumerate([5, 1, 3]):
                 assert abs(totals[j] - sent * w / 9) <= 1.0
 
+    def test_wide_region_carries_credits_exactly(self):
+        # A paper-sized region (dozens of connections, some at weight 0)
+        # over a long random count sequence with weight changes mixed in:
+        # every batch sums exactly, nobody goes negative, zero weights get
+        # nothing, and the carried credits conserve mass — what one batch
+        # rounds away the next ones pay back.
+        rng = random.Random(20160401)
+        n = 45
+        weights = [rng.choice([0, 1, 3, 9]) for _ in range(n)]
+        weights[0] = 1
+        policy = WeightedPolicy(weights)
+        for round_no in range(200):
+            count = rng.choice([0, 1, 2, n - 1, n, n + 1, rng.randint(0, 500)])
+            alloc = policy.allocate_batch(count)
+            assert sum(alloc) == count, f"round {round_no}"
+            assert all(a >= 0 for a in alloc)
+            assert all(a == 0 for a, w in zip(alloc, weights) if w == 0)
+            assert abs(sum(policy._batch_credits)) < 1e-6
+            if round_no % 37 == 36:
+                weights = [rng.choice([0, 1, 3, 9]) for _ in range(n)]
+                weights[-1] = 1
+                policy.set_weights(weights)
+                assert policy._batch_credits == [0.0] * n
+
     def test_zero_weight_connection_gets_nothing(self):
         policy = WeightedPolicy([0, 2, 0, 1])
         for count in (1, 2, 7, 64):
@@ -141,59 +167,61 @@ class TestWeightedAllocateBatch:
 # ------------------------------------------------- buffers and connection
 
 
+def block(start, count):
+    return TupleBlock.uniform(start, count, 1.0)
+
+
+def spans(blocks):
+    return [(b.start, b.count) for b in blocks]
+
+
+def block_connection(**capacities):
+    return SimulatedConnection(Simulator(), 0, block_mode=True, **capacities)
+
+
 class TestPopMany:
     def test_drains_in_fifo_order(self):
-        buffer = BoundedBuffer(8)
-        for i in range(5):
-            buffer.try_push(i)
-        assert buffer.pop_many(3) == [0, 1, 2]
-        assert buffer.pop_many(10) == [3, 4]
+        buffer = RunBuffer(8)
+        assert buffer.push_run(block(0, 5)) == 5
+        assert spans(buffer.pop_runs(3)) == [(0, 3)], "boundary block split"
+        assert spans(buffer.pop_runs(10)) == [(3, 2)]
         assert len(buffer) == 0
 
     def test_non_positive_max_rejected(self):
         with pytest.raises(ValueError):
-            BoundedBuffer(4).pop_many(0)
+            RunBuffer(4).pop_runs(0)
 
 
 class TestBulkConnection:
     def test_send_many_partial_on_full_buffer(self):
-        conn = SimulatedConnection(
-            Simulator(), 0, send_capacity=2, recv_capacity=2
-        )
+        conn = block_connection(send_capacity=2, recv_capacity=2)
         conn.stall()  # freeze the transport so only the send buffer fills
-        items = [tup(s) for s in range(5)]
-        assert conn.send_many(items) == 2
-        assert conn.send_many(items, 2) == 0
+        run = block(0, 5)
+        assert conn.send_run(run) == 2
+        assert conn.send_run(run.split(2)[1]) == 0
         assert conn.tuples_sent == 2
 
     def test_send_many_resumes_from_start_offset(self):
-        conn = SimulatedConnection(
-            Simulator(), 0, send_capacity=8, recv_capacity=8
-        )
-        items = [tup(s) for s in range(4)]
-        assert conn.send_many(items, 2) == 2
-        assert conn.take_many(8), "only items[2:] were sent"
-        assert conn.tuples_sent == 2
+        conn = block_connection(send_capacity=2, recv_capacity=2)
+        run = block(0, 4)
+        accepted = conn.send_run(run)
+        assert accepted == 2, "two land in the receive buffer, then it is full"
+        assert conn.send_run(run.split(accepted)[1]) == 2
+        assert spans(conn.take_runs(8)) == [(0, 2)]
+        assert spans(conn.take_runs(8)) == [(2, 2)], "the tail follows, in order"
+        assert conn.tuples_sent == 4
 
     def test_take_many_returns_oldest_first(self):
-        conn = SimulatedConnection(
-            Simulator(), 0, send_capacity=8, recv_capacity=8
-        )
-        conn.send_many([tup(s) for s in range(4)])
-        run = conn.take_many(3)
-        assert [t.seq for t in run] == [0, 1, 2]
+        conn = block_connection(send_capacity=8, recv_capacity=8)
+        conn.send_run(block(0, 4))
+        assert spans(conn.take_runs(3)) == [(0, 3)]
+        assert conn.recv_available() == 1
 
     def test_coalesced_delivery_notifies_once_per_run(self):
         wakeups = []
-        conn = SimulatedConnection(
-            Simulator(),
-            0,
-            send_capacity=8,
-            recv_capacity=8,
-            coalesce_delivery=True,
-        )
+        conn = block_connection(send_capacity=8, recv_capacity=8)
         conn.on_deliver = lambda: wakeups.append(conn.recv_available())
-        conn.send_many([tup(s) for s in range(5)])
+        conn.send_run(block(0, 5))
         assert wakeups == [5], "one wakeup with the whole run visible"
         assert conn.tuples_delivered == 5
 
@@ -203,7 +231,10 @@ class TestBulkConnection:
             Simulator(), 0, send_capacity=8, recv_capacity=8
         )
         conn.on_deliver = lambda: wakeups.append(1)
-        conn.send_many([tup(s) for s in range(5)])
+        conn.stall()
+        for s in range(5):
+            assert conn.send_nowait(tup(s))
+        conn.unstall()  # one pump moves all five
         assert len(wakeups) == 5
 
 
@@ -232,7 +263,7 @@ class TestAcceptRun:
         merger = OrderedMerger(
             Simulator(), on_emit=lambda t: emitted.append(t.seq)
         )
-        merger.accept_run(0, [tup(s) for s in range(4)])
+        merger.accept_runs(0, [block(0, 4)])
         assert emitted == [0, 1, 2, 3]
         assert merger.received_per_worker[0] == 4
 
@@ -241,26 +272,30 @@ class TestAcceptRun:
         merger = OrderedMerger(
             Simulator(), on_emit=lambda t: emitted.append(t.seq)
         )
-        merger.accept_run(1, [tup(2), tup(3)])
+        merger.accept_runs(1, [block(2, 2)])
         assert emitted == []
         assert merger.pending_count == 2
-        merger.accept_run(0, [tup(0), tup(1)])
+        merger.accept_runs(0, [block(0, 2)])
         assert emitted == [0, 1, 2, 3]
+        assert merger.pending_count == 0
 
     def test_single_occupancy_update_per_run(self):
         merger = OrderedMerger(Simulator())
-        merger.accept_run(0, [tup(5), tup(6), tup(7)])
+        merger.accept_runs(0, [block(5, 3)])
         assert merger.max_pending == 3
 
     def test_duplicate_in_run_rejected(self):
         merger = OrderedMerger(Simulator())
-        merger.accept_run(0, [tup(0), tup(1)])
+        merger.accept_runs(0, [block(0, 2)])
         with pytest.raises(SequenceError):
-            merger.accept_run(1, [tup(1)])
+            merger.accept_runs(1, [block(1, 1)])  # already emitted
+        merger.accept_runs(0, [block(5, 3)])
+        with pytest.raises(SequenceError):
+            merger.accept_runs(1, [block(6, 1)])  # inside a parked run
 
     def test_empty_run_is_a_no_op(self):
         merger = OrderedMerger(Simulator())
-        merger.accept_run(0, [])
+        merger.accept_runs(0, [])
         assert merger.emitted == 0
         assert 0 not in merger.received_per_worker
 
@@ -270,7 +305,7 @@ class TestAcceptRun:
             Simulator(), on_emit=lambda t: emitted.append(t.seq)
         )
         merger.mark_lost([0, 1])
-        merger.accept_run(0, [tup(0), tup(2), tup(3)])
+        merger.accept_runs(0, [block(0, 1), block(2, 2)])
         assert emitted == [2, 3]
         assert merger.late_arrivals == 1
         assert merger.tuples_lost == 2
@@ -280,8 +315,33 @@ class TestAcceptRun:
         merger = UnorderedMerger(
             Simulator(), on_emit=lambda t: emitted.append(t.seq)
         )
-        merger.accept_run(0, [tup(3), tup(1)])
+        merger.accept_runs(0, [block(3, 1), block(1, 1)])
         assert emitted == [3, 1], "unordered: arrival order, no holding"
+
+    def test_born_column_latency_matches_per_tuple_accounting(self):
+        # Blocks with a per-tuple born column, arriving out of order so
+        # both the in-order fast path and the parked-run drain emit them.
+        rng = random.Random(5)
+        borns = [rng.random() for _ in range(64)]
+        sim = Simulator()
+        merger = OrderedMerger(sim)
+        blocks = [
+            TupleBlock.from_costs(
+                start, [100.0] * 16, borns=borns[start : start + 16]
+            )
+            for start in (0, 16, 32, 48)
+        ]
+        sim.call_at(1.0, lambda: merger.accept_runs(1, [blocks[1]]))
+        sim.call_at(1.0, lambda: merger.accept_runs(0, [blocks[0]]))
+        sim.call_at(2.0, lambda: merger.accept_runs(1, [blocks[3]]))
+        sim.call_at(2.0, lambda: merger.accept_runs(0, [blocks[2]]))
+        sim.run_until(3.0)
+        assert merger.emitted == 64 and merger.next_seq == 64
+        assert merger.latency_count == 64
+        expected = sum(1.0 - b for b in borns[:32]) + sum(
+            2.0 - b for b in borns[32:]
+        )
+        assert merger.latency_seconds == pytest.approx(expected, rel=1e-12)
 
 
 # ------------------------------------------------------------- batch stats
