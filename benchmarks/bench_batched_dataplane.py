@@ -1,20 +1,32 @@
 """Batched dataplane fast path: throughput vs ``RegionParams.batch_size``.
 
-One fixed region — 4 equal workers on one host, constant-cost tuples,
-weighted routing — driven to completion at each batch size in the sweep.
-The simulated outcome is identical at every B (the equivalence property
-test pins that); what changes is how much wall-clock work the simulator
-does per tuple. Batching amortizes the per-tuple event chain: the
-splitter apportions a whole batch of column blocks per dispatch cycle,
-workers service runs with one completion event, and the merger
-bulk-accepts each run.
+Two legs, each driven to completion at every batch size in the sweep.
 
-Recorded shape (reference machine): batching is a monotone win from B=4
-up — B=4 clears B=1 (the old "B=4 crossover", where block overhead used
-to exceed per-tuple overhead, is gone since the dataplane went
-array-native), B=16 clears 1.5x, and B=64 clears 5x. Each batch size is
-timed ``REPEATS`` times and the best run recorded, so scheduler noise
-does not masquerade as a regression.
+**Equal workers** — 4 equal workers on one host, constant-cost tuples,
+fixed weights. Nothing ever parks in the merger, and the merged output,
+final weights and per-connection allocation are the same at every B (the
+equivalence property test pins that); what changes is how much wall-clock
+work the simulator does per tuple. Batching amortizes the per-tuple event
+chain: the splitter apportions a whole batch of column blocks per
+dispatch cycle, workers service runs with one completion event, and the
+merger bulk-accepts each run.
+
+**Heterogeneous** — the paper's shape: Fig. 9 dynamic, 8 PEs, half of
+them 10x loaded until an eighth of the way through, under ``lb-adaptive``.
+Here the merger holds the fast workers' output behind the slow ones
+(``max_merger_pending`` in the thousands), so the block path also pays
+for reordering, and the simulated outcome does *not* stay put: the
+balancer sees a lumpier blocking signal at larger B, and the simulated
+``execution_time`` is recorded per row to show it.
+
+Recorded shape (reference machine): on equal workers batching is a
+monotone win from B=4 up — B=4 clears B=1 (the old "B=4 crossover", where
+block overhead used to exceed per-tuple overhead, is gone since the
+dataplane went array-native), B=16 clears 1.5x, and B=64 clears 5x. On
+the heterogeneous leg B=16 clears 1.25x B=1; B=4 stays below B=1 (eight
+connections share four tuples: half a tuple per chunk) and is recorded,
+not gated. Each batch size is timed ``REPEATS`` times and the best run
+recorded, so scheduler noise does not masquerade as a regression.
 
 Writes a ``batched_dataplane`` section into ``BENCH_core.json`` (merged,
 preserving the hot-path sections). Regenerate standalone with::
@@ -30,6 +42,8 @@ from conftest import SMOKE, run_once, smoke_scale
 
 from repro.analysis.shape import assert_faster
 from repro.core.policies import WeightedPolicy
+from repro.experiments.figures import fig09_config
+from repro.experiments.runner import run_experiment
 from repro.sim.engine import Simulator
 from repro.streams.hosts import Host, Placement
 from repro.streams.region import ParallelRegion, RegionParams
@@ -44,6 +58,7 @@ TUPLE_COST = 100.0  # multiplies; small, so per-tuple overhead dominates
 #: Timed runs per batch size; the fastest is recorded (min-of-N is the
 #: standard way to strip scheduler noise from a deterministic workload).
 REPEATS = 3
+HETEROGENEOUS_TUPLES = smoke_scale(60_000, 20_000)
 
 
 def run_region(batch_size: int) -> dict:
@@ -75,17 +90,37 @@ def run_region(batch_size: int) -> dict:
     }
 
 
-def collect_report() -> dict:
+def run_heterogeneous(batch_size: int) -> dict:
+    """Fig. 9 dynamic, 8 PEs, ``lb-adaptive``, at one batch size."""
+    config = fig09_config(
+        8, dynamic=True, total_tuples=HETEROGENEOUS_TUPLES
+    ).with_batch_size(batch_size)
+    t0 = time.perf_counter()
+    result = run_experiment(config, "lb-adaptive")
+    wall = time.perf_counter() - t0
+    assert result.emitted == HETEROGENEOUS_TUPLES
+    return {
+        "batch_size": batch_size,
+        "wall_seconds": round(wall, 4),
+        "tuples_per_sec": round(HETEROGENEOUS_TUPLES / wall, 1),
+        "max_merger_pending": result.max_merger_pending,
+        "execution_time": round(result.execution_time, 2),
+    }
+
+
+def sweep(run) -> list[dict]:
+    """Best of ``REPEATS`` runs of ``run(b)`` per batch size, vs B=1."""
     rows = [
-        min(
-            (run_region(b) for _ in range(REPEATS)),
-            key=lambda row: row["wall_seconds"],
-        )
+        min((run(b) for _ in range(REPEATS)), key=lambda row: row["wall_seconds"])
         for b in BATCH_SIZES
     ]
     base = rows[0]["tuples_per_sec"]
     for row in rows:
         row["speedup_vs_b1"] = round(row["tuples_per_sec"] / base, 2)
+    return rows
+
+
+def collect_report() -> dict:
     return {
         "workload": {
             "total_tuples": TOTAL_TUPLES,
@@ -93,7 +128,16 @@ def collect_report() -> dict:
             "n_workers": N_WORKERS,
             "repeats": REPEATS,
         },
-        "sweep": rows,
+        "sweep": sweep(run_region),
+        "heterogeneous": {
+            "workload": {
+                "config": "fig09_config(8, dynamic=True)",
+                "policy": "lb-adaptive",
+                "total_tuples": HETEROGENEOUS_TUPLES,
+                "repeats": REPEATS,
+            },
+            "sweep": sweep(run_heterogeneous),
+        },
     }
 
 
@@ -107,6 +151,18 @@ def render(payload: dict) -> str:
             f"{row['batch_size']:>4}  {row['tuples_per_sec']:>10,.0f}"
             f"  {row['events_processed']:>9,}  {row['events_coalesced']:>9,}"
             f"  {row['mean_dispatch_occupancy']:>9.2f}"
+            f"  {row['speedup_vs_b1']:>6.2f}x"
+        )
+    lines += [
+        "",
+        "heterogeneous (Fig. 9 dynamic, 8 PEs, lb-adaptive)",
+        f"{'B':>4}  {'tuples/s':>10}  {'max pending':>11}  {'sim exec s':>10}"
+        f"  {'speedup':>7}",
+    ]
+    for row in payload["heterogeneous"]["sweep"]:
+        lines.append(
+            f"{row['batch_size']:>4}  {row['tuples_per_sec']:>10,.0f}"
+            f"  {row['max_merger_pending']:>11,}  {row['execution_time']:>10.2f}"
             f"  {row['speedup_vs_b1']:>6.2f}x"
         )
     return "\n".join(lines)
@@ -135,6 +191,18 @@ def check_shape(payload: dict) -> None:
             raise RuntimeError(
                 f"B=4 crossover regressed: {b4:,.0f} tuples/s is below "
                 f"0.95x the B=1 rate of {b1:,.0f} tuples/s"
+            )
+        # And against the ordered merge paying for reorder depth again:
+        # where runs park, a walk over the parked blocks per accepted
+        # block puts B=16 at or below the per-tuple path.
+        hetero = {
+            row["batch_size"]: row["tuples_per_sec"]
+            for row in payload["heterogeneous"]["sweep"]
+        }
+        if hetero[16] < 1.25 * hetero[1]:
+            raise RuntimeError(
+                f"heterogeneous B=16 regressed: {hetero[16]:,.0f} tuples/s "
+                f"is below 1.25x the B=1 rate of {hetero[1]:,.0f} tuples/s"
             )
     # Acceptance floor: B=16 must clear 1.5x region throughput vs B=1.
     # assert_faster compares times, so feed it per-tuple costs.

@@ -18,6 +18,7 @@ metrics and time series the paper's figures plot.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -403,6 +404,8 @@ def run_experiment(
     # capacity-proportional weights at the same trigger — exactly the
     # paper's "it will change the allocation weights earlier than is
     # optimal" behaviour, since queued backlog still reflects the old load.
+    # Each hook fires what ``merger.emitted`` has reached and returns the
+    # next count it waits for, so the merger calls it at those counts only.
     progress_hooks: list = []
     count_events = sorted(
         config.load_schedule.count_events, key=lambda e: e.emitted
@@ -411,7 +414,7 @@ def run_experiment(
         multipliers = config.load_schedule.initial_multipliers(n)
         pending = list(count_events)
 
-        def on_progress(_tup) -> None:
+        def on_progress() -> float:
             fired = False
             while pending and region.merger.emitted >= pending[0].emitted:
                 event = pending.pop(0)
@@ -427,6 +430,7 @@ def run_experiment(
                 oracle.set_weights(
                     proportional_weights(capacities, resolution)
                 )
+            return pending[0].emitted if pending else math.inf
 
         progress_hooks.append(on_progress)
 
@@ -437,24 +441,25 @@ def run_experiment(
             config.fault_schedule.count_crashes, key=lambda e: e.emitted
         )
 
-        def on_fault_progress(_tup) -> None:
+        def on_fault_progress() -> float:
             while (
                 pending_crashes
                 and region.merger.emitted >= pending_crashes[0].emitted
             ):
                 event = pending_crashes.pop(0)
                 injector.crash(event.worker, restart_after=event.restart_after)
+            return (
+                pending_crashes[0].emitted if pending_crashes else math.inf
+            )
 
         progress_hooks.append(on_fault_progress)
 
-    if len(progress_hooks) == 1:
-        region.merger.on_emit = progress_hooks[0]
-    elif progress_hooks:
-        def dispatch_progress(tup) -> None:
-            for hook in progress_hooks:
-                hook(tup)
+    if progress_hooks:
+        def dispatch_progress() -> float:
+            return min([hook() for hook in progress_hooks])
 
-        region.merger.on_emit = dispatch_progress
+        # Nothing is emitted yet, so this first call only reads thresholds.
+        region.merger.on_emitted(dispatch_progress(), dispatch_progress)
 
     # Recording infrastructure. Every policy gets a blocking-rate view so
     # in-depth figures can be drawn for baselines too; LB policies reuse

@@ -12,6 +12,13 @@ implementation choice to "block at the splitter" rather than at the merger
 fundamentally have to block *somewhere*"). Its occupancy stays bounded in
 practice by the connections' bounded buffers.
 
+In block mode the buffer holds whole blocks, keyed by their first sequence
+number, with those keys also kept in ascending order. The parked blocks are
+disjoint and none starts below the awaited sequence number, so whether an
+arriving block repeats any parked tuple is one bisect and a look at two
+neighbours — the cost of accepting a block does not grow with how far the
+merger is behind.
+
 Failure recovery: a crashed worker's unacknowledged tuples are normally
 *replayed* to survivors by the splitter, so the merger never waits forever
 on a lost sequence number and its invariants are untouched. Under the
@@ -24,6 +31,8 @@ arrival of a skipped tuple as a counted drop rather than a
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right, insort
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
@@ -53,6 +62,10 @@ class OrderedMerger:
         #: Block-native reordering buffer: whole TupleBlocks parked intact,
         #: keyed by their starting seq. One dict entry holds B tuples.
         self._pending_runs: dict[int, TupleBlock] = {}
+        #: The keys of ``_pending_runs`` in ascending order. The parked
+        #: blocks are disjoint and none starts below ``_next_seq``, so a
+        #: ready block is always the first entry.
+        self._run_starts: list[int] = []
         #: Tuples (not blocks) held in ``_pending_runs``.
         self._pending_run_tuples = 0
         #: Tuples emitted downstream, in order.
@@ -70,6 +83,9 @@ class OrderedMerger:
         self.latency_count = 0
         self._completion_target: int | None = None
         self._on_complete: Callable[[], None] | None = None
+        #: Emitted count the :meth:`on_emitted` callback waits for.
+        self._emitted_target: float = math.inf
+        self._on_emitted: Callable[[], float] | None = None
         #: Sequence numbers declared lost (skip gap policy), not yet passed.
         self._lost: set[int] = set()
         #: Sequence numbers already skipped over (kept to classify a late
@@ -152,6 +168,17 @@ class OrderedMerger:
         self._completion_target = target
         self._on_complete = callback
 
+    def on_emitted(self, target: float, callback: Callable[[], float]) -> None:
+        """Invoke ``callback`` on the tuple that brings ``emitted`` to ``target``.
+
+        It returns the next count to be called at (``math.inf``: never
+        again). Unlike an ``on_emit`` hook, which sees every tuple, this
+        leaves every block that does not reach the target on the bulk
+        emission path.
+        """
+        self._emitted_target = target
+        self._on_emitted = callback
+
     def accept(self, worker_id: int, tup: StreamTuple) -> None:
         """Receive a processed tuple from worker ``worker_id``."""
         pending = self._pending
@@ -194,20 +221,22 @@ class OrderedMerger:
         The block-native bulk accept: an in-order block is parked intact —
         one dict entry for B tuples, no per-tuple objects — and emitted as
         a unit when its turn comes. Per-seq scrutiny happens only on
-        fault-path arrivals (lost/skipped bookkeeping active, a stale
-        replay, or an overlap with an already-parked run), where the block
-        is expanded and fed through the per-tuple checks.
+        fault-path arrivals (lost/skipped bookkeeping active, tuples held
+        one by one, a stale replay, or any overlap with an already-parked
+        run), where the block is expanded and fed through the per-tuple
+        checks.
         """
         if not runs:
             return
         pending_runs = self._pending_runs
+        starts = self._run_starts
         if (
             len(runs) == 1
             and runs[0].start == self._next_seq
             and not self._lost
             and not self._skipped
             and not self._pending
-            and not (pending_runs and self._covered_by_run(runs[0].end - 1))
+            and not (starts and self._overlaps_run(self._next_seq, runs[0].end))
         ):
             # Steady-state fast path: a single block arriving exactly in
             # order emits directly — no park in the reordering buffer, no
@@ -221,35 +250,7 @@ class OrderedMerger:
             if occupancy > self.max_pending:
                 self.max_pending = occupancy
             self._next_seq = block.start + count
-            if (
-                self.on_emit is None
-                and self.latency_samples is None
-                and self.latency_histogram is None
-            ):
-                # Inlined :meth:`_emit_run` bulk branch — this is the
-                # per-service-run hot spot, where the extra call frames
-                # are measurable.
-                now = self.sim.now
-                self.emitted += count
-                self.last_emit_time = now
-                borns = block.borns
-                if borns is not None:
-                    total = 0.0
-                    for born in borns.tolist():
-                        total += now - born
-                    self.latency_seconds += total
-                    self.latency_count += count
-                elif block.born is not None:
-                    self.latency_seconds += (now - block.born) * count
-                    self.latency_count += count
-                target = self._completion_target
-                if (
-                    target is not None
-                    and self.emitted + self.tuples_lost >= target
-                ):
-                    self._check_completion()
-            else:
-                self._emit_run(block)
+            self._emit_run(block)
             if pending_runs:
                 self._drain_ready()
             if self._flow_gate is not None:
@@ -260,21 +261,18 @@ class OrderedMerger:
         fast = 0
         slow = 0
         for block in runs:
+            start = block.start
             if (
                 self._lost
                 or self._skipped
-                or block.start < self._next_seq
-                or (
-                    pending_runs
-                    and (
-                        self._covered_by_run(block.start)
-                        or self._covered_by_run(block.end - 1)
-                    )
-                )
+                or self._pending
+                or start < self._next_seq
+                or (starts and self._overlaps_run(start, start + block.count))
             ):
                 slow += self._accept_block_slow(block)
             else:
-                pending_runs[block.start] = block
+                pending_runs[start] = block
+                insort(starts, start)
                 fast += block.count
         self._pending_run_tuples += fast
         accepted = fast + slow
@@ -301,7 +299,7 @@ class OrderedMerger:
             if (
                 seq < self._next_seq
                 or seq in pending
-                or self._covered_by_run(seq)
+                or self._overlaps_run(seq, seq + 1)
             ):
                 if seq in self._skipped or seq in self._lost:
                     # A tuple the recovery layer already gave up on (skip
@@ -321,12 +319,20 @@ class OrderedMerger:
             accepted += 1
         return accepted
 
-    def _covered_by_run(self, seq: int) -> bool:
-        """Whether ``seq`` lies inside a block parked in ``_pending_runs``."""
-        for block in self._pending_runs.values():
-            if block.start <= seq < block.start + block.count:
+    def _overlaps_run(self, start: int, end: int) -> bool:
+        """Whether ``[start, end)`` touches a block parked in ``_pending_runs``.
+
+        The parked blocks are disjoint, so only two of them can be the
+        one: the last that starts at or before ``start`` (if it reaches
+        past it) and the first that starts after (if before ``end``).
+        """
+        starts = self._run_starts
+        i = bisect_right(starts, start)
+        if i:
+            before = starts[i - 1]
+            if before + self._pending_runs[before].count > start:
                 return True
-        return False
+        return i < len(starts) and starts[i] < end
 
     def _drain_ready(self) -> None:
         """Emit the ready prefix from both reordering buffers, in order."""
@@ -336,6 +342,7 @@ class OrderedMerger:
             nxt = self._next_seq
             block = runs.pop(nxt, None) if runs else None
             if block is not None:
+                del self._run_starts[0]
                 self._pending_run_tuples -= block.count
                 self._next_seq = nxt + block.count
                 self._emit_run(block)
@@ -359,7 +366,7 @@ class OrderedMerger:
             if (
                 seq < self._next_seq
                 or seq in self._pending
-                or (self._pending_runs and self._covered_by_run(seq))
+                or self._overlaps_run(seq, seq + 1)
             ):
                 continue
             if seq not in self._lost:
@@ -392,6 +399,7 @@ class OrderedMerger:
                 self._emit(ready)
             elif runs and nxt in runs:
                 block = runs.pop(nxt)
+                del self._run_starts[0]
                 self._pending_run_tuples -= block.count
                 self._next_seq = nxt + block.count
                 self._emit_run(block)
@@ -411,38 +419,50 @@ class OrderedMerger:
                 self.latency_histogram.observe(now - tup.born_at)
         if self.on_emit is not None:
             self.on_emit(tup)
+        if self.emitted >= self._emitted_target:
+            self._emitted_target = self._on_emitted()
         self._check_completion()
 
     def _emit_run(self, block: "TupleBlock") -> None:
         """Emit a whole in-order block without materializing tuples.
 
-        Only possible when no per-tuple observer is installed; with an
-        ``on_emit`` hook, latency sampling, or a histogram attached the
-        block is expanded so downstream sees individual tuples exactly as
-        the per-tuple path would deliver them.
+        The latency samples and histogram are fed from the block's born
+        column. Only an ``on_emit`` hook, which is owed every tuple, and
+        the one block that reaches the :meth:`on_emitted` target, whose
+        callback must run at exactly that count, expand the block and
+        deliver it as the per-tuple path would.
         """
+        count = block.count
         if (
             self.on_emit is not None
-            or self.latency_samples is not None
-            or self.latency_histogram is not None
+            or self.emitted + count >= self._emitted_target
         ):
             for tup in block.materialize():
                 self._emit(tup)
             return
-        count = block.count
         now = self.sim.now
         self.emitted += count
         self.last_emit_time = now
         borns = block.borns
         if borns is not None:
+            latencies = [now - born for born in borns.tolist()]
             total = 0.0
-            for born in borns.tolist():
-                total += now - born
+            for latency in latencies:
+                total += latency
+        elif block.born is not None:
+            latencies = [now - block.born] * count
+            total = latencies[0] * count
+        else:
+            latencies = None
+        if latencies is not None:
             self.latency_seconds += total
             self.latency_count += count
-        elif block.born is not None:
-            self.latency_seconds += (now - block.born) * count
-            self.latency_count += count
+            if self.latency_samples is not None:
+                self.latency_samples.extend(latencies)
+            if self.latency_histogram is not None:
+                observe = self.latency_histogram.observe
+                for latency in latencies:
+                    observe(latency)
         self._check_completion()
 
     def _check_completion(self) -> None:

@@ -6,17 +6,24 @@ Three guarantees pinned here:
   hash over every fired event's ``(time, seq)``);
 * transfers started by one pump share one arrival event;
 * the process-pool sweep executor returns exactly the rows the serial
-  path produces.
+  path produces;
+* the block path's simulated outcome (Fig. 9 dynamic, ``batch_size=16``,
+  plain / with a crash / observed) equals digests recorded before the
+  merger's reorder buffer was indexed and emission went by run.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from repro.core.policies import RoundRobinPolicy
 from repro.experiments.figures import fig09_config
+from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_sweep
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.sim.engine import Simulator
 from repro.streams.hosts import Host, Placement
 from repro.streams.region import ParallelRegion, RegionParams
@@ -130,3 +137,85 @@ class TestSweepParallelism:
                 ("rr",),
                 jobs=0,
             )
+
+
+def block_path_digest(result) -> str:
+    """What a block-path run simulated, hashed.
+
+    :func:`result_fingerprint` plus the block path's own counters and, on
+    an observed run, the latency histogram and the record counts. The
+    latency series is left out on purpose: a block emitted by run sums
+    its tuples' latencies before adding them to the running total, which
+    rounds differently from adding them one by one.
+    """
+    payload = {
+        "fingerprint": result_fingerprint(result),
+        "max_merger_pending": result.max_merger_pending,
+        "batches_dispatched": result.batches_dispatched,
+        "quarantines": result.quarantines,
+        "tuples_replayed": result.tuples_replayed,
+    }
+    if result.obs is not None:
+        payload["histogram"] = sorted(
+            (name, value)
+            for name, value in result.obs.metrics.items()
+            if name.startswith("merger_latency_seconds")
+        )
+        payload["records"] = [
+            len(result.obs.spans), len(result.obs.audit), len(result.obs.events)
+        ]
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def fig09_block_config(**region):
+    config = fig09_config(8, dynamic=True, total_tuples=20_000)
+    return dataclasses.replace(
+        config, region=dataclasses.replace(config.region, batch_size=16, **region)
+    )
+
+
+class TestBlockPathOutcome:
+    """Digests recorded on the commit before the merge was indexed."""
+
+    def test_plain(self):
+        result = run_experiment(fig09_block_config(), "lb-adaptive")
+        assert block_path_digest(result) == "542e43c31c9137ae"
+
+    def test_with_crash(self):
+        config = dataclasses.replace(
+            fig09_block_config(fault_tolerant=True),
+            fault_schedule=FaultSchedule.crash(1, at=5.0, restart_after=3.3),
+        )
+        result = run_experiment(config, "lb-adaptive")
+        assert result.quarantines >= 1
+        assert block_path_digest(result) == "6afae45f5de28650"
+
+    def test_observed(self):
+        result = run_experiment(
+            fig09_block_config(observability=True), "lb-adaptive"
+        )
+        assert result.obs.metrics["merger_latency_seconds_count"] == 20_000
+        assert block_path_digest(result) == "f29b2259a43b896f"
+
+    def test_count_crash_inside_a_block_fires_on_its_tuple(self, monkeypatch):
+        # The merger reaches 6 005 emitted two tuples into the block
+        # [6003, 6007): the crash must still fire at exactly that count,
+        # at the instant the block is emitted.
+        fired = []
+        crash = FaultInjector.crash
+
+        def recording_crash(self, worker, **kwargs):
+            fired.append((self.region.merger.emitted, self.sim.now))
+            crash(self, worker, **kwargs)
+
+        monkeypatch.setattr(FaultInjector, "crash", recording_crash)
+        config = dataclasses.replace(
+            fig09_block_config(fault_tolerant=True),
+            fault_schedule=FaultSchedule.crash_after_emitted(
+                1, 6_005, restart_after=3.3
+            ),
+        )
+        result = run_experiment(config, "lb-adaptive")
+        assert fired == [(6_005, 21.62999999999989)]
+        assert block_path_digest(result) == "0c03ffaa0296b5d6"

@@ -1,8 +1,9 @@
 """Property: the batched dataplane preserves the region's semantics.
 
 Hypothesis draws random workloads — region width, weights, buffer sizes,
-wire delay, service jitter — and runs each one at ``batch_size`` 1, 2, 7,
-and 64. Whatever the batch size:
+wire delay, service jitter, per-worker slowdowns (one worker up to 10x
+slower than its siblings, so runs really do park in the merger) — and
+runs each one at ``batch_size`` 1, 2, 7, and 64. Whatever the batch size:
 
 * the merged output is the full sequence 0..N-1, in order, exactly once
   (sequential semantics are batch-size-independent);
@@ -41,6 +42,9 @@ workloads = st.fixed_dictionaries(
         "recv_capacity": st.integers(min_value=2, max_value=8),
         "wire_delay": st.sampled_from([0.0, 0.005]),
         "service_jitter": st.sampled_from([0.0, 0.3]),
+        "slowdowns": st.lists(
+            st.sampled_from([1.0, 1.0, 3.0, 10.0]), min_size=4, max_size=4
+        ),
     }
 )
 
@@ -64,15 +68,17 @@ def build_region(sim, workload, batch_size, *, fault_tolerant=False):
             fault_tolerant=fault_tolerant,
             batch_size=batch_size,
         ),
+        load_multipliers=workload["slowdowns"][:n],
     )
     return region, weights
 
 
-def run_plain(workload, batch_size):
+def run_plain(workload, batch_size, *, record=True):
     sim = Simulator()
     region, weights = build_region(sim, workload, batch_size)
     seqs = []
-    region.merger.on_emit = lambda tup: seqs.append(tup.seq)
+    if record:
+        region.merger.on_emit = lambda tup: seqs.append(tup.seq)
     region.merger.on_completion(workload["total"], sim.stop)
     region.start()
     sim.run_until(1e6)
@@ -102,6 +108,27 @@ def test_merged_output_and_weights_match_batch_size_one(workload):
                 f"batch_size={batch_size}: connection {j} got {sent}, "
                 f"exact share {exact:.2f}"
             )
+
+
+@settings(max_examples=20, deadline=None)
+@given(workload=workloads)
+def test_hook_free_merger_emits_everything_by_run(workload):
+    # An ``on_emit`` hook is owed every tuple, so the property above never
+    # reaches the merger's emit-by-run branch. Without one the order cannot
+    # be read off, but nothing may be missing, stranded or emitted twice.
+    total = workload["total"]
+    baseline = None
+    for batch_size in BATCH_SIZES:
+        region, _, _ = run_plain(workload, batch_size, record=False)
+        merger = region.merger
+        assert merger.emitted == total, f"batch_size={batch_size}"
+        assert merger.next_seq == total, f"batch_size={batch_size}"
+        assert merger.pending_count == 0, f"batch_size={batch_size}"
+        assert sum(merger.received_per_worker.values()) == total
+        final = region.splitter.policy.weights
+        if baseline is None:
+            baseline = final
+        assert final == baseline, f"batch_size={batch_size}"
 
 
 crash_plans = st.fixed_dictionaries(
