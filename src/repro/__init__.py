@@ -7,8 +7,8 @@ TCP-blocking-rate metric, per-connection blocking rate functions, the
 minimax separable resource-allocation optimizer, exploration decay,
 function clustering — plus the streaming dataplane substrate (splitter,
 bounded connections, worker PEs, ordered merger, host capacity model) the
-paper evaluates on, here as a deterministic discrete-event simulator and a
-real-socket transport.
+paper evaluates on, here as a deterministic discrete-event simulator and
+as supervised worker processes over real TCP sockets.
 
 Quick start::
 

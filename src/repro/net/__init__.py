@@ -5,12 +5,13 @@ each parallel worker PE, with a bounded send buffer on the splitter's host
 and a bounded receive buffer on the worker's host. When both are full, a
 send blocks — and the transport layer records for how long (Section 3).
 
-Two implementations share that contract:
+Two implementations share that contract, and :class:`BlockingCounter`:
 
 * :class:`SimulatedConnection` — deterministic, used by every experiment;
-* :mod:`repro.net.socket_transport` — real OS sockets driven exactly as the
-  paper describes (non-blocking send, then ``select`` and measure), used in
-  integration tests and the ``real_sockets`` example.
+* the process region's frame writer (:func:`repro.proc.region.send_measured`)
+  — real TCP to real worker processes, driven as the paper describes
+  (non-blocking send, then a timed wait, measured), framed by
+  :mod:`repro.net.framing`.
 """
 
 from repro.net.blocking import BlockingCounter

@@ -297,12 +297,11 @@ def encode_result_batch(
 class MessageAssembler:
     """Reassembles typed messages from arbitrary received chunks.
 
-    Like the fixed-size :class:`~repro.net.socket_transport._FrameAssembler`
-    this consumes every complete message per feed and keeps only the
-    sub-message leftover buffered, so bytes copied stay linear in bytes
-    received. Unlike it, frames here are variable-length (header-prefixed),
-    and the assembler validates headers as it goes: an unknown type byte or
-    an absurd length means the stream desynchronized, which raises
+    Every complete message is consumed per feed and only the sub-message
+    leftover stays buffered, so bytes copied stay linear in bytes
+    received. Frames are variable-length (header-prefixed), and the
+    assembler validates headers as it goes: an unknown type byte or an
+    absurd length means the stream desynchronized, which raises
     :class:`TruncatedStreamError` immediately rather than waiting forever
     for a frame that will never complete.
     """

@@ -14,9 +14,13 @@ Correctness invariants, in the order they matter:
    ``batch_size > 1``, before it even enters the slot's send outbox),
    and removed only when its RESULT arrives. A worker's window is
    capped at ``window`` in-flight tuples — buffered-but-unflushed
-   tuples count — and the splitter blocks (and charges the paper's
-   per-connection blocking counter) when its weighted choice is full:
-   the same backpressure signal the balancer consumes in the simulator.
+   tuples count — and the splitter blocks when its weighted choice is
+   full. That wait, and the time a frame then spends parked on a full
+   kernel buffer (§3 of the paper: a ``MSG_DONTWAIT`` send, then a
+   timed wait; :func:`send_measured`), are both charged to the
+   slot's blocking counter — one counter per connection, one episode
+   per park — and that counter is the signal the balancer consumes,
+   here as in the simulator.
 
 2. *Exactly-once output across kills.* A global ``seq -> owner`` map
    dedupes: the first RESULT for a sequence wins, later ones (a replay
@@ -31,11 +35,12 @@ Correctness invariants, in the order they matter:
    performs the sends outside it; a send that fails simply funnels into
    the same death path. Batch flushes pop a whole outbox under the
    region lock and ship it with one send-lock acquisition and one
-   ``sendall`` outside it. Receiver threads send too — the idle flush
-   below — but only to their own worker, only after taking its send
-   lock *without waiting*, and only a run popped while that worker owed
-   nothing: a single-threaded worker that is blocked writing results is
-   therefore never waited on by the one thread that reads them.
+   measured write outside it. Receiver threads send too — the idle
+   flush below — but only to their own worker, only after taking its
+   send lock *without waiting*, and only a run popped while that worker
+   owed nothing: a single-threaded worker that is blocked writing
+   results is therefore never waited on by the one thread that reads
+   them.
 
 With ``batch_size=B > 1`` the splitter accumulates each worker's run in
 its slot outbox, and ``B`` is a **cap, not a target**. A run leaves as a
@@ -64,6 +69,7 @@ worker (or which incarnation of which worker) serviced each tuple.
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 import time
@@ -88,6 +94,59 @@ _FlushOrder = tuple[int, int, list[tuple[int, float, bytes]], str]
 #: Why a data frame left its outbox — the keys of
 #: :attr:`ProcessRunStats.flushes_by_reason`.
 FLUSH_REASONS = ("full", "idle", "backpressure", "drain", "failover")
+
+#: The flag, not the socket's mode, makes one send non-blocking: the
+#: slot's receiver sits in a blocking ``recv`` on the same descriptor.
+#: Where the platform lacks the flag, 0 leaves a plain blocking send.
+_DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
+
+
+def send_measured(
+    sock: socket.socket, frame: bytes, timeout: float
+) -> tuple[bool, float]:
+    """Write ``frame`` as §3 of the paper does; report the time blocked.
+
+    One ``MSG_DONTWAIT`` attempt and, only when the kernel takes less
+    than the whole frame, a timed wait for writability before each
+    further piece. Returns ``(sent, blocked_seconds)``: 0.0 when the
+    first attempt took everything, else the whole interval from that
+    attempt until the frame was out or given up on — one episode however
+    many pieces it took. ``sent`` is false after ``timeout`` blocked
+    seconds, on a dead peer, and on a socket in error or closed under
+    the wait (what a slot going down does to it).
+
+    The paper reads the blocked time out of ``select``'s timeout; Python
+    cannot, so the wait is timed with ``time.monotonic()``. It is
+    ``poll`` rather than ``select``: the same wait with no 1 024
+    descriptor ceiling, and one that reports a descriptor closed under
+    it where older Linux ``select`` sleeps out the timeout.
+    """
+    try:
+        sent = sock.send(frame, _DONTWAIT)
+    except BlockingIOError:
+        sent = 0
+    except OSError:
+        return False, 0.0
+    if sent == len(frame):
+        return True, 0.0
+    started = time.monotonic()
+    deadline = started + timeout
+    rest = memoryview(frame)[sent:]
+    try:
+        writable = select.poll()
+        writable.register(sock, select.POLLOUT)
+        while rest:
+            left = max(0.0, deadline - time.monotonic())
+            events = writable.poll(left * 1000.0)
+            if not events or events[0][1] != select.POLLOUT:
+                break  # the deadline passed, or error / hang-up / closed
+            try:
+                rest = rest[sock.send(rest, _DONTWAIT):]
+            except BlockingIOError:
+                pass  # writable was a hint, not a promise
+    except (OSError, ValueError):
+        pass  # peer gone; ValueError: the socket was already closed
+    return not rest, time.monotonic() - started
 
 
 @dataclass(slots=True)
@@ -126,7 +185,7 @@ class ProcessRunStats:
     wire_bytes_sent: int = 0
     #: Wire frames read from worker sockets (results, acks, beats).
     wire_frames_received: int = 0
-    #: DATA/DATA_BATCH flushes performed (each is one ``sendall``).
+    #: DATA/DATA_BATCH flushes performed (each is one frame written).
     data_flushes: int = 0
     #: Mean tuples per data flush (1.0 exactly when ``batch_size=1``).
     mean_batch_occupancy: float = 0.0
@@ -576,7 +635,7 @@ class ProcessRegion:
         registry.gauge_fn(
             "process_region_data_flushes_total",
             lambda: sum(self._data_flushes),
-            help="DATA/DATA_BATCH flushes (one sendall each)",
+            help="DATA/DATA_BATCH flushes (one frame each)",
         )
         for reason in FLUSH_REASONS:
             registry.gauge_fn(
@@ -757,7 +816,9 @@ class ProcessRegion:
                         return seq, None
                 if slot is not None:
                     if block_started is not None:
-                        self._charge_block(block_started, block_slot)
+                        self._charge_block(
+                            block_slot, time.monotonic() - block_started
+                        )
                     slot.unacked[seq] = (cost, body)
                     self._owner[seq] = slot.index
                     run = slot.outbox
@@ -777,13 +838,15 @@ class ProcessRegion:
                 if blocked_on is not None:
                     if block_started is None or block_slot != blocked_on:
                         if block_started is not None:
-                            self._charge_block(block_started, block_slot)
+                            self._charge_block(
+                                block_slot, now - block_started
+                            )
                         block_started = now
                         block_slot = blocked_on
                 elif block_started is not None:
                     # An outage (no serving slot) is downtime, not
                     # backpressure: close the blocking episode.
-                    self._charge_block(block_started, block_slot)
+                    self._charge_block(block_slot, now - block_started)
                     block_started = None
                 if stall_deadline is None:
                     stall_deadline = now + self.send_stall_timeout
@@ -836,7 +899,7 @@ class ProcessRegion:
         whose own ack re-runs this check. With the lock in hand the wire
         is re-examined under the region lock; a run popped here leaves a
         worker that owes nothing and a socket carrying nothing of ours,
-        so the one ``sendall`` cannot be stuck behind results nobody is
+        so the one write cannot be stuck behind results nobody is
         reading.
 
         In flight means unacked and no longer in the outbox — sent, or
@@ -873,7 +936,7 @@ class ProcessRegion:
         entries: list[tuple[int, float, bytes]],
         reason: str,
     ) -> None:
-        """One flush: one frame, one send lock, one ``sendall``."""
+        """One flush: one frame, one send lock, one measured write."""
         frame = self._encode_run(entries)
         if not self._send_frame(index, frame, len(entries), reason):
             self._send_failed(index, incarnation, entries)
@@ -914,11 +977,8 @@ class ProcessRegion:
             return framing.encode_data(*entries[0])
         return framing.encode_data_batch(entries)
 
-    def _charge_block(self, started: float, slot_index: int | None) -> None:
-        """Close one splitter blocking episode (lock held)."""
-        duration = time.monotonic() - started
-        if slot_index is None:
-            return
+    def _charge_block(self, slot_index: int, duration: float) -> None:
+        """Close one blocking episode, window-full or send-full (lock held)."""
         self.block_counters[slot_index].add(duration)
         if self._obs is not None:
             end = self.clock()
@@ -958,13 +1018,20 @@ class ProcessRegion:
     def _write_frame(
         self, index: int, frame: bytes, tuples: int, reason: str | None
     ) -> bool:
-        """``sendall`` + wire accounting (``index``'s send lock held)."""
+        """The one place a byte leaves for a worker (send lock held).
+
+        Time parked on a full kernel buffer is charged like a full
+        window; the region lock, under which the balancer reads the
+        counter, is taken only when there is something to charge.
+        """
         sock = self._socks[index]
         if sock is None:
             return False
-        try:
-            sock.sendall(frame)
-        except OSError:
+        sent, blocked = send_measured(sock, frame, self.send_stall_timeout)
+        if blocked:
+            with self._lock:
+                self._charge_block(index, blocked)
+        if not sent:
             return False
         # Wire accounting under the send lock: per-worker cells, so
         # concurrent flushes to different workers never contend.

@@ -183,21 +183,19 @@ class OrderedMerger:
         """Receive a processed tuple from worker ``worker_id``."""
         pending = self._pending
         seq = tup.seq
+        if (self._lost or self._skipped) and (
+            seq in self._lost or seq in self._skipped
+        ):
+            # A tuple the recovery layer already gave up on (skip gap
+            # policy) straggled in — drop it. Its seq stays lost, passed
+            # or not: nobody will send it again.
+            self.late_arrivals += 1
+            return
         if seq < self._next_seq or seq in pending:
-            if seq in self._skipped or seq in self._lost:
-                # A tuple the recovery layer already gave up on (skip gap
-                # policy) straggled in — drop it, order is preserved.
-                self._lost.discard(seq)
-                self.late_arrivals += 1
-                return
             raise SequenceError(
                 f"tuple seq {seq} already merged or pending "
                 f"(next expected: {self._next_seq})"
             )
-        if seq in self._lost:
-            self._lost.discard(seq)
-            self.late_arrivals += 1
-            return
         received = self.received_per_worker
         received[worker_id] = received.get(worker_id, 0) + 1
         pending[seq] = tup
@@ -296,25 +294,20 @@ class OrderedMerger:
         accepted = 0
         for tup in block.materialize():
             seq = tup.seq
+            if seq in self._lost or seq in self._skipped:
+                # As in ``accept``: a straggler is dropped, its seq stays
+                # lost.
+                self.late_arrivals += 1
+                continue
             if (
                 seq < self._next_seq
                 or seq in pending
                 or self._overlaps_run(seq, seq + 1)
             ):
-                if seq in self._skipped or seq in self._lost:
-                    # A tuple the recovery layer already gave up on (skip
-                    # gap policy) straggled in — drop it, order preserved.
-                    self._lost.discard(seq)
-                    self.late_arrivals += 1
-                    continue
                 raise SequenceError(
                     f"tuple seq {seq} already merged or pending "
                     f"(next expected: {self._next_seq})"
                 )
-            if seq in self._lost:
-                self._lost.discard(seq)
-                self.late_arrivals += 1
-                continue
             pending[seq] = tup
             accepted += 1
         return accepted

@@ -60,8 +60,8 @@ class RegionStalledError(RuntimeError):
 
     Raised by :meth:`Splitter.fail_channel` when failing a channel would
     leave no live survivor to carry traffic (pass ``allow_stall=True``
-    when a recovery layer will restore one later), and by the socket
-    transport when workers wedge and cannot be joined at close.
+    when a recovery layer will restore one later), and by the process
+    region when no worker accepts a tuple or a drain misses its deadline.
     """
 
 

@@ -1,12 +1,11 @@
 """Unit tests for the typed message framing and torn-frame edges.
 
-Covers both assemblers: :class:`repro.net.framing.MessageAssembler`
-(variable-length typed messages, the process dataplane's wire format)
-and the fixed-size :class:`repro.net.socket_transport._FrameAssembler`.
-The torn-frame cases — EOF mid-header, EOF mid-payload, 1-byte-at-a-time
-feeds — must either yield exactly the frames that were sent or raise a
-clean truncated-stream error; silent tail loss is the bug these tests
-pin down.
+Covers :class:`repro.net.framing.MessageAssembler` (variable-length
+typed messages, the process dataplane's wire format), the one frame
+assembler. The torn-frame cases — EOF mid-header, EOF mid-payload,
+1-byte-at-a-time feeds — must either yield exactly the frames that were
+sent or raise a clean truncated-stream error; silent tail loss is the
+bug these tests pin down.
 """
 
 import struct
@@ -18,7 +17,6 @@ from repro.net.framing import (
     MessageAssembler,
     TruncatedStreamError,
 )
-from repro.net.socket_transport import _FrameAssembler
 
 
 def _all_messages() -> list[bytes]:
@@ -230,48 +228,4 @@ class TestBatchFrames:
             out = assembler.feed(wire[:cut])
             out += assembler.feed(wire[cut:])
             assert out == expect, f"torn at byte {cut} diverged"
-            assembler.eof()
-
-
-class TestFrameAssemblerTornFrames:
-    """The fixed-size assembler's torn-frame edges (satellite #3)."""
-
-    def test_one_byte_at_a_time_yields_exact_frames(self):
-        assembler = _FrameAssembler(frame_size=8)
-        wire = b"ABCDEFGH" + b"12345678" + b"abcdefgh"
-        completed = [assembler.feed(wire[i:i + 1]) for i in range(len(wire))]
-        assert sum(completed) == 3
-        assert assembler.frames == 3
-        # Frames complete exactly on every 8th byte, never elsewhere.
-        assert [i for i, c in enumerate(completed) if c] == [7, 15, 23]
-        assembler.eof()  # clean boundary
-
-    def test_eof_mid_frame_raises_with_counts(self):
-        assembler = _FrameAssembler(frame_size=8)
-        assembler.feed(b"ABCDEFGH" + b"123")
-        with pytest.raises(
-            ConnectionError, match=r"3 of 8 bytes after 1 whole frames"
-        ):
-            assembler.eof()
-
-    def test_eof_with_no_partial_bytes_is_clean(self):
-        assembler = _FrameAssembler(frame_size=4)
-        assert assembler.feed(b"wxyz") == 1
-        assembler.eof()
-
-    def test_eof_on_empty_stream_is_clean(self):
-        _FrameAssembler(frame_size=16).eof()
-
-    def test_eof_one_byte_short_of_first_frame(self):
-        assembler = _FrameAssembler(frame_size=4)
-        assembler.feed(b"abc")
-        with pytest.raises(
-            ConnectionError, match="3 of 4 bytes after 0 whole frames"
-        ):
-            assembler.eof()
-
-    def test_eof_error_is_a_truncated_stream_error(self):
-        assembler = _FrameAssembler(frame_size=4)
-        assembler.feed(b"ab")
-        with pytest.raises(TruncatedStreamError):
             assembler.eof()

@@ -8,8 +8,14 @@ the worker — it reads the frames the region put on the wire from the
 other end and injects acks through ``ProcessRegion._handle_message``,
 exactly where a receiver thread would deliver them. Everything is
 synchronous, so "what is on the wire right now" is an exact question.
+
+:meth:`FakeWire.shrink` makes a slot's kernel buffer a few KiB, so a
+frame larger than that parks its sender until the test reads — the second
+source of backpressure a real socket has, next to a full window.
 """
 
+import math
+import select
 import socket
 
 from repro.net import framing
@@ -42,6 +48,10 @@ class FakeWire:
         """(Re)connect slot ``index`` on a fresh socketpair."""
         region = self.region
         slot = region.slots[index]
+        if self.peers[index] is not None:
+            # The region failed the slot over on its own (a send that
+            # timed out); nobody closed the test's end of that wire.
+            self.peers[index].close()
         ours, peer = socket.socketpair()
         peer.setblocking(False)
         with region._lock:
@@ -53,10 +63,21 @@ class FakeWire:
         self.in_flight[index] = []
         assert region.supervisor.on_connected(index, slot.incarnation)
 
-    def down(self, index):
-        """Kill slot ``index``: the region fails it over synchronously."""
+    def shrink(self, index, nbytes=4096):
+        """Make slot ``index``'s kernel buffers hold only a few KiB."""
+        for sock in (self.region._socks[index], self.peers[index]):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, nbytes)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, nbytes)
+
+    def down(self, index, *, drain=True):
+        """Kill slot ``index``: the region fails it over synchronously.
+
+        ``drain=False`` leaves what is on the wire unread, so a sender
+        parked on a full kernel buffer is still parked when the slot dies.
+        """
         slot = self.region.slots[index]
-        self.read(index)
+        if drain:
+            self.read(index)
         self.orphans[index] = (slot.incarnation, self.in_flight[index])
         self.in_flight[index] = []
         assert self.region.supervisor.declare_dead(index, "test kill")
@@ -80,17 +101,22 @@ class FakeWire:
 
     # ------------------------------------------------------------- the wire
 
-    def read(self, index):
-        """Data frames put on slot ``index``'s wire since the last read."""
+    def read(self, index, limit=math.inf):
+        """Data frames put on slot ``index``'s wire since the last read.
+
+        ``limit`` stops after that many bytes: the peer reads some of
+        what the kernel holds and leaves the rest.
+        """
         peer = self.peers[index]
         frames = []
-        while peer is not None:
+        while peer is not None and limit > 0:
             try:
-                chunk = peer.recv(65536)
+                chunk = peer.recv(min(65536, limit))
             except BlockingIOError:
                 break
             if not chunk:
                 break
+            limit -= len(chunk)
             self.raw[index] += chunk
             for message in self._assemblers[index].feed(chunk):
                 if message.type == framing.MSG_DATA:
@@ -102,6 +128,24 @@ class FakeWire:
 
     def read_all(self):
         return [self.read(index) for index in range(len(self.peers))]
+
+    def unread(self, index):
+        """Whether slot ``index``'s wire holds bytes no frame accounts for.
+
+        True while the kernel buffer has bytes the peer has not read or
+        the assembler holds the head of a frame whose tail it has not.
+        """
+        if self._assemblers[index].pending_bytes:
+            return True
+        try:
+            return bool(self.peers[index].recv(1, socket.MSG_PEEK))
+        except BlockingIOError:
+            return False
+
+    def wait_readable(self, index, timeout=10.0):
+        """Block until slot ``index``'s wire holds unread bytes."""
+        ready, _, _ = select.select([self.peers[index]], [], [], timeout)
+        assert ready, f"nothing reached slot {index}'s wire in {timeout}s"
 
     def inject(self, index, entries, *, incarnation=None, batched=True):
         """Deliver the worker's results for ``entries`` to the region."""

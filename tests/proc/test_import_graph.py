@@ -25,18 +25,20 @@ HEAVY = [
 ]
 
 PROBE = """
-import json, sys
+import importlib.util, json, sys
 import repro.proc.worker
 after_worker = sorted(sys.modules)
 import repro.proc.region
-import repro.net.socket_transport, repro.streams
+import repro.streams
 same_class = (
     repro.proc.region.RegionStalledError
-    is repro.net.socket_transport.RegionStalledError
     is repro.streams.RegionStalledError
     is repro.RegionStalledError
 )
-print(json.dumps([after_worker, sorted(sys.modules), same_class]))
+mini_region = importlib.util.find_spec("repro.net.socket_transport")
+print(json.dumps(
+    [after_worker, sorted(sys.modules), same_class, mini_region is None]
+))
 """
 
 
@@ -50,13 +52,17 @@ def test_process_entry_points_import_no_simulator_or_control_plane():
         timeout=60,
         check=True,
     )
-    after_worker, after_region, same_class = json.loads(done.stdout)
+    after_worker, after_region, same_class, mini_region_gone = json.loads(
+        done.stdout
+    )
     assert [m for m in HEAVY + ["repro.streams"] if m in after_worker] == []
     assert [m for m in HEAVY if m in after_region] == []
-    # Lazy package exports hand out the defining module's own class: all
-    # three raisers (simulated splitter, thread mini-region, process
-    # region) raise, and every caller catches, one RegionStalledError.
+    # Lazy package exports hand out the defining module's own class: both
+    # raisers (simulated splitter, process region) raise, and every
+    # caller catches, one RegionStalledError.
     assert same_class
+    # Two dataplanes: the thread+socket mini-region is not a third.
+    assert mini_region_gone
 
 
 def test_source_tree_has_one_numeric_backend():

@@ -12,15 +12,16 @@ real signals. They are the acceptance tests for the process backend:
   while the survivors still finish the run;
 * repeated SIGKILLs (the CI ``process-chaos`` job's smoke case).
 
-The flush-rule, wake-up and receiver-list classes at the end use no
-processes at all: :class:`tests.proc.fakewire.FakeWire` plays the
-workers over socketpairs, so what is on the wire is an exact question.
+The flush-rule, wake-up, send-blocking and receiver-list classes at the
+end use no processes at all: :class:`tests.proc.fakewire.FakeWire` plays
+the workers over socketpairs, so what is on the wire is an exact question.
 
 Everything is bounded by internal deadlines (``drain(timeout=...)``), so
 a hung dataplane fails the assertion instead of hanging pytest.
 """
 
 import os
+import select
 import signal
 import socket
 import threading
@@ -32,7 +33,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.net import framing
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
 from repro.proc.faults import RealFaultDriver
-from repro.proc.region import ProcessRegion
+from repro.proc.region import ProcessRegion, send_measured
 from repro.proc.supervisor import (
     QUARANTINED,
     STARTING,
@@ -125,6 +126,34 @@ class TestHappyPath:
         region.run([0.0] * 10, timeout=20.0)
         first = region.close()
         assert region.close() == first
+
+
+class TestBlockingReflectsCapacity:
+    """The paper's counter, on real processes: it tracks who is slow."""
+
+    def test_blocking_concentrates_on_slow_worker(self):
+        # Equal weights against a 20x slower worker: the splitter keeps
+        # offering it half the stream, and waits on it for nearly all of
+        # the run.
+        region = ProcessRegion(
+            2, multipliers=[1, 20], initial_weights=[1, 1],
+            supervisor_config=FAST, window=8,
+        )
+        stats, outputs = run_region(region, [0.001] * 120, ready=True)
+        expect_ordered(outputs, 120)
+        blocked = stats.blocked_seconds
+        assert blocked[1] > blocked[0]
+        assert blocked[1] > 0.5 * sum(blocked)
+
+    def test_even_capacity_small_blocking(self):
+        region = ProcessRegion(
+            2, multipliers=[1, 1], initial_weights=[1, 1],
+            supervisor_config=FAST, window=8,
+        )
+        stats, outputs = run_region(region, [0.0002] * 200, ready=True)
+        expect_ordered(outputs, 200)
+        # Workers keep up with the sender; blocking should be minimal.
+        assert sum(stats.blocked_seconds) < 1.0
 
 
 class TestKillRecovery:
@@ -834,13 +863,208 @@ class TestNoPolling:
             self.assert_released(spy, thread, errors, 60.0)
 
     def test_stall_deadline_still_raises(self):
-        from repro.net.socket_transport import RegionStalledError
+        from repro.streams.splitter import RegionStalledError
 
         with FakeWire(1, batch_size=1, window=1,
                       send_stall_timeout=0.05) as wire:
             wire.region.submit(0.0, b"")
             with pytest.raises(RegionStalledError, match="blocked_on=0"):
                 wire.region.submit(0.0, b"")
+
+
+#: Larger than a shrunk kernel buffer (about 8 KiB in one send), smaller
+#: than a default one: its sender parks on slot 0 and nowhere else.
+BIG = bytes(range(256)) * 128
+
+
+class TestSendMeasured:
+    """The paper's section 3 write, on a bare socketpair."""
+
+    def pair(self, sndbuf=None):
+        ours, peer = socket.socketpair()
+        if sndbuf is not None:
+            ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
+        return ours, peer
+
+    def test_no_pressure_means_no_blocking(self):
+        ours, peer = self.pair()
+        with ours, peer:
+            assert send_measured(ours, b"x" * 64, 5.0) == (True, 0.0)
+            assert peer.recv(64) == b"x" * 64
+
+    def test_full_buffer_blocks_until_the_peer_reads(self):
+        ours, peer = self.pair(sndbuf=4096)
+        with ours, peer:
+            result = []
+            thread, errors = run_blocked(
+                lambda: result.append(send_measured(ours, BIG, 30.0))
+            )
+            received = bytearray()
+            peer.settimeout(10.0)
+            while len(received) < len(BIG):
+                received += peer.recv(1024)
+            thread.join(timeout=10.0)
+            assert not thread.is_alive() and errors == []
+            [(sent, blocked)] = result
+            assert sent and blocked > 0.0
+            assert bytes(received) == BIG
+
+    def test_deadline_gives_up_and_reports_the_wait(self):
+        ours, peer = self.pair(sndbuf=4096)
+        with ours, peer:
+            sent, blocked = send_measured(ours, BIG, 0.05)
+            assert not sent
+            assert 0.045 <= blocked < 5.0
+
+    def test_dead_peer_fails_the_send(self):
+        ours, peer = self.pair()
+        with ours:
+            peer.close()
+            assert send_measured(ours, b"x" * 64, 5.0) == (False, 0.0)
+
+    def test_peer_dying_mid_wait_releases_the_sender(self):
+        ours, peer = self.pair(sndbuf=4096)
+        with ours:
+            result = []
+            thread, errors = run_blocked(
+                lambda: result.append(send_measured(ours, BIG, 30.0))
+            )
+            # Bytes at the peer: the sender is inside the frame.
+            assert select.select([peer], [], [], 10.0)[0]
+            peer.close()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive() and errors == []
+            [(sent, blocked)] = result
+            assert not sent and blocked > 0.0
+
+
+class TestSendBlocking:
+    """A full kernel buffer is backpressure too, and is charged as such.
+
+    :class:`FakeWire` with slot 0's buffer shrunk; ``BIG`` bodies do not
+    fit it, so a submit routed there parks until the test reads.
+    """
+
+    def park(self, wire):
+        """Submit ``BIG`` on a thread; return once it is mid-frame."""
+        done = threading.Event()
+
+        def submit():
+            wire.region.submit(0.0, BIG)
+            done.set()
+
+        thread, errors = run_blocked(submit)
+        wire.wait_readable(0)
+        return thread, errors, done
+
+    def release(self, wire, thread, errors, index=0):
+        while thread.is_alive():
+            wire.read(index)
+        thread.join(timeout=10.0)
+        assert errors == []
+        wire.read(index)
+
+    def test_no_pressure_charges_nothing(self):
+        with FakeWire(1, batch_size=1, window=64) as wire:
+            wire.shrink(0)
+            for i in range(20):
+                wire.region.submit(0.0, b"t%d" % i)
+                wire.ack(0, batched=False)
+            counter = wire.region.block_counters[0]
+            assert counter.lifetime_seconds == 0.0
+            assert counter.lifetime_episodes == 0
+
+    def test_park_on_a_full_kernel_buffer_is_charged(self):
+        with FakeWire(1, batch_size=1, window=64) as wire:
+            wire.shrink(0)
+            thread, errors, done = self.park(wire)
+            # The frame does not fit and nobody is reading: the sender
+            # stays parked for as long as the test cares to look.
+            park = 0.1
+            assert not done.wait(park + 0.05)
+            self.release(wire, thread, errors)
+            assert wire.raw[0] == framing.encode_data(0, 0.0, BIG)
+            counter = wire.region.block_counters[0]
+            assert counter.lifetime_seconds >= park
+
+    def test_one_parked_frame_is_one_episode(self):
+        with FakeWire(1, batch_size=1, window=64) as wire:
+            wire.shrink(0)
+            thread, errors, _done = self.park(wire)
+            # Dribble the frame out: every read makes room for one more
+            # partial send.
+            reads = 0
+            while thread.is_alive() or wire.unread(0):
+                wire.read(0, limit=512)
+                reads += 1
+            thread.join(timeout=10.0)
+            assert errors == [] and reads > 8
+            assert wire.in_flight[0] == [[(0, 0.0, BIG)]]
+            assert wire.region.block_counters[0].lifetime_episodes == 1
+
+    def test_window_full_and_send_full_share_a_counter(self):
+        with FakeWire(1, batch_size=1, window=1) as wire:
+            region = wire.region
+            hub = ObservabilityHub(region.clock, ObservabilityConfig())
+            region.attach_observability(hub)
+            wire.shrink(0)
+            region.submit(0.0, b"small")
+            spy = WaitSpy(region)
+            thread, errors = run_blocked(lambda: region.submit(0.0, BIG))
+            # First the window: seq 0 is unacked and the window is 1.
+            assert spy.entered.wait(timeout=10.0)
+            wire.ack(0, batched=False)
+            # Then the kernel buffer: seq 1 is routed but does not fit.
+            wire.wait_readable(0)
+            self.release(wire, thread, errors)
+            counter = region.block_counters[0]
+            assert counter.lifetime_episodes == 2
+            assert region.stats().blocked_seconds == [counter.lifetime_seconds]
+            hub.finalize(region.clock())
+            spans = hub.report().spans_of_kind("blocking")
+            assert [span["attrs"] for span in spans] == [{"channel": 0}] * 2
+            assert sum(
+                span["end"] - span["start"] for span in spans
+            ) == pytest.approx(counter.lifetime_seconds)
+            histogram = hub.registry.get("process_region_block_seconds")
+            assert histogram.count == 2
+            assert histogram.sum == pytest.approx(counter.lifetime_seconds)
+
+    def test_slot_death_releases_a_parked_sender_and_still_charges(self):
+        with FakeWire(2, batch_size=1, window=64) as wire:
+            region = wire.region
+            wire.shrink(0)
+            thread, errors, done = self.park(wire)
+            assert region._owner[0] == 0 and not done.is_set()
+            wire.down(0, drain=False)
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), "the parked sender was not released"
+            assert errors == [] and done.is_set()
+            # Replayed to the survivor exactly once, by the failover: the
+            # released sender finds nothing left to re-route.
+            assert wire.read(1) == [[(0, 0.0, BIG)]]
+            wire.ack(1, batched=False)
+            assert region.outputs == [(0, BIG)]
+            stats = region.stats()
+            assert (stats.replayed, stats.duplicates_dropped) == (1, 0)
+            counter = region.block_counters[0]
+            assert counter.lifetime_episodes == 1
+            assert counter.lifetime_seconds > 0.0
+
+    def test_send_stall_timeout_ends_in_the_death_path(self):
+        with FakeWire(2, batch_size=1, window=64,
+                      send_stall_timeout=0.1) as wire:
+            region = wire.region
+            wire.shrink(0)
+            # On this thread: a hang would hang the test, an exception
+            # escaping submit would fail it.
+            assert region.submit(0.0, BIG) == 0
+            assert not wire.is_up(0)
+            assert region.stats().episodes == 1
+            assert wire.read(1) == [[(0, 0.0, BIG)]]
+            counter = region.block_counters[0]
+            assert counter.lifetime_episodes == 1
+            assert counter.lifetime_seconds >= 0.09
 
 
 class TestReceiverThreads:

@@ -20,6 +20,14 @@ standing in for the worker processes, so every step is synchronous and
 And at the end, with the generator stopped for good and **no call to
 ``drain``**, acking whatever is in flight until the wires fall silent
 delivers every tuple ever submitted.
+
+A second property runs the same events over kernel buffers that can
+fill: every slot's buffer is shrunk, bodies are padded so a window's
+worth outgrows it, and the peers read what they are sent only when the
+script says so, a few hundred bytes at a time. A frame that does not fit
+parks its sender — here, with one thread playing everybody, until
+``send_stall_timeout`` hands the slot to the death path — and the same
+three invariants must hold.
 """
 
 import pytest
@@ -49,8 +57,32 @@ steps = st.lists(
 )
 
 
+tight_steps = st.lists(
+    st.one_of(
+        # Long enough to put a third frame on a wire nobody has read.
+        st.tuples(
+            st.just("route"),
+            st.integers(min_value=1, max_value=N_WORKERS * WINDOW),
+        ),
+        st.tuples(
+            st.just("peer_reads"),
+            st.tuples(slots, st.integers(min_value=1, max_value=2048)),
+        ),
+        st.tuples(st.just("ack"), slots),
+        st.tuples(st.just("ack_split"), slots),
+        st.tuples(st.just("ack_late"), slots),
+        st.tuples(st.just("down"), slots),
+        st.tuples(st.just("up"), slots),
+    ),
+    max_size=70,
+)
+
+
 class Model:
     """The worker side of the wire, as far as the properties need it."""
+
+    #: Appended to every body.
+    padding = b""
 
     def __init__(self, wire):
         self.wire = wire
@@ -74,7 +106,7 @@ class Model:
                 if not self.can_route():
                     break
                 seq = region.stats().tuples
-                assert region.submit(0.0, b"b%d" % seq) == seq
+                assert region.submit(0.0, self.body(seq)) == seq
         elif op == "down":
             if wire.is_up(arg):
                 wire.down(arg)
@@ -108,12 +140,23 @@ class Model:
                 for frame in frames:
                     wire.inject(arg, frame, incarnation=incarnation)
 
+    def body(self, seq):
+        return b"b%d" % seq + self.padding
+
+    def observe(self):
+        """Look at the wires before the invariants are evaluated."""
+        self.wire.read_all()
+
+    def on_wire(self, index):
+        """Whether slot ``index`` has a frame in flight."""
+        return bool(self.wire.in_flight[index])
+
     def check(self):
         wire, region = self.wire, self.region
-        wire.read_all()
+        self.observe()
         outputs = region.outputs
         assert [seq for seq, _ in outputs] == list(range(len(outputs)))
-        assert all(body == b"b%d" % seq for seq, body in outputs)
+        assert all(body == self.body(seq) for seq, body in outputs)
         stats = region.stats()
         assert stats.results == len(outputs) + region._reorderer.held
         for slot in region.slots:
@@ -123,37 +166,84 @@ class Model:
             if not wire.is_up(slot.index):
                 assert not slot.outbox and not slot.unacked
             elif owed:
-                assert wire.in_flight[slot.index], (
+                assert self.on_wire(slot.index), (
                     f"slot {slot.index} holds {len(owed)} undelivered "
                     "tuples in its outbox with nothing on its wire"
                 )
         assert sum(stats.flushes_by_reason.values()) == stats.data_flushes
 
 
+class TightModel(Model):
+    """The same worker side over kernel buffers that can fill.
+
+    The peers read only when the script says so, so the invariants are
+    evaluated without draining the wires: a frame is in flight while it
+    is unacked, unread, or half read.
+    """
+
+    #: Two full runs of these outgrow the smallest buffer the kernel
+    #: allows; one still fits an empty buffer, so an idle flush (sent
+    #: when everything before it has been read and acked) never parks.
+    padding = b"." * 450
+
+    def __init__(self, wire):
+        super().__init__(wire)
+        for index in range(N_WORKERS):
+            wire.shrink(index, 2048)
+
+    def step(self, op, arg):
+        if op == "peer_reads":
+            index, nbytes = arg
+            if self.wire.is_up(index):
+                self.wire.read(index, limit=nbytes)
+            return
+        super().step(op, arg)
+        if op == "up":
+            self.wire.shrink(arg, 2048)
+
+    def observe(self):
+        pass
+
+    def on_wire(self, index):
+        return super().on_wire(index) or self.wire.unread(index)
+
+
+def run_script(model, script):
+    wire = model.wire
+    for op, arg in script:
+        model.step(op, arg)
+        model.check()
+    # The generator has stopped. Bring everyone back (parked tuples
+    # need a serving slot) and let the wires fall silent on their
+    # own: every ack releases whatever waited behind it.
+    for index in range(N_WORKERS):
+        if not wire.is_up(index):
+            wire.up(index)
+    for _ in range(10_000):
+        wire.read_all()
+        busy = [j for j in range(N_WORKERS) if wire.in_flight[j]]
+        if not busy:
+            break
+        for index in busy:
+            wire.ack(index)
+        model.check()
+    region = wire.region
+    stats = region.stats()
+    assert stats.results == stats.tuples
+    assert [seq for seq, _ in region.outputs] == list(range(stats.tuples))
+    assert all(not slot.unacked for slot in region.slots)
+
+
 @settings(max_examples=60, deadline=None)
 @given(script=steps)
 def test_every_interleaving_is_exactly_once_and_nothing_is_stranded(script):
     with FakeWire(N_WORKERS, batch_size=BATCH, window=WINDOW) as wire:
-        model = Model(wire)
-        for op, arg in script:
-            model.step(op, arg)
-            model.check()
-        # The generator has stopped. Bring everyone back (parked tuples
-        # need a serving slot) and let the wires fall silent on their
-        # own: every ack releases whatever waited behind it.
-        for index in range(N_WORKERS):
-            if not wire.is_up(index):
-                wire.up(index)
-        for _ in range(10_000):
-            wire.read_all()
-            busy = [j for j in range(N_WORKERS) if wire.in_flight[j]]
-            if not busy:
-                break
-            for index in busy:
-                wire.ack(index)
-            model.check()
-        region = wire.region
-        stats = region.stats()
-        assert stats.results == stats.tuples
-        assert [seq for seq, _ in region.outputs] == list(range(stats.tuples))
-        assert all(not slot.unacked for slot in region.slots)
+        run_script(Model(wire), script)
+
+
+@settings(max_examples=40, deadline=None)
+@given(script=tight_steps)
+def test_every_interleaving_survives_full_kernel_buffers(script):
+    with FakeWire(N_WORKERS, batch_size=BATCH, window=WINDOW,
+                  send_stall_timeout=0.01) as wire:
+        run_script(TightModel(wire), script)

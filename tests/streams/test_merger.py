@@ -250,22 +250,20 @@ class TestReorderIndexCost:
 
 @st.composite
 def delivery_scripts(draw):
-    """Steps ``("runs", worker, [(start, count), ...])`` / ``("lost", span)``.
+    """``(N, steps)``; a step is ``("runs", worker, [(start, count), ...])``
+    or ``("lost", span)``.
 
     Disjoint blocks tiling ``[0, N)`` arrive in random order and random
     per-call groupings. Some blocks are declared lost at a random point,
-    and may still arrive — before or after it — in a call of their own:
-    within one call the block path drains at the end and the reference
-    after every tuple, so a straggler sharing a call with the tuples that
-    lead up to it finds its seq already skipped on one side and still
-    merely lost on the other. Duplicates of all four shapes are spliced in
-    anywhere, clear of the lost blocks for the same reason.
+    and may still arrive — before or after it, in a call of their own or
+    sharing one with the blocks that lead up to them. Duplicates of all
+    five shapes, lost spans included, are spliced in anywhere.
     """
     counts = draw(st.lists(st.integers(1, 6), min_size=2, max_size=16))
-    spans, start = [], 0
+    spans, total = [], 0
     for count in counts:
-        spans.append((start, count))
-        start += count
+        spans.append((total, count))
+        total += count
     indices = range(len(spans))
     lost = draw(st.sets(st.sampled_from(indices), max_size=3))
     worker = st.integers(0, 2)
@@ -280,10 +278,15 @@ def delivery_scripts(draw):
     if group:
         steps.append(("runs", draw(worker), group))
 
-    def touches_lost(lo, hi):
-        return any(
-            spans[i][0] < hi and lo < sum(spans[i]) for i in lost
-        )
+    def splice(run):
+        """Add ``run`` to a call already in the script, or as its own."""
+        calls = [step for step in steps if step[0] == "runs"]
+        if calls and draw(st.booleans()):
+            runs = draw(st.sampled_from(calls))[2]
+            runs.insert(draw(st.integers(0, len(runs))), run)
+        else:
+            at = draw(st.integers(0, len(steps)))
+            steps.insert(at, ("runs", draw(worker), [run]))
 
     shapes = st.sampled_from(["equal", "left", "right", "contained", "containing"])
     for _ in range(draw(st.integers(0, 3))):
@@ -300,22 +303,14 @@ def delivery_scripts(draw):
             hi = lo + size
         elif shape == "containing":
             lo, hi = lo - draw(st.integers(0, 3)), hi + draw(st.integers(1, 3))
-        lo = max(lo, 0)
-        if touches_lost(lo, hi):
-            continue
-        duplicate = (lo, hi - lo)
-        if steps and draw(st.booleans()):
-            runs = draw(st.sampled_from(steps))[2]
-            runs.insert(draw(st.integers(0, len(runs))), duplicate)
-        else:
-            at = draw(st.integers(0, len(steps)))
-            steps.insert(at, ("runs", draw(worker), [duplicate]))
+        # Inside [0, N): the liveness check below needs N to be the end.
+        lo, hi = max(lo, 0), min(hi, total)
+        splice((lo, hi - lo))
     for i in sorted(lost):
         steps.insert(draw(st.integers(0, len(steps))), ("lost", spans[i]))
         if draw(st.booleans()):
-            at = draw(st.integers(0, len(steps)))
-            steps.insert(at, ("runs", draw(worker), [spans[i]]))
-    return steps
+            splice(spans[i])
+    return total, steps
 
 
 def raises_sequence_error(deliver):
@@ -335,8 +330,9 @@ def check_reorder_index(merger):
 
 
 class TestBlockPathMatchesTuplePath:
-    @given(steps=delivery_scripts())
-    def test_accept_runs_agrees_with_accept_after_every_call(self, steps):
+    @given(script=delivery_scripts())
+    def test_accept_runs_agrees_with_accept_after_every_call(self, script):
+        total, steps = script
         sim = Simulator()
         ref_order, hooked_order = [], []
         reference = OrderedMerger(sim, on_emit=lambda t: ref_order.append(t.seq))
@@ -375,3 +371,8 @@ class TestBlockPathMatchesTuplePath:
                 assert merger.tuples_lost == reference.tuples_lost
                 assert merger.received_per_worker == reference.received_per_worker
                 check_reorder_index(merger)
+        # Liveness: no call raised, so every block was delivered or
+        # declared lost — nothing may be left waiting.
+        for merger in (reference, hooked, bulk):
+            assert merger.next_seq == total
+            assert merger.pending_count == 0

@@ -9,11 +9,15 @@ counts losses immediately because it has no gap to wait behind.
 from repro.overload.flow import FlowControlGate
 from repro.sim.engine import Simulator
 from repro.streams.merger import OrderedMerger, UnorderedMerger
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import StreamTuple, TupleBlock
 
 
 def tup(seq):
     return StreamTuple(seq=seq, cost_multiplies=1.0)
+
+
+def block(start, count):
+    return TupleBlock.uniform(start, count, 1.0)
 
 
 class TestOrderedMarkLostCompletion:
@@ -86,6 +90,46 @@ class TestOrderedMarkLostEdges:
         merger.accept(1, tup(1))  # straggler for the skipped seq
         assert merger.late_arrivals == 1
         assert merger.emitted == 2
+
+    def assert_skipped_past_seq_2(self, merger):
+        assert merger.emitted == 3
+        assert merger.next_seq == 4
+        assert merger.tuples_lost == 1
+        assert merger.late_arrivals == 1
+        assert merger.pending_count == 0
+
+    def test_straggler_of_a_lost_seq_not_yet_passed_stays_lost(self):
+        # The straggler for seq 2 arrives while the merger is still
+        # waiting on seq 1: it is dropped, and seq 2 must stay lost — no
+        # one will send it again, so un-losing it parks seq 3 for ever.
+        merger = OrderedMerger(Simulator())
+        merger.accept(0, tup(0))
+        merger.mark_lost([2])
+        merger.accept(1, tup(2))
+        assert merger.late_arrivals == 1
+        merger.accept(0, tup(1))
+        merger.accept(0, tup(3))
+        self.assert_skipped_past_seq_2(merger)
+
+    def test_block_straggler_of_a_lost_seq_not_yet_passed_stays_lost(self):
+        merger = OrderedMerger(Simulator())
+        merger.accept_runs(0, [block(0, 1)])
+        merger.mark_lost([2])
+        merger.accept_runs(1, [block(2, 1)])
+        assert merger.late_arrivals == 1
+        merger.accept_runs(0, [block(1, 1)])
+        merger.accept_runs(0, [block(3, 1)])
+        self.assert_skipped_past_seq_2(merger)
+
+    def test_block_straggler_sharing_a_call_with_its_predecessors(self):
+        # The block path drains at the end of a call, the scalar path
+        # after every tuple; the straggler is dropped on both whether or
+        # not its seq has been passed yet.
+        merger = OrderedMerger(Simulator())
+        merger.accept_runs(0, [block(0, 1)])
+        merger.mark_lost([2])
+        merger.accept_runs(0, [block(1, 1), block(2, 1), block(3, 1)])
+        self.assert_skipped_past_seq_2(merger)
 
     def test_mark_lost_drains_the_pending_buffer_through_the_gate(self):
         merger = OrderedMerger(Simulator())
