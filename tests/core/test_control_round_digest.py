@@ -1,13 +1,16 @@
 """Pinned digests of the clustered control round.
 
-300 rounds of ``LoadBalancer(n, BalancerConfig(clustering=True))`` closed
+Rounds of ``LoadBalancer(n, BalancerConfig(clustering=True))`` closed
 over a :class:`~repro.sim.fluid.FluidRegion` with Figure 12's capacity
 classes (the benchmark's ``control-n64`` workload), hashing every round's
-``(weights, last_clusters)``. The digests were recorded at commit e92cefa,
-before the control round was rebuilt to compute each piece once, and are
-the same with and without numpy: any optimisation of clustering, rate
-functions or the member expansion has to reproduce every decision of
-every round exactly, not approximately.
+``(weights, last_clusters)``. The 300-round digests were recorded at
+commit e92cefa, before the control round was rebuilt to compute each
+piece once, and are the same with and without numpy; the N = 256 digest
+and the quarantine-path digest were recorded at commit e8fffeb, before
+the solver granted by runs and the clustering skipped pairs that cannot
+merge. Any optimisation of clustering, rate functions, the solver or the
+member expansion has to reproduce every decision of every round exactly,
+not approximately.
 """
 
 import hashlib
@@ -21,15 +24,33 @@ from repro.sim.fluid import FluidRegion
 #: Fig. 12's capacity classes as (share of connections, relative capacity).
 CAPACITY_CLASSES = ((20 / 64, 1 / 100), (20 / 64, 1 / 5), (24 / 64, 1.0))
 
+#: ``(n, seed) -> (rounds, digest)``.
 PINNED = {
-    (8, 1): "cd62c437b6243df43b6f0dfbce5c66bc8466eee086eb51910b88addc099d7177",
-    (8, 2): "67a699e8775e76a5b41fb9691b32cca5a4da59401252fed78dacb29d47aea752",
-    (64, 1): "89d1f692b47bcd8bba70fc752f5e6f885439a3695687bfd25d9ec8f50536549b",
-    (64, 2): "cabf8908dcb32f2dddf18ddd295d79a7de205a3f3a445b8b241df9b128ea710e",
+    (8, 1): (300, "cd62c437b6243df43b6f0dfbce5c66bc8466eee086eb51910b88addc099d7177"),
+    (8, 2): (300, "67a699e8775e76a5b41fb9691b32cca5a4da59401252fed78dacb29d47aea752"),
+    (64, 1): (300, "89d1f692b47bcd8bba70fc752f5e6f885439a3695687bfd25d9ec8f50536549b"),
+    (64, 2): (300, "cabf8908dcb32f2dddf18ddd295d79a7de205a3f3a445b8b241df9b128ea710e"),
+    (256, 1): (100, "8690cd58079f79ae90970f6ff346e84c85cfc9dc60f56852974747822ac4ce8b"),
 }
 
+#: The emergency path through the same solver, at N = 64 and seed 1:
+#: ``round -> (method, channel)``, called before that round's update. A
+#: fast channel and two of the middle class die holding weight; the fast
+#: one comes back.
+EMERGENCIES = {
+    100: ("quarantine", 7),
+    150: ("quarantine", 30),
+    200: ("quarantine", 52),
+    250: ("reintegrate", 7),
+}
+PINNED_EMERGENCY = (
+    "070004e0fefe353b9575efc0aca3b44843dbb7357507cd9c1c15af68ba8909db"
+)
 
-def control_round_digest(n: int, seed: int, rounds: int = 300) -> str:
+
+def control_round_digest(
+    n: int, seed: int, rounds: int = 300, emergencies=None
+) -> str:
     capacities: list[float] = []
     for share, capacity in CAPACITY_CLASSES[:-1]:
         capacities += [capacity] * round(share * n)
@@ -39,7 +60,14 @@ def control_round_digest(n: int, seed: int, rounds: int = 300) -> str:
     fluid = FluidRegion(rates, splitter_rate=1.25 * sum(rates))
     balancer = LoadBalancer(n, BalancerConfig(clustering=True))
     digest = hashlib.sha256()
-    for _ in range(rounds):
+    for round_no in range(rounds):
+        if emergencies and round_no in emergencies:
+            method, channel = emergencies[round_no]
+            getattr(balancer, method)(channel)
+            fluid.set_weights(balancer.weights)
+            digest.update(
+                repr((balancer.weights, balancer.last_clusters)).encode()
+            )
         fluid.advance(1.0)
         weights = balancer.update(
             fluid.time, [c.read() for c in fluid.blocking_counters]
@@ -52,4 +80,11 @@ def control_round_digest(n: int, seed: int, rounds: int = 300) -> str:
 
 @pytest.mark.parametrize(("n", "seed"), sorted(PINNED))
 def test_clustered_rounds_reproduce_the_recorded_decisions(n, seed):
-    assert control_round_digest(n, seed) == PINNED[(n, seed)]
+    rounds, expected = PINNED[(n, seed)]
+    assert control_round_digest(n, seed, rounds) == expected
+
+
+def test_quarantine_and_reintegration_reproduce_the_recorded_decisions():
+    assert control_round_digest(64, 1, emergencies=EMERGENCIES) == (
+        PINNED_EMERGENCY
+    )
