@@ -10,8 +10,10 @@ one end-to-end timing of the Figure 9 static sweep:
   per tick instead of a fresh closure + handle);
 * **rate-function rounds** — one control round of model maintenance
   (observe + decay + full fitted table), the cached-table path;
-* **Fox solves** — the minimax weight solver walking cached tables
-  instead of calling a bisect interpolation per marginal step;
+* **Fox solves** — the minimax weight solver over cached tables, on 16
+  densely observed functions that rise together: the greedy alternates
+  between them every unit or two, so this is the case where granting by
+  runs buys nothing (and must cost nothing);
 * **fig09 sweep** — the Figure 9 static grid (2-16 PEs x 4 policies),
   serially and through the process-pool executor.
 
@@ -124,10 +126,13 @@ def measure_rate_function_rounds(rounds: int = 200) -> float:
 
 
 def measure_fox_solves(rounds: int = 50, n: int = 16) -> float:
-    """Fox solves/sec over cached tables (the balancer's actual path).
+    """Fox solves/sec over cached tables.
 
     The baseline number was necessarily measured through per-weight
-    ``value()`` calls — the only evaluation path the seed had.
+    ``value()`` calls — the only evaluation path the seed had. The
+    balancer itself hands the solver ``fn.value`` again now that a solve
+    reads a few weights per run; tables are kept here so the number
+    stays comparable with the recorded ones.
     """
     fns = [_populated(30, j * 977 + 13) for j in range(n)]
     evaluators = [fn.table() for fn in fns]

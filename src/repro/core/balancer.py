@@ -403,7 +403,7 @@ class LoadBalancer:
                 for j in range(self.n_connections)
             ),
         )
-        evaluators = [fn.table() for fn in self.functions]
+        evaluators = [fn.value for fn in self.functions]
         self._weights = solve_minimax_fox(
             evaluators, self.config.resolution, constraints
         )
@@ -692,9 +692,9 @@ class LoadBalancer:
 
     def _solve_direct(self) -> list[int]:
         constraints = self._member_constraints()
-        # The solver indexes the cached [F(0)..F(R)] tables directly — O(1)
-        # per marginal step; entries are bit-identical to fn.value(w).
-        evaluators = [fn.table() for fn in self.functions]
+        # The solver reads a few weights per run, so each is evaluated from
+        # the fit's breakpoints: no function builds its R + 1 entry table.
+        evaluators = [fn.value for fn in self.functions]
         self.last_clusters = [[j] for j in range(self.n_connections)]
         return solve_minimax_fox(
             evaluators, self.config.resolution, constraints

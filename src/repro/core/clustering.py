@@ -36,6 +36,15 @@ from repro.core.rate_function import BlockingRateFunction
 #: Default floor value keeping log-ratios finite (the paper's ``delta``).
 DEFAULT_DELTA = 1e-6
 
+#: Slack on the pruning test in :func:`cluster_functions`, which compares
+#: the gap of two rounded logarithms where :func:`_feature_distance` takes
+#: the logarithm of a rounded ratio and scales it by ``alpha``. The two
+#: disagree by a few ulps of the largest finite logarithm (``|log x| <
+#: 745``, one ulp 1.2e-13) plus the rounding of ``threshold / alpha``;
+#: 1e-9 covers that thousands of times over. Too much slack only costs an
+#: exact distance or two; too little drops a pair sitting on the threshold.
+_PRUNE_SLACK = 1e-9
+
 
 @dataclass(slots=True, frozen=True)
 class FunctionFeatures:
@@ -121,10 +130,15 @@ def agglomerative_cluster(
     member, so results are deterministic.
 
     Each row caches its nearest later neighbour, so finding the pair to
-    merge and folding the merge into the linkage matrix cost O(N) each;
-    only rows whose cached neighbour was one of the merged pair are
-    rescanned. That is O(N^2) overall unless many rows keep pointing at
-    the clusters being merged.
+    merge costs O(N) and folding the merge into the linkage matrix visits
+    the slots still standing; only rows whose cached neighbour was one of
+    the merged pair are rescanned. That is O(N^2) overall unless many rows
+    keep pointing at the clusters being merged.
+
+    An entry above ``threshold`` only ever says "not these two": a
+    complete link can never fall back below it, and merging stops at the
+    first best link above it. ``inf`` there gives the same clusters as the
+    exact distance (:func:`cluster_functions` relies on this).
     """
     n = len(distances)
     if n == 0:
@@ -137,12 +151,14 @@ def agglomerative_cluster(
 
     inf = math.inf
     # A cluster lives in the slot of its smallest member; a merge retires
-    # the higher slot by setting its row and column to infinity, which no
-    # minimum ever selects. Slot order is therefore row-major order.
+    # the higher slot: it leaves ``live`` and its column goes to infinity,
+    # which no minimum ever selects. Slot order is therefore row-major
+    # order.
     clusters: list[list[int] | None] = [[i] for i in range(n)]
     # Cluster-to-cluster complete linkage, maintained incrementally via the
     # Lance-Williams update: link(x+y, k) = max(link(x, k), link(y, k)).
-    link = [[float(distances[i][j]) for j in range(n)] for i in range(n)]
+    link = [list(row) for row in distances]
+    live = list(range(n))
     nearest = [-1] * n
     nearest_link = [inf] * n
 
@@ -164,16 +180,18 @@ def agglomerative_cluster(
         y = nearest[x]
         clusters[x] = sorted(clusters[x] + clusters[y])
         clusters[y] = None
+        live.remove(y)
         row_x, row_y = link[x], link[y]
-        for k, row_k in enumerate(link):
-            if clusters[k] is not None:
-                row_x[k] = row_k[x] = max(row_x[k], row_y[k])
-            row_k[y] = inf
-        link[y] = [inf] * n
+        for k in live:
+            if row_x[k] < row_y[k]:
+                row_x[k] = link[k][x] = row_y[k]
+            link[k][y] = inf
         nearest[y], nearest_link[y] = -1, inf
         # Linkages to x only grew and y is gone: a row keeps its cached
         # neighbour unless that neighbour was x or y.
-        for k in range(y):
+        for k in live:
+            if k >= y:
+                break
             if k == x or nearest[k] == x or nearest[k] == y:
                 rescan(k)
 
@@ -190,18 +208,35 @@ def cluster_functions(
 
     One round's work is done once: the shared resolution is checked and
     ``alpha`` computed on entry, each function's features are extracted
-    once (O(N)), and the O(N^2) distance matrix is filled from them.
+    once (O(N)), and the distance matrix is filled from them — exactly,
+    for the pairs that could merge. A pair whose gap in any one
+    log-coordinate already exceeds the threshold is further apart than
+    the threshold whatever the other two say, and to the linkage every
+    such distance is as good as ``inf``.
     """
     n = len(functions)
-    matrix = [[0.0] * n for _ in range(n)]
+    matrix = [[math.inf] * n for _ in range(n)]
     if n > 1:
         _check_shared_resolution(functions)
         alpha = distance_alpha(functions[0].resolution, delta)
         features = [extract_features(fn, delta=delta) for fn in functions]
-        for i, a in enumerate(features):
+        log = math.log
+        coordinates = [
+            (log(f.knee_weight), log(f.knee_value), log(f.full_value))
+            for f in features
+        ]
+        knee_reach = threshold + _PRUNE_SLACK
+        value_reach = threshold / alpha + _PRUNE_SLACK
+        for i, (knee, at_knee, at_full) in enumerate(coordinates):
             row = matrix[i]
             for j in range(i + 1, n):
-                row[j] = matrix[j][i] = _feature_distance(
-                    a, features[j], alpha
-                )
+                other = coordinates[j]
+                if (
+                    abs(knee - other[0]) <= knee_reach
+                    and abs(at_knee - other[1]) <= value_reach
+                    and abs(at_full - other[2]) <= value_reach
+                ):
+                    row[j] = matrix[j][i] = _feature_distance(
+                        features[i], features[j], alpha
+                    )
     return agglomerative_cluster(matrix, threshold)

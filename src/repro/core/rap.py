@@ -8,10 +8,12 @@ The load-balancing optimization of Section 5.2:
 with every ``F_j`` monotone non-decreasing. Three exact solvers:
 
 * :func:`solve_minimax_fox` — Fox's greedy marginal allocation [Fox 1966],
-  ``O(N + R log N)`` with a heap. The paper uses this one ("the greedy Fox
-  scheme suffices because both the number of connections N and the maximum
-  number of iterations R are modest"). A simple interchange argument shows
-  greedy is optimal for monotone minimax RAPs.
+  granted a run at a time: ``O(N + A log R)`` for ``A`` alternations
+  between connections, where the unit-step greedy is ``O(N + R log N)``.
+  The paper uses the greedy ("the greedy Fox scheme suffices because both
+  the number of connections N and the maximum number of iterations R are
+  modest"). A simple interchange argument shows greedy is optimal for
+  monotone minimax RAPs.
 * :func:`solve_minimax_binary_search` — binary search on the optimal
   objective value over the set of attainable function values, in the
   spirit of Galil & Megiddo [1979]. Used to cross-validate Fox and in the
@@ -22,8 +24,9 @@ with every ``F_j`` monotone non-decreasing. Three exact solvers:
 All take ``functions`` as callables ``f(w) -> float`` over integer weights
 *or* as pre-computed value tables (any sequence indexed by weight, e.g. the
 cached ``[F(0)..F(R)]`` list from
-:meth:`repro.core.rate_function.BlockingRateFunction.table`) — tables make
-each marginal evaluation an O(1) list index instead of an interpolation.
+:meth:`repro.core.rate_function.BlockingRateFunction.table`). Fox reads a
+few entries per run, so a table is worth building only for a caller that
+walks it densely, as the binary search's candidate scan does.
 """
 
 from __future__ import annotations
@@ -83,6 +86,18 @@ def solve_minimax_fox(
     the connection whose *next* value ``F_j(w_j + 1)`` is smallest (ties
     break on connection index, making the result deterministic); stop when
     the units are exhausted.
+
+    Units are granted a run at a time. The connection popped from the heap
+    would be popped again for as long as its next entry
+    ``(F_j(w + 1), j)`` compares below the next contender's, so it takes
+    every such unit at once — found by a doubling probe and a bisection
+    over ``F_j`` — and is pushed back once. That is unit-step Fox's grants
+    in unit-step Fox's order, ties included, **provided every ``F_j`` is
+    non-decreasing over the integers**, which the problem's definition
+    requires and :class:`~repro.core.rate_function.BlockingRateFunction`
+    guarantees. A function that dips still gets a feasible allocation
+    (bounds and sum hold), but a dip inside a run is not looked for, so it
+    need not be the one unit steps would reach.
     """
     if constraints is None:
         constraints = WeightConstraints.unbounded(len(functions), resolution)
@@ -91,20 +106,50 @@ def solve_minimax_fox(
     functions = _as_evaluators(functions)
 
     weights = list(constraints.minima)
+    maxima = constraints.maxima
     remaining = resolution - sum(weights)
-    # Heap of (next value, connection); lazily refreshed after each grant.
+    # Heap of (next value, connection), one entry per connection with
+    # headroom.
     heap: list[tuple[float, int]] = []
     for j, fn in enumerate(functions):
-        if weights[j] < constraints.maxima[j]:
+        if weights[j] < maxima[j]:
             heap.append((fn(weights[j] + 1), j))
     heapq.heapify(heap)
 
     while remaining > 0 and heap:
         _value, j = heapq.heappop(heap)
-        weights[j] += 1
-        remaining -= 1
-        if weights[j] < constraints.maxima[j]:
-            heapq.heappush(heap, (functions[j](weights[j] + 1), j))
+        fn = functions[j]
+        won = weights[j] + 1
+        end = min(maxima[j], weights[j] + remaining)
+        # ``lost`` is the first weight found not to win (``end + 1``: none
+        # yet) and ``entry`` the heap entry computed there.
+        lost, entry = end + 1, None
+        if heap:
+            contender = heap[0]
+            step = 1
+            while won + step <= end:  # gallop until a probe loses
+                probe = (fn(won + step), j)
+                if probe < contender:
+                    won += step
+                    step += step
+                else:
+                    lost, entry = won + step, probe
+                    break
+            while lost - won > 1:  # then bisect between the two
+                mid = (won + lost) // 2
+                probe = (fn(mid), j)
+                if probe < contender:
+                    won = mid
+                else:
+                    lost, entry = mid, probe
+        else:
+            won = end
+        remaining -= won - weights[j]
+        weights[j] = won
+        # No entry means the run ended at ``end``: j is full or the units
+        # are gone.
+        if entry is not None:
+            heapq.heappush(heap, entry)
 
     if remaining > 0:
         # feasible() guaranteed sum(maxima) >= resolution, so this cannot

@@ -29,14 +29,19 @@ Caching
 Both the monotone fit and the full fitted table ``[F(0) .. F(R)]`` are
 cached and invalidated together by every mutation (:meth:`observe`,
 :meth:`decay_above`, :meth:`forget`). The table is built only where a
-caller asks for it (:meth:`table`, :meth:`values`): the solvers walk it
-in O(1) per evaluation instead of re-running a bisect interpolation per
-marginal step. :meth:`value` reads the table when one exists and
-otherwise evaluates the fit's breakpoints; :meth:`knee_weight` always
-works from the breakpoints. A function nobody walks (a clustered round's
-member functions) therefore never pays for ``R + 1`` entries. The table
-is built segment-by-segment with the exact same arithmetic as the
-point-wise evaluation, so the two are bit-identical.
+caller asks for it (:meth:`table`, :meth:`values`) — worth it for one
+that reads most of the ``R + 1`` weights. The control round does not: the
+solver and the clustering read a few weights per function through
+:meth:`value`, which reads the table when one exists and otherwise
+evaluates the fit's breakpoints; :meth:`knee_weight` always works from
+the breakpoints. The table is built segment-by-segment with the exact
+same arithmetic as the point-wise evaluation, so the two are
+bit-identical.
+
+Every evaluation is non-decreasing in the weight, fractional weights
+included — the fitted breakpoints are, and each floating-point step of
+the interpolation is monotone — which is what lets the solver bisect for
+the end of a run (:func:`repro.core.rap.solve_minimax_fox`).
 """
 
 from __future__ import annotations
@@ -266,8 +271,8 @@ class BlockingRateFunction:
     def table(self) -> list[float]:
         """The cached fitted table ``[F(0), F(1), ..., F(R)]``.
 
-        Returns the internal cache — treat it as read-only. The solvers
-        evaluate marginal steps as ``table()[w]`` in O(1).
+        Returns the internal cache — treat it as read-only. ``table()[w]``
+        is the same double as ``value(w)``.
         """
         table = self._table
         if table is None:

@@ -8,12 +8,18 @@ produces are the ones the straightforward algorithms produce, bit for
 bit. The straightforward algorithms live on here as references, and
 hypothesis drives both sides over inputs built to contain ties — where a
 changed scan order or a re-associated float expression would show.
+
+The same promise covers the round that works by runs: Fox's greedy grants
+a run of units per heap pop and the distance matrix holds ``inf`` for
+pairs too far apart to merge. Unit-step Fox and the full pairwise matrix
+are the references for those.
 """
 
 import copy
+import heapq
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.balancer import distribute_evenly
@@ -24,6 +30,8 @@ from repro.core.clustering import (
     extract_features,
     function_distance,
 )
+from repro.core.constraints import WeightConstraints
+from repro.core.rap import solve_minimax_fox
 from repro.core.rate_function import BlockingRateFunction
 
 # -------------------------------------------------------------- references
@@ -97,6 +105,23 @@ def reference_distribute_evenly(total, minima, maxima):
     return weights
 
 
+def fox_unit_steps(functions, resolution, constraints):
+    """Fox's greedy one unit at a time: a pop, a grant and a push each."""
+    weights = list(constraints.minima)
+    heap = [
+        (fn(weights[j] + 1), j)
+        for j, fn in enumerate(functions)
+        if weights[j] < constraints.maxima[j]
+    ]
+    heapq.heapify(heap)
+    for _ in range(resolution - sum(weights)):
+        _value, j = heapq.heappop(heap)
+        weights[j] += 1
+        if weights[j] < constraints.maxima[j]:
+            heapq.heappush(heap, (functions[j](weights[j] + 1), j))
+    return weights
+
+
 # --------------------------------------------------------------- strategies
 
 #: A mutation history: observe(weight, rate) or decay_above(weight). Few
@@ -118,14 +143,37 @@ def build(history, resolution=1000):
     for op, weight, amount in history:
         if op == "observe":
             fn.observe(weight, amount)
-        else:
+        elif op == "decay":
             fn.decay_above(weight, amount)
+        elif op == "decay_all":
+            fn.decay_all(amount)
+        else:
+            fn.forget()
     return fn
+
+
+#: Every mutation a function can see, at a resolution small enough to
+#: evaluate at every weight and every fraction of one.
+_SMALL = 40
+_small_weights = st.integers(min_value=0, max_value=_SMALL)
+_any_history = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), _small_weights, _RATES),
+        st.tuples(st.just("decay"), _small_weights, st.sampled_from([0.1, 0.5])),
+        st.tuples(st.just("decay_all"), st.just(0), st.sampled_from([0.5, 1.0])),
+        st.tuples(st.just("forget"), st.just(0), st.just(0.0)),
+    ),
+    max_size=14,
+)
 
 
 @st.composite
 def tied_matrices(draw):
-    """Symmetric matrices over a handful of values: ties everywhere."""
+    """Symmetric matrices over a handful of values: ties everywhere.
+
+    Some carry ``inf`` — what :func:`cluster_functions` writes for a pair
+    it knows to be past the threshold.
+    """
     n = draw(st.integers(min_value=1, max_value=12))
     levels = draw(
         st.lists(
@@ -134,11 +182,71 @@ def tied_matrices(draw):
             max_size=4,
         )
     )
+    if draw(st.booleans()):
+        levels.append(math.inf)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             matrix[i][j] = matrix[j][i] = draw(st.sampled_from(levels))
     return matrix, draw(st.sampled_from(levels + [0.0, 5.0]))
+
+
+@st.composite
+def fox_instances(draw):
+    """Monotone functions full of ties, under bounds that cut runs short.
+
+    Every function is a sorted draw from three shared levels (long flat
+    runs, equal values across functions), all zeros, or a copy of the one
+    before; each goes in as a table or as a callable. Maxima of 0 are the
+    quarantine shape; small ones end a run before the contender does.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    resolution = draw(st.integers(min_value=1, max_value=60))
+    levels = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    tables: list[list[float]] = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["steps", "steps", "zero", "copy"]))
+        if kind == "copy" and tables:
+            tables.append(tables[-1])
+        elif kind == "zero":
+            tables.append([0.0] * (resolution + 1))
+        else:
+            tables.append(sorted(draw(st.lists(
+                st.sampled_from(levels),
+                min_size=resolution + 1,
+                max_size=resolution + 1,
+            ))))
+    functions = [
+        table if draw(st.booleans()) else table.__getitem__
+        for table in tables
+    ]
+    maxima = [
+        min(resolution, draw(st.sampled_from([0, 1, 2, 5, 60])))
+        for _ in range(n)
+    ]
+    if sum(maxima) < resolution:
+        maxima[draw(st.integers(0, n - 1))] = resolution
+    minima = [0] * n
+    budget = resolution
+    for j in draw(st.permutations(range(n))):
+        minima[j] = draw(st.integers(0, min(maxima[j], budget)))
+        budget -= minima[j]
+    if draw(st.integers(0, 9)) == 0:
+        # Nothing to hand out: the minima already take every unit.
+        for j in range(n):
+            top_up = min(maxima[j] - minima[j], budget)
+            minima[j] += top_up
+            budget -= top_up
+    constraints = WeightConstraints(
+        minima=tuple(minima), maxima=tuple(maxima)
+    )
+    return functions, resolution, constraints
 
 
 # -------------------------------------------------------------------- tests
@@ -178,20 +286,48 @@ class TestLinkageOracle:
         ) == [[0, 2], [1]]
 
 
+def _knee_at(weight):
+    """History of a function whose knee sits at ``weight``."""
+    return [("observe", weight, 0.0), ("observe", weight + 1, 1.0)]
+
+
 class TestClusterFunctionsOracle:
+    # A threshold is a fixed level or ``(k, nudge)``: the k-th smallest
+    # distance between two of the functions, moved ``nudge`` ulps. A pair
+    # sitting exactly on the threshold merges, one ulp above it does not,
+    # and the pruning's coordinate gaps are not the exact distance to the
+    # last place — knees 15 and 30 are log(2) apart exactly but
+    # log(30) - log(15) is one ulp more.
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(_history, min_size=2, max_size=10),
-        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+            st.tuples(st.integers(0, 44), st.sampled_from([-1, 0, 1])),
+        ),
     )
+    @example([_knee_at(15), _knee_at(30)], (0, 0))
+    @example([_knee_at(15), _knee_at(30)], (0, 1))
+    @example([_knee_at(15), _knee_at(30)], (0, -1))
+    @example([_knee_at(30), _knee_at(60), _knee_at(15)], (1, 0))
     def test_matches_pairwise_matrix_and_full_rescan(self, histories, threshold):
         functions = [build(history) for history in histories]
-        expected = reference_agglomerative_cluster(
-            reference_distance_matrix(
-                copy.deepcopy(functions), DEFAULT_DELTA
-            ),
-            threshold,
+        matrix = reference_distance_matrix(
+            copy.deepcopy(functions), DEFAULT_DELTA
         )
+        if isinstance(threshold, tuple):
+            k, nudge = threshold
+            found = sorted(
+                matrix[i][j]
+                for i in range(len(matrix))
+                for j in range(i + 1, len(matrix))
+            )
+            threshold = found[k % len(found)]
+            if nudge:
+                threshold = max(
+                    0.0, math.nextafter(threshold, nudge * math.inf)
+                )
+        expected = reference_agglomerative_cluster(matrix, threshold)
         assert cluster_functions(functions, threshold) == expected
 
     def test_equal_knee_ratios_tie_and_merge_in_row_major_order(self):
@@ -217,6 +353,113 @@ class TestClusterFunctionsOracle:
             [copy.deepcopy(fa), copy.deepcopy(fb)], DEFAULT_DELTA
         )[0][1]
         assert function_distance(fa, fb) == expected
+
+
+class TestFoxByRunsOracle:
+    """A run of grants per pop vs. one grant per pop: the same weights."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fox_instances())
+    def test_matches_unit_steps_on_tied_monotone_functions(self, case):
+        functions, resolution, constraints = case
+        evaluators = [
+            f if callable(f) else f.__getitem__ for f in functions
+        ]
+        assert solve_minimax_fox(functions, resolution, constraints) == (
+            fox_unit_steps(evaluators, resolution, constraints)
+        )
+
+    def test_runs_end_at_a_maximum_and_at_the_last_unit(self):
+        flat, steep = [0.0] * 11, [float(w) for w in range(11)]
+        # Connection 0 would win all ten units; its maximum stops it at 4.
+        capped = WeightConstraints(minima=(0, 0), maxima=(4, 10))
+        assert solve_minimax_fox([flat, steep], 10, capped) == [4, 6]
+        # Connection 1 wins the first unit of a run of five with three left.
+        rising = [0.0, 0.0, 0.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0]
+        mid = [5.0] * 6 + [9.5] * 5
+        free = WeightConstraints.unbounded(2, 5)
+        assert solve_minimax_fox([rising, mid], 5, free) == [2, 3]
+        for tables, total, bounds in (
+            ([flat, steep], 10, capped), ([rising, mid], 5, free),
+        ):
+            assert solve_minimax_fox(tables, total, bounds) == fox_unit_steps(
+                [t.__getitem__ for t in tables], total, bounds
+            )
+
+    def test_a_run_costs_logarithmically_many_evaluations(self):
+        # Two functions nothing distinguishes: connection 0 wins every tie,
+        # so all 1000 units are one run. (Ending a run early is still
+        # correct — the entry pushed back is popped again — just slow;
+        # only the count shows it.)
+        calls = []
+
+        def flat(weight):
+            calls.append(weight)
+            return 0.0
+
+        assert solve_minimax_fox([flat, flat], 1000) == [1000, 0]
+        assert len(calls) <= 2 + 2 * math.ceil(math.log2(1000))
+
+    def test_cluster_evaluators_at_the_paper_resolution(self):
+        # What the clustered round hands the solver: pooled functions
+        # evaluated at the cluster's allocation split across its members,
+        # under bounds summed over the members.
+        resolution = 1000
+        pooled = [
+            build([("observe", 3, 0.0), ("observe", 4, 0.4)]),
+            build([("observe", 15, 0.0), ("observe", 16, 0.01),
+                   ("observe", 40, 0.6), ("decay", 20, 0.1)]),
+            build([]),
+            build([("observe", 15, 0.0), ("observe", 16, 0.01),
+                   ("observe", 40, 0.6), ("decay", 20, 0.1)]),
+            build([("observe", 41, 1e-7), ("observe", 100, 0.25),
+                   ("observe", 101, 0.25), ("observe", 250, 3.0)]),
+        ]
+        sizes = [20, 7, 3, 1, 33]
+        evaluators = [
+            lambda total, fn=fn, size=size: fn.value(
+                min(resolution, total / size)
+            )
+            for fn, size in zip(pooled, sizes)
+        ]
+        constraints = WeightConstraints(
+            minima=(0, 35, 0, 0, 120), maxima=(1000, 800, 300, 117, 1000)
+        )
+        weights = solve_minimax_fox(evaluators, resolution, constraints)
+        assert weights == fox_unit_steps(evaluators, resolution, constraints)
+        assert sum(weights) == resolution and min(weights) > 0
+
+    def test_a_function_that_dips_gets_a_feasible_allocation_only(self):
+        # The precondition, documented: F_0 dips back to 1 after a 5. Unit
+        # steps stop at the 5; the doubling probe steps over it.
+        dips = [0.0, 1.0, 1.0, 5.0, 1.0]
+        level = [0.0, 2.0, 2.0, 2.0, 2.0]
+        free = WeightConstraints.unbounded(2, 4)
+        assert fox_unit_steps(
+            [dips.__getitem__, level.__getitem__], 4, free
+        ) == [2, 2]
+        assert solve_minimax_fox([dips, level], 4, free) == [4, 0]
+
+
+class TestFunctionsAreMonotone:
+    """What the run search stands on: no evaluation ever decreases."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_any_history, min_size=1, max_size=3))
+    def test_tables_and_fractional_evaluations_never_decrease(self, histories):
+        members = [build(history, _SMALL) for history in histories]
+        for fn in members + [BlockingRateFunction.pooled(members)]:
+            TestPointwiseEvaluationOracle.assert_pointwise_is_table(fn)
+            table = fn.table()
+            assert all(a <= b for a, b in zip(table, table[1:]))
+            for size in range(1, 9):
+                # A cluster of ``size`` members evaluates its pooled
+                # function at total / size, capped at the resolution.
+                walked = [
+                    fn.value(min(_SMALL, total / size))
+                    for total in range(size * _SMALL + 2)
+                ]
+                assert all(a <= b for a, b in zip(walked, walked[1:])), size
 
 
 class TestDistributeEvenlyOracle:
