@@ -220,9 +220,8 @@ def cluster_functions(
         _check_shared_resolution(functions)
         alpha = distance_alpha(functions[0].resolution, delta)
         features = [extract_features(fn, delta=delta) for fn in functions]
-        log = math.log
         coordinates = [
-            (log(f.knee_weight), log(f.knee_value), log(f.full_value))
+            tuple(map(math.log, (f.knee_weight, f.knee_value, f.full_value)))
             for f in features
         ]
         knee_reach = threshold + _PRUNE_SLACK

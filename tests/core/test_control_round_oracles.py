@@ -107,6 +107,7 @@ def reference_distribute_evenly(total, minima, maxima):
 
 def fox_unit_steps(functions, resolution, constraints):
     """Fox's greedy one unit at a time: a pop, a grant and a push each."""
+    functions = [f if callable(f) else f.__getitem__ for f in functions]
     weights = list(constraints.minima)
     heap = [
         (fn(weights[j] + 1), j)
@@ -361,13 +362,7 @@ class TestFoxByRunsOracle:
     @settings(max_examples=300, deadline=None)
     @given(fox_instances())
     def test_matches_unit_steps_on_tied_monotone_functions(self, case):
-        functions, resolution, constraints = case
-        evaluators = [
-            f if callable(f) else f.__getitem__ for f in functions
-        ]
-        assert solve_minimax_fox(functions, resolution, constraints) == (
-            fox_unit_steps(evaluators, resolution, constraints)
-        )
+        assert solve_minimax_fox(*case) == fox_unit_steps(*case)
 
     def test_runs_end_at_a_maximum_and_at_the_last_unit(self):
         flat, steep = [0.0] * 11, [float(w) for w in range(11)]
@@ -382,8 +377,8 @@ class TestFoxByRunsOracle:
         for tables, total, bounds in (
             ([flat, steep], 10, capped), ([rising, mid], 5, free),
         ):
-            assert solve_minimax_fox(tables, total, bounds) == fox_unit_steps(
-                [t.__getitem__ for t in tables], total, bounds
+            assert solve_minimax_fox(tables, total, bounds) == (
+                fox_unit_steps(tables, total, bounds)
             )
 
     def test_a_run_costs_logarithmically_many_evaluations(self):
@@ -435,9 +430,7 @@ class TestFoxByRunsOracle:
         dips = [0.0, 1.0, 1.0, 5.0, 1.0]
         level = [0.0, 2.0, 2.0, 2.0, 2.0]
         free = WeightConstraints.unbounded(2, 4)
-        assert fox_unit_steps(
-            [dips.__getitem__, level.__getitem__], 4, free
-        ) == [2, 2]
+        assert fox_unit_steps([dips, level], 4, free) == [2, 2]
         assert solve_minimax_fox([dips, level], 4, free) == [4, 0]
 
 
