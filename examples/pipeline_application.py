@@ -69,7 +69,7 @@ def main() -> None:
 
     handle = app.regions["F"]
     print("\nper-replica tuples processed:",
-          [replica.processed for replica in handle.replicas])
+          [replica.tuples_processed for replica in handle.replicas])
     print("sink consumed:", app.operator_pe("Sink").sink.consumed,
           "(each source tuple reaches the sink twice: B and C both feed D)")
     loaded_share = (balancer.weights[1] + balancer.weights[4]) / 1000

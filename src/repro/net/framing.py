@@ -34,7 +34,7 @@ turns a connection that died mid-message into a clean
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 __all__ = [
     "MSG_HELLO",
@@ -360,7 +360,3 @@ class MessageAssembler:
                 f"stream ended mid-message with {len(self._buffer)} "
                 f"bytes stranded after {self.messages} complete messages"
             )
-
-    def iter_feed(self, chunk: bytes) -> Iterator[Message]:
-        """Generator variant of :meth:`feed` (convenience for tests)."""
-        yield from self.feed(chunk)

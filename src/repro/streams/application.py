@@ -3,19 +3,25 @@
 This is the runtime of paper Section 2: every operator becomes a
 processing element (PE) with its own thread of control; every stream
 becomes a bounded, flow-controlled connection; operators marked parallel
-expand into splitter -> replicas -> merger. Backpressure propagates end to
-end: a PE blocked sending downstream stops consuming upstream, exactly the
-mechanism the paper's blocking-rate metric taps.
+expand into *the* data-parallel region of the paper — a
+:class:`~repro.streams.region.ParallelRegion`, the same splitter, worker
+PEs and merger every experiment runs. Backpressure propagates end to end,
+regions included: a PE blocked sending downstream stops consuming
+upstream, exactly the mechanism the paper's blocking-rate metric taps.
 
 Topology of a compiled parallel region (compare the paper's Figure 1):
 
-    upstream ──► SplitterPE ══ width connections ══► replica PEs ══► MergerPE ──► downstream
+                ┌──────────────── ParallelRegion ────────────────┐
+    upstream ─► RegionInput ─► Splitter ══► WorkerPE × width ══► merger
+                                  ▲                                │ on_emit
+                                  └─ FlowControlGate ◄─ backlog ─ RegionExitPE ─► downstream
 
-The splitter re-stamps *region-local* sequence numbers on entry (wrapping
-the original tuple) and the merger restores that arrival order before
-unwrapping — sequential semantics without constraining the rest of the
-graph. Attach the paper's controller to any region with
-:meth:`Application.enable_load_balancing`.
+:class:`RegionInput` re-stamps *region-local* sequence numbers on entry
+(wrapping the original tuple), the merger restores that arrival order
+(ordered regions), and :class:`RegionExitPE` applies the operator and
+unwraps — sequential semantics without constraining the rest of the
+graph. A region has exactly one input stream. Attach the paper's
+controller to any region with :meth:`Application.enable_load_balancing`.
 """
 
 from __future__ import annotations
@@ -27,15 +33,18 @@ from typing import TYPE_CHECKING
 from repro.core.balancer import BalancerConfig, LoadBalancer
 from repro.core.policies import RoundRobinPolicy, WeightedPolicy
 from repro.net.connection import SimulatedConnection
+from repro.overload.flow import FlowControlGate
 from repro.streams.graph import StreamGraph
-from repro.streams.hosts import Host
+from repro.streams.hosts import Host, Placement
 from repro.streams.operators import Operator, SinkOp, SourceOp
+from repro.streams.region import ParallelRegion, RegionParams
 from repro.streams.tuples import StreamTuple
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.blocking import BlockingCounter
     from repro.sim.engine import Simulator
+    from repro.streams.pe import WorkerPE
 
 
 class _EmittingPE:
@@ -126,26 +135,16 @@ class SourcePE(_EmittingPE):
 
 
 class OperatorPE(_EmittingPE):
-    """One operator (or one replica of a parallelized operator)."""
+    """One operator outside any parallel region."""
 
     def __init__(
-        self,
-        sim: "Simulator",
-        operator: Operator,
-        host: Host,
-        *,
-        name: str | None = None,
-        unwrap: bool = False,
+        self, sim: "Simulator", operator: Operator, host: Host
     ) -> None:
-        super().__init__(sim, name or operator.name)
+        super().__init__(sim, operator.name)
         self.operator = operator
         self.host = host
         host.place(self)
         self.inputs: list[SimulatedConnection] = []
-        #: Replicas inside a parallel region receive wrapped tuples:
-        #: ``payload`` holds the real tuple, ``seq`` the region-local
-        #: order, which the result must keep for the merger.
-        self.unwrap = unwrap
         self._busy = False
         self._next_input = 0
         self._load_multiplier = 1.0
@@ -163,11 +162,8 @@ class OperatorPE(_EmittingPE):
 
     def add_input(self, conn: SimulatedConnection) -> None:
         """Attach an upstream stream; deliveries wake this PE."""
-        conn.on_deliver = self._wake
+        conn.on_deliver = self._maybe_start
         self.inputs.append(conn)
-
-    def _wake(self) -> None:
-        self._maybe_start()
 
     def _maybe_start(self) -> None:
         # Sending downstream can synchronously cascade into fresh
@@ -183,250 +179,129 @@ class OperatorPE(_EmittingPE):
                 # Claim the PE *before* taking: take() pumps buffers and
                 # can synchronously re-enter this method.
                 self._busy = True
-                self._start(self.inputs[idx].take())
+                self._in_service = self.inputs[idx].take()
+                cost = self.operator.cost_multiplies * self._load_multiplier
+                self.sim.schedule_after(
+                    max(cost, 1e-9) / self.host.per_pe_speed(),
+                    self._finish_cb,
+                )
                 return
-
-    def _start(self, tup: StreamTuple) -> None:
-        self._busy = True
-        cost = self.operator.cost_multiplies * self._load_multiplier
-        duration = max(cost, 1e-9) / self.host.per_pe_speed()
-        self._in_service = tup
-        self.sim.schedule_after(duration, self._finish_cb)
 
     def _finish(self) -> None:
         tup = self._in_service
         self._in_service = None
         self._busy = False
         self.processed += 1
-        if self.unwrap:
-            inner = self.operator.apply(tup.payload)
-            result = (
-                None
-                if inner is None
-                else StreamTuple(
-                    seq=tup.seq,
-                    cost_multiplies=tup.cost_multiplies,
-                    payload=inner,
-                )
-            )
-        else:
-            result = self.operator.apply(tup)
-        if result is None or not self.outputs:
-            if result is None:
-                self.dropped += 1
-            self._maybe_start()
-            return
-        if self._begin_emit(result):
-            self._maybe_start()
+        result = self.operator.apply(tup)
+        if result is None:
+            self.dropped += 1
+        elif not self._begin_emit(result):
+            return  # parked on a full stream; _after_emit resumes
+        self._maybe_start()
 
     def _after_emit(self) -> None:
         self._maybe_start()
 
 
-class SinkPE:
+class SinkPE(OperatorPE):
     """Terminal consumer: applies the sink at its cost; no outputs."""
 
     def __init__(self, sim: "Simulator", sink: SinkOp, host: Host) -> None:
-        self.sim = sim
-        self.name = sink.name
+        super().__init__(sim, sink, host)
         self.sink = sink
-        self.host = host
-        host.place(self)
-        self.inputs: list[SimulatedConnection] = []
-        self._busy = False
-        self._next_input = 0
-        self.last_consume_time: float | None = None
-        self._in_service: StreamTuple | None = None
-        self._finish_cb = self._finish
-
-    def add_input(self, conn: SimulatedConnection) -> None:
-        """Attach an upstream stream; deliveries wake this sink."""
-        conn.on_deliver = self._wake
-        self.inputs.append(conn)
-
-    def _wake(self) -> None:
-        self._maybe_start()
-
-    def _maybe_start(self) -> None:
-        if self._busy:
-            return
-        for offset in range(len(self.inputs)):
-            idx = (self._next_input + offset) % len(self.inputs)
-            if self.inputs[idx].recv_available() > 0:
-                self._next_input = idx + 1
-                self._busy = True  # claim before take(); see OperatorPE
-                self._start(self.inputs[idx].take())
-                return
-
-    def _start(self, tup: StreamTuple) -> None:
-        self._busy = True
-        duration = max(self.sink.cost_multiplies, 1e-9) / self.host.per_pe_speed()
-        self._in_service = tup
-        self.sim.schedule_after(duration, self._finish_cb)
 
     def _finish(self) -> None:
+        # A consumed tuple is not a drop, so not OperatorPE._finish.
         tup = self._in_service
         self._in_service = None
         self._busy = False
+        self.processed += 1
         self.sink.apply(tup)
-        self.last_consume_time = self.sim.now
         self._maybe_start()
 
 
-class SplitterPE(_EmittingPE):
-    """Region entry: route each arriving tuple to one replica connection.
+class RegionInput:
+    """Region entry: the splitter's pull source over the upstream stream.
 
-    Re-stamps region-local sequence numbers (wrapping the original tuple)
-    and elects to block on the routed connection when it is full, charging
-    that connection's blocking counter — the measurement point of the
-    whole paper.
+    Re-stamps *region-local* sequence numbers on entry, wrapping the
+    original tuple at the operator's cost (what a replica charges for it).
+    Never exhausted: between deliveries it reports :meth:`idle`, so the
+    splitter parks and the next delivery wakes it through
+    :meth:`~repro.streams.splitter.Splitter.notify_available`.
+    """
+
+    def __init__(self, operator: Operator, host: Host) -> None:
+        self.cost = max(operator.cost_multiplies, 1e-9)
+        self.host = host
+        host.place(self)
+        #: The region's one upstream stream (the graph validates there is
+        #: exactly one); wired by :meth:`Application._compile`.
+        self.input: SimulatedConnection | None = None
+        self._local_seq = 0
+
+    def next_tuple(self) -> StreamTuple | None:
+        if self.input.recv_available() == 0:
+            return None
+        wrapped = StreamTuple(
+            seq=self._local_seq,
+            cost_multiplies=self.cost,
+            payload=self.input.take(),
+        )
+        self._local_seq += 1
+        return wrapped
+
+    def idle(self) -> bool:
+        return True
+
+
+class RegionExitPE(_EmittingPE):
+    """Region exit: apply the operator, unwrap, forward downstream.
+
+    Hung on the region merger's ``on_emit``, so it sees wrapped tuples in
+    the order the region releases them (splitter arrival order if
+    ordered). Replicas are stateless pure functions (Section 2), so the
+    operator is applied here, once the replica has paid its cost; ``None``
+    (a :class:`~repro.streams.operators.Filter` in an unordered region) is
+    a drop. While downstream is full the tuples wait in :attr:`backlog`,
+    whose length feeds :attr:`gate`: the region's splitter stops pulling
+    at ``buffer_capacity``, the upstream stream fills, and its sender
+    blocks — backpressure crosses the region.
     """
 
     def __init__(
         self,
         sim: "Simulator",
         name: str,
+        operator: Operator,
         host: Host,
-        *,
-        send_cost_multiplies: float = 125.0,
+        capacity: int,
     ) -> None:
         super().__init__(sim, name)
-        self.host = host
+        self.operator = operator
         host.place(self)
-        self.policy: WeightedPolicy | RoundRobinPolicy | None = None
-        self.input: SimulatedConnection | None = None
-        self._busy = False
-        self._local_seq = 0
-        self.send_cost_multiplies = send_cost_multiplies
-        self.sent_per_connection: list[int] = []
-        self._pending: StreamTuple | None = None
-        self._target: int | None = None
-        self._block_start: float | None = None
-        self._routing: StreamTuple | None = None
-        self._route_cb = self._route
+        self.gate = FlowControlGate(high=capacity, low=capacity // 2)
+        self.backlog: deque[StreamTuple] = deque()
+        #: Peak backlog left parked by one delivery (diagnostic).
+        self.max_backlog = 0
+        self.dropped = 0
 
-    def attach(self, conn: SimulatedConnection) -> None:
-        """Attach the region's single upstream stream."""
-        conn.on_deliver = self._wake
-        self.input = conn
+    def accept(self, wrapped: StreamTuple) -> None:
+        """Take one tuple the merger released."""
+        self.backlog.append(wrapped)
+        self._after_emit()
+        if len(self.backlog) > self.max_backlog:
+            self.max_backlog = len(self.backlog)
 
-    def _wake(self) -> None:
-        self._maybe_start()
-
-    def _maybe_start(self) -> None:
-        if self._busy or self._pending is not None:
-            return
-        assert self.input is not None
-        if self.input.recv_available() == 0:
-            return
-        self._busy = True  # claim before take(); see OperatorPE
-        tup = self.input.take()
-        duration = max(self.send_cost_multiplies, 1e-9) / self.host.per_pe_speed()
-        self._routing = tup
-        self.sim.schedule_after(duration, self._route_cb)
-
-    def _route(self) -> None:
-        tup = self._routing
-        self._routing = None
-        self._busy = False
-        assert self.policy is not None
-        wrapped = StreamTuple(
-            seq=self._local_seq,
-            cost_multiplies=tup.cost_multiplies,
-            payload=tup,
-        )
-        self._local_seq += 1
-        self._pending = wrapped
-        self._target = self.policy.next_connection()
-        self._try_send()
-
-    def _try_send(self) -> None:
-        assert self._pending is not None and self._target is not None
-        conn = self.outputs[self._target]
-        if conn.send_nowait(self._pending):
-            self.sent_per_connection[self._target] += 1
-            self._pending = None
-            self._target = None
-            self._maybe_start()
-            return
-        self._block_start = self.sim.now
-        conn.wait_for_send_space(self._on_route_space)
-
-    def _on_route_space(self) -> None:
-        assert self._target is not None and self._block_start is not None
-        blocked = self.sim.now - self._block_start
-        self.blocked_seconds += blocked
-        self.outputs[self._target].blocking.add(blocked)
-        self._block_start = None
-        self._try_send()
-
-    def _after_emit(self) -> None:  # pragma: no cover - unused path
-        self._maybe_start()
-
-
-class MergerPE:
-    """Region exit: restore splitter arrival order, unwrap, forward."""
-
-    def __init__(
-        self, sim: "Simulator", name: str, host: Host, *, ordered: bool = True
-    ) -> None:
-        self.sim = sim
-        self.name = name
-        self.host = host
-        host.place(self)
-        self.ordered = ordered
-        self.inputs: list[SimulatedConnection] = []
-        self.outputs: list[SimulatedConnection] = []
-        self._pending: dict[int, StreamTuple] = {}
-        self._next_seq = 0
-        self._backlog: deque[StreamTuple] = deque()
-        self._sending = False
-        self._send_index = 0
-        self.emitted = 0
-
-    def add_input(self, conn: SimulatedConnection) -> None:
-        """Attach one replica's output stream."""
-        conn.on_deliver = lambda c=conn: self._wake(c)
-        self.inputs.append(conn)
-
-    def _wake(self, conn: SimulatedConnection) -> None:
-        while conn.recv_available() > 0:
-            wrapped = conn.take()
-            if self.ordered:
-                self._pending[wrapped.seq] = wrapped
+    def _after_emit(self) -> None:
+        """Send what is parked until downstream fills; report what is left."""
+        backlog = self.backlog
+        while backlog and self._emit_tuple is None:
+            result = self.operator.apply(backlog.popleft().payload)
+            if result is None:
+                self.dropped += 1
             else:
-                self._backlog.append(wrapped)
-        if self.ordered:
-            while self._next_seq in self._pending:
-                self._backlog.append(self._pending.pop(self._next_seq))
-                self._next_seq += 1
-        self._drain()
-
-    def _drain(self) -> None:
-        if self._sending:
-            return
-        if not self.outputs:
-            # A merger with no downstream acts as a counter (parallel sink).
-            self.emitted += len(self._backlog)
-            self._backlog.clear()
-            return
-        while self._backlog:
-            inner = self._backlog[0].payload
-            while self._send_index < len(self.outputs):
-                conn = self.outputs[self._send_index]
-                if conn.send_nowait(inner):
-                    self._send_index += 1
-                    continue
-                self._sending = True
-                conn.wait_for_send_space(self._resume)
-                return
-            self._backlog.popleft()
-            self._send_index = 0
-            self.emitted += 1
-
-    def _resume(self) -> None:
-        self._sending = False
-        self._drain()
+                self._begin_emit(result)
+        self.gate.update(len(backlog))
 
 
 @dataclass(slots=True)
@@ -434,23 +309,28 @@ class ParallelRegionHandle:
     """Access to one compiled parallel region."""
 
     name: str
-    splitter: SplitterPE
-    replicas: list[OperatorPE]
-    merger: MergerPE
-    connections: list[SimulatedConnection]
+    region: ParallelRegion
+    entry: RegionInput
+    exit: RegionExitPE
+
+    @property
+    def replicas(self) -> list[WorkerPE]:
+        """The operator's replicas, in connection order."""
+        return self.region.workers
 
     @property
     def blocking_counters(self) -> "list[BlockingCounter]":
         """Per-replica-connection cumulative blocking counters."""
-        return [conn.blocking for conn in self.connections]
+        return self.region.blocking_counters
 
     def set_weights(self, weights: list[int]) -> None:
         """Apply new allocation weights to the region's splitter."""
-        if not isinstance(self.splitter.policy, WeightedPolicy):
+        policy = self.region.splitter.policy
+        if not isinstance(policy, WeightedPolicy):
             raise RuntimeError(
                 f"region {self.name!r} does not use a weighted policy"
             )
-        self.splitter.policy.set_weights(weights)
+        policy.set_weights(weights)
 
 
 @dataclass(slots=True)
@@ -512,74 +392,63 @@ class Application:
                     OperatorPE(self.sim, operator, host)
                 )
 
+        # Every PE is placed, so host shares are final: price each region
+        # splitter's per-tuple send on the host it runs on.
+        for handle in self.regions.values():
+            speed = handle.entry.host.per_pe_speed()
+            overhead = max(self.splitter_send_cost, 1e-9) / speed
+            handle.region.params.send_overhead = overhead
+            handle.region.splitter.send_overhead = overhead
+
         # Wire the streams.
         for upstream, downstream in self.graph.edges:
             conn = self._new_conn()
-            entry = self._entry_of(compiled[downstream])
-            if isinstance(entry, SplitterPE):
-                entry.attach(conn)
+            handle = compiled[downstream].region
+            if handle is None:
+                compiled[downstream].pe.add_input(conn)
             else:
-                entry.add_input(conn)
-            self._exit_of(compiled[upstream]).outputs.append(conn)
+                # The splitter pulls; a delivery only has to wake it.
+                handle.entry.input = conn
+                conn.on_deliver = handle.region.splitter.notify_available
+            handle = compiled[upstream].region
+            sender = compiled[upstream].pe if handle is None else handle.exit
+            sender.outputs.append(conn)
 
         self._nodes = [compiled[i] for i in range(len(self.graph.operators))]
 
     def _compile_region(self, node: int, operator: Operator) -> _CompiledNode:
         annotation = self.graph.parallel[node]
-        host = self._host_for(operator.name)
-        splitter = SplitterPE(
+        name = operator.name
+        host = self._host_for(name)
+        entry = RegionInput(operator, self._host_for(f"{name}.split"))
+        exit_pe = RegionExitPE(
             self.sim,
-            f"{operator.name}.split",
-            self._host_for(f"{operator.name}.split"),
-            send_cost_multiplies=self.splitter_send_cost,
+            f"{name}.merge",
+            operator,
+            self._host_for(f"{name}.merge"),
+            self.buffer_capacity,
         )
-        merger = MergerPE(
+        region = ParallelRegion(
             self.sim,
-            f"{operator.name}.merge",
-            self._host_for(f"{operator.name}.merge"),
+            entry,
+            RoundRobinPolicy(annotation.width),
+            Placement(
+                [
+                    self.placement.get(f"{name}[{i}]", host)
+                    for i in range(annotation.width)
+                ]
+            ),
+            params=RegionParams(
+                send_capacity=self.buffer_capacity,
+                recv_capacity=self.buffer_capacity,
+            ),
             ordered=annotation.ordered,
         )
-        replicas: list[OperatorPE] = []
-        connections: list[SimulatedConnection] = []
-        for i in range(annotation.width):
-            replica = OperatorPE(
-                self.sim,
-                operator,
-                self.placement.get(f"{operator.name}[{i}]", host),
-                name=f"{operator.name}[{i}]",
-                unwrap=True,
-            )
-            in_conn = self._new_conn()
-            replica.add_input(in_conn)
-            splitter.outputs.append(in_conn)
-            splitter.sent_per_connection.append(0)
-            connections.append(in_conn)
-            out_conn = self._new_conn()
-            replica.outputs.append(out_conn)
-            merger.add_input(out_conn)
-            replicas.append(replica)
-        splitter.policy = RoundRobinPolicy(annotation.width)
-        handle = ParallelRegionHandle(
-            name=operator.name,
-            splitter=splitter,
-            replicas=replicas,
-            merger=merger,
-            connections=connections,
-        )
-        self.regions[operator.name] = handle
+        region.merger.on_emit = exit_pe.accept
+        region.splitter.attach_flow_gate(exit_pe.gate)
+        handle = ParallelRegionHandle(name, region, entry, exit_pe)
+        self.regions[name] = handle
         return _CompiledNode(pe=handle, region=handle)
-
-    @staticmethod
-    def _entry_of(node: _CompiledNode):
-        if node.region is not None:
-            return node.region.splitter
-        return node.pe
-
-    @staticmethod
-    def _exit_of(node: _CompiledNode):
-        if node.region is not None:
-            return node.region.merger
-        return node.pe
 
     # --------------------------------------------------------------- run
 
@@ -592,8 +461,8 @@ class Application:
     ) -> LoadBalancer:
         """Attach the paper's controller to a parallel region."""
         handle = self.regions[region_name]
-        balancer = LoadBalancer(len(handle.connections), config)
-        handle.splitter.policy = WeightedPolicy(balancer.weights)
+        balancer = LoadBalancer(len(handle.replicas), config)
+        handle.region.splitter.policy = WeightedPolicy(balancer.weights)
 
         def control() -> None:
             counters = [c.read() for c in handle.blocking_counters]
@@ -605,10 +474,12 @@ class Application:
         return balancer
 
     def start(self, at: float = 0.0) -> None:
-        """Start every source."""
+        """Start every source and every region's splitter."""
         for node in self._nodes:
             if isinstance(node.pe, SourcePE):
                 node.pe.start(at)
+        for handle in self.regions.values():
+            handle.region.start(at)
 
     def run_until(self, end_time: float) -> None:
         """Advance the simulation."""
@@ -617,13 +488,14 @@ class Application:
     def operator_pe(self, name: str):
         """Look up a compiled PE (replicas via ``name[i]``)."""
         for node in self._nodes:
-            pe = node.pe
-            if node.region is not None:
-                for replica in node.region.replicas:
-                    if replica.name == name:
+            handle = node.region
+            if handle is None:
+                if node.pe.name == name:
+                    return node.pe
+            elif handle.name == name:
+                return handle
+            else:
+                for i, replica in enumerate(handle.replicas):
+                    if name == f"{handle.name}[{i}]":
                         return replica
-                if node.region.name == name:
-                    return node.region
-            elif getattr(pe, "name", None) == name:
-                return pe
         raise KeyError(f"no PE named {name!r}")

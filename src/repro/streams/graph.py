@@ -156,14 +156,13 @@ class StreamGraph:
             raise GraphError("the graph needs at least one source")
         if not self.sinks():
             raise GraphError("the graph needs at least one sink")
-        for node, annotation in self.parallel.items():
-            # The splitter re-stamps region-local sequence numbers, so an
-            # ordered region needs exactly one input stream to define the
-            # order being preserved.
-            if annotation.ordered and len(self.upstream_of(node)) != 1:
+        for node in self.parallel:
+            # The paper's splitter has one input: it re-stamps
+            # region-local sequence numbers on that stream (the order an
+            # ordered region preserves) and is the single thread that
+            # blocks on it, ordered or not.
+            if len(self.upstream_of(node)) != 1:
                 raise GraphError(
-                    f"ordered parallel region {self.operators[node].name!r} "
+                    f"parallel region {self.operators[node].name!r} "
                     "must have exactly one input stream"
                 )
-            if not self.upstream_of(node):
-                raise GraphError("a parallel region cannot be a source")

@@ -92,23 +92,6 @@ class TupleSource(ABC):
         self._next_seq += 1
         return tup
 
-    def next_batch(self, max_n: int) -> list[StreamTuple]:
-        """Up to ``max_n`` next tuples in sequence order (may be fewer).
-
-        The batched splitter's bulk pull. Never waits: an exhausted or
-        idle source yields a short (possibly empty) batch, and the caller
-        falls back to the same park/finish handling as the per-tuple path.
-        """
-        if max_n <= 0:
-            raise ValueError(f"max_n must be positive, got {max_n}")
-        batch: list[StreamTuple] = []
-        while len(batch) < max_n:
-            tup = self.next_tuple()
-            if tup is None:
-                break
-            batch.append(tup)
-        return batch
-
     def _block_limit(self, max_n: int) -> int:
         """Tuples available for an immediate block pull (subclass hook)."""
         return 0 if self.exhausted() else max_n
@@ -120,8 +103,7 @@ class TupleSource(ABC):
         materialize (they are the block's implicit range) and a
         constant-cost model (``uniform_cost`` marker) yields a scalar-cost
         block with no per-tuple work at all. Returns ``None`` when the
-        source is exhausted or idle — same park/finish handling as
-        :meth:`next_batch` returning empty.
+        source is exhausted or idle.
         """
         if max_n <= 0:
             raise ValueError(f"max_n must be positive, got {max_n}")

@@ -297,11 +297,6 @@ class Splitter:
         """Connection the splitter is parked on, or ``None`` if not blocked."""
         return self._target if self._block_start is not None else None
 
-    @property
-    def blocked_since(self) -> float | None:
-        """Simulated time the current blocking episode started (if any)."""
-        return self._block_start
-
     def inflight_count(self, connection: int) -> int:
         """Unacknowledged tuples currently charged to ``connection``."""
         if self._inflight is None:

@@ -65,6 +65,40 @@ def test_process_entry_points_import_no_simulator_or_control_plane():
     assert mini_region_gone
 
 
+def test_application_regions_are_the_one_parallel_region():
+    # Two splitters, two reorderers: the application layer compiles an
+    # annotated operator onto the simulator's ParallelRegion, ordered or
+    # not, and has no splitter/merger pair of its own.
+    from repro.sim.engine import Simulator
+    from repro.streams import application
+    from repro.streams.graph import StreamGraph
+    from repro.streams.hosts import Host
+    from repro.streams.merger import OrderedMerger
+    from repro.streams.operators import PassThrough, SinkOp, SourceOp
+    from repro.streams.region import ParallelRegion
+    from repro.streams.splitter import Splitter
+
+    assert not hasattr(application, "SplitterPE")
+    assert not hasattr(application, "MergerPE")
+    for ordered in (True, False):
+        graph = StreamGraph()
+        nodes = [
+            graph.add(SourceOp("src", 1.0, tuple_cost=1.0, total=1)),
+            graph.add(PassThrough("work", 1.0)),
+            graph.add(SinkOp("sink")),
+        ]
+        graph.chain(*nodes)
+        graph.parallelize(nodes[1], 2, ordered=ordered)
+        app = application.Application(
+            Simulator(), graph, default_host=Host("h")
+        )
+        region = app.regions["work"].region
+        assert type(region) is ParallelRegion
+        assert type(region.splitter) is Splitter
+        assert isinstance(region.merger, OrderedMerger)
+        assert region.ordered is ordered
+
+
 def test_source_tree_has_one_numeric_backend():
     offenders = [
         f"{path.relative_to(SRC)}: {token}"

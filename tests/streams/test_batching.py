@@ -242,16 +242,18 @@ class TestBulkConnection:
 
 
 class TestNextBatch:
+    # The source's bulk pull, ``next_block``.
     def test_finite_source_batches_until_exhausted(self):
         source = FiniteSource(7, constant_cost(1.0))
-        first = source.next_batch(3)
-        assert [t.seq for t in first] == [0, 1, 2]
-        assert [t.seq for t in source.next_batch(10)] == [3, 4, 5, 6]
-        assert source.next_batch(5) == []
+        first = source.next_block(3)
+        assert [t.seq for t in first.materialize()] == [0, 1, 2]
+        rest = source.next_block(10)
+        assert [t.seq for t in rest.materialize()] == [3, 4, 5, 6]
+        assert source.next_block(5) is None
 
     def test_non_positive_max_rejected(self):
         with pytest.raises(ValueError):
-            FiniteSource(3, constant_cost(1.0)).next_batch(0)
+            FiniteSource(3, constant_cost(1.0)).next_block(0)
 
 
 # ----------------------------------------------------------------- merger

@@ -125,7 +125,8 @@ class TestValidation:
         with pytest.raises(GraphError):
             g.validate()
 
-    def test_ordered_region_needs_single_input(self):
+    @staticmethod
+    def two_input_region(*, ordered):
         g = StreamGraph()
         s1 = g.add(SourceOp("s1", 1.0, tuple_cost=1.0))
         s2 = g.add(SourceOp("s2", 1.0, tuple_cost=1.0))
@@ -134,8 +135,15 @@ class TestValidation:
         g.connect(s1, mid)
         g.connect(s2, mid)
         g.connect(mid, sink)
-        g.parallelize(mid, 2)
+        g.parallelize(mid, 2, ordered=ordered)
+        return g
+
+    def test_ordered_region_needs_single_input(self):
         with pytest.raises(GraphError, match="exactly one input"):
-            g.validate()
-        g.parallel[mid].ordered = False
-        g.validate()
+            self.two_input_region(ordered=True).validate()
+
+    def test_unordered_region_needs_single_input(self):
+        # The splitter is one thread pulling one stream, ordered or not:
+        # a second input would never be served.
+        with pytest.raises(GraphError, match="exactly one input"):
+            self.two_input_region(ordered=False).validate()
