@@ -8,12 +8,6 @@
   by what factor, where crossovers fall) used by the bench harness.
 """
 
-from repro.analysis.export import (
-    result_to_dict,
-    result_to_json,
-    series_to_csv,
-    sweep_to_csv,
-)
 from repro.analysis.heatmap import ClusterHeatmap, canonical_labels
 from repro.analysis.report import render_series, render_weight_table
 from repro.analysis.shape import (
@@ -24,10 +18,6 @@ from repro.analysis.shape import (
 )
 
 __all__ = [
-    "result_to_dict",
-    "result_to_json",
-    "series_to_csv",
-    "sweep_to_csv",
     "ClusterHeatmap",
     "canonical_labels",
     "render_series",

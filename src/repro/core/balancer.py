@@ -47,6 +47,9 @@ from repro.util.validation import (
     check_positive_fraction,
 )
 
+#: Fraction a reintegrated channel's rate function is decayed by.
+REINTEGRATION_DECAY = 0.5
+
 
 @dataclass(slots=True)
 class BalancerConfig:
@@ -131,18 +134,6 @@ class BalancerConfig:
         if self.max_churn is not None:
             check_positive("max_churn", self.max_churn)
         check_positive("safe_flip_limit", self.safe_flip_limit)
-
-    @classmethod
-    def lb_static(cls, **overrides) -> "BalancerConfig":
-        """The paper's ``LB-static``: the model without exploration decay."""
-        overrides.setdefault("decay", 0.0)
-        return cls(**overrides)
-
-    @classmethod
-    def lb_adaptive(cls, **overrides) -> "BalancerConfig":
-        """The paper's ``LB-adaptive``: 10% decay above current weights."""
-        overrides.setdefault("decay", 0.1)
-        return cls(**overrides)
 
 
 def even_split(resolution: int, n: int) -> list[int]:
@@ -396,17 +387,7 @@ class LoadBalancer:
             raise RuntimeError(
                 "every channel is quarantined; the region has no capacity"
             )
-        constraints = WeightConstraints(
-            minima=(0,) * self.n_connections,
-            maxima=tuple(
-                0 if j in self._quarantined else self.config.resolution
-                for j in range(self.n_connections)
-            ),
-        )
-        evaluators = [fn.value for fn in self.functions]
-        self._weights = solve_minimax_fox(
-            evaluators, self.config.resolution, constraints
-        )
+        self._weights = self._solve_over_live()
         if self._audit is not None:
             self._audit_churn_limited = False
             self._emit_audit(
@@ -420,22 +401,33 @@ class LoadBalancer:
             )
         return self.weights
 
-    def reintegrate(
-        self,
-        channel: int,
-        *,
-        decay: float = 0.5,
-        forget: bool = False,
-    ) -> None:
+    def _solve_over_live(self) -> list[int]:
+        """Every unit onto the live channels, movement bounds off."""
+        constraints = WeightConstraints(
+            minima=(0,) * self.n_connections,
+            maxima=tuple(
+                0 if j in self._quarantined else self.config.resolution
+                for j in range(self.n_connections)
+            ),
+        )
+        evaluators = [fn.value for fn in self.functions]
+        return solve_minimax_fox(
+            evaluators, self.config.resolution, constraints
+        )
+
+    def reintegrate(self, channel: int) -> None:
         """Lift ``channel``'s quarantine so regular rounds re-admit it.
 
-        The channel's blocking rate function is decayed by ``decay`` (or
-        dropped entirely with ``forget=True``): its pre-failure data is
+        The channel's blocking rate function is decayed by
+        :data:`REINTEGRATION_DECAY`: its pre-failure data is
         stale, and shrinking the predicted blocking induces the minimax
         optimizer to re-explore the channel. Weight returns gradually —
         reintegration itself moves nothing; the next control rounds ramp
         the channel up under the usual incremental bounds, a slow-start
-        that protects the region if the channel is still shaky.
+        that protects the region if the channel is still shaky. The one
+        exception is weight stranded on a still-quarantined channel (every
+        channel was out): that is emergency traffic as in
+        :meth:`quarantine` and moves to the live set at once.
         """
         if not 0 <= channel < self.n_connections:
             raise ValueError(f"no such channel: {channel}")
@@ -444,15 +436,17 @@ class LoadBalancer:
         old_weights = list(self._weights)
         counters0 = (COUNTERS.solver_calls, COUNTERS.fits)
         self._quarantined.discard(channel)
-        if forget:
-            self.functions[channel].forget()
-        else:
-            self.functions[channel].decay_all(decay)
+        self.functions[channel].decay_all(REINTEGRATION_DECAY)
+        if any(self._weights[j] for j in self._quarantined):
+            # quarantine() of the last live channel raised and kept the
+            # old weights: those units are stranded on a dead channel and
+            # no regular round could move them within its rise bound.
+            self._weights = self._solve_over_live()
         if self._audit is not None:
             self._audit_churn_limited = False
             self._emit_audit(
                 self._audit_clock(),
-                "no-change",
+                "no-change" if self._weights == old_weights else "adopted",
                 old_weights,
                 counters0,
                 trigger="reintegrate",

@@ -78,10 +78,3 @@ class WeightConstraints:
     def feasible(self, resolution: int) -> bool:
         """Whether some allocation summing to ``resolution`` fits the bounds."""
         return sum(self.minima) <= resolution <= sum(self.maxima)
-
-    def clamp(self, weights: Sequence[int]) -> list[int]:
-        """Project ``weights`` into the bounds element-wise (no sum repair)."""
-        return [
-            min(max(w, lo), hi)
-            for w, lo, hi in zip(weights, self.minima, self.maxima)
-        ]

@@ -16,7 +16,6 @@ from repro.experiments.config import (
     overload_scenario,
 )
 from repro.experiments.oracle import oracle_schedule, proportional_weights
-from repro.experiments.placement_opt import PlacementPlan, plan_placement
 from repro.experiments.results import SweepRow, format_sweep_table, normalize_to
 from repro.experiments.runner import POLICIES, RunResult, run_experiment
 from repro.experiments.sweep import run_sweep
@@ -29,8 +28,6 @@ __all__ = [
     "overload_scenario",
     "oracle_schedule",
     "proportional_weights",
-    "PlacementPlan",
-    "plan_placement",
     "SweepRow",
     "format_sweep_table",
     "normalize_to",

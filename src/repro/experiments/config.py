@@ -179,10 +179,6 @@ class ExperimentConfig:
             )
             self.region.send_overhead = self.splitter_cost_multiplies / speed
 
-    def max_ingest_rate(self) -> float:
-        """The splitter's maximum send rate in tuples/sec."""
-        return 1.0 / self.region.send_overhead
-
     def build_placement(self) -> Placement:
         """Fresh hosts + placement for one run."""
         hosts = [spec.build() for spec in self.host_specs]
@@ -216,10 +212,6 @@ class ExperimentConfig:
                 bound, 10.0 + 2.0 * self.total_tuples / self.arrival_rate
             )
         return bound
-
-    def with_name(self, name: str) -> "ExperimentConfig":
-        """Copy with a different name (sweeps reuse one template)."""
-        return replace(self, name=name)
 
     def with_observability(
         self, obs: ObservabilityConfig | None = None

@@ -22,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from repro.core.balancer import BalancerConfig, LoadBalancer, even_split
+from repro.core.balancer import LoadBalancer, even_split
 from repro.core.blocking_rate import BlockingRateEstimator
 from repro.core.policies import (
     OraclePolicy,
@@ -152,12 +152,6 @@ class RunResult:
             return 0.0
         return self.tuples_shed / self.tuples_offered
 
-    def events_per_second(self) -> float:
-        """Fired simulator events per wall-clock second."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events_processed / self.wall_seconds
-
     def final_throughput(self, fraction: float = 0.1) -> float:
         """Mean throughput over the trailing ``fraction`` of the run.
 
@@ -229,19 +223,6 @@ class RunResult:
                 f"overloaded={self.overload_seconds:.1f}s"
             )
         return "\n".join(lines)
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        """Serialize every field to JSON (see ``repro.analysis.export``)."""
-        from repro.analysis.export import result_to_json
-
-        return result_to_json(self, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunResult":
-        """Rebuild a run from :meth:`to_json` output."""
-        from repro.analysis.export import result_from_json
-
-        return result_from_json(text)
 
 
 def run_experiment(

@@ -17,7 +17,7 @@ needs to survive exactly that:
   their in-flight tuples, and reintegrates them on recovery.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 #: Public name -> defining module, resolved lazily (PEP 562): the process
 #: supervisor needs only :class:`~repro.faults.recovery.ChannelRecovery`
@@ -36,19 +36,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -2,8 +2,8 @@
 
 Detection (the liveness monitor) runs every ``check_interval`` seconds and
 declares a channel dead when it has **work but no progress**: tuples are
-queued on the connection (or the splitter is parked on it, or its worker
-is wedged mid-tuple) and the worker's processed count has not moved for
+queued on the connection (or the splitter is parked on it), its worker has
+nothing in service, and the worker's processed count has not moved for
 ``staleness_timeout`` seconds. That is precisely the signature the paper's
 model cannot produce — a loaded worker always progresses, only a dead one
 stops — so false positives require a pathological slowdown, and a wrongly
@@ -24,14 +24,14 @@ policy**:
 
 Reintegration is heartbeat-driven: once the worker process is up and its
 transport unstalled for ``heartbeat_confirmations`` consecutive checks,
-the channel is restored with its blocking rate function decayed (or
-forgotten) so exploration re-learns its capacity, and weight ramps back
+the channel is restored with its blocking rate function decayed so
+exploration re-learns its capacity, and weight ramps back
 under the balancer's usual incremental bounds — a slow-start.
 
 The coordinator also keeps the recovery metrics the experiments report:
 per-episode time-to-quarantine (anchored at the injected fault) and
 time-to-reconverge (quarantine until the balancer's weights hold still
-for ``stable_rounds`` consecutive checks).
+for ``STABLE_ROUNDS`` consecutive checks).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.balancer import LoadBalancer
@@ -49,6 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.streams.region import ParallelRegion
 
 GAP_POLICIES = ("replay", "skip")
+#: Consecutive checks with (near-)unchanged weights = reconverged.
+STABLE_ROUNDS = 5
+#: Per-channel weight movement (in resolution units) still counted as
+#: stable — the adaptive balancer's exploration decay jiggles weights
+#: by a few units forever, which is noise, not reconvergence failure.
+STABILITY_TOLERANCE = 8
 
 
 @dataclass(slots=True)
@@ -66,33 +72,16 @@ class RecoveryConfig:
     gap_policy: str = "replay"
     #: Grace period before a skipped gap is marked lost at the merger.
     skip_timeout: float = 1.0
-    #: Fraction the reintegrated channel's rate function is decayed by.
-    reintegration_decay: float = 0.5
-    #: Drop the reintegrated channel's rate function entirely instead.
-    forget_on_reintegrate: bool = False
-    #: Consecutive checks with (near-)unchanged weights = reconverged.
-    stable_rounds: int = 5
-    #: Per-channel weight movement (in resolution units) still counted as
-    #: stable — the adaptive balancer's exploration decay jiggles weights
-    #: by a few units forever, which is noise, not reconvergence failure.
-    stability_tolerance: int = 8
 
     def __post_init__(self) -> None:
         check_positive("check_interval", self.check_interval)
         check_positive("staleness_timeout", self.staleness_timeout)
         check_positive("heartbeat_confirmations", self.heartbeat_confirmations)
         check_positive("skip_timeout", self.skip_timeout)
-        check_positive("stable_rounds", self.stable_rounds)
-        check_non_negative("stability_tolerance", self.stability_tolerance)
         if self.gap_policy not in GAP_POLICIES:
             raise ValueError(
                 f"unknown gap policy {self.gap_policy!r}; "
                 f"choose from {GAP_POLICIES}"
-            )
-        if not 0.0 <= self.reintegration_decay <= 1.0:
-            raise ValueError(
-                "reintegration_decay must be in [0, 1], got "
-                f"{self.reintegration_decay}"
             )
 
 
@@ -278,13 +267,8 @@ class RecoveryCoordinator:
 
     def reintegrate(self, channel: int) -> None:
         """Bring a quarantined ``channel`` back into rotation."""
-        config = self.config
         if self.balancer is not None:
-            self.balancer.reintegrate(
-                channel,
-                decay=config.reintegration_decay,
-                forget=config.forget_on_reintegrate,
-            )
+            self.balancer.reintegrate(channel)
         self.region.restore_channel(channel)
         episode = self._open.pop(channel, None)
         if episode is not None:
@@ -335,13 +319,15 @@ class RecoveryCoordinator:
                 self._heartbeat(j, worker)
                 continue
             processed = worker.tuples_processed
-            if processed != self._last_processed[j]:
+            # A crash or a halt revokes the service, so a busy PE is a
+            # live one working: a batched PE's count moves only when its
+            # whole run completes, which can outlast the timeout.
+            if processed != self._last_processed[j] or worker.busy:
                 self._last_processed[j] = processed
                 self._last_progress_time[j] = now
                 continue
             has_work = (
                 region.connections[j].queued_tuples() > 0
-                or worker.busy
                 or splitter.blocked_on() == j
             )
             if has_work and now - self._last_progress_time[j] >= staleness:
@@ -364,14 +350,14 @@ class RecoveryCoordinator:
         if self._last_weights is not None and len(weights) == len(
             self._last_weights
         ) and all(
-            abs(w - prev) <= self.config.stability_tolerance
+            abs(w - prev) <= STABILITY_TOLERANCE
             for w, prev in zip(weights, self._last_weights)
         ):
             self._stable_streak += 1
         else:
             self._stable_streak = 0
         self._last_weights = weights
-        if self._stable_streak < self.config.stable_rounds:
+        if self._stable_streak < STABLE_ROUNDS:
             return
         settled_at = self.sim.now - (
             self._stable_streak * self.config.check_interval

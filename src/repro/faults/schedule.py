@@ -151,13 +151,6 @@ class FaultSchedule:
         return cls(crashes=[CrashEvent(at, worker, restart_after)])
 
     @classmethod
-    def stall_flap(
-        cls, worker: int, at: float, duration: float
-    ) -> "FaultSchedule":
-        """A connection that wedges at ``at`` and recovers ``duration`` later."""
-        return cls(stalls=[StallEvent(at, worker, duration)])
-
-    @classmethod
     def crash_after_emitted(
         cls, worker: int, emitted: int, *, restart_after: float | None = None
     ) -> "FaultSchedule":

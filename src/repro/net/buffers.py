@@ -118,12 +118,6 @@ class BoundedBuffer(Generic[T]):
             raise IndexError("pop from empty buffer")
         return self._items.popleft()
 
-    def peek(self) -> T:
-        """The oldest item, without removing it."""
-        if not self._items:
-            raise IndexError("peek into empty buffer")
-        return self._items[0]
-
 
 class RunBuffer:
     """A bounded FIFO of :class:`~repro.streams.tuples.TupleBlock` runs.

@@ -161,10 +161,6 @@ class Message:
         """The service-time multiplier of a CONTROL."""
         return _CONTROL.unpack(self.payload)[0]
 
-    def bye(self) -> int:
-        """The final processed count of a BYE."""
-        return _BYE.unpack(self.payload)[0]
-
     def data_batch(self) -> list[tuple[int, float, bytes]]:
         """``[(seq, cost_seconds, body), ...]`` of a DATA_BATCH."""
         return _decode_batch(self.payload)

@@ -8,21 +8,9 @@ nothing and produces byte-identical golden traces. See EXPERIMENTS.md
 
 from .audit import OUTCOMES, TRIGGERS, ControlRoundRecord, DecisionAuditLog
 from .console import ConsoleReporter
-from .export import (
-    audit_to_csv,
-    events_to_jsonl,
-    prometheus_snapshot,
-    spans_to_csv,
-    write_exports,
-)
-from .hub import NULL_HUB, ObservabilityConfig, ObservabilityHub, ObsReport
-from .registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .export import events_to_jsonl, prometheus_snapshot, write_exports
+from .hub import ObservabilityConfig, ObservabilityHub, ObsReport
+from .registry import DEFAULT_BUCKETS, Gauge, Histogram, MetricsRegistry
 # NOTE: repro.obs.schema (validators + the ``python -m repro.obs.schema``
 # CLI) is intentionally not imported here: importing it from the package
 # __init__ would trip runpy's double-import warning when the module is
@@ -35,17 +23,13 @@ __all__ = [
     "ControlRoundRecord",
     "DecisionAuditLog",
     "ConsoleReporter",
-    "audit_to_csv",
     "events_to_jsonl",
     "prometheus_snapshot",
-    "spans_to_csv",
     "write_exports",
-    "NULL_HUB",
     "ObservabilityConfig",
     "ObservabilityHub",
     "ObsReport",
     "DEFAULT_BUCKETS",
-    "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -111,8 +111,5 @@ class DecisionAuditLog:
     def last(self) -> ControlRoundRecord | None:
         return self.records[-1] if self.records else None
 
-    def by_outcome(self, outcome: str) -> list[ControlRoundRecord]:
-        return [r for r in self.records if r.outcome == outcome]
-
     def as_dicts(self) -> list[dict]:
         return [r.as_dict() for r in self.records]

@@ -1,35 +1,16 @@
 """File exporters for :class:`~repro.obs.hub.ObsReport`.
 
-Three formats, all derivable from the frozen report (no live hub
+Two formats, both derivable from the frozen report (no live hub
 needed, so they also work on reports that crossed the sweep pool):
 
 * JSONL — the full event stream, one JSON object per line, suitable
   for ``jq``/pandas ingestion and validated by ``repro.obs.schema``.
-* CSV — the audit log and span list as flat tables for spreadsheet
-  or dataframe analysis.
 * Prometheus — the registry snapshot in text exposition format.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-
 from .hub import ObsReport
-
-#: Column order of :func:`audit_to_csv`.
-AUDIT_COLUMNS = (
-    "round", "time", "trigger", "outcome", "solver", "solver_calls",
-    "model_fits", "churn_limited", "blocking_rates", "function_values",
-    "predicted_rates", "decayed_channels", "clusters", "quarantined",
-    "old_weights", "candidate", "new_weights",
-)
-
-#: Column order of :func:`spans_to_csv`.
-SPAN_COLUMNS = (
-    "span_id", "kind", "start", "end", "duration", "parent_round", "attrs",
-)
 
 
 def events_to_jsonl(report: ObsReport, path: str) -> int:
@@ -44,42 +25,6 @@ def prometheus_snapshot(report: ObsReport, path: str) -> None:
     """Write the Prometheus text-format snapshot."""
     with open(path, "w") as fh:
         fh.write(report.prometheus)
-
-
-def _cell(value) -> str:
-    if isinstance(value, (list, dict)):
-        return json.dumps(value, sort_keys=True)
-    if value is None:
-        return ""
-    return str(value)
-
-
-def audit_to_csv(report: ObsReport, path: str | None = None) -> str:
-    """The audit log as CSV; writes to ``path`` when given."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(AUDIT_COLUMNS)
-    for record in report.audit:
-        writer.writerow(_cell(record.get(col)) for col in AUDIT_COLUMNS)
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def spans_to_csv(report: ObsReport, path: str | None = None) -> str:
-    """The span list as CSV; writes to ``path`` when given."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SPAN_COLUMNS)
-    for span in report.spans:
-        writer.writerow(_cell(span.get(col)) for col in SPAN_COLUMNS)
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 def write_exports(report: ObsReport, config) -> None:

@@ -66,25 +66,6 @@ class ObsReport:
     #: Spans alone, in creation order (subset of ``events``).
     spans: list[dict] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "events": self.events,
-            "metrics": self.metrics,
-            "prometheus": self.prometheus,
-            "audit": self.audit,
-            "spans": self.spans,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ObsReport":
-        return cls(
-            events=list(data.get("events", [])),
-            metrics=dict(data.get("metrics", {})),
-            prometheus=data.get("prometheus", ""),
-            audit=list(data.get("audit", [])),
-            spans=list(data.get("spans", [])),
-        )
-
     def events_jsonl(self) -> str:
         """The event stream as one JSON object per line."""
         return "".join(
@@ -97,10 +78,6 @@ class ObsReport:
 
 class ObservabilityHub:
     """Live recording surface handed to instrumented components."""
-
-    #: Lets ``if hub is not None and hub.enabled`` read uniformly
-    #: against :data:`NULL_HUB`.
-    enabled = True
 
     def __init__(
         self,
@@ -162,30 +139,3 @@ class ObservabilityHub:
             spans=self.tracer.as_dicts(),
         )
 
-
-class _NullHub:
-    """Inert stand-in: every recording call is a no-op.
-
-    Components are written against ``self._obs is None`` fast checks,
-    so the null hub is rarely touched in practice — it exists so code
-    that *requires* a hub-shaped object (exporters, the runner's
-    teardown) can run unconditionally.
-    """
-
-    enabled = False
-
-    def __bool__(self) -> bool:
-        return False
-
-    def event(self, type: str, **fields) -> None:
-        pass
-
-    def finalize(self, end_time: float) -> None:
-        pass
-
-    def report(self) -> ObsReport:
-        return ObsReport()
-
-
-#: Shared inert hub; use instead of ``None`` where a hub is required.
-NULL_HUB = _NullHub()

@@ -1,16 +1,16 @@
-"""The metrics registry: labeled counters, gauges, and histograms.
+"""The metrics registry: labeled callback gauges and histograms.
 
-One registry per observed run. Instruments are cheap plain objects —
-a counter increment is one attribute add — and *callback gauges* cost
-nothing until the registry is collected: they read a live attribute
+One registry per observed run. *Callback gauges* cost nothing until the
+registry is collected: they read a live attribute
 (``sim.events_processed``, ``merger.pending_count``) only at snapshot
-time, which is how the hot path stays untouched when a run is observed.
+time, which is how the hot path stays untouched when a run is observed;
+a histogram observation is one bucket increment.
 
 Identity is ``(name, labels)``: registering the same instrument twice
 returns the existing object, so independent components can share a
 family (e.g. one ``splitter_tuples_sent_total`` per connection) without
 coordinating. Names follow the Prometheus convention
-(``snake_case``, ``_total`` suffix for counters), and
+(``snake_case``, ``_total`` suffix for cumulative counts), and
 :meth:`MetricsRegistry.to_prometheus` renders the whole registry in the
 Prometheus text exposition format.
 """
@@ -68,32 +68,10 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "labels", "value")
-
-    kind = "counter"
-
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...]) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative) to the count."""
-        if amount < 0:
-            raise ValueError(f"counter increment must be >= 0: {amount}")
-        self.value += amount
-
-    def samples(self) -> list[tuple[str, tuple, float]]:
-        return [(self.name, self.labels, self.value)]
-
-
 class Gauge:
-    """A value that can go up and down; optionally callback-backed."""
+    """A value read from its source through a callback at collect time."""
 
-    __slots__ = ("name", "labels", "_value", "_fn")
+    __slots__ = ("name", "labels", "_fn")
 
     kind = "gauge"
 
@@ -101,35 +79,16 @@ class Gauge:
         self,
         name: str,
         labels: tuple[tuple[str, str], ...],
-        fn: Callable[[], float] | None = None,
+        fn: Callable[[], float],
     ) -> None:
         self.name = name
         self.labels = labels
-        self._value = 0.0
         self._fn = fn
-
-    def set(self, value: float) -> None:
-        """Set the gauge (direct gauges only)."""
-        if self._fn is not None:
-            raise RuntimeError(
-                f"gauge {self.name} is callback-backed; it cannot be set"
-            )
-        self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        """Adjust the gauge by ``amount`` (direct gauges only)."""
-        if self._fn is not None:
-            raise RuntimeError(
-                f"gauge {self.name} is callback-backed; it cannot be adjusted"
-            )
-        self._value += amount
 
     @property
     def value(self) -> float:
-        """Current value (callback gauges read their source live)."""
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
+        """Current value, read live from the source."""
+        return float(self._fn())
 
     def samples(self) -> list[tuple[str, tuple, float]]:
         return [(self.name, self.labels, self.value)]
@@ -205,7 +164,7 @@ class Histogram:
         return out
 
 
-Instrument = Counter | Gauge | Histogram
+Instrument = Gauge | Histogram
 
 
 class MetricsRegistry:
@@ -248,20 +207,6 @@ class MetricsRegistry:
             self._families[name] = (cls.kind, help)
         return instrument
 
-    def counter(
-        self, name: str, help: str = "", **labels: str
-    ) -> Counter:
-        """Register (or fetch) a labeled counter."""
-        return self._register(
-            Counter, name, labels, help, lambda lk: Counter(name, lk)
-        )
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        """Register (or fetch) a directly-set labeled gauge."""
-        return self._register(
-            Gauge, name, labels, help, lambda lk: Gauge(name, lk)
-        )
-
     def gauge_fn(
         self,
         name: str,
@@ -294,7 +239,7 @@ class MetricsRegistry:
         return self._instruments.get((name, _label_key(labels)))
 
     def read(self, name: str, **labels: str) -> float:
-        """Value of a counter/gauge (0.0 when unregistered)."""
+        """Value of a gauge (0.0 when unregistered)."""
         instrument = self.get(name, **labels)
         if instrument is None:
             return 0.0

@@ -126,9 +126,6 @@ class SpanTracer:
         self._open.clear()
         return len(open_spans)
 
-    def by_kind(self, kind: str) -> list[Span]:
-        return [s for s in self.spans if s.kind == kind]
-
     def __len__(self) -> int:
         return len(self.spans)
 

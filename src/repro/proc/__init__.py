@@ -26,7 +26,7 @@ Entry points:
   via :func:`repro.experiments.process_backend.run_process_experiment`.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 #: Public name -> defining module, resolved lazily (PEP 562): the worker
 #: executable imports this package on startup and must not pay for the
@@ -41,19 +41,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -40,13 +40,20 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.faults.recovery import ChannelRecovery
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 #: Slot states.
 STARTING = "starting"
 UP = "up"
 DOWN = "down"
 QUARANTINED = "quarantined"
+
+#: A spawned process must connect + HELLO within this many seconds.
+SPAWN_GRACE = 10.0
+#: Graceful-drain deadline at shutdown before escalating to SIGTERM.
+DRAIN_TIMEOUT = 5.0
+#: Post-SIGTERM grace before SIGKILL.
+TERM_GRACE = 1.0
 
 
 @dataclass(slots=True, frozen=True)
@@ -70,12 +77,6 @@ class SupervisorConfig:
     restart_budget: int = 5
     #: Sliding window for the restart budget, in seconds.
     restart_window: float = 30.0
-    #: A spawned process must connect + HELLO within this.
-    spawn_grace: float = 10.0
-    #: Graceful-drain deadline at shutdown before escalating to SIGTERM.
-    drain_timeout: float = 5.0
-    #: Post-SIGTERM grace before SIGKILL.
-    term_grace: float = 1.0
     #: Worker service mode: ``"sleep"`` (cheap) or ``"spin"`` (burn CPU).
     worker_mode: str = "sleep"
     #: Seed for the backoff jitter (reproducible restart timing).
@@ -89,9 +90,6 @@ class SupervisorConfig:
         check_positive("backoff_max", self.backoff_max)
         check_positive("restart_budget", self.restart_budget)
         check_positive("restart_window", self.restart_window)
-        check_positive("spawn_grace", self.spawn_grace)
-        check_positive("drain_timeout", self.drain_timeout)
-        check_positive("term_grace", self.term_grace)
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError(
                 f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
@@ -200,8 +198,8 @@ class Supervisor:
         """Stop monitoring and bring every process down.
 
         Assumes the region already sent EOS (graceful drain); waits
-        ``drain_timeout`` for clean exits, then escalates SIGTERM ->
-        (``term_grace``) -> SIGKILL. Returns ``(slot index, how)`` for
+        ``DRAIN_TIMEOUT`` for clean exits, then escalates SIGTERM ->
+        (``TERM_GRACE``) -> SIGKILL. Returns ``(slot index, how)`` for
         every process that needed escalation.
         """
         self._stop.set()
@@ -209,7 +207,7 @@ class Supervisor:
             self._monitor.join(timeout=5.0)
             self._monitor = None
         escalated: list[tuple[int, str]] = []
-        deadline = time.monotonic() + self.config.drain_timeout
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         procs = [s for s in self.slots if s.process is not None]
         # Only UP slots received EOS and will exit on their own; a
         # replacement still STARTING (or a slot already DOWN) has
@@ -225,7 +223,7 @@ class Supervisor:
                 escalated.append((slot.index, "sigterm"))
                 self._signal(slot, "SIGCONT")  # a stopped process cannot
                 self._signal(slot, "SIGTERM")  # handle SIGTERM
-        term_deadline = time.monotonic() + self.config.term_grace
+        term_deadline = time.monotonic() + TERM_GRACE
         while time.monotonic() < term_deadline:
             if all(s.process.poll() is not None for s in procs):
                 break
@@ -506,7 +504,7 @@ class Supervisor:
                                 f"exited during startup with code {exit_code}",
                                 slot.incarnation,
                             ))
-                        elif now - slot.spawned_at > config.spawn_grace:
+                        elif now - slot.spawned_at > SPAWN_GRACE:
                             dead.append((
                                 slot.index,
                                 "never connected within spawn grace",

@@ -49,6 +49,8 @@ from repro.net import framing
 #: entries even mid-run, bounding both ack latency under a huge backlog
 #: and the frame size (well under ``framing.MAX_PAYLOAD``).
 RESULT_FLUSH_MAX = 512
+#: Seconds the worker waits for the parent's listener to accept it.
+CONNECT_TIMEOUT = 10.0
 
 
 class WorkerMain:
@@ -66,7 +68,6 @@ class WorkerMain:
         mode: str = "sleep",
         exit_after: int | None = None,
         exit_code: int = 1,
-        connect_timeout: float = 10.0,
     ) -> None:
         if mode not in ("sleep", "spin"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -82,7 +83,6 @@ class WorkerMain:
         #: nonzero-exit crash detection.
         self.exit_after = exit_after
         self.exit_code = exit_code
-        self.connect_timeout = connect_timeout
         self.control_multiplier = 1.0
         self.processed = 0
         self._draining = False
@@ -113,7 +113,7 @@ class WorkerMain:
         """Connect, serve until told (or made) to stop; return exit code."""
         signal.signal(signal.SIGTERM, self._on_sigterm)
         sock = socket.create_connection(
-            (self.host, self.port), timeout=self.connect_timeout
+            (self.host, self.port), timeout=CONNECT_TIMEOUT
         )
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

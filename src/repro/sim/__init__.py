@@ -15,6 +15,6 @@ Two models are provided:
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 
-__all__ = ["Simulator", "Event", "EventQueue"]
+__all__ = ["Simulator", "Event"]

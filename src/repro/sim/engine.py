@@ -12,10 +12,10 @@ Two scheduling flavours exist:
 
 * :meth:`Simulator.call_at` / :meth:`Simulator.call_after` return an
   :class:`~repro.sim.events.Event` handle that can be cancelled;
-* :meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_after` return
-  nothing — the engine recycles their heap cells through a free list, so
-  the per-tuple traffic that dominates every experiment allocates no
-  event objects. Use these on hot paths that never cancel.
+* :meth:`Simulator.schedule_after` returns nothing — the engine recycles
+  its heap cells through a free list, so the per-tuple traffic that
+  dominates every experiment allocates no event objects. Use it on hot
+  paths that never cancel.
 
 :meth:`Simulator.call_every` is backed by a reusable timer that re-arms a
 single heap cell each tick instead of allocating a fresh event, so
@@ -27,9 +27,9 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections.abc import Callable
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
-from repro.sim.events import _FREE_LIST_MAX, Event, EventQueue
+from repro.sim.events import _COMPACT_MIN_DEAD, _FREE_LIST_MAX, Event
 from repro.util.perf import PerfCounters
 
 
@@ -55,17 +55,17 @@ class _RepeatingTimer:
         self._active = True
         # The timer itself occupies the handle slot, which marks the cell
         # as non-recyclable: after each firing the cell is re-armed here.
-        self._cell = sim._queue.new_cell(first, self._fire, self)
+        self._cell = sim.new_cell(first, self._fire, self)
 
     def _fire(self) -> None:
         self._callback()
         if self._active:
             sim = self._sim
-            sim._queue.repush(self._cell, sim._now + self._interval)
+            sim.repush(self._cell, sim._now + self._interval)
 
     def cancel(self) -> None:
         self._active = False
-        self._sim._queue.cancel_cell(self._cell)
+        self._sim.cancel_cell(self._cell)
 
 
 class Simulator:
@@ -80,9 +80,12 @@ class Simulator:
     """
 
     __slots__ = (
-        "_queue",
         "_heap",
+        "_seq",
+        "_dead",
         "_free",
+        "compactions",
+        "cancellations",
         "_now",
         "_running",
         "_stopped",
@@ -92,13 +95,21 @@ class Simulator:
     )
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
-        # Direct aliases of the queue's heap and free list. Both lists are
-        # only ever mutated in place (compaction uses slice assignment),
-        # so the aliases stay valid for the simulator's lifetime and save
-        # an attribute hop per scheduled event.
-        self._heap = self._queue._heap
-        self._free = self._queue._free
+        # The heap and the free list are only ever mutated in place
+        # (compaction uses slice assignment), so the run loop may hoist
+        # them into locals.
+        self._heap: list[list] = []
+        self._seq = 0
+        # Cancelled-but-unpopped entries still sitting in the heap. The
+        # live count is derived (len(heap) - dead) so the per-event
+        # schedule/pop paths maintain no counter at all — only the rare
+        # cancellation path touches it.
+        self._dead = 0
+        self._free: list[list] = []
+        #: Heap rebuilds triggered by cancelled-entry pile-up (diagnostic).
+        self.compactions = 0
+        #: Total events cancelled over the run (diagnostic).
+        self.cancellations = 0
         self._now = 0.0
         self._running = False
         self._stopped = False
@@ -116,11 +127,11 @@ class Simulator:
 
     # ----------------------------------------------------------- scheduling
 
-    # The four scheduling entry points inline EventQueue.push / .schedule
-    # (including Event construction via __new__) instead of delegating:
-    # they run once per event on every hot path, and the saved method
-    # dispatch + Event.__init__ frame is a measurable slice of the event
-    # budget (see bench_core_hotpath.py).
+    # The scheduling entry points build the heap cell (and the Event
+    # handle, via __new__) in place instead of sharing a helper: they run
+    # once per event on every hot path, and a method dispatch plus an
+    # __init__ frame is a measurable slice of the event budget (see
+    # bench_core_hotpath.py).
 
     def call_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulated time ``time``."""
@@ -128,13 +139,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {self._now}"
             )
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
+        seq = self._seq
+        self._seq = seq + 1
         event = Event.__new__(Event)
         cell = [time, seq, callback, event, True]
         event._cell = cell
-        event._queue = queue
+        event._sim = self
         heappush(self._heap, cell)
         return event
 
@@ -142,43 +152,21 @@ class Simulator:
         """Schedule ``callback`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
+        seq = self._seq
+        self._seq = seq + 1
         event = Event.__new__(Event)
         cell = [self._now + delay, seq, callback, event, True]
         event._cell = cell
-        event._queue = queue
+        event._sim = self
         heappush(self._heap, cell)
         return event
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Hot-path :meth:`call_at`: no cancellation handle, no allocation."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self._now}"
-            )
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        free = self._free
-        if free:
-            cell = free.pop()
-            cell[0] = time
-            cell[1] = seq
-            cell[2] = callback
-            cell[4] = True
-        else:
-            cell = [time, seq, callback, None, True]
-        heappush(self._heap, cell)
 
     def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
         """Hot-path :meth:`call_after`: no cancellation handle, no allocation."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
+        seq = self._seq
+        self._seq = seq + 1
         free = self._free
         if free:
             cell = free.pop()
@@ -213,18 +201,72 @@ class Simulator:
             )
         return _RepeatingTimer(self, interval, callback, first).cancel
 
+    def repush(self, cell: list, time: float) -> None:
+        """Re-arm a previously fired cell at ``time`` (reusable timers).
+
+        The caller owns the cell (its ``handle`` slot marks it
+        non-recyclable) and guarantees it is not currently in the heap.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        cell[0] = time
+        cell[1] = seq
+        cell[4] = True
+        heappush(self._heap, cell)
+
+    def new_cell(
+        self, time: float, callback: Callable[[], None], owner: object
+    ) -> list:
+        """Schedule a fresh cell owned by ``owner`` and return it.
+
+        ``owner`` is stored in the handle slot, which (being non-``None``)
+        keeps the run loop from recycling the cell — the owner may
+        :meth:`repush` it after it fires.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        cell = [time, seq, callback, owner, True]
+        heappush(self._heap, cell)
+        return cell
+
+    # --------------------------------------------------------- cancellation
+
+    def cancel_cell(self, cell: list) -> None:
+        """Cancel a scheduled cell; a no-op once it fired or was cancelled."""
+        if cell[4]:
+            cell[4] = False
+            cell[2] = None
+            dead = self._dead + 1
+            self._dead = dead
+            self.cancellations += 1
+            if dead > _COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
+                self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries and re-heapify.
+
+        Pop order is fully determined by ``(time, seq)``, so rebuilding the
+        heap's internal layout cannot change event order. The heap list is
+        mutated in place (slice assignment) rather than rebound so the
+        run loop may safely keep a direct reference to it.
+        """
+        heap = self._heap
+        heap[:] = [cell for cell in heap if cell[2] is not None]
+        heapify(heap)
+        self._dead = 0
+        self.compactions += 1
+
     # ------------------------------------------------------------- metrics
 
     @property
     def perf(self) -> PerfCounters:
         """Snapshot of the engine's performance counters."""
-        queue = self._queue
         return PerfCounters(
             events_processed=self.events_processed,
-            events_scheduled=queue.scheduled_total,
-            events_cancelled=queue.cancellations,
-            heap_compactions=queue.compactions,
-            live_events=len(queue),
+            events_scheduled=self._seq,
+            events_cancelled=self.cancellations,
+            heap_compactions=self.compactions,
+            live_events=len(self._heap) - self._dead,
             events_coalesced=self.events_coalesced,
         )
 
@@ -235,7 +277,6 @@ class Simulator:
         registry is collected, so the event loop itself is untouched.
         """
         registry = hub.registry
-        queue = self._queue
         registry.gauge_fn(
             "sim_events_processed",
             lambda: self.events_processed,
@@ -248,22 +289,22 @@ class Simulator:
         )
         registry.gauge_fn(
             "sim_events_scheduled",
-            lambda: queue.scheduled_total,
+            lambda: self._seq,
             help="Events ever pushed onto the queue",
         )
         registry.gauge_fn(
             "sim_events_cancelled",
-            lambda: queue.cancellations,
+            lambda: self.cancellations,
             help="Events cancelled before firing",
         )
         registry.gauge_fn(
             "sim_heap_compactions",
-            lambda: queue.compactions,
+            lambda: self.compactions,
             help="Times the event heap compacted dead cells",
         )
         registry.gauge_fn(
             "sim_live_events",
-            lambda: len(queue),
+            lambda: len(self._heap) - self._dead,
             help="Events currently pending in the queue",
         )
         registry.gauge_fn(
@@ -296,11 +337,11 @@ class Simulator:
     def _run(self, end_time: float) -> None:
         """Fire all due events in order; the shared core of both run modes.
 
-        The queue's ``pop_due``/``recycle`` pair is inlined into the loop
-        body: at ~1M events/sec the two method frames per event are the
-        single largest remaining cost. ``queue._heap`` and ``queue._free``
-        are hoisted out of the loop — both are mutated strictly in place
-        (:meth:`EventQueue._compact` compacts via slice assignment, never
+        Popping the next due cell and recycling it are written out in the
+        loop body: at ~1M events/sec two method frames per event would be
+        the single largest remaining cost. ``_heap`` and ``_free`` are
+        hoisted out of the loop — both are mutated strictly in place
+        (:meth:`_compact` compacts via slice assignment, never
         rebinding). The traced branch is a separate loop body so the
         untraced hot path pays no per-event trace check.
         ``events_processed`` advances per event (not batched at loop
@@ -309,22 +350,21 @@ class Simulator:
         if self._trace is not None:
             self._run_traced(end_time)
             return
-        queue = self._queue
-        heap = queue._heap
+        heap = self._heap
         free = self._free
         pop = heappop
         self._running = True
         self._stopped = False
         try:
             while not self._stopped:
-                # Inline EventQueue.pop_due(end_time).
+                # The earliest live cell, if it is due by end_time.
                 while True:
                     if not heap:
                         return
                     cell = heap[0]
                     if cell[2] is None:
                         pop(heap)
-                        queue._dead -= 1
+                        self._dead -= 1
                         continue
                     if cell[0] > end_time:
                         return
@@ -337,7 +377,7 @@ class Simulator:
                 handle = cell[3]
                 if handle is None:
                     # Handle-less cell: no reference escaped, safe to
-                    # reuse (inline EventQueue.recycle).
+                    # reuse.
                     if len(free) < _FREE_LIST_MAX:
                         cell[2] = None
                         free.append(cell)
@@ -357,8 +397,7 @@ class Simulator:
 
     def _run_traced(self, end_time: float) -> None:
         """:meth:`_run` with the golden-trace hash folded into the loop."""
-        queue = self._queue
-        heap = queue._heap
+        heap = self._heap
         free = self._free
         pop = heappop
         trace = self._trace
@@ -373,7 +412,7 @@ class Simulator:
                     cell = heap[0]
                     if cell[2] is None:
                         pop(heap)
-                        queue._dead -= 1
+                        self._dead -= 1
                         continue
                     if cell[0] > end_time:
                         return

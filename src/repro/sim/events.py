@@ -1,4 +1,4 @@
-"""Event and event-queue primitives for the discrete-event engine.
+"""The event handle and heap-cell layout of the discrete-event engine.
 
 Determinism matters: two events scheduled for the same instant fire in the
 order they were scheduled (FIFO tie-break on a monotone sequence number).
@@ -13,17 +13,19 @@ The heap does not store :class:`Event` objects. Each entry is a plain
 * list-vs-list comparison runs at C speed and never looks past ``seq``
   (sequence numbers are unique), so no ``__lt__`` is ever dispatched to
   Python code;
-* the hand-off path that dominates simulations (:meth:`EventQueue.schedule`)
-  returns no handle at all, which lets the engine recycle the cell through
-  a free list — steady-state tuple traffic allocates no per-event objects;
-* :meth:`EventQueue.push` wraps the cell in a lightweight :class:`Event`
-  handle (stored in slot 3) so callers can cancel it. Cells with handles
-  are never recycled, and the ``alive`` flag makes a stale ``cancel()``
-  (after the event fired) a safe no-op.
+* the hand-off path that dominates simulations
+  (:meth:`~repro.sim.engine.Simulator.schedule_after`) returns no handle
+  at all, which lets the engine recycle the cell through a free list —
+  steady-state tuple traffic allocates no per-event objects;
+* :meth:`~repro.sim.engine.Simulator.call_at` / ``call_after`` wrap the
+  cell in a lightweight :class:`Event` handle (stored in slot 3) so
+  callers can cancel it. Cells with handles are never recycled, and the
+  ``alive`` flag makes a stale ``cancel()`` (after the event fired) a
+  safe no-op.
 
 Cancellation is lazy (``callback`` set to ``None``; skipped on pop), but
-the queue tracks a live-event count so ``__len__`` is exact, and compacts
-the heap when cancelled entries start to dominate.
+the simulator tracks a dead-entry count so its live count is exact, and
+compacts the heap when cancelled entries start to dominate.
 
 Cell index constants: ``_TIME=0, _SEQ=1, _CB=2, _HANDLE=3, _ALIVE=4``.
 """
@@ -31,7 +33,6 @@ Cell index constants: ``_TIME=0, _SEQ=1, _CB=2, _HANDLE=3, _ALIVE=4``.
 from __future__ import annotations
 
 from collections.abc import Callable
-from heapq import heapify, heappop, heappush
 
 #: Upper bound on recycled cells kept around between bursts.
 _FREE_LIST_MAX = 512
@@ -42,17 +43,16 @@ _COMPACT_MIN_DEAD = 64
 class Event:
     """Handle to a scheduled callback.
 
-    Ordering of the underlying queue is by ``(time, seq)``; ``seq`` is the
+    Ordering of the simulator's heap is by ``(time, seq)``; ``seq`` is the
     global scheduling order, so simultaneous events fire FIFO. A cancelled
     event stays in the heap but is skipped when popped (lazy deletion, the
     standard heapq idiom).
     """
 
-    __slots__ = ("_cell", "_queue")
-
-    def __init__(self, cell: list, queue: "EventQueue") -> None:
-        self._cell = cell
-        self._queue = queue
+    #: The heap cell and its simulator, filled in by
+    #: :meth:`~repro.sim.engine.Simulator.call_at` / ``call_after``,
+    #: which build the handle in place.
+    __slots__ = ("_cell", "_sim")
 
     @property
     def time(self) -> float:
@@ -69,195 +69,10 @@ class Event:
         """The scheduled callback (``None`` once cancelled)."""
         return self._cell[2]
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` was called before the event fired."""
-        return self._cell[2] is None
-
     def cancel(self) -> None:
-        """Mark the event so the queue drops it instead of firing it.
+        """Mark the event so the engine drops it instead of firing it.
 
         Cancelling an event that already fired (or cancelling twice) is a
-        no-op — the ``alive`` flag guards the queue's live count.
+        no-op — the ``alive`` flag guards the simulator's live count.
         """
-        self._queue.cancel_cell(self._cell)
-
-
-class EventQueue:
-    """A priority queue of scheduled callbacks with lazy cancellation."""
-
-    __slots__ = (
-        "_heap",
-        "_seq",
-        "_dead",
-        "_free",
-        "compactions",
-        "cancellations",
-    )
-
-    def __init__(self) -> None:
-        self._heap: list[list] = []
-        self._seq = 0
-        # Cancelled-but-unpopped entries still sitting in the heap. The
-        # live count is derived (len(heap) - dead) so the per-event
-        # schedule/pop paths maintain no counter at all — only the rare
-        # cancellation path touches it.
-        self._dead = 0
-        self._free: list[list] = []
-        #: Heap rebuilds triggered by cancelled-entry pile-up (diagnostic).
-        self.compactions = 0
-        #: Total events cancelled over the queue's lifetime (diagnostic).
-        self.cancellations = 0
-
-    def __len__(self) -> int:
-        """Number of *live* (scheduled, not cancelled) events."""
-        return len(self._heap) - self._dead
-
-    @property
-    def scheduled_total(self) -> int:
-        """Total events ever scheduled (live + fired + cancelled)."""
-        return self._seq
-
-    # ------------------------------------------------------------ scheduling
-
-    def push(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at ``time`` and return its handle."""
-        seq = self._seq
-        self._seq = seq + 1
-        cell = [time, seq, callback, None, True]
-        event = Event(cell, self)
-        cell[3] = event
-        heappush(self._heap, cell)
-        return event
-
-    def schedule(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at ``time`` without returning a handle.
-
-        The hot path: because no handle escapes, the engine may recycle the
-        heap cell after firing, so steady-state traffic allocates nothing.
-        Events scheduled this way cannot be cancelled.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            cell = free.pop()
-            cell[0] = time
-            cell[1] = seq
-            cell[2] = callback
-            cell[4] = True
-        else:
-            cell = [time, seq, callback, None, True]
-        heappush(self._heap, cell)
-
-    def repush(self, cell: list, time: float) -> None:
-        """Re-arm a previously fired cell at ``time`` (reusable timers).
-
-        The caller owns the cell (its ``handle`` slot marks it
-        non-recyclable) and guarantees it is not currently in the heap.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        cell[0] = time
-        cell[1] = seq
-        cell[4] = True
-        heappush(self._heap, cell)
-
-    def new_cell(
-        self, time: float, callback: Callable[[], None], owner: object
-    ) -> list:
-        """Schedule a fresh cell owned by ``owner`` and return it.
-
-        ``owner`` is stored in the handle slot, which (being non-``None``)
-        keeps the engine from recycling the cell — the owner may
-        :meth:`repush` it after it fires.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        cell = [time, seq, callback, owner, True]
-        heappush(self._heap, cell)
-        return cell
-
-    # ---------------------------------------------------------- cancellation
-
-    def cancel_cell(self, cell: list) -> None:
-        """Cancel a scheduled cell; a no-op once it fired or was cancelled."""
-        if cell[4]:
-            cell[4] = False
-            cell[2] = None
-            dead = self._dead + 1
-            self._dead = dead
-            self.cancellations += 1
-            if dead > _COMPACT_MIN_DEAD and dead * 2 > len(self._heap):
-                self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
-
-        Pop order is fully determined by ``(time, seq)``, so rebuilding the
-        heap's internal layout cannot change event order. The heap list is
-        mutated in place (slice assignment) rather than rebound so the
-        engine loop may safely keep a direct reference to it.
-        """
-        heap = self._heap
-        heap[:] = [cell for cell in heap if cell[2] is not None]
-        heapify(heap)
-        self._dead = 0
-        self.compactions += 1
-
-    # -------------------------------------------------------------- popping
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or ``None`` if empty.
-
-        Returns the same handle object :meth:`push` returned. Handle-less
-        cells (from :meth:`schedule`) get a wrapper created on demand.
-        """
-        heap = self._heap
-        while heap:
-            cell = heappop(heap)
-            if cell[2] is None:
-                self._dead -= 1
-                continue
-            cell[4] = False
-            handle = cell[3]
-            if not isinstance(handle, Event):
-                handle = Event(cell, self)
-                cell[3] = handle
-            return handle
-        return None
-
-    def pop_due(self, limit: float) -> list | None:
-        """Pop the earliest live cell with ``time <= limit`` (engine loop).
-
-        Returns the raw cell, or ``None`` when the next live event is past
-        ``limit`` (it stays queued) or the queue is empty.
-        """
-        heap = self._heap
-        while heap:
-            cell = heap[0]
-            if cell[2] is None:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            if cell[0] > limit:
-                return None
-            heappop(heap)
-            cell[4] = False
-            return cell
-        return None
-
-    def recycle(self, cell: list) -> None:
-        """Return a fired, handle-less cell to the free list."""
-        free = self._free
-        if len(free) < _FREE_LIST_MAX:
-            cell[2] = None  # drop the callback reference promptly
-            free.append(cell)
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest live event without removing it."""
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heappop(heap)
-            self._dead -= 1
-        return heap[0][0] if heap else None
+        self._sim.cancel_cell(self._cell)

@@ -13,7 +13,7 @@ semantics. Backpressure and drafting are emergent properties of this model,
 not scripted behaviours; tests assert they emerge.
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
 #: Public name -> defining module, resolved lazily (PEP 562): the process
 #: dataplane needs one exception class from this package
@@ -28,7 +28,6 @@ _EXPORTS = {
     "Placement": "repro.streams.hosts",
     "OrderedMerger": "repro.streams.merger",
     "UnorderedMerger": "repro.streams.merger",
-    "BurstySourceOp": "repro.streams.operators",
     "Filter": "repro.streams.operators",
     "Functor": "repro.streams.operators",
     "Operator": "repro.streams.operators",
@@ -48,19 +47,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

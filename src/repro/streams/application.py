@@ -46,6 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.streams.pe import WorkerPE
 
+#: Multiplies a region's splitter spends sending one tuple.
+SPLITTER_SEND_COST = 125.0
+
 
 class _EmittingPE:
     """Shared machinery: emit a tuple to every output, blocking as needed."""
@@ -118,7 +121,7 @@ class SourcePE(_EmittingPE):
         if tup is None:
             self.finished = True
             return
-        cost = max(self.source.production_cost(tup.seq), 1e-9)
+        cost = max(self.source.cost_multiplies, 1e-9)
         self._producing = tup
         self.sim.schedule_after(
             cost / self.host.per_pe_speed(), self._emit_cb
@@ -349,7 +352,6 @@ class Application:
     default_host: Host
     placement: dict[str, Host] = field(default_factory=dict)
     buffer_capacity: int = 32
-    splitter_send_cost: float = 125.0
     _nodes: list[_CompiledNode] = field(default_factory=list)
     _balancer_cancels: list = field(default_factory=list)
     _all_conns: list[SimulatedConnection] = field(default_factory=list)
@@ -396,7 +398,7 @@ class Application:
         # splitter's per-tuple send on the host it runs on.
         for handle in self.regions.values():
             speed = handle.entry.host.per_pe_speed()
-            overhead = max(self.splitter_send_cost, 1e-9) / speed
+            overhead = SPLITTER_SEND_COST / speed
             handle.region.params.send_overhead = overhead
             handle.region.splitter.send_overhead = overhead
 

@@ -55,11 +55,6 @@ class Host:
         self._per_pe_speed: float | None = None
 
     @property
-    def threads(self) -> int:
-        """Hardware threads the host can run simultaneously."""
-        return self.cores * self.smt_per_core
-
-    @property
     def placed(self) -> int:
         """Number of PEs placed on this host."""
         return len(self._pes)
@@ -132,30 +127,6 @@ class Placement:
     def single_host(cls, n_workers: int, host: Host) -> "Placement":
         """All workers on one host (``All-Fast`` / ``All-Slow`` in Fig. 11)."""
         return cls(host_of=[host] * n_workers)
-
-    @classmethod
-    def split_evenly(cls, n_workers: int, hosts: list[Host]) -> "Placement":
-        """Workers dealt round-robin across ``hosts`` (``Even-*`` in Fig. 11)."""
-        if not hosts:
-            raise ValueError("hosts must be non-empty")
-        return cls(host_of=[hosts[i % len(hosts)] for i in range(n_workers)])
-
-    @classmethod
-    def one_pe_per_core(cls, n_workers: int, host_factory, cores_per_host: int = 8) -> "Placement":
-        """The paper's default: fill hosts with one PE per core.
-
-        ``host_factory(index)`` creates the ``index``-th host; a new host is
-        allocated every ``cores_per_host`` workers.
-        """
-        check_positive("cores_per_host", cores_per_host)
-        hosts: list[Host] = []
-        host_of: list[Host] = []
-        for i in range(n_workers):
-            h = i // cores_per_host
-            if h >= len(hosts):
-                hosts.append(host_factory(h))
-            host_of.append(hosts[h])
-        return cls(host_of=host_of)
 
     def hosts(self) -> list[Host]:
         """Distinct hosts, in first-use order."""

@@ -139,63 +139,8 @@ class SourceOp(Operator):
         self._next_seq += 1
         return tup
 
-    def production_cost(self, seq: int) -> float:
-        """Production cost (multiplies) for tuple ``seq``.
-
-        Subclasses can vary this per tuple — see :class:`BurstySourceOp`.
-        """
-        return self.cost_multiplies
-
     def apply(self, tup: StreamTuple) -> StreamTuple:  # pragma: no cover
         raise RuntimeError("sources do not process tuples")
-
-
-class BurstySourceOp(SourceOp):
-    """A source alternating between bursts and lulls.
-
-    The paper notes that "streaming systems can also be bursty" — offered
-    load arrives in waves rather than a steady stream. This source
-    produces ``burst_length`` tuples at the base production cost, then
-    ``lull_length`` tuples at ``lull_factor`` times that cost (i.e. a
-    quiet period), repeating. With ``lull_factor`` large the lull is
-    effectively an idle gap.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        cost_multiplies: float,
-        *,
-        tuple_cost: float,
-        burst_length: int,
-        lull_length: int,
-        lull_factor: float = 50.0,
-        total: int | None = None,
-        make_payload: Callable[[int], Any] | None = None,
-    ) -> None:
-        super().__init__(
-            name,
-            cost_multiplies,
-            tuple_cost=tuple_cost,
-            total=total,
-            make_payload=make_payload,
-        )
-        check_positive("burst_length", burst_length)
-        check_positive("lull_length", lull_length)
-        check_positive("lull_factor", lull_factor)
-        self.burst_length = int(burst_length)
-        self.lull_length = int(lull_length)
-        self.lull_factor = float(lull_factor)
-
-    def in_burst(self, seq: int) -> bool:
-        """Whether tuple ``seq`` falls inside a burst phase."""
-        period = self.burst_length + self.lull_length
-        return (seq % period) < self.burst_length
-
-    def production_cost(self, seq: int) -> float:
-        if self.in_burst(seq):
-            return self.cost_multiplies
-        return self.cost_multiplies * self.lull_factor
 
 
 class SinkOp(Operator):

@@ -154,11 +154,6 @@ class WorkerPE:
 
     # --------------------------------------------------------------- faults
 
-    @property
-    def halted(self) -> bool:
-        """Whether the recovery layer has quarantined this PE."""
-        return self._halted
-
     def crash(self) -> "StreamTuple | list[StreamTuple] | None":
         """Kill the PE process mid-run; returns what was in service.
 
@@ -289,8 +284,7 @@ class WorkerPE:
             for block in runs:
                 cost = block.cost
                 if cost is not None:
-                    # Inlined TupleBlock.total_cost(): this runs once per
-                    # service run, where the method call is measurable.
+                    # A uniform block's whole cost in one multiply.
                     duration += cost * block.count * scale
                 else:
                     duration += sum(block.costs.tolist()) * scale

@@ -172,12 +172,6 @@ class TupleBlock:
             tail.borns = borns[k:]
         return head, tail
 
-    def total_cost(self) -> float:
-        """Sum of per-tuple costs, accumulated left to right."""
-        if self.cost is not None:
-            return self.cost * self.count
-        return sum(self.costs.tolist())
-
     def born_at(self, i: int) -> float | None:
         """Birth stamp of the block's ``i``-th tuple (``None`` unstamped)."""
         if self.borns is not None:

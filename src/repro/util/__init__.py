@@ -10,7 +10,6 @@ from repro.util.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
-    check_probability_vector,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "check_fraction",
     "check_non_negative",
     "check_positive",
-    "check_probability_vector",
 ]

@@ -39,12 +39,6 @@ class PerfCounters:
     #: of ``k`` tuples handled by one event chain contributes ``k - 1``.
     events_coalesced: int = 0
 
-    def events_per_second(self, wall_seconds: float) -> float:
-        """Fired events per wall-clock second over a measured window."""
-        if wall_seconds <= 0:
-            raise ValueError(f"wall_seconds must be positive: {wall_seconds}")
-        return self.events_processed / wall_seconds
-
     def as_dict(self) -> dict[str, int]:
         """Plain-dict form for JSON reports."""
         return asdict(self)

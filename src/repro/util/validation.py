@@ -8,7 +8,6 @@ is the caller's parameter name, so a bad ``alpha`` produces
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 
 def check_positive(name: str, value: float) -> None:
@@ -34,15 +33,3 @@ def check_fraction(name: str, value: float) -> None:
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
-
-def check_probability_vector(name: str, values: Sequence[float], tol: float = 1e-9) -> None:
-    """Require non-negative entries summing to 1 (within ``tol``)."""
-    if not values:
-        raise ValueError(f"{name} must be non-empty")
-    total = 0.0
-    for i, v in enumerate(values):
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"{name}[{i}] must be non-negative, got {v}")
-        total += v
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"{name} must sum to 1, got {total}")

@@ -42,11 +42,8 @@ class TestHelpers:
 
 
 class TestConfig:
-    def test_lb_static_has_no_decay(self):
-        assert BalancerConfig.lb_static().decay == 0.0
-
     def test_lb_adaptive_uses_paper_decay(self):
-        assert BalancerConfig.lb_adaptive().decay == 0.1
+        assert BalancerConfig().decay == 0.1
 
     def test_invalid_decay_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +90,7 @@ class TestControlLoop:
         assert balancer.weights == even_split(1000, 3)
 
     def test_static_config_never_decays(self):
-        balancer = LoadBalancer(2, BalancerConfig.lb_static())
+        balancer = LoadBalancer(2, BalancerConfig(decay=0.0))
         balancer.update(0.0, [0.0, 0.0])
         balancer.update(1.0, [0.8, 0.0])
         frozen = balancer.functions[0].raw_value(500)
@@ -156,7 +153,7 @@ class TestAgainstFluidModel:
 
     def test_static_never_rediscovers(self):
         region = FluidRegion([5.0, 50.0], splitter_rate=70.0)
-        balancer = LoadBalancer(2, BalancerConfig.lb_static())
+        balancer = LoadBalancer(2, BalancerConfig(decay=0.0))
         self.run_loop(balancer, region, 80)
         stuck = balancer.weights[0]
         region.set_service_rate(0, 50.0)

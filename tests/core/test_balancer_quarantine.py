@@ -1,6 +1,8 @@
 """Unit tests for the balancer's quarantine/reintegration path."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.balancer import BalancerConfig, LoadBalancer
 from repro.core.rate_function import BlockingRateFunction
@@ -71,23 +73,72 @@ class TestReintegration:
         balancer = primed_balancer()
         value_before = balancer.functions[0].value(250)
         balancer.quarantine(0)
-        balancer.reintegrate(0, decay=0.5)
+        balancer.reintegrate(0)
         assert balancer.functions[0].value(250) == pytest.approx(
             0.5 * value_before
         )
-
-    def test_reintegrate_forget_drops_the_function(self):
-        balancer = primed_balancer()
-        balancer.quarantine(0)
-        balancer.reintegrate(0, forget=True)
-        # Only the zero-weight anchor point survives a forget.
-        assert balancer.functions[0].observed_weights() == [0]
 
     def test_reintegrate_not_quarantined_is_a_noop(self):
         balancer = primed_balancer()
         value = balancer.functions[2].value(250)
         balancer.reintegrate(2)
         assert balancer.functions[2].value(250) == pytest.approx(value)
+
+
+class TestStrandedWeight:
+    """Weight left on a quarantined channel (the all-quarantined raise
+    keeps the old weights) is emergency traffic once a channel is back."""
+
+    def test_round_after_all_quarantined_does_not_raise(self):
+        balancer = LoadBalancer(4)
+        assert balancer.update(0.0, [0.0] * 4) is None
+        for channel in (0, 1, 2):
+            balancer.quarantine(channel)
+        assert balancer.weights == [0, 0, 0, 1000]
+        with pytest.raises(RuntimeError, match="no capacity"):
+            balancer.quarantine(3)
+        assert balancer.weights == [0, 0, 0, 1000]
+        balancer.reintegrate(1)
+        # The one live channel takes everything, max_increase or not.
+        assert balancer.weights == [0, 1000, 0, 0]
+        assert balancer.update(1.0, [0.1] * 4) == [0, 1000, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        clustering=st.booleans(),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("quarantine"), st.integers(0, 3)),
+                st.tuples(st.just("reintegrate"), st.integers(0, 3)),
+                st.tuples(
+                    st.just("update"),
+                    st.lists(
+                        st.floats(0.0, 1.0), min_size=4, max_size=4
+                    ),
+                ),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_any_interleaving_keeps_a_valid_allocation(self, clustering, steps):
+        balancer = LoadBalancer(4, BalancerConfig(clustering=clustering))
+        counters = [0.0] * 4
+        balancer.update(0.0, counters)
+        for now, (step, arg) in enumerate(steps, start=1):
+            if step == "quarantine":
+                try:
+                    balancer.quarantine(arg)
+                except RuntimeError:
+                    assert len(balancer.quarantined) == 4
+            elif step == "reintegrate":
+                balancer.reintegrate(arg)
+            else:
+                counters = [c + rate for c, rate in zip(counters, arg)]
+                balancer.update(float(now), counters)
+            weights = balancer.weights
+            assert sum(weights) == balancer.config.resolution
+            if len(balancer.quarantined) < 4:
+                assert all(weights[j] == 0 for j in balancer.quarantined)
 
 
 class TestDecayAll:

@@ -69,7 +69,3 @@ class TestQueries:
         assert not constraints.feasible(13)
         assert WeightConstraints(minima=(6, 6), maxima=(9, 9)).feasible(12)
         assert not WeightConstraints(minima=(6, 6), maxima=(9, 9)).feasible(11)
-
-    def test_clamp(self):
-        constraints = WeightConstraints(minima=(2, 2), maxima=(5, 5))
-        assert constraints.clamp([0, 9]) == [2, 5]

@@ -55,7 +55,7 @@ class TestFig09Fig10:
     def test_fig09_splitter_knee_at_8_pes(self):
         config = figures.fig09_config(8, dynamic=False)
         per_pe = figures.SLOW_SPEED / config.tuple_cost
-        assert config.max_ingest_rate() == pytest.approx(8 * per_pe)
+        assert 1.0 / config.region.send_overhead == pytest.approx(8 * per_pe)
 
     def test_fig10_load_is_100x(self):
         config = figures.fig10_config(4, dynamic=False)
@@ -113,7 +113,7 @@ class TestFig12Fig13:
         heavy_rate = config.host_specs[0].thread_speed / (
             config.tuple_cost * 100.0
         )
-        assert config.max_ingest_rate() <= 1000 * heavy_rate
+        assert 1.0 / config.region.send_overhead <= 1000 * heavy_rate
 
     def test_fig13_half_loaded_with_progress_removal(self):
         config = figures.fig13_config(32, total_tuples=80_000)

@@ -34,9 +34,9 @@ class TestConfigValidation:
             {"heartbeat_confirmations": 0},
             {"gap_policy": "retry"},
             {"skip_timeout": 0.0},
-            {"reintegration_decay": 1.5},
-            {"stable_rounds": 0},
-            {"stability_tolerance": -1},
+            {"check_interval": float("nan")},
+            {"staleness_timeout": float("inf")},
+            {"heartbeat_confirmations": -2},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -223,6 +223,32 @@ class TestAcceptance:
         assert result.tuples_lost == 0
         assert result.emitted == total
         assert result.tuples_replayed > 0
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 16, 32, 64])
+    def test_one_episode_at_any_batch_size(self, batch_size):
+        # A worker in block mode counts a run as processed only when the
+        # whole run completes; a 32-tuple run at 0.05 s a tuple outlasts
+        # the 1 s staleness timeout, and a live PE in service must not be
+        # mistaken for a dead one.
+        config = (
+            fault_recovery_scenario()
+            .with_batch_size(batch_size)
+            .with_observability()
+        )
+        result = run_experiment(config, "lb-adaptive")
+        quarantined = [
+            span["attrs"]["channel"]
+            for span in result.obs.spans_of_kind("quarantine")
+        ]
+        assert quarantined == [1]
+        assert result.quarantines == 1
+        assert result.tuples_lost == 0
+        assert result.sim_time == config.duration
+        if batch_size == 1:
+            assert result.time_to_quarantine == 1.0
+            assert result.time_to_reconverge == 4.0
+            assert result.tuples_replayed == 65
+            assert result.emitted == 8689
 
     def test_fault_run_is_deterministic(self):
         first = run_experiment(self._config(), "lb-adaptive")

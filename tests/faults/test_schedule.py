@@ -43,7 +43,7 @@ class TestSchedule:
 
     def test_constructors_populate(self):
         assert not FaultSchedule.crash(1, at=5.0).empty()
-        assert not FaultSchedule.stall_flap(0, at=1.0, duration=2.0).empty()
+        assert not FaultSchedule(stalls=[StallEvent(1.0, 0, 2.0)]).empty()
         assert not FaultSchedule.crash_after_emitted(2, 100).empty()
 
     def test_max_worker_spans_event_kinds(self):

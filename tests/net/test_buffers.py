@@ -12,19 +12,9 @@ class TestBasicFifo:
             buf.push(item)
         assert [buf.pop(), buf.pop(), buf.pop()] == ["a", "b", "c"]
 
-    def test_peek_does_not_remove(self):
-        buf = BoundedBuffer(2)
-        buf.push("x")
-        assert buf.peek() == "x"
-        assert len(buf) == 1
-
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             BoundedBuffer(1).pop()
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(IndexError):
-            BoundedBuffer(1).peek()
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

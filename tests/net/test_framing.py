@@ -54,7 +54,7 @@ class TestMessageRoundTrip:
         assert messages[3].heartbeat() == (100, 7)
         assert messages[4].control() == 2.5
         assert messages[5].payload == b""
-        assert messages[6].bye() == 100
+        assert int.from_bytes(messages[6].payload, "big") == 100
         assert messages[7].data_batch() == [(7, 0.25, b"a"), (9, 0.5, b"bb")]
         assert messages[8].result_batch() == [(7, 0.25, b"a"), (9, 0.5, b"bb")]
 

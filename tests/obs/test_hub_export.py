@@ -1,7 +1,6 @@
 """Unit tests for the hub, the exporters, and the console reporter."""
 
-import csv
-import io
+import dataclasses
 import json
 
 import pytest
@@ -9,15 +8,11 @@ import pytest
 from repro.obs.audit import ControlRoundRecord
 from repro.obs.console import ConsoleReporter
 from repro.obs.export import (
-    AUDIT_COLUMNS,
-    SPAN_COLUMNS,
-    audit_to_csv,
     events_to_jsonl,
     prometheus_snapshot,
-    spans_to_csv,
     write_exports,
 )
-from repro.obs.hub import NULL_HUB, ObservabilityConfig, ObservabilityHub, ObsReport
+from repro.obs.hub import ObservabilityConfig, ObservabilityHub
 
 
 class FakeClock:
@@ -105,7 +100,7 @@ class TestHub:
         assert hub.tracer.spans[sid].parent_round == 9
 
     def test_report_is_plain_data(self, hub, clock):
-        hub.registry.counter("a_total").inc(3)
+        hub.registry.gauge_fn("a_total", lambda: 3)
         add_round(hub, 0, [500], [500])
         hub.tracer.record("blocking", 0.0, 1.0)
         hub.finalize(2.0)
@@ -113,11 +108,8 @@ class TestHub:
         assert report.metrics["a_total"] == 3.0
         assert report.audit[0]["round"] == 0
         assert report.spans[0]["kind"] == "blocking"
-        # Round-trips through its dict form (the sweep-pool contract).
-        clone = ObsReport.from_dict(
-            json.loads(json.dumps(report.as_dict()))
-        )
-        assert clone.as_dict() == report.as_dict()
+        # Plain data end to end (the sweep-pool contract).
+        json.dumps(dataclasses.asdict(report))
 
     def test_events_jsonl_one_object_per_line(self, hub, clock):
         clock.now = 1.0
@@ -127,18 +119,10 @@ class TestHub:
         assert len(lines) == 2
         assert json.loads(lines[1])["kind"] == "restart"
 
-    def test_null_hub_is_inert(self):
-        assert not NULL_HUB
-        assert NULL_HUB.enabled is False
-        NULL_HUB.event("fault", kind="crash", channel=0)
-        NULL_HUB.finalize(1.0)
-        report = NULL_HUB.report()
-        assert report.events == [] and report.metrics == {}
-
 
 class TestExporters:
     def _report(self, hub, clock):
-        hub.registry.counter("a_total", help="things").inc()
+        hub.registry.gauge_fn("a_total", lambda: 1.0, help="things")
         add_round(hub, 0, [500, 500], [400, 600])
         hub.tracer.record("detection", 1.0, 2.0, channel=1)
         hub.finalize(5.0)
@@ -159,26 +143,6 @@ class TestExporters:
         prometheus_snapshot(report, str(path))
         assert path.read_text() == report.prometheus
         assert "a_total 1.0" in report.prometheus
-
-    def test_audit_csv_columns_and_cells(self, hub, clock, tmp_path):
-        report = self._report(hub, clock)
-        path = tmp_path / "audit.csv"
-        text = audit_to_csv(report, str(path))
-        assert path.read_text() == text
-        rows = list(csv.reader(io.StringIO(text)))
-        assert tuple(rows[0]) == AUDIT_COLUMNS
-        row = dict(zip(rows[0], rows[1]))
-        assert row["outcome"] == "adopted"
-        assert json.loads(row["old_weights"]) == [500, 500]
-        assert json.loads(row["new_weights"]) == [400, 600]
-
-    def test_spans_csv_columns(self, hub, clock):
-        report = self._report(hub, clock)
-        rows = list(csv.reader(io.StringIO(spans_to_csv(report))))
-        assert tuple(rows[0]) == SPAN_COLUMNS
-        row = dict(zip(rows[0], rows[1]))
-        assert row["kind"] == "detection"
-        assert float(row["duration"]) == 1.0
 
     def test_write_exports_honors_paths(self, hub, clock, tmp_path):
         report = self._report(hub, clock)

@@ -229,8 +229,8 @@ class TestExportAcceptance:
 
     def test_report_survives_pickle_and_json(self, observed_run):
         clone = pickle.loads(pickle.dumps(observed_run.obs))
-        assert clone.as_dict() == observed_run.obs.as_dict()
-        json.dumps(observed_run.obs.as_dict())
+        assert clone == observed_run.obs
+        json.dumps(dataclasses.asdict(observed_run.obs))
 
 
 class TestConsoleReporter:

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry and its three instrument kinds."""
+"""Unit tests for the metrics registry: callback gauges and histograms."""
 
 import math
 
@@ -12,52 +12,14 @@ def registry():
     return MetricsRegistry()
 
 
-class TestCounter:
-    def test_increments(self, registry):
-        c = registry.counter("tuples_total")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5.0
-        assert registry.read("tuples_total") == 5.0
-
-    def test_negative_increment_rejected(self, registry):
-        with pytest.raises(ValueError):
-            registry.counter("x_total").inc(-1)
-
-    def test_reregistration_returns_same_object(self, registry):
-        a = registry.counter("x_total", connection="0")
-        b = registry.counter("x_total", connection="0")
-        assert a is b
-
-    def test_labels_distinguish_instruments(self, registry):
-        a = registry.counter("x_total", connection="0")
-        b = registry.counter("x_total", connection="1")
-        a.inc()
-        assert a is not b
-        assert registry.read("x_total", connection="0") == 1.0
-        assert registry.read("x_total", connection="1") == 0.0
-
-
 class TestGauge:
-    def test_direct_set_and_add(self, registry):
-        g = registry.gauge("pending")
-        g.set(7)
-        g.add(-2)
-        assert g.value == 5.0
-
     def test_callback_gauge_reads_live(self, registry):
         state = {"v": 1}
         g = registry.gauge_fn("live", lambda: state["v"])
         assert g.value == 1.0
         state["v"] = 42
         assert g.value == 42.0
-
-    def test_callback_gauge_rejects_set(self, registry):
-        g = registry.gauge_fn("live", lambda: 0)
-        with pytest.raises(RuntimeError):
-            g.set(1)
-        with pytest.raises(RuntimeError):
-            g.add(1)
+        assert registry.read("live") == 42.0
 
 
 class TestHistogram:
@@ -95,39 +57,51 @@ class TestHistogram:
 
 
 class TestRegistry:
+    def test_reregistration_returns_same_object(self, registry):
+        a = registry.gauge_fn("x_total", lambda: 1, connection="0")
+        b = registry.gauge_fn("x_total", lambda: 2, connection="0")
+        assert a is b
+
+    def test_labels_distinguish_instruments(self, registry):
+        a = registry.gauge_fn("x_total", lambda: 1, connection="0")
+        b = registry.gauge_fn("x_total", lambda: 0, connection="1")
+        assert a is not b
+        assert registry.read("x_total", connection="0") == 1.0
+        assert registry.read("x_total", connection="1") == 0.0
+
     def test_kind_mismatch_rejected(self, registry):
-        registry.counter("x_total")
+        registry.gauge_fn("x_total", lambda: 0)
         with pytest.raises(ValueError):
-            registry.gauge("x_total")
+            registry.histogram("x_total")
 
     def test_family_kind_enforced_across_label_sets(self, registry):
-        registry.counter("x_total", connection="0")
+        registry.gauge_fn("x_total", lambda: 0, connection="0")
         with pytest.raises(ValueError):
-            registry.gauge("x_total", connection="1")
+            registry.histogram("x_total", connection="1")
 
     def test_invalid_names_rejected(self, registry):
         with pytest.raises(ValueError):
-            registry.counter("bad-name")
+            registry.gauge_fn("bad-name", lambda: 0)
         with pytest.raises(ValueError):
-            registry.counter("ok_total", **{"0bad": "x"})
+            registry.gauge_fn("ok_total", lambda: 0, **{"0bad": "x"})
 
     def test_read_unregistered_is_zero(self, registry):
         assert registry.read("nope") == 0.0
 
     def test_snapshot_keys(self, registry):
-        registry.counter("a_total").inc(2)
+        registry.gauge_fn("a_total", lambda: 2)
         registry.gauge_fn("b", lambda: 3, connection="1")
         snap = registry.snapshot()
         assert snap["a_total"] == 2.0
         assert snap['b{connection="1"}'] == 3.0
 
     def test_to_prometheus_renders_help_type_and_values(self, registry):
-        registry.counter("a_total", help="things").inc()
-        registry.gauge("nanny").set(math.nan)
-        registry.gauge("infy").set(math.inf)
+        registry.gauge_fn("a_total", lambda: 1, help="things")
+        registry.gauge_fn("nanny", lambda: math.nan)
+        registry.gauge_fn("infy", lambda: math.inf)
         text = registry.to_prometheus()
         assert "# HELP a_total things" in text
-        assert "# TYPE a_total counter" in text
+        assert "# TYPE a_total gauge" in text
         assert "a_total 1.0" in text
         assert "nanny NaN" in text
         assert "infy +Inf" in text
@@ -137,6 +111,6 @@ class TestRegistry:
         assert registry.to_prometheus() == ""
 
     def test_label_escaping(self, registry):
-        registry.counter("a_total", tag='quo"te\nnl')
+        registry.gauge_fn("a_total", lambda: 0, tag='quo"te\nnl')
         (key,) = registry.snapshot()
         assert key == 'a_total{tag="quo\\"te\\nnl"}'

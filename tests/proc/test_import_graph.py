@@ -107,3 +107,29 @@ def test_source_tree_has_one_numeric_backend():
         if token in path.read_text()
     ]
     assert offenders == []
+
+
+def test_event_queue_gone():
+    # One event core: the simulator owns the heap, the sequence counter,
+    # the free list and the dead count; there is no queue object beside
+    # it whose methods mirror what the run loop writes out.
+    from repro.sim import events
+    from repro.sim.engine import Simulator
+
+    assert not hasattr(events, "EventQueue")
+    assert "_queue" not in Simulator.__slots__
+    for twin in ("push", "schedule", "pop", "pop_due", "recycle", "peek_time"):
+        assert not hasattr(Simulator, twin), twin
+
+
+def test_analysis_export_gone():
+    # Nothing reached the JSON/CSV result exporters or the §8 placement
+    # planner but their own tests and the export tables.
+    import importlib.util
+
+    from repro.experiments.runner import RunResult
+
+    assert importlib.util.find_spec("repro.analysis.export") is None
+    assert importlib.util.find_spec("repro.experiments.placement_opt") is None
+    assert not hasattr(RunResult, "to_json")
+    assert not hasattr(RunResult, "from_json")

@@ -88,7 +88,7 @@ class TestWorkerLoop:
             (11, b"beta"),
         ]
         bye = parent.of_type(framing.MSG_BYE)
-        assert [m.bye() for m in bye] == [2]
+        assert [int.from_bytes(m.payload, "big") for m in bye] == [2]
 
     def test_control_frame_updates_multiplier(self):
         parent = ParentStub()

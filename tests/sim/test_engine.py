@@ -111,7 +111,7 @@ class TestPerfCounters:
         sim = Simulator()
         sim.call_at(1.0, lambda: None)
         sim.call_at(2.0, lambda: None).cancel()
-        sim.schedule_at(3.0, lambda: None)
+        sim.schedule_after(3.0, lambda: None)
         sim.call_at(9.0, lambda: None)
         sim.run_until(5.0)
         perf = sim.perf
@@ -121,18 +121,9 @@ class TestPerfCounters:
         assert perf.live_events == 1
         assert sim.events_processed == 2
 
-    def test_events_per_second(self):
-        sim = Simulator()
-        for t in (1.0, 2.0):
-            sim.schedule_at(t, lambda: None)
-        sim.run_until(3.0)
-        assert sim.perf.events_per_second(0.5) == 4.0
-        with pytest.raises(ValueError):
-            sim.perf.events_per_second(0.0)
-
     def test_as_dict_round_trip(self):
         sim = Simulator()
-        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_after(1.0, lambda: None)
         sim.run_until(2.0)
         d = sim.perf.as_dict()
         assert d["events_processed"] == 1
@@ -145,7 +136,7 @@ class TestTracing:
             sim = Simulator()
             sim.enable_tracing()
             sim.call_every(0.5, lambda: None)
-            sim.schedule_at(1.25, lambda: sim.schedule_after(0.5, lambda: None))
+            sim.schedule_after(1.25, lambda: sim.schedule_after(0.5, lambda: None))
             sim.run_until(10.0)
             return sim.trace_digest()
 
@@ -155,8 +146,8 @@ class TestTracing:
         def run_one(first, second):
             sim = Simulator()
             sim.enable_tracing()
-            sim.schedule_at(first, lambda: None)
-            sim.schedule_at(second, lambda: None)
+            sim.schedule_after(first, lambda: None)
+            sim.schedule_after(second, lambda: None)
             sim.run_until(10.0)
             return sim.trace_digest()
 

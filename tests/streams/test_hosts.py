@@ -15,10 +15,6 @@ def fill(host, n):
 
 
 class TestCapacityModel:
-    def test_threads(self):
-        assert Host("slow", cores=8).threads == 8
-        assert Host("fast", cores=8, smt_per_core=2).threads == 16
-
     def test_capacity_scales_with_cores(self):
         host = Host("h", cores=8, thread_speed=100.0)
         assert host.total_capacity(1) == 100.0
@@ -63,24 +59,6 @@ class TestPlacement:
         placement = Placement.single_host(3, host)
         assert len(placement) == 3
         assert placement[0] is placement[2] is host
-
-    def test_split_evenly_round_robins(self):
-        a, b = Host("a"), Host("b")
-        placement = Placement.split_evenly(5, [a, b])
-        assert [p.name for p in placement.host_of] == ["a", "b", "a", "b", "a"]
-
-    def test_split_evenly_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Placement.split_evenly(2, [])
-
-    def test_one_pe_per_core_allocates_hosts(self):
-        placement = Placement.one_pe_per_core(
-            20, lambda i: Host(f"h{i}"), cores_per_host=8
-        )
-        names = [p.name for p in placement.host_of]
-        assert names[:8] == ["h0"] * 8
-        assert names[8:16] == ["h1"] * 8
-        assert names[16:] == ["h2"] * 4
 
     def test_hosts_lists_distinct_in_order(self):
         a, b = Host("a"), Host("b")

@@ -289,7 +289,7 @@ class TestWorkerLifecycle:
         # Halt revokes the in-service tuple; redeliver it the way the
         # injector does, so no sequence number is orphaned.
         revoked = worker.halt()
-        assert worker.halted
+        assert worker._halted
         assert revoked is not None
         region.connections[0].requeue_front(revoked)
         sim.run_until(0.5)

@@ -24,7 +24,6 @@ class TestPublicApi:
             "Application",
             "StreamGraph",
             "Simulator",
-            "plan_placement",
             "OverloadManager",
             "OverloadConfig",
             "RatedSource",

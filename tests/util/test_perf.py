@@ -1,7 +1,5 @@
 """Edge cases for the lightweight perf tallies (util/perf.py)."""
 
-import pytest
-
 from repro.util.perf import (
     COUNTERS,
     BatchStats,
@@ -99,15 +97,6 @@ class TestPerfCounters:
         )
         base.update(overrides)
         return PerfCounters(**base)
-
-    def test_events_per_second(self):
-        assert self._snap().events_per_second(2.0) == 50.0
-
-    def test_events_per_second_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            self._snap().events_per_second(0.0)
-        with pytest.raises(ValueError):
-            self._snap().events_per_second(-1.0)
 
     def test_as_dict_key_stability(self):
         assert set(self._snap().as_dict()) == {

@@ -8,7 +8,6 @@ from repro.util.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
-    check_probability_vector,
 )
 
 
@@ -38,22 +37,3 @@ class TestScalarChecks:
         with pytest.raises(ValueError):
             check_fraction("x", value)
 
-
-class TestProbabilityVector:
-    def test_accepts_valid(self):
-        check_probability_vector("w", [0.2, 0.3, 0.5])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            check_probability_vector("w", [])
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(ValueError, match=r"w\[1\]"):
-            check_probability_vector("w", [0.5, -0.1, 0.6])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            check_probability_vector("w", [0.5, 0.6])
-
-    def test_tolerance(self):
-        check_probability_vector("w", [0.5, 0.5 + 1e-10])
