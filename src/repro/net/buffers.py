@@ -7,7 +7,9 @@ tuples (locally on the splitter and remotely on the worker)."
 
 Capacity is measured in tuples. Real TCP buffers are sized in bytes, but for
 a fixed-size tuple stream the two are equivalent up to a constant, and tuple
-units keep the simulator's accounting exact.
+units keep the simulator's accounting exact. Transfers between the two
+buffers of a connection are immediate, so occupancy is the whole state: a
+buffer is full when it holds ``capacity`` tuples.
 """
 
 from __future__ import annotations
@@ -25,21 +27,14 @@ class BufferFullError(RuntimeError):
 
 
 class BoundedBuffer(Generic[T]):
-    """FIFO queue with a hard capacity and optional space reservations.
+    """FIFO queue with a hard capacity."""
 
-    Reservations model in-flight data: a transfer claims space in the
-    receive buffer *when it starts* (TCP advertises the window before the
-    bytes arrive), and converts the reservation to a real entry on
-    delivery.
-    """
-
-    __slots__ = ("capacity", "_items", "_reserved")
+    __slots__ = ("capacity", "_items")
 
     def __init__(self, capacity: int) -> None:
         check_positive("capacity", capacity)
         self.capacity = int(capacity)
         self._items: deque[T] = deque()
-        self._reserved = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -47,25 +42,13 @@ class BoundedBuffer(Generic[T]):
     def __bool__(self) -> bool:
         return bool(self._items)
 
-    @property
-    def reserved(self) -> int:
-        """Number of outstanding space reservations."""
-        return self._reserved
-
-    @property
-    def free_slots(self) -> int:
-        """Slots available for new pushes or reservations."""
-        return self.capacity - len(self._items) - self._reserved
-
     def is_full(self) -> bool:
-        """True when no push or reservation can be accepted."""
-        # Inlined free-slot arithmetic: this runs per tuple on the
-        # transport hot path, where a property access is measurable.
-        return self.capacity - len(self._items) - self._reserved <= 0
+        """True when no push can be accepted."""
+        return len(self._items) >= self.capacity
 
     def try_push(self, item: T) -> bool:
         """Append ``item`` if there is space; return whether it was taken."""
-        if self.capacity - len(self._items) - self._reserved <= 0:
+        if len(self._items) >= self.capacity:
             return False
         self._items.append(item)
         return True
@@ -73,22 +56,7 @@ class BoundedBuffer(Generic[T]):
     def push(self, item: T) -> None:
         """Append ``item``; raises :class:`BufferFullError` when full."""
         if not self.try_push(item):
-            raise BufferFullError(
-                f"buffer full (capacity={self.capacity}, reserved={self._reserved})"
-            )
-
-    def reserve(self) -> None:
-        """Claim one slot for an in-flight item."""
-        if self.is_full():
-            raise BufferFullError("cannot reserve space in a full buffer")
-        self._reserved += 1
-
-    def push_reserved(self, item: T) -> None:
-        """Deliver an item into a slot previously claimed by :meth:`reserve`."""
-        if self._reserved <= 0:
-            raise BufferFullError("push_reserved without a reservation")
-        self._reserved -= 1
-        self._items.append(item)
+            raise BufferFullError(f"buffer full (capacity={self.capacity})")
 
     def push_front(self, item: T) -> None:
         """Put ``item`` back at the head, bypassing the capacity check.
@@ -101,15 +69,12 @@ class BoundedBuffer(Generic[T]):
         self._items.appendleft(item)
 
     def clear(self) -> int:
-        """Drop every item and outstanding reservation; return items dropped.
+        """Drop every item; return items dropped.
 
-        Fault path: a failed connection's buffers die with it. Reservations
-        are forgotten too — the in-flight transfers they backed are
-        invalidated by the connection's generation bump.
+        Fault path: a failed connection's buffers die with it.
         """
         dropped = len(self._items)
         self._items.clear()
-        self._reserved = 0
         return dropped
 
     def pop(self) -> T:
@@ -122,8 +87,8 @@ class BoundedBuffer(Generic[T]):
 class RunBuffer:
     """A bounded FIFO of :class:`~repro.streams.tuples.TupleBlock` runs.
 
-    The block-native dataplane's buffer: capacity, occupancy and
-    reservations are all denominated in **tuples** — exactly like
+    The block-native dataplane's buffer: capacity and occupancy are
+    denominated in **tuples** — exactly like
     :class:`BoundedBuffer` — so blocking dynamics (when a send buffer
     fills, how much a connection holds) are unchanged from the per-tuple
     engine; only the bookkeeping granularity is coarser. A push that does
@@ -132,14 +97,13 @@ class RunBuffer:
     no operation ever distorts capacity accounting to block granularity.
     """
 
-    __slots__ = ("capacity", "_runs", "_tuples", "_reserved")
+    __slots__ = ("capacity", "_runs", "_tuples")
 
     def __init__(self, capacity: int) -> None:
         check_positive("capacity", capacity)
         self.capacity = int(capacity)
         self._runs: deque = deque()
         self._tuples = 0
-        self._reserved = 0
 
     def __len__(self) -> int:
         """Occupancy in tuples (not blocks)."""
@@ -148,19 +112,9 @@ class RunBuffer:
     def __bool__(self) -> bool:
         return self._tuples > 0
 
-    @property
-    def reserved(self) -> int:
-        """Tuples of outstanding space reservations."""
-        return self._reserved
-
-    @property
-    def free_slots(self) -> int:
-        """Tuple slots available for new pushes or reservations."""
-        return self.capacity - self._tuples - self._reserved
-
     def is_full(self) -> bool:
         """True when not a single further tuple can be accepted."""
-        return self.capacity - self._tuples - self._reserved <= 0
+        return self._tuples >= self.capacity
 
     def push_run(self, block) -> int:
         """Accept as much of ``block`` as fits; return tuples accepted.
@@ -169,7 +123,7 @@ class RunBuffer:
         tail (``block.split(accepted)[1]``) — the run-level analogue of a
         partial ``sendmsg``.
         """
-        free = self.capacity - self._tuples - self._reserved
+        free = self.capacity - self._tuples
         if free <= 0:
             return 0
         count = block.count
@@ -180,20 +134,6 @@ class RunBuffer:
         self._runs.append(block.split(free)[0])
         self._tuples += free
         return free
-
-    def reserve_run(self, n: int) -> None:
-        """Claim ``n`` tuple slots for an in-flight run."""
-        if n > self.capacity - self._tuples - self._reserved:
-            raise BufferFullError("cannot reserve space in a full buffer")
-        self._reserved += n
-
-    def push_reserved_run(self, block) -> None:
-        """Deliver a block into slots claimed by :meth:`reserve_run`."""
-        if self._reserved < block.count:
-            raise BufferFullError("push_reserved_run without a reservation")
-        self._reserved -= block.count
-        self._runs.append(block)
-        self._tuples += block.count
 
     def push_front_run(self, block) -> None:
         """Put a block back at the head, bypassing the capacity check.
@@ -208,14 +148,14 @@ class RunBuffer:
     def transfer_to(self, other: "RunBuffer") -> int:
         """Move blocks FIFO into ``other`` until its free slots run out.
 
-        The zero-wire-delay pump's whole inner loop in one call: whole
+        The block pump's whole inner loop in one call: whole
         blocks move as single deque operations, the block straddling the
         receiver's free-slot boundary is split exactly where per-tuple
         flow control would have stopped, and both buffers' tuple counts
         are settled once. Returns tuples moved (0 when nothing fits or
         nothing is queued).
         """
-        free = other.capacity - other._tuples - other._reserved
+        free = other.capacity - other._tuples
         if free <= 0 or not self._tuples:
             return 0
         runs = self._runs
@@ -277,9 +217,8 @@ class RunBuffer:
         return out
 
     def clear(self) -> int:
-        """Drop every block and reservation; return tuples dropped."""
+        """Drop every block; return tuples dropped."""
         dropped = self._tuples
         self._runs.clear()
         self._tuples = 0
-        self._reserved = 0
         return dropped

@@ -14,31 +14,27 @@ The model mirrors what matters about TCP for the paper's argument:
 * a per-connection :class:`~repro.net.blocking.BlockingCounter` that the
   *sender* charges with the time it spent blocked.
 
-An optional per-tuple ``wire_delay`` models network latency. The default of
-zero matches the paper's InfiniBand cluster, where propagation is negligible
-next to buffer-induced queueing.
+A transfer from the send to the receive buffer is immediate: the paper ran
+on InfiniBand, where propagation is negligible next to buffer-induced
+queueing. The connection therefore schedules no events of its own; it
+moves tuples synchronously inside the send and take that make room.
 
 Fault support (the fault-injection subsystem): a connection can be
 **stalled** (transport frozen — tuples pile up in the send buffer, exactly
 what a dead or wedged peer looks like to the sender), **failed** (both
 buffers dropped, as when the peer's kernel discards its socket state), and
 **reset** (buffers cleared and the transport revived for a restarted peer).
-A generation counter invalidates in-flight wire transfers across a
-fail/reset, so a delayed arrival from before the fault can never deliver
-into the revived connection.
+Nothing is ever in flight between the buffers, so clearing them is the
+whole of a fail or reset.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.net.blocking import BlockingCounter
 from repro.net.buffers import BoundedBuffer, RunBuffer
-from repro.util.validation import check_non_negative
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
 
 
 class SimulatedConnection:
@@ -46,29 +42,23 @@ class SimulatedConnection:
 
     def __init__(
         self,
-        sim: "Simulator",
         conn_id: int,
         *,
         send_capacity: int = 32,
         recv_capacity: int = 32,
-        wire_delay: float = 0.0,
         block_mode: bool = False,
     ) -> None:
-        check_non_negative("wire_delay", wire_delay)
-        self.sim = sim
         self.conn_id = conn_id
-        self.wire_delay = wire_delay
-        #: Array-native dataplane: buffers hold contiguous
-        #: :class:`~repro.streams.tuples.TupleBlock` runs (capacity still
-        #: denominated in tuples) and the transport moves whole blocks via
-        #: :meth:`send_run`/:meth:`take_runs`. The per-item APIs
-        #: (``send_nowait``/``take``/...) are not valid in this mode.
-        self.block_mode = block_mode
+        # ``block_mode`` is the array-native dataplane: buffers hold
+        # contiguous :class:`~repro.streams.tuples.TupleBlock` runs
+        # (capacity still denominated in tuples) and the transport moves
+        # whole blocks via :meth:`send_run`/:meth:`take_runs`. The per-item
+        # APIs (``send_nowait``/``take``/...) are not valid in this mode.
         if block_mode:
             self._send_buffer: Any = RunBuffer(send_capacity)
             self._recv_buffer: Any = RunBuffer(recv_capacity)
             # Shadow the per-item pump with the block pump so every
-            # internal consumer (unstall, arrivals) moves blocks.
+            # internal consumer (unstall, take) moves blocks.
             self._pump = self._pump_runs
         else:
             self._send_buffer = BoundedBuffer(send_capacity)
@@ -84,14 +74,6 @@ class SimulatedConnection:
         #: :meth:`unstall` or :meth:`reset`. Sends still fill the send
         #: buffer — the sender only notices once it elects to block.
         self.stalled = False
-        #: Bumped by :meth:`fail`/:meth:`reset`; in-flight wire transfers
-        #: carry the generation they started under and are dropped on
-        #: arrival if it no longer matches.
-        self._generation = 0
-        #: Tuples accepted into the send buffer since construction.
-        self.tuples_sent = 0
-        #: Tuples that have landed in the receive buffer since construction.
-        self.tuples_delivered = 0
 
     # ----------------------------------------------------------------- send
 
@@ -109,7 +91,6 @@ class SimulatedConnection:
         """
         if not self._send_buffer.try_push(item):
             return False
-        self.tuples_sent += 1
         self._pump()
         return True
 
@@ -145,7 +126,7 @@ class SimulatedConnection:
         Crash redelivery: the worker died mid-service, so the tuple goes
         back where it came from and is re-serviced on restart (or swept up
         by :meth:`fail` and replayed if the channel is failed over
-        instead). Not counted in :attr:`tuples_delivered` again.
+        instead).
         """
         self._recv_buffer.push_front(item)
 
@@ -158,29 +139,21 @@ class SimulatedConnection:
         keeps the split tail on partial accept, exactly like a partial
         ``sendmsg``), followed by one flow-control pump.
 
-        Steady state — zero wire delay, nothing queued or stalled, and
-        the whole block fits in free receive space — skips the send
-        buffer entirely: the block lands in the receive buffer and the
-        consumer is notified in one step, which is exactly what the
-        push-then-pump sequence would have done block by block.
+        Steady state — nothing queued or stalled, and the whole block
+        fits in free receive space — skips the send buffer entirely: the
+        block lands in the receive buffer and the consumer is notified in
+        one step, which is exactly what the push-then-pump sequence would
+        have done block by block.
         """
         count = block.count
         if (
-            count
-            <= (
-                (recv := self._recv_buffer).capacity
-                - recv._tuples
-                - recv._reserved
-            )
+            count <= (recv := self._recv_buffer).capacity - recv._tuples
             and not self._send_buffer._tuples
-            and self.wire_delay == 0.0
             and not self.stalled
             and not self._pumping
         ):
             recv._runs.append(block)
             recv._tuples += count
-            self.tuples_sent += count
-            self.tuples_delivered += count
             # No send space was freed (the send buffer stayed empty, so
             # no waiter can exist) — deliver and return. The consumer's
             # take cannot re-enter a pump here: with an empty send buffer
@@ -190,7 +163,6 @@ class SimulatedConnection:
             return count
         accepted = self._send_buffer.push_run(block)
         if accepted:
-            self.tuples_sent += accepted
             self._pump_runs()
         return accepted
 
@@ -229,77 +201,33 @@ class SimulatedConnection:
         send_buffer = self._send_buffer
         recv_buffer = self._recv_buffer
         try:
-            if self.wire_delay == 0.0:
-                # Move-then-notify rounds: the consumer's take may free
-                # receive space, so loop until a round moves nothing.
-                while True:
-                    moved = send_buffer.transfer_to(recv_buffer)
-                    if moved == 0:
-                        break
-                    freed_send_space = True
-                    self.tuples_delivered += moved
-                    if self.on_deliver is None:
-                        break
-                    self.on_deliver()
-                    if not send_buffer._tuples:
-                        # The consumer drained everything queued; no next
-                        # round can move more.
-                        break
-            else:
-                batch: list | None = None
-                while send_buffer and not recv_buffer.is_full():
-                    for block in send_buffer.pop_runs(recv_buffer.free_slots):
-                        recv_buffer.reserve_run(block.count)
-                        freed_send_space = True
-                        if batch is None:
-                            batch = [block]
-                        else:
-                            batch.append(block)
-                if batch is not None:
-                    generation = self._generation
-                    self.sim.schedule_after(
-                        self.wire_delay,
-                        lambda runs=batch, gen=generation: (
-                            self._arrive_runs(runs, gen)
-                        ),
-                    )
+            # Move-then-notify rounds: the consumer's take may free
+            # receive space, so loop until a round moves nothing.
+            while True:
+                if send_buffer.transfer_to(recv_buffer) == 0:
+                    break
+                freed_send_space = True
+                if self.on_deliver is None:
+                    break
+                self.on_deliver()
+                if not send_buffer._tuples:
+                    # The consumer drained everything queued; no next
+                    # round can move more.
+                    break
         finally:
             self._pumping = False
         if freed_send_space:
             self._wake_sender()
 
-    def _arrive_runs(self, runs: list, generation: int) -> None:
-        """Complete delayed in-flight block transfers in one landing.
-
-        The whole pump's worth of blocks lands, the consumer is notified
-        once, then flow control catches up. A generation mismatch means
-        the transfers died with a failed connection; drop them.
-        """
-        if generation != self._generation:
-            return
-        delivered = 0
-        recv_buffer = self._recv_buffer
-        for block in runs:
-            recv_buffer.push_reserved_run(block)
-            delivered += block.count
-        self.tuples_delivered += delivered
-        if self.on_deliver is not None:
-            self.on_deliver()
-        self._pump_runs()
-
     # ------------------------------------------------------------ inspection
 
     def queued_tuples(self) -> int:
-        """Total tuples buffered in the connection (send + in flight + recv).
+        """Total tuples buffered in the connection (send + receive).
 
         This is the "at least two system buffers worth of unprocessed
         tuples" of Section 4.4.
         """
-        return (
-            len(self._send_buffer)
-            + self._recv_buffer.reserved
-            + len(self._recv_buffer)
-        )
+        return len(self._send_buffer) + len(self._recv_buffer)
 
     # ---------------------------------------------------------------- faults
 
@@ -330,28 +258,22 @@ class SimulatedConnection:
         return waiter
 
     def fail(self) -> int:
-        """Kill the transport: drop all buffered and in-flight tuples.
+        """Kill the transport: drop all buffered tuples.
 
-        Returns how many tuples were dropped (send + in-flight + receive).
-        The connection stays stalled afterwards; :meth:`reset` revives it.
+        Returns how many tuples were dropped (send + receive). The
+        connection stays stalled afterwards; :meth:`reset` revives it.
         Replay of the dropped tuples is the splitter's job — it holds the
         retransmit buffer of everything unacknowledged.
         """
-        dropped = self.queued_tuples()
-        self._generation += 1
-        self._send_buffer.clear()
-        self._recv_buffer.clear()
+        dropped = self._send_buffer.clear() + self._recv_buffer.clear()
         self.stalled = True
         return dropped
 
     def reset(self) -> None:
         """Revive a failed/stalled connection with empty buffers.
 
-        The restarted peer comes up with fresh socket state; any tuple
-        from the old generation that is still in flight is dropped on
-        arrival.
+        The restarted peer comes up with fresh socket state.
         """
-        self._generation += 1
         self._send_buffer.clear()
         self._recv_buffer.clear()
         self._send_space_waiter = None
@@ -365,13 +287,6 @@ class SimulatedConnection:
         Reentrant calls (a delivery callback that synchronously takes a
         tuple, which frees receive space) are flattened into the outer
         loop via the ``_pumping`` guard.
-
-        With a nonzero ``wire_delay``, every transfer this pump starts
-        shares the same start time and arrives after the same delay, so
-        nothing can interleave with their arrivals: they land in one event
-        (:meth:`_arrive_batch`) per pump instead of one per tuple. Blocking
-        accounting stays per tuple: space is reserved when a transfer
-        starts, and delivery/counters advance per tuple on arrival.
         """
         if self._pumping or self.stalled:
             return
@@ -380,61 +295,16 @@ class SimulatedConnection:
         send_buffer = self._send_buffer
         recv_buffer = self._recv_buffer
         try:
-            if self.wire_delay == 0.0:
-                while send_buffer and not recv_buffer.is_full():
-                    item = send_buffer.pop()
-                    freed_send_space = True
-                    recv_buffer.push(item)
-                    self.tuples_delivered += 1
-                    if self.on_deliver is not None:
-                        self.on_deliver()
-            else:
-                batch: list[Any] | None = None
-                while send_buffer and not recv_buffer.is_full():
-                    item = send_buffer.pop()
-                    freed_send_space = True
-                    recv_buffer.reserve()
-                    if batch is None:
-                        batch = [item]
-                    else:
-                        batch.append(item)
-                if batch is not None:
-                    generation = self._generation
-                    self.sim.schedule_after(
-                        self.wire_delay,
-                        lambda items=batch, gen=generation: (
-                            self._arrive_batch(items, gen)
-                        ),
-                    )
+            while send_buffer and not recv_buffer.is_full():
+                item = send_buffer.pop()
+                freed_send_space = True
+                recv_buffer.push(item)
+                if self.on_deliver is not None:
+                    self.on_deliver()
         finally:
             self._pumping = False
         if freed_send_space:
             self._wake_sender()
-
-    def _arrive_batch(
-        self,
-        items: "list[Any]",
-        generation: int | None = None,
-    ) -> None:
-        """Complete delayed in-flight transfers, one tuple at a time.
-
-        Each tuple runs the full per-arrival sequence: convert its
-        reservation, count it, notify the consumer, then let flow control
-        catch up (the delivery callback may have consumed tuples and freed
-        receive space).
-
-        ``generation`` is the connection generation the transfer started
-        under; a fail/reset in between invalidates the transfer (the bytes
-        died with the old socket), so the arrival is dropped.
-        """
-        if generation is not None and generation != self._generation:
-            return
-        for item in items:
-            self._recv_buffer.push_reserved(item)
-            self.tuples_delivered += 1
-            if self.on_deliver is not None:
-                self.on_deliver()
-            self._pump()
 
     def _wake_sender(self) -> None:
         """Fire the parked sender, if any and if space truly exists."""

@@ -32,7 +32,6 @@ class ConsoleReporter:
     ) -> None:
         self.hub = hub
         self.out = out
-        self.lines_emitted = 0
 
     def line(self) -> str:
         """Compose the current status line (pure; no side effects)."""
@@ -65,4 +64,3 @@ class ConsoleReporter:
     def tick(self) -> None:
         """Emit one report line (scheduled via ``sim.call_every``)."""
         self.out(self.line())
-        self.lines_emitted += 1

@@ -111,8 +111,6 @@ class AdmissionController:
         self.detector = detector
         #: Tuples the source offered (arrivals).
         self.offered = 0
-        #: Tuples admitted into the region.
-        self.admitted = 0
         #: Tuples shed before sequence assignment.
         self.shed = 0
 
@@ -125,7 +123,6 @@ class AdmissionController:
             else 0.0
         )
         if self.policy.admit(index, backlog, pressure):
-            self.admitted += 1
             return True
         self.shed += 1
         return False

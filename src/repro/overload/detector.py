@@ -105,8 +105,6 @@ class OverloadDetector:
         #: Most recent signals (diagnostics).
         self.last_backlog = 0
         self.last_pending = 0
-        self.last_growth = 0
-        self.last_blocked_fractions: list[float] = []
         self._trip_streak = 0
         self._clear_streak = 0
         self._last_now: float | None = None
@@ -150,8 +148,6 @@ class OverloadDetector:
         growth = backlog - self.last_backlog
         self.last_backlog = backlog
         self.last_pending = pending
-        self.last_growth = growth
-        self.last_blocked_fractions = fractions
         self._last_now = now
         self._last_counters = tuple(counters)
 

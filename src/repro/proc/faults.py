@@ -50,8 +50,6 @@ class RealFaultDriver:
         self._timed: list[tuple[float, str, callable]] = []
         #: Pending progress-triggered crashes: ``(emitted, worker)``.
         self._counted: list[tuple[int, int]] = []
-        #: Multiplier currently in force per the slowdown schedule.
-        self._slowdown = 1.0
         #: Everything that actually fired: ``(region time, description)``.
         self.fired: list[tuple[float, str]] = []
         self._thread: threading.Thread | None = None
@@ -154,6 +152,5 @@ class RealFaultDriver:
         self.supervisor.kill(worker, sig)
 
     def _set_slowdown(self, multiplier: float) -> None:
-        self._slowdown = multiplier
         for slot in self.region.slots:
             self.region.send_control(slot.index, multiplier)

@@ -337,7 +337,6 @@ class ProcessRegion:
         self._results = 0
         self._duplicates = 0
         self._replayed = 0
-        self._service_seconds = 0.0
         self._fatal: Exception | None = None
         self._closing = False
         self._started = False

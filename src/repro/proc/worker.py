@@ -86,9 +86,6 @@ class WorkerMain:
         self.control_multiplier = 1.0
         self.processed = 0
         self._draining = False
-        #: Whether TCP_NODELAY stuck on the connect socket (None before
-        #: connect) — introspectable for the nodelay regression test.
-        self.nodelay_enabled: bool | None = None
 
     # ------------------------------------------------------------- service
 
@@ -117,9 +114,6 @@ class WorkerMain:
         )
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self.nodelay_enabled = bool(
-                sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-            )
         except OSError:  # pragma: no cover - AF_UNIX in exotic setups
             pass
         sock.settimeout(None)

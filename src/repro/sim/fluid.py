@@ -30,6 +30,10 @@ from collections.abc import Sequence
 from repro.net.blocking import BlockingCounter
 from repro.util.validation import check_positive
 
+#: Relative tolerance within which the incumbent draft leader keeps the
+#: lead over a strictly more loaded connection.
+LEADER_STICKINESS = 1e-9
+
 
 class FluidRegion:
     """Analytic steady-state model of splitter + N workers + merge."""
@@ -40,7 +44,6 @@ class FluidRegion:
         *,
         splitter_rate: float = 1e9,
         resolution: int = 1000,
-        leader_stickiness: float = 1e-9,
     ) -> None:
         if not service_rates:
             raise ValueError("need at least one worker")
@@ -59,7 +62,6 @@ class FluidRegion:
             base + (1 if j < rem else 0) for j in range(len(self._mu))
         ]
         self._leader: int | None = None
-        self._stickiness = leader_stickiness
 
     @property
     def n_workers(self) -> int:
@@ -145,7 +147,7 @@ class FluidRegion:
                 * self.resolution
                 / self._weights[bottleneck]
             )
-            if incumbent <= strict * (1.0 + self._stickiness):
+            if incumbent <= strict * (1.0 + LEADER_STICKINESS):
                 return self._leader
         self._leader = bottleneck
         return bottleneck

@@ -368,8 +368,7 @@ class Application:
 
     def _new_conn(self) -> SimulatedConnection:
         conn = SimulatedConnection(
-            self.sim,
-            conn_id=len(self._all_conns),
+            len(self._all_conns),
             send_capacity=self.buffer_capacity,
             recv_capacity=self.buffer_capacity,
         )

@@ -92,9 +92,6 @@ class WorkerPE:
         #: Quarantined by the recovery layer: do not consume even if up.
         self._halted = False
         self._completion_event = None
-        #: Tuples whose service was revoked by a crash/halt (diagnostic;
-        #: each one is replayed by the splitter, never silently lost).
-        self.tuples_dropped = 0
         #: Called ``(pe_id, seq)`` after a tuple is accepted by the merger
         #: — the acknowledgement the splitter's retransmit buffer consumes.
         self.on_processed = None
@@ -210,15 +207,6 @@ class WorkerPE:
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        if revoked is not None:
-            if isinstance(revoked, list):
-                # Block mode revokes a run of TupleBlocks; count tuples.
-                if revoked and type(revoked[0]) is TupleBlock:
-                    self.tuples_dropped += sum(b.count for b in revoked)
-                else:
-                    self.tuples_dropped += len(revoked)
-            else:
-                self.tuples_dropped += 1
         return revoked
 
     # ------------------------------------------------------------- internal

@@ -16,7 +16,7 @@ from repro.net.connection import SimulatedConnection
 from repro.streams.merger import OrderedMerger, UnorderedMerger
 from repro.streams.pe import WorkerPE
 from repro.streams.splitter import RegionStalledError, RoutingPolicy, Splitter
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.blocking import BlockingCounter
@@ -30,26 +30,20 @@ class RegionParams:
     """Dataplane parameters shared by every connection in the region.
 
     The defaults model the paper's setup: two OS socket buffers per
-    connection (sized in tuples), negligible wire latency (InfiniBand), and
-    a splitter whose per-tuple send cost is small relative to worker
-    service times, so workers are the bottleneck until parallelism is high.
+    connection (sized in tuples) with immediate transfers between them
+    (InfiniBand's wire latency is negligible), and a splitter whose
+    per-tuple send cost is small relative to worker service times, so
+    workers are the bottleneck until parallelism is high.
     """
 
     send_capacity: int = 32
     recv_capacity: int = 32
-    wire_delay: float = 0.0
     #: Enable the failure-recovery machinery: the splitter tracks in-flight
     #: tuples for replay, workers ack processed tuples and schedule
     #: cancellable completions so a crash can revoke the tuple in service.
     #: Off by default — the plain hot path is byte-identical to a region
     #: without fault support.
     fault_tolerant: bool = False
-    #: Per-connection retransmit-buffer cap. ``None`` sizes it to what a
-    #: channel can hold unacknowledged: both system buffers plus a run of
-    #: ``batch_size`` in transit and a run in service at the worker. A
-    #: smaller explicit cap evicts the oldest entries, which a crash then
-    #: cannot replay (counted in ``Splitter.retransmit_dropped``).
-    retransmit_capacity: int | None = None
     #: Allow the overload-management layer (:mod:`repro.overload`) to
     #: attach: admission control at the source, merger->splitter flow
     #: control, and the overload detector. Off by default — with it off
@@ -91,7 +85,6 @@ class RegionParams:
             )
         check_positive("send_capacity", self.send_capacity)
         check_positive("recv_capacity", self.recv_capacity)
-        check_non_negative("wire_delay", self.wire_delay)
         check_positive("send_overhead", self.send_overhead)
         check_positive("batch_size", self.batch_size)
         if not 0.0 <= self.service_jitter <= 1.0:
@@ -131,11 +124,9 @@ class ParallelRegion:
         self.merger = OrderedMerger(sim) if ordered else UnorderedMerger(sim)
         self.connections = [
             SimulatedConnection(
-                sim,
                 i,
                 send_capacity=self.params.send_capacity,
                 recv_capacity=self.params.recv_capacity,
-                wire_delay=self.params.wire_delay,
                 block_mode=self.params.batch_size > 1,
             )
             for i in range(n_workers)
@@ -157,18 +148,6 @@ class ParallelRegion:
             )
             for i in range(n_workers)
         ]
-        retransmit_capacity = None
-        if self.params.fault_tolerant:
-            retransmit_capacity = self.params.retransmit_capacity
-            if retransmit_capacity is None:
-                # Everything a channel can hold unacknowledged: both system
-                # buffers, plus one run in flight on the wire and one run in
-                # service at the worker (a run is a single tuple at B = 1).
-                retransmit_capacity = (
-                    self.params.send_capacity
-                    + self.params.recv_capacity
-                    + 2 * self.params.batch_size
-                )
         self.splitter = Splitter(
             sim,
             source,
@@ -176,7 +155,6 @@ class ParallelRegion:
             policy,
             send_overhead=self.params.send_overhead,
             fault_tolerant=self.params.fault_tolerant,
-            retransmit_capacity=retransmit_capacity,
             batch_size=self.params.batch_size,
         )
         if self.params.fault_tolerant:
@@ -255,10 +233,10 @@ class ParallelRegion:
         """Kill channel ``channel`` end to end and recover its tuples.
 
         Halts the worker (revoking any tuple in service — it is still in
-        the retransmit buffer), drops the connection's buffered and
-        in-flight tuples, and queues every unacknowledged tuple for replay
-        to the surviving channels. With ``replay=False`` (the *skip* gap
-        policy) nothing is replayed and the sequence numbers are returned.
+        the retransmit buffer), drops the connection's buffered tuples,
+        and queues every unacknowledged tuple for replay to the surviving
+        channels. With ``replay=False`` (the *skip* gap policy) nothing is
+        replayed and the sequence numbers are returned.
 
         Failing the last live channel raises
         :class:`~repro.streams.splitter.RegionStalledError` before any

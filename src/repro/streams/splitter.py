@@ -19,9 +19,11 @@ Failure recovery (fault-tolerant mode)
 
 The paper assumes workers slow down but never die; a crashed PE would park
 the splitter forever and deadlock the ordered merger on the lost sequence
-numbers. In fault-tolerant mode the splitter therefore keeps a bounded
+numbers. In fault-tolerant mode the splitter therefore keeps a
 **retransmit buffer** of in-flight (sent but unacknowledged) tuples per
-connection. Acknowledgements arrive per tuple once the merger accepts it.
+connection, and never evicts from it: the connection's bounded buffers
+already stop the splitter long before the buffer could grow without
+bound. Acknowledgements arrive once the worker has processed a tuple.
 When the recovery layer declares a channel dead, :meth:`fail_channel`
 
 * un-parks the splitter if it was blocked on the dead channel (charging
@@ -81,6 +83,9 @@ class RoutingPolicy(Protocol):
     def reroute_candidates(self, blocked: int) -> "Iterable[int]":
         """Alternate connections to try when ``blocked`` is full."""
 
+    def allocate_batch(self, count: int) -> list[int]:
+        """Per-connection tuple counts for the next ``count`` tuples."""
+
 
 class Splitter:
     """Routes the ordered tuple stream across the worker connections."""
@@ -94,15 +99,12 @@ class Splitter:
         *,
         send_overhead: float = 1e-5,
         fault_tolerant: bool = False,
-        retransmit_capacity: int | None = None,
         batch_size: int = 1,
     ) -> None:
         if not connections:
             raise ValueError("splitter needs at least one connection")
         check_positive("send_overhead", send_overhead)
         check_positive("batch_size", batch_size)
-        if retransmit_capacity is not None:
-            check_positive("retransmit_capacity", retransmit_capacity)
         self.sim = sim
         self.source = source
         self.connections = connections
@@ -122,11 +124,6 @@ class Splitter:
         self.tuples_replayed = 0
         #: Policy picks redirected away from a dead channel.
         self.fault_reroutes = 0
-        #: Tuples evicted from a full retransmit buffer (unreplayable if
-        #: their channel later dies; zero under the default sizing).
-        self.retransmit_dropped = 0
-        #: Per-connection retransmit cap (``None`` = unbounded).
-        self.retransmit_capacity = retransmit_capacity
         #: Simulated seconds spent paused by merger flow control.
         self.flow_paused_seconds = 0.0
         self._pending: "StreamTuple | None" = None
@@ -149,8 +146,6 @@ class Splitter:
         self._inflight: "list[deque] | None" = (
             [deque() for _ in connections] if fault_tolerant else None
         )
-        #: Seqs evicted from the retransmit buffer and not yet acked.
-        self._unreplayable: list[set[int]] = [set() for _ in connections]
         #: Batched fast path: pull up to this many tuples per dispatch
         #: cycle, apportion them with one policy call, and push each
         #: connection's share with one bulk send. 1 = the per-tuple path,
@@ -309,19 +304,13 @@ class Splitter:
         """Retire ``seq`` from ``connection``'s retransmit buffer.
 
         Acks arrive in each connection's FIFO processing order, so the
-        acknowledged tuple is the oldest retained one — unless it was
-        evicted by the bounded buffer, in which case it is retired from
-        the unreplayable set instead.
+        acknowledged tuple is the oldest retained one.
         """
         if self._inflight is None:
             return
         buffer = self._inflight[connection]
         if buffer and buffer[0].seq == seq:
             buffer.popleft()
-            return
-        evicted = self._unreplayable[connection]
-        if seq in evicted:
-            evicted.discard(seq)
             return
         raise RuntimeError(
             f"ack for seq {seq} does not match connection {connection}'s "
@@ -335,14 +324,11 @@ class Splitter:
         The worker acknowledges whole completed blocks; the retransmit
         buffer holds blocks split at send-accept boundaries, so one ack
         may retire several front blocks, or only part of one (which is
-        split, its unacked tail retained). Evicted seqs inside the range
-        are retired from the unreplayable set, exactly like
-        :meth:`acknowledge`.
+        split, its unacked tail retained).
         """
         if self._inflight is None:
             return
         buffer = self._inflight[connection]
-        evicted = self._unreplayable[connection]
         seq = start
         end = start + count
         retired = 0
@@ -358,9 +344,6 @@ class Splitter:
                     buffer[0] = rest
                     retired += done.count
                     seq = end
-            elif seq in evicted:
-                evicted.discard(seq)
-                seq += 1
             else:
                 raise RuntimeError(
                     f"ack for seq {seq} does not match connection "
@@ -376,11 +359,11 @@ class Splitter:
 
         Returns ``(replayed, lost_seqs)``: how many unacknowledged tuples
         were queued for replay to survivors, and the sequence numbers that
-        cannot be replayed (evicted from the bounded retransmit buffer,
-        plus — with ``replay=False``, the *skip* gap policy — every
-        unacknowledged tuple). The caller routes ``lost_seqs`` to
-        :meth:`~repro.streams.merger.OrderedMerger.mark_lost` so the
-        merger never waits forever on them.
+        will not be replayed — empty unless ``replay=False`` (the *skip*
+        gap policy), which gives up every unacknowledged tuple. The caller
+        routes ``lost_seqs`` to
+        :meth:`~repro.streams.merger.OrderedMerger.mark_lost` so the merger
+        never waits forever on them.
 
         Failing the *last* live channel raises
         :class:`RegionStalledError` before any state changes: without a
@@ -429,8 +412,7 @@ class Splitter:
             self._target = None
 
         unacked = self._inflight[channel]
-        lost = sorted(self._unreplayable[channel])
-        self._unreplayable[channel] = set()
+        lost: list[int] = []
         replayed = 0
         if self.batch_size > 1:
             # Block mode: the retransmit buffer holds TupleBlocks.
@@ -441,16 +423,14 @@ class Splitter:
             else:
                 for block in unacked:
                     lost.extend(range(block.start, block.end))
-            unacked.clear()
             self._inflight_tuples[channel] = 0
         elif replay:
             replayed = len(unacked)
             self.tuples_replayed += replayed
             self._replay.extend(unacked)
-            unacked.clear()
         else:
             lost.extend(tup.seq for tup in unacked)
-            unacked.clear()
+        unacked.clear()
         if replayed and self.finished:
             # The source had drained but replay revives the send loop.
             self.finished = False
@@ -482,27 +462,14 @@ class Splitter:
         if self._pending is None:
             gate = self._flow_gate
             if gate is not None and gate.paused:
-                # Merger backpressure: hold off before pulling the next
-                # tuple; the gate's resume edge restarts the loop.
-                self._parked_flow = True
-                if self._flow_park_start is None:
-                    self._flow_park_start = self.sim.now
-                    if self._obs is not None:
-                        self._flow_span = self._obs.tracer.start(
-                            "flow_pause", self._flow_park_start
-                        )
+                self._park_flow()
                 return
             if self._replay:
                 tup = self._replay.popleft()
             else:
                 tup = self.source.next_tuple()
                 if tup is None:
-                    if self.source.idle():
-                        # Open-loop source between arrivals: park until
-                        # notify_available() wakes us.
-                        self._parked_idle = True
-                        return
-                    self.finished = True
+                    self._park_drained()
                     return
             if tup.born_at is None:
                 tup.born_at = self.sim.now
@@ -543,6 +510,30 @@ class Splitter:
         # how long (the MSG_DONTWAIT + select dance of Section 3).
         self._begin_block(target)
         self.connections[target].wait_for_send_space(self._on_send_space)
+
+    def _park_flow(self) -> None:
+        """Merger backpressure: hold off before pulling more tuples.
+
+        The gate's resume edge restarts the loop.
+        """
+        self._parked_flow = True
+        if self._flow_park_start is None:
+            self._flow_park_start = self.sim.now
+            if self._obs is not None:
+                self._flow_span = self._obs.tracer.start(
+                    "flow_pause", self._flow_park_start
+                )
+
+    def _park_drained(self) -> None:
+        """The source returned nothing: park idle, or finish.
+
+        An open-loop source between arrivals parks the splitter until
+        :meth:`notify_available` wakes it; an exhausted one finishes it.
+        """
+        if self.source.idle():
+            self._parked_idle = True
+        else:
+            self.finished = True
 
     def _live_alternative(self, dead: int) -> int | None:
         """The cyclically-next live channel after ``dead`` (or ``None``)."""
@@ -587,19 +578,10 @@ class Splitter:
     def _sent(self, connection: int) -> None:
         self.sent_per_connection[connection] += 1
         if self._inflight is not None:
-            self._record_inflight(connection, self._pending)
+            self._inflight[connection].append(self._pending)
         self._pending = None
         self._target = None
         self.sim.schedule_after(self.send_overhead, self._try_send_cb)
-
-    def _record_inflight(self, connection: int, tup: "StreamTuple") -> None:
-        buffer = self._inflight[connection]
-        capacity = self.retransmit_capacity
-        if capacity is not None and len(buffer) >= capacity:
-            evicted = buffer.popleft()
-            self._unreplayable[connection].add(evicted.seq)
-            self.retransmit_dropped += 1
-        buffer.append(tup)
 
     # ---------------------------------------------------- batched fast path
 
@@ -624,6 +606,7 @@ class Splitter:
         connections = self.connections
         sent_per = self.sent_per_connection
         inflight = self._inflight
+        inflight_tuples = self._inflight_tuples
         while True:
             if self._chunk_items is None:
                 if not chunks:
@@ -647,7 +630,8 @@ class Splitter:
                 if accepted == block.count:
                     sent_per[target] += accepted
                     if inflight is not None:
-                        self._record_inflight_run(target, block)
+                        inflight[target].append(block)
+                        inflight_tuples[target] += accepted
                     pos += 1
                 elif accepted:
                     # Partial accept: the bulk send's own flow-control
@@ -657,7 +641,8 @@ class Splitter:
                     head, tail = block.split(accepted)
                     sent_per[target] += accepted
                     if inflight is not None:
-                        self._record_inflight_run(target, head)
+                        inflight[target].append(head)
+                        inflight_tuples[target] += accepted
                     blocks[pos] = tail
                 else:
                     break
@@ -693,15 +678,7 @@ class Splitter:
         """Pull and apportion the next batch; ``False`` = parked/finished."""
         gate = self._flow_gate
         if gate is not None and gate.paused:
-            # Merger backpressure: hold off before pulling the next batch;
-            # the gate's resume edge restarts the loop.
-            self._parked_flow = True
-            if self._flow_park_start is None:
-                self._flow_park_start = self.sim.now
-                if self._obs is not None:
-                    self._flow_span = self._obs.tracer.start(
-                        "flow_pause", self._flow_park_start
-                    )
+            self._park_flow()
             return False
         limit = self.batch_size
         replay = self._replay
@@ -710,10 +687,7 @@ class Splitter:
             # contiguous pull from the source.
             block = self.source.next_block(limit)
             if block is None:
-                if self.source.idle():
-                    self._parked_idle = True
-                else:
-                    self.finished = True
+                self._park_drained()
                 return False
             if block.born is None and block.borns is None:
                 block.born = self.sim.now
@@ -735,12 +709,7 @@ class Splitter:
                 blocks.append(block)
                 total += block.count
         if not blocks:
-            if self.source.idle():
-                # Open-loop source between arrivals: park until
-                # notify_available() wakes us.
-                self._parked_idle = True
-            else:
-                self.finished = True
+            self._park_drained()
             return False
         now = self.sim.now
         for block in blocks:
@@ -751,30 +720,12 @@ class Splitter:
     def _apportion(self, blocks: "list[TupleBlock]", total: int) -> bool:
         """Carve the pulled blocks into per-connection runs by weight."""
         n = len(self.connections)
-        policy = self.policy
-        allocate = getattr(policy, "allocate_batch", None)
-        if allocate is not None:
-            alloc = allocate(total)
-            if (
-                len(alloc) != n
-                or sum(alloc) != total
-                or min(alloc) < 0
-            ):
-                raise ValueError(
-                    f"policy allocated {alloc} for a batch of "
-                    f"{total} tuples over {n} connections"
-                )
-        else:
-            # Custom policy without a batch method: realize the same
-            # distribution from per-tuple picks.
-            alloc = [0] * n
-            for _ in range(total):
-                target = policy.next_connection()
-                if not 0 <= target < n:
-                    raise ValueError(
-                        f"policy routed to invalid connection {target}"
-                    )
-                alloc[target] += 1
+        alloc = self.policy.allocate_batch(total)
+        if len(alloc) != n or sum(alloc) != total or min(alloc) < 0:
+            raise ValueError(
+                f"policy allocated {alloc} for a batch of "
+                f"{total} tuples over {n} connections"
+            )
         if not all(self.live):
             for j in range(n):
                 if alloc[j] and not self.live[j]:
@@ -823,30 +774,6 @@ class Splitter:
                     count = 0
             chunks.append((j, share))
         return True
-
-    def _record_inflight_run(self, connection: int, block: "TupleBlock") -> None:
-        """Charge a sent block to ``connection``'s retransmit buffer."""
-        buffer = self._inflight[connection]
-        buffer.append(block)
-        tuples = self._inflight_tuples[connection] + block.count
-        capacity = self.retransmit_capacity
-        if capacity is not None:
-            evicted_seqs = self._unreplayable[connection]
-            while tuples > capacity:
-                front = buffer[0]
-                over = tuples - capacity
-                if front.count <= over:
-                    buffer.popleft()
-                    evicted_seqs.update(range(front.start, front.end))
-                    self.retransmit_dropped += front.count
-                    tuples -= front.count
-                else:
-                    evicted, kept = front.split(over)
-                    buffer[0] = kept
-                    evicted_seqs.update(range(evicted.start, evicted.end))
-                    self.retransmit_dropped += over
-                    tuples -= over
-        self._inflight_tuples[connection] = tuples
 
     def _on_send_space_batch(self) -> None:
         target = self._target

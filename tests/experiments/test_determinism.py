@@ -4,7 +4,6 @@ Three guarantees pinned here:
 
 * the engine's event order is reproducible bit-for-bit (golden trace
   hash over every fired event's ``(time, seq)``);
-* transfers started by one pump share one arrival event;
 * the process-pool sweep executor returns exactly the rows the serial
   path produces;
 * the block path's simulated outcome (Fig. 9 dynamic, ``batch_size=16``,
@@ -55,7 +54,7 @@ def result_fingerprint(result):
     return json.dumps(payload, sort_keys=True)
 
 
-def small_region_trace(*, wire_delay: float) -> str:
+def small_region_trace() -> str:
     """Event-trace digest of a small two-worker region run."""
     sim = Simulator()
     sim.enable_tracing()
@@ -64,10 +63,7 @@ def small_region_trace(*, wire_delay: float) -> str:
         FiniteSource(400, constant_cost(1000.0)),
         RoundRobinPolicy(2),
         Placement.single_host(2, Host("h", cores=2, thread_speed=1e6)),
-        params=RegionParams(
-            wire_delay=wire_delay,
-            service_jitter=0.05,
-        ),
+        params=RegionParams(service_jitter=0.05),
     )
     region.start()
     sim.run_until_idle(100.0)
@@ -77,41 +73,7 @@ def small_region_trace(*, wire_delay: float) -> str:
 
 class TestGoldenTrace:
     def test_event_order_is_reproducible(self):
-        first = small_region_trace(wire_delay=0.0)
-        second = small_region_trace(wire_delay=0.0)
-        assert first == second
-
-    def test_event_order_reproducible_with_wire_delay(self):
-        first = small_region_trace(wire_delay=1e-4)
-        second = small_region_trace(wire_delay=1e-4)
-        assert first == second
-
-
-class TestBatchingInvariance:
-    def test_batch_moves_multiple_tuples_in_one_event(self):
-        from repro.net.connection import SimulatedConnection
-
-        sim = Simulator()
-        conn = SimulatedConnection(
-            sim,
-            0,
-            send_capacity=8,
-            recv_capacity=4,
-            wire_delay=1e-3,
-        )
-        for i in range(12):
-            assert conn.send_nowait(i)
-        sim.run_until(1.0)
-        assert conn.recv_available() == 4  # receive buffer full
-        assert conn.queued_tuples() == 12
-        # Free two receive slots at once (a bursty consumer), then let
-        # flow control catch up in a single pump.
-        conn._recv_buffer.pop()
-        conn._recv_buffer.pop()
-        before = sim.perf.events_scheduled
-        conn._pump()
-        # Both backlogged tuples share one arrival event.
-        assert sim.perf.events_scheduled - before == 1
+        assert small_region_trace() == small_region_trace()
 
 
 class TestSweepParallelism:

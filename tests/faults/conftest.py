@@ -30,7 +30,6 @@ class Rig:
         with_balancer=True,
         sample_interval=1.0,
         ordered=True,
-        retransmit_capacity=None,
     ):
         self.sim = Simulator()
         host = Host("h0", cores=max(8, n), thread_speed=thread_speed)
@@ -55,9 +54,7 @@ class Rig:
             source,
             self.routing,
             placement,
-            params=RegionParams(
-                fault_tolerant=True, retransmit_capacity=retransmit_capacity
-            ),
+            params=RegionParams(fault_tolerant=True),
             ordered=ordered,
         )
         self.injector = FaultInjector(self.sim, self.region)

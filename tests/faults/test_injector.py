@@ -56,7 +56,6 @@ class TestCrash:
         assert rig.recovery.quarantines == 0
         assert merger.emitted == total
         assert merger.tuples_lost == 0
-        assert rig.region.workers[1].tuples_dropped in (0, 1)
 
     def test_scheduled_restart_revives_worker(self, rig_factory):
         rig = rig_factory(n=2)

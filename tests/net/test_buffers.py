@@ -41,34 +41,3 @@ class TestCapacity:
         buf.pop()
         assert buf.try_push(2)
 
-
-class TestReservations:
-    def test_reservation_counts_against_capacity(self):
-        buf = BoundedBuffer(2)
-        buf.reserve()
-        buf.push("a")
-        assert buf.is_full()
-        assert not buf.try_push("b")
-
-    def test_push_reserved_consumes_reservation(self):
-        buf = BoundedBuffer(1)
-        buf.reserve()
-        buf.push_reserved("x")
-        assert buf.reserved == 0
-        assert buf.pop() == "x"
-
-    def test_reserve_full_buffer_raises(self):
-        buf = BoundedBuffer(1)
-        buf.push("a")
-        with pytest.raises(BufferFullError):
-            buf.reserve()
-
-    def test_push_reserved_without_reservation_raises(self):
-        with pytest.raises(BufferFullError):
-            BoundedBuffer(1).push_reserved("x")
-
-    def test_free_slots_accounting(self):
-        buf = BoundedBuffer(4)
-        buf.push("a")
-        buf.reserve()
-        assert buf.free_slots == 2

@@ -183,4 +183,3 @@ class TestConsoleReporter:
         reporter.tick()
         reporter.tick()
         assert len(seen) == 2
-        assert reporter.lines_emitted == 2

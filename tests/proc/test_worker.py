@@ -163,17 +163,32 @@ class TestWorkerLoop:
         with pytest.raises(ValueError, match="unknown mode"):
             WorkerMain("127.0.0.1", 1, 0, 0, mode="warp")
 
-    def test_connect_socket_has_nodelay(self):
+    def test_connect_socket_has_nodelay(self, monkeypatch):
         parent = ParentStub()
+        connected = []
+        create_connection = socket.create_connection
+
+        def recording(*args, **kwargs):
+            connected.append(create_connection(*args, **kwargs))
+            return connected[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recording)
+        nodelay = []
 
         def script(conn):
+            # The HELLO leaves only after the option is set.
+            hello = framing.encode_hello(3, 2)
+            assert conn.recv(len(hello), socket.MSG_WAITALL) == hello
+            nodelay.append(
+                connected[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
             conn.sendall(framing.encode_eos())
 
         parent.start(script)
         worker = make_worker(parent.port)
         assert worker.run() == 0
         parent.finish()
-        assert worker.nodelay_enabled is True
+        assert nodelay and nodelay[0] != 0
 
 
 class TestWorkerBatchedWire:

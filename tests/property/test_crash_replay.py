@@ -7,7 +7,10 @@ strictly ordered, gap-free sequence:
 * under the **replay** gap policy, every sequence number is emitted
   exactly once, in order, no matter the interleaving;
 * under the **skip** gap policy, the emitted sequence is still strictly
-  increasing, and emitted + lost partitions the full budget exactly.
+  increasing, and emitted + lost partitions the full budget exactly;
+* under either policy, failover and replay never grow a connection's
+  retransmit window past its two buffers plus two tuples, the cap the
+  splitter used to enforce — backpressure alone bounds it.
 
 The merger raises on duplicates out of band, so these runs also prove
 no interleaving produces a double emission.
@@ -25,6 +28,8 @@ from repro.streams.sources import FiniteSource, constant_cost
 
 N_WORKERS = 3
 TOTAL = 150
+#: The retransmit cap the splitter used to enforce at ``batch_size=1``.
+WINDOW_BOUND = RegionParams().send_capacity + RegionParams().recv_capacity + 2
 
 crash_events = st.lists(
     st.tuples(
@@ -61,7 +66,15 @@ def run_with_crashes(crashes, gap_policy):
         ),
     )
     emitted_seqs = []
-    region.merger.on_emit = lambda tup: emitted_seqs.append(tup.seq)
+    window = []
+
+    def on_emit(tup):
+        emitted_seqs.append(tup.seq)
+        window.append(
+            max(region.splitter.inflight_count(j) for j in range(N_WORKERS))
+        )
+
+    region.merger.on_emit = on_emit
     for worker, at, restart_after in crashes:
         sim.call_at(
             at,
@@ -73,6 +86,7 @@ def run_with_crashes(crashes, gap_policy):
     region.merger.on_completion(TOTAL, sim.stop)
     region.start()
     sim.run_until(300.0)
+    assert max(window, default=0) <= WINDOW_BOUND
     return region, emitted_seqs
 
 

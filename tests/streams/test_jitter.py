@@ -16,7 +16,7 @@ from repro.streams.tuples import StreamTuple
 def make_pe(jitter, seed=0):
     sim = Simulator()
     host = Host("h", cores=1, thread_speed=1000.0)
-    conn = SimulatedConnection(sim, 0)
+    conn = SimulatedConnection(0)
     return WorkerPE(
         sim, 0, conn, host, OrderedMerger(sim),
         service_jitter=jitter, seed=seed,

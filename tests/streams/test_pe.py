@@ -12,7 +12,7 @@ from repro.streams.tuples import StreamTuple
 
 def make_worker(sim, *, thread_speed=1000.0, load=1.0):
     host = Host("h", cores=1, thread_speed=thread_speed)
-    conn = SimulatedConnection(sim, 0)
+    conn = SimulatedConnection(0)
     merger = OrderedMerger(sim)
     pe = WorkerPE(sim, 0, conn, host, merger, load_multiplier=load)
     return pe, conn, merger
@@ -80,7 +80,7 @@ class TestHostSharing:
         sim = Simulator()
         host = Host("h", cores=1, thread_speed=1000.0)
         merger = OrderedMerger(sim)
-        conns = [SimulatedConnection(sim, j) for j in range(2)]
+        conns = [SimulatedConnection(j) for j in range(2)]
         pes = [WorkerPE(sim, j, conns[j], host, merger) for j in range(2)]
         # 2 PEs on a 1-core host: each runs at half speed.
         tup = StreamTuple(seq=0, cost_multiplies=500.0)

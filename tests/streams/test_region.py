@@ -107,8 +107,6 @@ class TestRegionParams:
         with pytest.raises(ValueError):
             RegionParams(send_capacity=0)
         with pytest.raises(ValueError):
-            RegionParams(wire_delay=-1.0)
-        with pytest.raises(ValueError):
             RegionParams(send_overhead=0.0)
 
     def test_params_propagate_to_connections(self):

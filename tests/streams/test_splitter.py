@@ -13,7 +13,7 @@ def build(sim, n_connections, policy, total, *, send_capacity=2, recv_capacity=2
           send_overhead=0.001):
     connections = [
         SimulatedConnection(
-            sim, j, send_capacity=send_capacity, recv_capacity=recv_capacity
+            j, send_capacity=send_capacity, recv_capacity=recv_capacity
         )
         for j in range(n_connections)
     ]

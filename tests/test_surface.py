@@ -18,6 +18,13 @@ that shares its spelling with a live one.
 What only tests use goes on :data:`ALLOWLIST` with its reason — test
 oracles and observation points, nothing else. Anything new the pass
 reports is deleted, not listed.
+
+A second pass finds write-only state: an attribute a ``src/repro`` class
+stores on ``self`` that no package or root code ever loads — a counter
+nobody reads, a cached value nobody consults. ``self.x += 1`` is a store,
+not a use. It is name-level too: an attribute that shares its spelling
+with a live one elsewhere passes. Observation points only tests read go
+on :data:`WRITE_ONLY_ALLOWLIST`.
 """
 
 import ast
@@ -61,6 +68,9 @@ ALLOWLIST = {
     "repro.obs.hub.ObsReport.spans_of_kind":
         "filters a run's spans by kind in the obs and recovery tests",
 }
+
+#: ``module.Class.attribute`` -> why it stays although only tests load it.
+WRITE_ONLY_ALLOWLIST: dict[str, str] = {}
 
 _EXPORT_TABLES = {"__all__", "_EXPORTS"}
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*\Z")
@@ -209,6 +219,66 @@ def unreached(sources, roots, root_modules, keep=()):
     )
 
 
+class _StateUse(ast.NodeVisitor):
+    """Collects ``self.x`` stores per package class, and every mention."""
+
+    def __init__(self):
+        self.stores = {}
+        self.loads = set()
+        self._scope = []
+
+    def scan(self, tree, module=None):
+        """Record ``tree``'s mentions; its stores too if it is ``module``."""
+        self._scope = [module]
+        self.visit(tree)
+
+    def visit_ClassDef(self, node):
+        self._scope.append(node.name)
+        self.generic_visit(node)
+        self._scope.pop()
+
+    def visit_Attribute(self, node):
+        if not isinstance(node.ctx, ast.Store):
+            self.loads.add(node.attr)
+        elif (
+            self._scope[0] is not None
+            and len(self._scope) > 1
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            qualname = ".".join([*self._scope, node.attr])
+            self.stores.setdefault(node.attr, set()).add(qualname)
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        self.loads.add(node.id)
+
+    def visit_keyword(self, node):
+        if node.arg:
+            self.loads.add(node.arg)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and _DOTTED.match(node.value):
+            self.loads.update(node.value.split("."))
+
+
+def write_only(sources, roots):
+    """``module.Class.attribute`` for state stored on ``self`` and never
+    loaded by the package or a root."""
+    use = _StateUse()
+    for module, text in sources.items():
+        use.scan(ast.parse(text), module)
+    for root in roots:
+        use.scan(root)
+    return sorted(
+        qualname
+        for name, qualnames in use.stores.items()
+        if name not in use.loads
+        for qualname in qualnames
+    )
+
+
 @pytest.fixture(scope="module")
 def tree():
     return load_sources()
@@ -224,6 +294,17 @@ def test_allowlist_is_short_reasoned_and_not_stale(tree):
     # An entry that was deleted, or that a root reaches by now, must go.
     assert sorted(ALLOWLIST) == [
         name for name in unreached(*tree) if name in ALLOWLIST
+    ]
+
+
+def test_every_stored_attribute_is_loaded_or_allowlisted(tree):
+    sources, roots, _ = tree
+    found = write_only(sources, roots)
+    assert [name for name in found if name not in WRITE_ONLY_ALLOWLIST] == []
+    assert len(WRITE_ONLY_ALLOWLIST) <= 4
+    assert all(len(reason) > 10 for reason in WRITE_ONLY_ALLOWLIST.values())
+    assert sorted(WRITE_ONLY_ALLOWLIST) == [
+        name for name in found if name in WRITE_ONLY_ALLOWLIST
     ]
 
 
@@ -278,7 +359,32 @@ def test_export_tables_do_not_count_as_uses(tree):
     assert "repro.util.ewma.PlantedThing" in found
 
 
+PLANT_STATE = """
+
+class PlantedCounter:
+    def __init__(self):
+        self.planted_total = 0
+        self.planted_limit = 3
+
+    def bump(self):
+        self.planted_total += 1
+        return self.planted_limit
+"""
+
+
+def test_planted_write_only_attribute_is_reported(tree):
+    sources, roots, _ = tree
+    planted = dict(sources)
+    planted["repro.util.ewma"] += PLANT_STATE
+    # Incremented but never read: a store, not a use. The limit is read.
+    assert write_only(planted, roots) == [
+        "repro.util.ewma.PlantedCounter.planted_total"
+    ]
+
+
 def test_pass_is_fast_enough_for_the_lint_job():
     started = time.perf_counter()
-    unreached(*load_sources(), keep=ALLOWLIST)
+    sources, roots, root_modules = load_sources()
+    unreached(sources, roots, root_modules, keep=ALLOWLIST)
+    write_only(sources, roots)
     assert time.perf_counter() - started < 5.0
