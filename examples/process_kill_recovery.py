@@ -17,6 +17,7 @@ Run:  python examples/process_kill_recovery.py
 
 import time
 
+from repro.faults.recovery import first_time_to_reconverge
 from repro.faults.schedule import FaultSchedule
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
 from repro.proc.faults import RealFaultDriver
@@ -61,7 +62,7 @@ def main() -> None:
         # Keep the region open until the replacement rejoins, so the
         # restart episode closes (it usually has by now).
         deadline = time.monotonic() + 30.0
-        while (region.supervisor.first_time_to_reconverge() is None
+        while (first_time_to_reconverge(region.supervisor.episodes) is None
                and time.monotonic() < deadline):
             time.sleep(0.02)
         stats = region.stats()

@@ -25,12 +25,18 @@ the per-round incremental movement bounds do not apply) — and later
 function decayed (or forgotten) so exploration re-learns its capacity.
 Regular control rounds keep quarantined channels clamped at zero through
 the weight constraints.
+
+The controller is deterministic, and ``update``, ``quarantine`` and
+``reintegrate`` are its only inputs: an attached audit log
+(:meth:`~LoadBalancer.attach_audit`) records each call's input, and
+:func:`replay` re-runs a recorded log to the same weights.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 
 from repro.core.blocking_rate import BlockingRateEstimator
@@ -39,7 +45,6 @@ from repro.core.constraints import WeightConstraints
 from repro.core.rap import solve_minimax_fox
 from repro.core.rate_function import DEFAULT_RESOLUTION, BlockingRateFunction
 from repro.obs.audit import ControlRoundRecord, DecisionAuditLog
-from repro.util.perf import COUNTERS
 from repro.util.validation import (
     check_fraction,
     check_non_negative,
@@ -287,8 +292,6 @@ class LoadBalancer:
         #: Decision audit log (observability; None = not recording).
         self._audit: DecisionAuditLog | None = None
         self._audit_clock = None
-        self._audit_churn_limited = False
-        self._audit_oscillated = False
 
     @property
     def in_safe_hold(self) -> bool:
@@ -322,45 +325,22 @@ class LoadBalancer:
     def _emit_audit(
         self,
         now: float,
+        trigger: str,
         outcome: str,
-        old_weights: list[int],
-        counters0: tuple[int, int],
+        round_no: int,
         *,
-        trigger: str = "periodic",
-        round_no: int | None = None,
-        rates: Sequence[float] = (),
-        candidate: Sequence[int] = (),
-        decayed: Sequence[int] = (),
+        counters: Sequence[float] = (),
+        channel: int = -1,
     ) -> None:
-        # Solver-call / model-fit deltas: the process-global model
-        # counters snapshotted at round entry vs. now attribute the
-        # work to this round (valid because rounds never interleave).
-        record = ControlRoundRecord(
-            round=self.rounds - 1 if round_no is None else round_no,
+        self._audit.append(ControlRoundRecord(
+            round=round_no,
             time=now,
             trigger=trigger,
             outcome=outcome,
-            blocking_rates=[float(r) for r in rates],
-            function_values=[
-                self.functions[j].value(w)
-                for j, w in enumerate(old_weights)
-            ],
-            predicted_rates=[
-                self.functions[j].value(w)
-                for j, w in enumerate(self._weights)
-            ],
-            decayed_channels=list(decayed),
-            solver="fox",
-            solver_calls=COUNTERS.solver_calls - counters0[0],
-            model_fits=COUNTERS.fits - counters0[1],
-            clusters=[list(c) for c in self.last_clusters],
-            quarantined=sorted(self._quarantined),
-            old_weights=list(old_weights),
-            candidate=list(candidate),
+            counters=list(counters),
+            channel=channel,
             new_weights=list(self._weights),
-            churn_limited=self._audit_churn_limited,
-        )
-        self._audit.append(record)
+        ))
 
     # ------------------------------------------------------------- recovery
 
@@ -375,29 +355,25 @@ class LoadBalancer:
 
         Quarantining the *last* live channel raises (there is no survivor
         allocation to solve for) — but the channel is still recorded as
-        quarantined, so :meth:`reintegrate` works once it recovers.
+        quarantined, so :meth:`reintegrate` works once it recovers, and
+        the audit log gets an ``all-quarantined`` record so a replay
+        quarantines it too.
         """
         if not 0 <= channel < self.n_connections:
             raise ValueError(f"no such channel: {channel}")
-        old_weights = list(self._weights)
-        counters0 = (COUNTERS.solver_calls, COUNTERS.fits)
         self._quarantined.add(channel)
         survivors = self.n_connections - len(self._quarantined)
+        if survivors > 0:
+            self._weights = self._solve_over_live()
+        if self._audit is not None:
+            self._emit_audit(
+                self._audit_clock(), "quarantine",
+                "adopted" if survivors > 0 else "all-quarantined",
+                self.rounds, channel=channel,
+            )
         if survivors <= 0:
             raise RuntimeError(
                 "every channel is quarantined; the region has no capacity"
-            )
-        self._weights = self._solve_over_live()
-        if self._audit is not None:
-            self._audit_churn_limited = False
-            self._emit_audit(
-                self._audit_clock(),
-                "adopted",
-                old_weights,
-                counters0,
-                trigger="quarantine",
-                round_no=self.rounds,
-                candidate=self._weights,
             )
         return self.weights
 
@@ -433,25 +409,19 @@ class LoadBalancer:
             raise ValueError(f"no such channel: {channel}")
         if channel not in self._quarantined:
             return
-        old_weights = list(self._weights)
-        counters0 = (COUNTERS.solver_calls, COUNTERS.fits)
         self._quarantined.discard(channel)
         self.functions[channel].decay_all(REINTEGRATION_DECAY)
-        if any(self._weights[j] for j in self._quarantined):
+        stranded = any(self._weights[j] for j in self._quarantined)
+        if stranded:
             # quarantine() of the last live channel raised and kept the
             # old weights: those units are stranded on a dead channel and
             # no regular round could move them within its rise bound.
             self._weights = self._solve_over_live()
         if self._audit is not None:
-            self._audit_churn_limited = False
             self._emit_audit(
-                self._audit_clock(),
-                "no-change" if self._weights == old_weights else "adopted",
-                old_weights,
-                counters0,
-                trigger="reintegrate",
-                round_no=self.rounds,
-                decayed=[channel],
+                self._audit_clock(), "reintegrate",
+                "adopted" if stranded else "no-change", self.rounds,
+                channel=channel,
             )
 
     def update(self, now: float, counters: Sequence[float]) -> list[int] | None:
@@ -469,53 +439,45 @@ class LoadBalancer:
         additionally filtered for A->B->A oscillation and capped at
         ``max_churn`` units of movement per round.
         """
-        audit = self._audit
-        if audit is not None:
-            audit_old = list(self._weights)
-            counters0 = (COUNTERS.solver_calls, COUNTERS.fits)
-            self._audit_churn_limited = False
-            self._audit_oscillated = False
+        outcome = self._round(now, counters)
+        primed = outcome == "primed"
+        if not primed:
+            self.rounds += 1
+        if self._audit is not None:
+            self._emit_audit(
+                now, "periodic", outcome, -1 if primed else self.rounds - 1,
+                counters=counters,
+            )
+        if primed or outcome == "all-quarantined":
+            return None
+        return self.weights
+
+    def _round(self, now: float, counters: Sequence[float]) -> str:
+        """The decision of one :meth:`update`; returns its audit outcome."""
         safe = self.config.safe_mode
         if safe and not self._counters_sane(now, counters):
             # Garbage in the control inputs would poison the estimator's
             # interval state and the rate functions; drop the sample.
             self._enter_hold()
-            self.rounds += 1
-            if audit is not None:
-                self._emit_audit(now, "hold-degenerate", audit_old, counters0)
-            return self.weights
+            return "hold-degenerate"
         if safe:
             self._last_sample_time = now
         rates = self.estimator.sample(now, counters)
         if rates is None:
-            if audit is not None:
-                self._emit_audit(
-                    now, "primed", audit_old, counters0, round_no=-1
-                )
-            return None
+            return "primed"
         self.last_rates = rates
         if safe and any(not math.isfinite(r) for r in rates):
             # Sane counters can still difference to an absurd rate (a huge
             # delta over a tiny interval overflows); the rate functions
             # reject non-finite observations, so hold instead of crashing.
             self._enter_hold()
-            self.rounds += 1
-            if audit is not None:
-                self._emit_audit(
-                    now, "hold-nonfinite-rates", audit_old, counters0
-                )
-            return self.weights
+            return "hold-nonfinite-rates"
         if safe and self._all_saturated(rates):
             # Every live channel is blocking flat out: the *relative*
             # signal the minimax optimizer needs is gone (any allocation
             # blocks everywhere), so re-solving just chases noise.
             self._enter_hold()
-            self.rounds += 1
-            if audit is not None:
-                self._emit_audit(
-                    now, "hold-saturated", audit_old, counters0, rates=rates
-                )
-            return self.weights
+            return "hold-saturated"
         # Every connection's rate is folded in at its current weight —
         # including zeros. Under drafting a zero can be misleading (the
         # draft leader absorbs everyone's blocking), but the per-cell
@@ -527,12 +489,7 @@ class LoadBalancer:
         if len(quarantined) >= self.n_connections:
             # Every channel is quarantined: no survivor allocation exists
             # to solve for. Keep the last weights until a reintegration.
-            self.rounds += 1
-            if audit is not None:
-                self._emit_audit(
-                    now, "all-quarantined", audit_old, counters0, rates=rates
-                )
-            return None
+            return "all-quarantined"
         for j, rate in enumerate(rates):
             if j in quarantined:
                 # A quarantined channel receives no tuples: its measured
@@ -540,49 +497,34 @@ class LoadBalancer:
                 # until reintegration decays it deliberately.
                 continue
             self.functions[j].observe(self._weights[j], rate)
-        decayed: list[int] = []
         if self.config.decay > 0.0:
             for j in range(self.n_connections):
                 if j in quarantined:
                     continue
                 self.functions[j].decay_above(self._weights[j], self.config.decay)
-                decayed.append(j)
         if safe and self._safe_hold:
             # Healthy again, but require a streak before releasing the
             # hold: one good sample amid degenerate ones proves nothing.
             self._healthy_streak += 1
             if self._healthy_streak < self.config.safe_recover_rounds:
                 self.safe_rounds += 1
-                self.rounds += 1
-                if audit is not None:
-                    self._emit_audit(
-                        now, "hold-recovering", audit_old, counters0,
-                        rates=rates, decayed=decayed,
-                    )
-                return self.weights
+                return "hold-recovering"
             self._safe_hold = False
             self._healthy_streak = 0
             self._flip_streak = 0
         candidate = self._solve()
-        if self._accept(candidate):
-            adopted = self._guard_adoption(candidate) if safe else candidate
-            if adopted != self._weights:
-                self._prev_weights = list(self._weights)
-                self._weights = adopted
-            outcome = (
-                "hold-oscillation" if self._audit_oscillated else "adopted"
-            )
-        elif candidate == self._weights:
-            outcome = "no-change"
-        else:
-            outcome = "rejected-hysteresis"
-        self.rounds += 1
-        if audit is not None:
-            self._emit_audit(
-                now, outcome, audit_old, counters0,
-                rates=rates, candidate=candidate, decayed=decayed,
-            )
-        return self.weights
+        if not self._accept(candidate):
+            if candidate == self._weights:
+                return "no-change"
+            return "rejected-hysteresis"
+        trips = self.oscillation_trips
+        adopted = self._guard_adoption(candidate) if safe else candidate
+        if adopted != self._weights:
+            self._prev_weights = list(self._weights)
+            self._weights = adopted
+        if self.oscillation_trips != trips:
+            return "hold-oscillation"
+        return "adopted"
 
     # ------------------------------------------------------------ safe mode
 
@@ -622,16 +564,13 @@ class LoadBalancer:
                 self.oscillation_trips += 1
                 self._flip_streak = 0
                 self._enter_hold()
-                self._audit_oscillated = True
                 return list(self._weights)
         else:
             self._flip_streak = 0
         if self.config.max_churn is not None:
-            limited = limit_weight_churn(
+            return limit_weight_churn(
                 self._weights, candidate, self.config.max_churn
             )
-            self._audit_churn_limited = limited != candidate
-            return limited
         return candidate
 
     def _accept(self, candidate: list[int]) -> bool:
@@ -749,3 +688,41 @@ class LoadBalancer:
             for j, w in zip(cluster, member_weights):
                 weights[j] = w
         return weights
+
+
+def replay(
+    records: Iterable[ControlRoundRecord | dict],
+    config: BalancerConfig | None,
+    n_connections: int,
+) -> list[list[int]]:
+    """Re-run an audit log; returns the weights after each record.
+
+    ``records`` are :class:`~repro.obs.audit.ControlRoundRecord` objects
+    or their dict form (``ObsReport.audit``, or the ``audit`` events of
+    a parsed JSONL export). Each record's input is fed, in order, to a
+    fresh ``LoadBalancer(n_connections, config)``: a periodic record's
+    ``update(time, counters)``, a quarantine or reintegrate record's
+    channel. The balancer is deterministic, so the result equals every
+    record's ``new_weights`` — given the config the run used: the
+    runner sets ``decay=0`` for ``lb-static``.
+
+    Replay is open-loop. The counters were measured under the recorded
+    weights, so replaying with another config tells what that
+    controller would have decided on the same samples, not what a run
+    with it would have measured.
+    """
+    balancer = LoadBalancer(n_connections, config)
+    weights = []
+    for record in records:
+        if isinstance(record, ControlRoundRecord):
+            record = record.as_dict()
+        if record["trigger"] == "periodic":
+            balancer.update(record["time"], record["counters"])
+        elif record["trigger"] == "quarantine":
+            # The all-quarantined record: the recorded call raised too.
+            with suppress(RuntimeError):
+                balancer.quarantine(record["channel"])
+        else:
+            balancer.reintegrate(record["channel"])
+        weights.append(balancer.weights)
+    return weights

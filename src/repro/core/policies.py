@@ -220,6 +220,7 @@ class ReroutingPolicy:
     connection's buffer is full. The paper shows this re-routes well under
     10% of tuples and barely helps, because blocking is a *late* congestion
     signal; we keep it as a baseline to reproduce exactly that result.
+    Re-routing is per tuple, so the splitter refuses it at ``batch_size > 1``.
     """
 
     allows_reroute = True
@@ -231,10 +232,6 @@ class ReroutingPolicy:
     def next_connection(self) -> int:
         """Primary route: plain round-robin."""
         return self._rr.next_connection()
-
-    def allocate_batch(self, count: int) -> list[int]:
-        """Batch allocation follows the underlying round-robin exactly."""
-        return self._rr.allocate_batch(count)
 
     def reroute_candidates(self, blocked: int) -> Iterable[int]:
         """All other connections, cyclically after the blocked one."""

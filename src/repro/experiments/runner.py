@@ -37,7 +37,11 @@ from repro.experiments.oracle import (
     worker_capacities,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.recovery import RecoveryCoordinator
+from repro.faults.recovery import (
+    RecoveryCoordinator,
+    first_time_to_quarantine,
+    first_time_to_reconverge,
+)
 from repro.obs.console import ConsoleReporter
 from repro.obs.export import write_exports
 from repro.obs.hub import ObservabilityHub, ObsReport
@@ -343,8 +347,7 @@ def run_experiment(
         sim.attach_observability(hub)
         region.attach_observability(hub)
         # Legacy process-global model counters, routed through the
-        # registry (they tally every balancer in the process; per-round
-        # deltas live on the audit records).
+        # registry (they tally every balancer in the process).
         hub.registry.gauge_fn(
             "model_solver_calls_total",
             lambda: COUNTERS.solver_calls,
@@ -555,6 +558,7 @@ def run_experiment(
     execution_time = (
         region.merger.last_emit_time if completed else None
     )
+    episodes = recovery.episodes if recovery is not None else []
     return RunResult(
         name=config.name,
         policy=policy,
@@ -573,12 +577,8 @@ def run_experiment(
         block_events=region.splitter.block_events,
         final_weights=current_weights(),
         quarantines=recovery.quarantines if recovery is not None else 0,
-        time_to_quarantine=(
-            recovery.first_time_to_quarantine() if recovery is not None else None
-        ),
-        time_to_reconverge=(
-            recovery.first_time_to_reconverge() if recovery is not None else None
-        ),
+        time_to_quarantine=first_time_to_quarantine(episodes),
+        time_to_reconverge=first_time_to_reconverge(episodes),
         tuples_replayed=region.splitter.tuples_replayed,
         tuples_lost=region.merger.tuples_lost,
         events_processed=sim.events_processed,

@@ -36,6 +36,7 @@ for ``STABLE_ROUNDS`` consecutive checks).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -114,6 +115,18 @@ class ChannelRecovery:
         if self.reconverged_at is None:
             return None
         return self.reconverged_at - self.quarantined_at
+
+
+def first_time_to_quarantine(episodes: Iterable[ChannelRecovery]) -> float | None:
+    """Detection latency of the first fault-anchored episode (or None)."""
+    latencies = (e.time_to_quarantine() for e in episodes)
+    return next((t for t in latencies if t is not None), None)
+
+
+def first_time_to_reconverge(episodes: Iterable[ChannelRecovery]) -> float | None:
+    """Reconvergence time of the first episode that settled (or None)."""
+    latencies = (e.time_to_reconverge() for e in episodes)
+    return next((t for t in latencies if t is not None), None)
 
 
 class RecoveryCoordinator:
@@ -290,22 +303,6 @@ class RecoveryCoordinator:
     def quarantines(self) -> int:
         """Total failover episodes so far."""
         return len(self.episodes)
-
-    def first_time_to_quarantine(self) -> float | None:
-        """Detection latency of the first episode (None without faults)."""
-        for episode in self.episodes:
-            latency = episode.time_to_quarantine()
-            if latency is not None:
-                return latency
-        return None
-
-    def first_time_to_reconverge(self) -> float | None:
-        """Reconvergence time of the first episode that settled."""
-        for episode in self.episodes:
-            latency = episode.time_to_reconverge()
-            if latency is not None:
-                return latency
-        return None
 
     # ------------------------------------------------------------- internal
 

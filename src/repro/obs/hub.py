@@ -28,8 +28,8 @@ from .spans import SpanTracer
 class ObservabilityConfig:
     """How an observed run records and exports.
 
-    The booleans/paths only shape *exporting*; recording itself is
-    switched by ``RegionParams.observability``.  ``console_interval``
+    The paths only shape *exporting*; recording itself is switched by
+    ``RegionParams.observability``.  ``console_interval``
     > 0 schedules a periodic reporter on the sim clock — the one obs
     feature that adds simulator events, so it defaults off to keep
     obs-on event traces identical to obs-off.
@@ -41,8 +41,6 @@ class ObservabilityConfig:
     jsonl_path: str | None = None
     #: Write a Prometheus text snapshot here after the run.
     prometheus_path: str | None = None
-    #: Keep raw events in memory (audit/span/fault/custom stream).
-    keep_events: bool = True
 
     def __post_init__(self) -> None:
         if self.console_interval < 0:
@@ -97,8 +95,6 @@ class ObservabilityHub:
 
     def event(self, type: str, **fields) -> None:
         """Append one raw event, stamped with the sim clock."""
-        if not self.config.keep_events:
-            return
         record = {"type": type, "time": self.now}
         record.update(fields)
         self.events.append(record)
@@ -118,16 +114,15 @@ class ObservabilityHub:
         event stream, so components can't double-report them.
         """
         self.tracer.close(end_time)
-        if self.config.keep_events:
-            for record in self.audit:
-                self.events.append({"type": "audit", **record.as_dict()})
-            for span in self.tracer:
-                self.events.append(
-                    {"type": "span", "time": span.start, **span.as_dict()}
-                )
-            self.events.sort(
-                key=lambda e: (e["time"], 0 if e["type"] != "span" else 1)
+        for record in self.audit:
+            self.events.append({"type": "audit", **record.as_dict()})
+        for span in self.tracer:
+            self.events.append(
+                {"type": "span", "time": span.start, **span.as_dict()}
             )
+        self.events.sort(
+            key=lambda e: (e["time"], 0 if e["type"] != "span" else 1)
+        )
 
     def report(self) -> ObsReport:
         """Freeze into plain data (call after :meth:`finalize`)."""

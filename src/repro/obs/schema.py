@@ -27,19 +27,9 @@ EVENT_SCHEMAS: dict[str, dict[str, type | tuple]] = {
         "round": int,
         "trigger": str,
         "outcome": str,
-        "blocking_rates": list,
-        "function_values": list,
-        "predicted_rates": list,
-        "decayed_channels": list,
-        "solver": str,
-        "solver_calls": int,
-        "model_fits": int,
-        "clusters": list,
-        "quarantined": list,
-        "old_weights": list,
-        "candidate": list,
+        "counters": list,
+        "channel": int,
         "new_weights": list,
-        "churn_limited": bool,
     },
     "span": {
         **_COMMON,
@@ -99,8 +89,6 @@ def validate_event(event: dict) -> list[str]:
         value = event[field]
         if expected is int:
             ok = isinstance(value, int) and not isinstance(value, bool)
-        elif expected is bool:
-            ok = isinstance(value, bool)
         elif expected == _NUMBER:
             ok = (
                 isinstance(value, _NUMBER) and not isinstance(value, bool)

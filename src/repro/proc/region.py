@@ -76,6 +76,10 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+from repro.faults.recovery import (
+    first_time_to_quarantine,
+    first_time_to_reconverge,
+)
 from repro.net import framing
 from repro.net.blocking import BlockingCounter
 from repro.proc.supervisor import (
@@ -531,11 +535,11 @@ class ProcessRegion:
                 restarts=self.supervisor.restarts,
                 quarantined=self.supervisor.quarantined,
                 episodes=len(self.supervisor.episodes),
-                time_to_quarantine=(
-                    self.supervisor.first_time_to_quarantine()
+                time_to_quarantine=first_time_to_quarantine(
+                    self.supervisor.episodes
                 ),
-                time_to_reconverge=(
-                    self.supervisor.first_time_to_reconverge()
+                time_to_reconverge=first_time_to_reconverge(
+                    self.supervisor.episodes
                 ),
                 wall_seconds=self.clock(),
                 per_worker_results=[s.results for s in self.slots],

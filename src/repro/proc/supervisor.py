@@ -379,22 +379,6 @@ class Supervisor:
         """Slots the circuit breaker took out of rotation."""
         return [s.index for s in self.slots if s.state == QUARANTINED]
 
-    def first_time_to_quarantine(self) -> float | None:
-        """Detection latency of the first fault-anchored episode."""
-        for episode in self.episodes:
-            latency = episode.time_to_quarantine()
-            if latency is not None:
-                return latency
-        return None
-
-    def first_time_to_reconverge(self) -> float | None:
-        """Detection-to-service-restored of the first closed episode."""
-        for episode in self.episodes:
-            latency = episode.time_to_reconverge()
-            if latency is not None:
-                return latency
-        return None
-
     def attach_observability(self, hub) -> None:
         """Register supervision instruments on ``hub``."""
         self._obs = hub

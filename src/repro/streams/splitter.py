@@ -13,6 +13,7 @@ Policies that set ``allows_reroute`` get the Section 4.4 transport-level
 re-routing behaviour instead: on would-block the tuple is offered to
 alternate connections, and the splitter blocks only when *every* buffer is
 full. The paper shows why that baseline fails; we reproduce the failure.
+Re-routing is per tuple: such a policy is refused at ``batch_size > 1``.
 
 Failure recovery (fault-tolerant mode)
 --------------------------------------
@@ -105,6 +106,11 @@ class Splitter:
             raise ValueError("splitter needs at least one connection")
         check_positive("send_overhead", send_overhead)
         check_positive("batch_size", batch_size)
+        if policy.allows_reroute and batch_size > 1:
+            raise ValueError(
+                "re-routing is a per-tuple behaviour: a policy with "
+                f"allows_reroute needs batch_size=1, got {batch_size}"
+            )
         self.sim = sim
         self.source = source
         self.connections = connections

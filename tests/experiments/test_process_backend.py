@@ -1,9 +1,12 @@
 """Tests for running ExperimentConfigs on the multi-process backend."""
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.core.balancer import replay
+from repro.experiments.config import HostSpec
 from repro.experiments.process_backend import (
     PROCESS_POLICIES,
     process_scenario,
@@ -149,3 +152,32 @@ class TestExecution:
         )
         assert result.worker_restarts >= 1
         assert "worker_restarts=" in result.summary()
+
+    def test_lb_adaptive_log_replays_through_the_core(self):
+        # The control-plane half of a backend comparison: the counters a
+        # process run sampled, replayed through the core, give every
+        # weight vector the live region applied.
+        config = dataclasses.replace(
+            process_scenario(
+                n_workers=3,
+                total_tuples=1500,
+                tuple_cost_seconds=0.002,
+                crash_worker=None,
+            ),
+            host_specs=[
+                HostSpec("fast", thread_speed=1e6),
+                HostSpec("slow", thread_speed=2.5e5),
+            ],
+            worker_host=[0, 0, 1],
+            sample_interval=0.1,
+        ).with_observability()
+        result = run_process_experiment(
+            config, "lb-adaptive", supervisor_config=FAST, timeout=60.0
+        )
+        assert result.completed
+        events = map(json.loads, result.obs.events_jsonl().splitlines())
+        audit = [e for e in events if e["type"] == "audit"]
+        assert len(audit) >= 3
+        applied = [r["new_weights"] for r in audit]
+        assert replay(audit, config.balancer, config.n_workers) == applied
+        assert applied[-1] == result.final_weights

@@ -19,6 +19,10 @@ from repro.experiments.config import (
 from repro.experiments.figures import fig09_config
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultSchedule, RecoveryConfig
+from repro.faults.recovery import (
+    first_time_to_quarantine,
+    first_time_to_reconverge,
+)
 from repro.streams.region import RegionParams
 
 
@@ -149,10 +153,11 @@ class TestReintegration:
         rig = rig_factory(n=4)
         rig.sim.call_at(2.0, lambda: rig.injector.crash(1, restart_after=4.0))
         rig.run(60.0)
-        assert rig.recovery.first_time_to_quarantine() == pytest.approx(
+        episodes = rig.recovery.episodes
+        assert first_time_to_quarantine(episodes) == pytest.approx(
             1.0, abs=0.5
         )
-        ttr = rig.recovery.first_time_to_reconverge()
+        ttr = first_time_to_reconverge(episodes)
         assert ttr is not None and ttr > 0.0
 
 

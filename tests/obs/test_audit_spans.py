@@ -47,14 +47,14 @@ class TestAuditLog:
     def test_as_dict_is_json_plain(self):
         d = record(
             3,
-            blocking_rates=[0.1],
-            clusters=[[0, 1]],
-            old_weights=[500, 500],
+            counters=[0.25, float("nan")],
             new_weights=[400, 600],
         ).as_dict()
         assert d["round"] == 3
-        assert d["clusters"] == [[0, 1]]
-        assert d["old_weights"] == [500, 500]
+        assert d["channel"] == -1
+        assert d["counters"][0] == 0.25
+        # Inputs are stored as given, a non-finite counter included.
+        assert d["counters"][1] != d["counters"][1]
         # Mutating the dict must not touch the record.
         d["new_weights"].append(0)
         assert len(d["new_weights"]) == 3

@@ -33,10 +33,10 @@ def hub(clock):
     return ObservabilityHub(clock)
 
 
-def add_round(hub, round_no, old, new, outcome="adopted", time=1.0):
+def add_round(hub, round_no, new, outcome="adopted", time=1.0):
     hub.audit.append(ControlRoundRecord(
         round=round_no, time=time, trigger="periodic", outcome=outcome,
-        old_weights=old, new_weights=new,
+        counters=[0.0] * len(new), new_weights=new,
     ))
 
 
@@ -45,7 +45,7 @@ class TestObservabilityConfig:
         config = ObservabilityConfig()
         assert config.console_interval == 0.0
         assert config.jsonl_path is None
-        assert config.keep_events is True
+        assert config.prometheus_path is None
 
     def test_negative_console_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -60,17 +60,8 @@ class TestHub:
             {"type": "fault", "time": 2.5, "kind": "crash", "channel": 1}
         ]
 
-    def test_keep_events_false_drops_stream(self, clock):
-        hub = ObservabilityHub(clock, ObservabilityConfig(keep_events=False))
-        hub.event("fault", kind="crash", channel=1)
-        add_round(hub, 0, [500], [500])
-        hub.finalize(10.0)
-        assert hub.events == []
-        # The structured recorders still hold their data.
-        assert len(hub.audit) == 1
-
     def test_finalize_is_sole_audit_and_span_mirror(self, hub):
-        add_round(hub, 0, [500, 500], [400, 600])
+        add_round(hub, 0, [400, 600])
         sid = hub.tracer.start("blocking", 0.5)
         hub.tracer.finish(sid, 0.9)
         assert hub.events == []  # nothing mirrored live
@@ -83,7 +74,7 @@ class TestHub:
         clock.now = 1.0
         hub.event("fault", kind="crash", channel=0)
         hub.tracer.record("detection", 1.0, 2.0)
-        add_round(hub, 0, [500], [500], time=1.0)
+        add_round(hub, 0, [500], time=1.0)
         hub.finalize(5.0)
         assert [e["type"] for e in hub.events] == ["fault", "audit", "span"]
 
@@ -101,7 +92,7 @@ class TestHub:
 
     def test_report_is_plain_data(self, hub, clock):
         hub.registry.gauge_fn("a_total", lambda: 3)
-        add_round(hub, 0, [500], [500])
+        add_round(hub, 0, [500])
         hub.tracer.record("blocking", 0.0, 1.0)
         hub.finalize(2.0)
         report = hub.report()
@@ -123,7 +114,7 @@ class TestHub:
 class TestExporters:
     def _report(self, hub, clock):
         hub.registry.gauge_fn("a_total", lambda: 1.0, help="things")
-        add_round(hub, 0, [500, 500], [400, 600])
+        add_round(hub, 0, [400, 600])
         hub.tracer.record("detection", 1.0, 2.0, channel=1)
         hub.finalize(5.0)
         return hub.report()
@@ -166,7 +157,7 @@ class TestConsoleReporter:
 
     def test_full_line(self, hub, clock):
         clock.now = 40.0
-        add_round(hub, 79, [310, 690], [310, 690])
+        add_round(hub, 79, [310, 690])
         hub.registry.gauge_fn("merger_tuples_emitted_total", lambda: 61440)
         hub.registry.gauge_fn("merger_pending_tuples", lambda: 12)
         hub.registry.gauge_fn("splitter_block_events_total", lambda: 3)

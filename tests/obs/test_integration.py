@@ -6,8 +6,9 @@ Pinned here, per the issue's acceptance criteria:
   every experiment result are byte-identical with and without a hub
   attached;
 * an observed fault+overload scenario yields exactly one audit record
-  per control round, and the records' old -> new weights chain through
-  the balancer's actually-applied weights;
+  per control round, and replaying the records through a fresh balancer
+  reproduces the weights the run applied, round by round — from the
+  report and from the JSONL export, here and on two more scenarios;
 * recovery and overload spans agree with the ttq/ttr and shed metrics
   computed from the same episodes;
 * the JSONL/CSV/Prometheus exports validate against the documented
@@ -20,6 +21,7 @@ import pickle
 
 import pytest
 
+from repro.core.balancer import even_split, replay
 from repro.core.policies import RoundRobinPolicy
 from repro.experiments.config import (
     ExperimentConfig,
@@ -35,7 +37,10 @@ from repro.streams.hosts import Host, Placement
 from repro.streams.region import ParallelRegion, RegionParams
 from repro.streams.sources import FiniteSource, constant_cost
 
-from tests.experiments.test_determinism import result_fingerprint
+from tests.experiments.test_determinism import (
+    fig09_block_config,
+    result_fingerprint,
+)
 
 
 def observed_scenario() -> ExperimentConfig:
@@ -102,16 +107,19 @@ class TestAuditAcceptance:
     def test_weights_chain_through_applied_weights(self, observed_run):
         records = observed_run.obs.audit
         n = observed_run.n_workers
-        for prev, cur in zip(records, records[1:]):
-            assert cur["old_weights"] == prev["new_weights"]
-        for r in records:
-            if r["outcome"] != "primed":
-                assert len(r["new_weights"]) == n
+        config = observed_scenario().balancer
+        replayed = replay(records, config, n)
+        assert replayed == [r["new_weights"] for r in records]
+        # The weights a round started from are the replay's after the
+        # round before it.
+        before = [even_split(config.resolution, n), *replayed[:-1]]
+        for r, old in zip(records, before):
+            assert len(r["new_weights"]) == n
             if r["outcome"] in (
                 "no-change",
                 "rejected-hysteresis",
             ) or r["outcome"].startswith("hold-"):
-                assert r["new_weights"] == r["old_weights"]
+                assert r["new_weights"] == old
         # The last applied weights are the run's final weights.
         assert records[-1]["new_weights"] == observed_run.final_weights
 
@@ -121,18 +129,79 @@ class TestAuditAcceptance:
         quarantine = next(
             r for r in observed_run.obs.audit if r["trigger"] == "quarantine"
         )
-        assert quarantine["quarantined"] == [1]
+        assert quarantine["channel"] == 1
         assert quarantine["new_weights"][1] == 0
 
     def test_rejections_keep_candidate_visible(self, observed_run):
-        rejected = [
-            r
-            for r in observed_run.obs.audit
+        # The proposal a rejection turned down is recomputed by replaying
+        # with the hysteresis gate off: every decision before the first
+        # rejection is the same, and at it the proposal is adopted.
+        records = observed_run.obs.audit
+        first = next(
+            k
+            for k, r in enumerate(records)
             if r["outcome"] == "rejected-hysteresis"
+        )
+        config = observed_scenario().balancer
+        ungated = replay(
+            records[: first + 1],
+            dataclasses.replace(config, hysteresis=0.0),
+            observed_run.n_workers,
+        )
+        held = [r["new_weights"] for r in records[: first + 1]]
+        assert ungated[:first] == held[:first]
+        assert ungated[first] != held[first]
+
+
+def audit_from_jsonl(result) -> list[dict]:
+    """The audit events of a run's JSONL export, parsed back."""
+    events = map(json.loads, result.obs.events_jsonl().splitlines())
+    return [e for e in events if e["type"] == "audit"]
+
+
+class TestReplayFromExport:
+    """Replaying an exported log lands on every round's applied weights."""
+
+    def assert_replays(self, result, config, triggers):
+        audit = audit_from_jsonl(result)
+        assert len(audit) == len(result.obs.audit)
+        assert {r["trigger"] for r in audit} == set(triggers)
+        assert replay(audit, config.balancer, config.n_workers) == [
+            r["new_weights"] for r in audit
         ]
-        for r in rejected:
-            assert r["candidate"] != []
-            assert r["new_weights"] == r["old_weights"]
+        assert audit[-1]["new_weights"] == result.final_weights
+
+    def test_observed_scenario(self, observed_run):
+        self.assert_replays(
+            observed_run,
+            observed_scenario(),
+            ("periodic", "quarantine", "reintegrate"),
+        )
+
+    def test_fault_recovery_scenario(self):
+        config = fault_recovery_scenario(duration=40.0).with_observability()
+        result = run_experiment(config, "lb-adaptive")
+        self.assert_replays(result, config, ("periodic", "quarantine"))
+
+    def test_block_path_with_crash(self):
+        config = dataclasses.replace(
+            fig09_block_config(fault_tolerant=True, observability=True),
+            fault_schedule=FaultSchedule.crash(1, at=5.0, restart_after=3.3),
+        )
+        result = run_experiment(config, "lb-adaptive")
+        self.assert_replays(
+            result, config, ("periodic", "quarantine", "reintegrate")
+        )
+
+    def test_lb_static_replays_with_the_runs_config(self):
+        # The runner turns decay off for lb-static; replay needs the same.
+        config = fault_recovery_scenario(duration=40.0).with_observability()
+        result = run_experiment(config, "lb-static")
+        static = dataclasses.replace(config.balancer, decay=0.0)
+        audit = audit_from_jsonl(result)
+        applied = [r["new_weights"] for r in audit]
+        assert replay(audit, static, config.n_workers) == applied
+        assert replay(audit, config.balancer, config.n_workers) != applied
 
 
 class TestSpanAcceptance:

@@ -18,19 +18,9 @@ GOOD_AUDIT = {
     "round": 0,
     "trigger": "periodic",
     "outcome": "adopted",
-    "blocking_rates": [0.1],
-    "function_values": [0.1],
-    "predicted_rates": [0.05],
-    "decayed_channels": [],
-    "solver": "fox",
-    "solver_calls": 1,
-    "model_fits": 2,
-    "clusters": [[0]],
-    "quarantined": [],
-    "old_weights": [1000],
-    "candidate": [1000],
+    "counters": [0.5],
+    "channel": -1,
     "new_weights": [1000],
-    "churn_limited": False,
 }
 
 GOOD_SPAN = {

@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+from repro.faults.recovery import first_time_to_reconverge
 from repro.faults.schedule import FaultSchedule
 from repro.net import framing
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
@@ -186,7 +187,7 @@ class TestKillRecovery:
             # the "restart" span.
             deadline = time.monotonic() + 20.0
             while (
-                region.supervisor.first_time_to_reconverge() is None
+                first_time_to_reconverge(region.supervisor.episodes) is None
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)

@@ -11,6 +11,10 @@ import threading
 
 import pytest
 
+from repro.faults.recovery import (
+    first_time_to_quarantine,
+    first_time_to_reconverge,
+)
 from repro.proc.supervisor import (
     DOWN,
     QUARANTINED,
@@ -216,7 +220,9 @@ class TestEpisodes:
         supervisor.note_fault(0)
         clock.now = 10.25
         supervisor.declare_dead(0, "injected kill")
-        assert supervisor.first_time_to_quarantine() == pytest.approx(0.25)
+        assert first_time_to_quarantine(supervisor.episodes) == pytest.approx(
+            0.25
+        )
 
     def test_reconnection_closes_the_episode(self):
         supervisor, clock, listener = make_supervisor()
@@ -228,7 +234,9 @@ class TestEpisodes:
         supervisor._spawn(slot)
         clock.now = 12.5
         supervisor.on_connected(0, slot.incarnation)
-        assert supervisor.first_time_to_reconverge() == pytest.approx(2.5)
+        assert first_time_to_reconverge(supervisor.episodes) == pytest.approx(
+            2.5
+        )
         assert listener.ups == [0, 0]
 
     def test_unanchored_episode_has_no_ttq(self):
@@ -236,7 +244,7 @@ class TestEpisodes:
         supervisor._spawn(supervisor.slots[0])
         supervisor.on_connected(0, 0)
         supervisor.declare_dead(0, "spontaneous death")
-        assert supervisor.first_time_to_quarantine() is None
+        assert first_time_to_quarantine(supervisor.episodes) is None
 
 
 class TestConfigValidation:

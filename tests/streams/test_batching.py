@@ -155,14 +155,6 @@ class TestWeightedAllocateBatch:
         # Fresh credits: the tie goes to the lowest index again.
         assert policy.allocate_batch(1) == [1, 0]
 
-    def test_rerouting_policy_delegates_to_round_robin(self):
-        policy = ReroutingPolicy(3)
-        reference = RoundRobinPolicy(3)
-        for count in (1, 4, 7):
-            assert policy.allocate_batch(count) == reference.allocate_batch(
-                count
-            )
-
 
 # ------------------------------------------------- buffers and connection
 
@@ -383,6 +375,22 @@ class TestRegionBatching:
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
             RegionParams(batch_size=0)
+
+    def test_rerouting_policy_refused_in_block_mode(self):
+        # Section 4.4 re-routing offers one tuple to alternate buffers; a
+        # block path would silently run it as plain round-robin.
+        def region(batch_size):
+            return ParallelRegion(
+                Simulator(),
+                FiniteSource(8, constant_cost(1_000.0)),
+                ReroutingPolicy(2),
+                Placement.single_host(2, Host("h", cores=2, thread_speed=1e5)),
+                params=RegionParams(batch_size=batch_size),
+            )
+
+        with pytest.raises(ValueError, match="allows_reroute"):
+            region(4)
+        assert region(1).splitter.policy.allows_reroute
 
     def test_dispatch_and_service_stats_recorded(self):
         sim, region = build_region(64, 16)
