@@ -162,34 +162,44 @@ def distribute_evenly(
     can pay for, clamped into its own bounds, and the units left over go
     one each to the lowest-indexed members standing at that level with
     headroom.
+
+    The level is the last one whose cost ``sum(clamp(level, lo, hi))``
+    the total can pay. That cost is piecewise linear in the level, rising
+    by one per member with ``lo <= level < hi``, so it is found by walking
+    the breakpoints (every ``lo`` and ``hi``) up to the segment the total
+    runs out in.
     """
     if len(minima) != len(maxima):
         raise ValueError("minima and maxima must have the same length")
-    if total < sum(minima):
+    paid = sum(minima)
+    if total < paid:
         raise ValueError(f"total {total} is below the sum of minima")
     if total > sum(maxima):
         raise ValueError(f"total {total} exceeds the sum of maxima")
     if not minima:
         return []
 
-    def at_level(level: int) -> list[int]:
-        return [max(lo, min(hi, level)) for lo, hi in zip(minima, maxima)]
-
-    # The allocation's sum is monotone in the level: bisect for the last
-    # level the total can pay for.
-    low, high = min(minima), max(maxima)
-    while low < high:
-        mid = (low + high + 1) // 2
-        if sum(at_level(mid)) <= total:
-            low = mid
-        else:
-            high = mid - 1
-    weights = at_level(low)
+    # At the lowest minimum every member sits at its own minimum.
+    level = min(minima)
+    rising = 0
+    breakpoints = [(lo, 1) for lo in minima] + [(hi, -1) for hi in maxima]
+    for point, step in sorted(breakpoints):
+        if point > level:
+            cost = paid + rising * (point - level)
+            if cost > total:
+                break
+            level, paid = point, cost
+        rising += step
+    if rising:
+        # The total runs out inside this segment (past the last
+        # breakpoint nothing rises and the level stays there).
+        level += (total - paid) // rising
+    weights = [max(lo, min(hi, level)) for lo, hi in zip(minima, maxima)]
     leftover = total - sum(weights)
     for j, hi in enumerate(maxima):
         if leftover == 0:
             break
-        if weights[j] == low and low < hi:
+        if weights[j] == level and level < hi:
             weights[j] += 1
             leftover -= 1
     return weights

@@ -213,6 +213,12 @@ def cluster_functions(
     log-coordinate already exceeds the threshold is further apart than
     the threshold whatever the other two say, and to the linkage every
     such distance is as good as ``inf``.
+
+    Pairs are visited in order of the knee coordinate, so a row ends at
+    the first partner whose knee gap exceeds the reach: every later one
+    is further still. Each exact distance is still taken with the lower
+    index first, as ``log(a / b)`` and ``-log(b / a)`` can differ in the
+    last place.
     """
     n = len(functions)
     matrix = [[math.inf] * n for _ in range(n)]
@@ -220,22 +226,23 @@ def cluster_functions(
         _check_shared_resolution(functions)
         alpha = distance_alpha(functions[0].resolution, delta)
         features = [extract_features(fn, delta=delta) for fn in functions]
-        coordinates = [
-            tuple(map(math.log, (f.knee_weight, f.knee_value, f.full_value)))
-            for f in features
-        ]
+        knees = [math.log(f.knee_weight) for f in features]
+        at_knees = [math.log(f.knee_value) for f in features]
+        at_fulls = [math.log(f.full_value) for f in features]
+        order = sorted(range(n), key=knees.__getitem__)
         knee_reach = threshold + _PRUNE_SLACK
         value_reach = threshold / alpha + _PRUNE_SLACK
-        for i, (knee, at_knee, at_full) in enumerate(coordinates):
-            row = matrix[i]
-            for j in range(i + 1, n):
-                other = coordinates[j]
+        for a, i in enumerate(order):
+            knee, at_knee, at_full = knees[i], at_knees[i], at_fulls[i]
+            for j in order[a + 1:]:
+                if knees[j] - knee > knee_reach:
+                    break
                 if (
-                    abs(knee - other[0]) <= knee_reach
-                    and abs(at_knee - other[1]) <= value_reach
-                    and abs(at_full - other[2]) <= value_reach
+                    abs(at_knee - at_knees[j]) <= value_reach
+                    and abs(at_full - at_fulls[j]) <= value_reach
                 ):
-                    row[j] = matrix[j][i] = _feature_distance(
-                        features[i], features[j], alpha
+                    low, high = (i, j) if i < j else (j, i)
+                    matrix[low][high] = matrix[high][low] = _feature_distance(
+                        features[low], features[high], alpha
                     )
     return agglomerative_cluster(matrix, threshold)

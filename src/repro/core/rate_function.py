@@ -23,15 +23,26 @@ control round, predicted blocking for all weights above the connection's
 current weight is reduced by a fixed fraction (the paper chose 10%), so
 stale pessimism fades and the optimizer is eventually induced to re-explore.
 
-Caching
--------
+Raw data and caching
+--------------------
 
-Both the monotone fit and the full fitted table ``[F(0) .. F(R)]`` are
-cached and invalidated together by every mutation (:meth:`observe`,
-:meth:`decay_above`, :meth:`forget`). The table is built only where a
-caller asks for it (:meth:`table`, :meth:`values`) — worth it for one
-that reads most of the ``R + 1`` weights. The control round does not: the
-solver and the clustering read a few weights per function through
+The raw data is three parallel columns sorted by weight: ``_xs`` (the
+observed weights, ``0`` first), ``_vals`` (each weight's smoothed value)
+and ``_counts`` (its observation count, capped at ``max_count``). A fit is
+then one PAVA pass over ``_vals`` weighted by ``_counts``
+(:func:`repro.core.monotone.pava`), with no sort and no lookup.
+:meth:`observe` finds its weight by bisection and inserts a new one in
+place; :meth:`decay_above` starts at the bisection index; :meth:`pooled`
+merges its members' columns.
+
+The monotone fit and the full fitted table ``[F(0) .. F(R)]`` are cached
+and invalidated together by every mutation (:meth:`observe`,
+:meth:`decay_above`, :meth:`decay_all`, :meth:`forget`). The fit's
+breakpoints are ``_xs`` itself, so a fit read from the cache is valid
+only until the next mutation. The table is built only where a caller
+asks for it (:meth:`table`, :meth:`values`) — worth it for one that reads
+most of the ``R + 1`` weights. The control round does not: the solver
+and the clustering read a few weights per function through
 :meth:`value`, which reads the table when one exists and otherwise
 evaluates the fit's breakpoints; :meth:`knee_weight` always works from
 the breakpoints. The table is built segment-by-segment with the exact
@@ -47,21 +58,13 @@ the end of a run (:func:`repro.core.rap.solve_minimax_fox`).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
+from repro.core.monotone import pava
 from repro.util.perf import COUNTERS
 from repro.util.validation import check_fraction, check_non_negative, check_positive
 
 #: The paper's resolution: 1000 units of 0.1% each.
 DEFAULT_RESOLUTION = 1000
-
-
-@dataclass(slots=True)
-class _RawCell:
-    """Smoothed observations at one allocation weight."""
-
-    value: float
-    count: int
 
 
 class BlockingRateFunction:
@@ -71,7 +74,9 @@ class BlockingRateFunction:
         "resolution",
         "smoothing_alpha",
         "max_count",
-        "_raw",
+        "_xs",
+        "_vals",
+        "_counts",
         "_fit_cache",
         "_table",
     )
@@ -91,8 +96,11 @@ class BlockingRateFunction:
         self.resolution = int(resolution)
         self.smoothing_alpha = float(smoothing_alpha)
         self.max_count = int(max_count)
-        # Raw smoothed data, keyed by weight. (0, 0) is assumed and pinned.
-        self._raw: dict[int, _RawCell] = {0: _RawCell(0.0, 1)}
+        # Raw smoothed data as columns sorted by weight. (0, 0) is assumed
+        # and pinned at index 0.
+        self._xs: list[int] = [0]
+        self._vals: list[float] = [0.0]
+        self._counts: list[int] = [1]
         self._fit_cache: tuple[list[int], list[float], float] | None = None
         self._table: list[float] | None = None
 
@@ -114,12 +122,16 @@ class BlockingRateFunction:
         check_non_negative("rate", rate)
         if weight == 0:
             return
-        cell = self._raw.get(weight)
-        if cell is None:
-            self._raw[weight] = _RawCell(float(rate), 1)
+        xs = self._xs
+        i = bisect.bisect_left(xs, weight)
+        if i < len(xs) and xs[i] == weight:
+            value = self._vals[i]
+            self._vals[i] = value + self.smoothing_alpha * (float(rate) - value)
+            self._counts[i] = min(self._counts[i] + 1, self.max_count)
         else:
-            cell.value += self.smoothing_alpha * (float(rate) - cell.value)
-            cell.count = min(cell.count + 1, self.max_count)
+            xs.insert(i, weight)
+            self._vals.insert(i, float(rate))
+            self._counts.insert(i, 1)
         self._invalidate()
 
     def decay_above(self, weight: int, fraction: float = 0.1) -> None:
@@ -134,17 +146,11 @@ class BlockingRateFunction:
         check_fraction("fraction", fraction)
         if fraction == 0.0:
             return
-        decayed = False
-        for w, cell in self._raw.items():
-            if w > weight and cell.value > 0.0:
-                cell.value *= 1.0 - fraction
-                decayed = True
-        if decayed:
-            self._invalidate()
+        self._decay_from(bisect.bisect_right(self._xs, weight), 1.0 - fraction)
 
     def forget(self) -> None:
         """Drop all observations (topology change)."""
-        self._raw = {0: _RawCell(0.0, 1)}
+        self._xs, self._vals, self._counts = [0], [0.0], [1]
         self._invalidate()
 
     def decay_all(self, fraction: float) -> None:
@@ -163,11 +169,16 @@ class BlockingRateFunction:
         check_fraction("fraction", fraction)
         if fraction == 0.0:
             return
+        self._decay_from(1, 1.0 - fraction)
+
+    def _decay_from(self, start: int, keep: float) -> None:
+        """Scale every positive raw value from index ``start`` by ``keep``."""
+        vals = self._vals
         decayed = False
-        keep = 1.0 - fraction
-        for w, cell in self._raw.items():
-            if w > 0 and cell.value > 0.0:
-                cell.value *= keep
+        for i in range(start, len(vals)):
+            value = vals[i]
+            if value > 0.0:
+                vals[i] = value * keep
                 decayed = True
         if decayed:
             self._invalidate()
@@ -187,10 +198,11 @@ class BlockingRateFunction:
 
         ``smoothing_alpha`` and ``max_count`` are copied verbatim from the
         first member (no re-validation — members already validated them).
-        The average accumulates each weight's full count-weighted mass
-        before dividing once, so pooling two members is exactly
-        order-independent (float ``+`` and ``*`` are commutative); counts
-        clamp to ``max_count`` only at the end.
+        The members' columns are merged by weight: each weight's
+        count-weighted mass is added up in member order and divided once,
+        so pooling two members is exactly order-independent (float ``+``
+        and ``*`` are commutative); counts clamp to ``max_count`` only at
+        the end.
         """
         if not members:
             raise ValueError("need at least one member function")
@@ -205,21 +217,23 @@ class BlockingRateFunction:
         mass: dict[int, float] = {}
         counts: dict[int, int] = {}
         for member in members:
-            for weight, cell in member._raw.items():
-                if weight == 0:
-                    continue
-                if weight in counts:
-                    mass[weight] += cell.value * cell.count
-                    counts[weight] += cell.count
+            rows = zip(member._xs, member._vals, member._counts)
+            next(rows)  # the pinned (0, 0)
+            for weight, value, count in rows:
+                prior = counts.get(weight)
+                if prior is None:
+                    mass[weight] = value * count
+                    counts[weight] = count
                 else:
-                    mass[weight] = cell.value * cell.count
-                    counts[weight] = cell.count
-        raw: dict[int, _RawCell] = {0: _RawCell(0.0, 1)}
-        for weight, count in counts.items():
-            raw[weight] = _RawCell(
-                mass[weight] / count, min(count, pooled.max_count)
-            )
-        pooled._raw = raw
+                    mass[weight] += value * count
+                    counts[weight] = prior + count
+        xs = sorted(counts)
+        max_count = pooled.max_count
+        pooled._xs = [0, *xs]
+        pooled._vals = [0.0, *[mass[w] / counts[w] for w in xs]]
+        pooled._counts = [
+            1, *[c if c < max_count else max_count for c in map(counts.get, xs)]
+        ]
         pooled._fit_cache = None
         pooled._table = None
         return pooled
@@ -228,12 +242,13 @@ class BlockingRateFunction:
 
     def observed_weights(self) -> list[int]:
         """Weights with raw data, ascending (always includes 0)."""
-        return sorted(self._raw)
+        return list(self._xs)
 
     def raw_value(self, weight: int) -> float | None:
         """Smoothed raw observation at ``weight``, or ``None``."""
-        cell = self._raw.get(weight)
-        return cell.value if cell is not None else None
+        xs = self._xs
+        i = bisect.bisect_left(xs, weight)
+        return self._vals[i] if i < len(xs) and xs[i] == weight else None
 
     def value(self, weight: float) -> float:
         """``F_j(weight)`` — fitted, monotone, interpolated/extrapolated.
@@ -332,14 +347,10 @@ class BlockingRateFunction:
         """Monotone-regressed breakpoints plus extrapolation slope."""
         if self._fit_cache is not None:
             return self._fit_cache
-        from repro.core.monotone import monotone_regression
-
         COUNTERS.fits += 1
-        xs = sorted(self._raw)
-        raw_values = [self._raw[w].value for w in xs]
-        counts = [float(self._raw[w].count) for w in xs]
-        ys = monotone_regression(raw_values, counts)
-        if len(xs) >= 2 and xs[-1] != xs[-2]:
+        xs = self._xs
+        ys = pava(self._vals, self._counts)
+        if len(xs) >= 2:
             slope = max(0.0, (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))
         else:
             slope = 0.0
@@ -381,5 +392,5 @@ class BlockingRateFunction:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"BlockingRateFunction(resolution={self.resolution}, "
-            f"points={len(self._raw)})"
+            f"points={len(self._xs)})"
         )

@@ -13,6 +13,10 @@ The same promise covers the round that works by runs: Fox's greedy grants
 a run of units per heap pop and the distance matrix holds ``inf`` for
 pairs too far apart to merge. Unit-step Fox and the full pairwise matrix
 are the references for those.
+
+And it covers the rate function's raw data, kept as sorted columns and
+fitted by one column-based PAVA: the references are a dict of
+``[value, count]`` cells per weight and the list-of-blocks PAVA.
 """
 
 import copy
@@ -31,10 +35,108 @@ from repro.core.clustering import (
     function_distance,
 )
 from repro.core.constraints import WeightConstraints
+from repro.core.monotone import monotone_regression
 from repro.core.rap import solve_minimax_fox
 from repro.core.rate_function import BlockingRateFunction
 
 # -------------------------------------------------------------- references
+
+
+def reference_pava(values, weights=None):
+    """Pool-adjacent-violators over a list of ``[mean, weight, count]``
+    blocks, with the already-monotone input returned as floats."""
+    n = len(values)
+    if n == 0:
+        return []
+    if weights is None:
+        weights = [1.0] * n
+    prev = values[0]
+    for value in values:
+        if value < prev:
+            break
+        prev = value
+    else:
+        return [float(value) for value in values]
+    blocks = []
+    for value, weight in zip(values, weights):
+        blocks.append([float(value), float(weight), 1.0])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            mean2, w2, c2 = blocks.pop()
+            mean1, w1, c1 = blocks.pop()
+            total = w1 + w2
+            blocks.append([(mean1 * w1 + mean2 * w2) / total, total, c1 + c2])
+    fitted = []
+    for mean, _weight, count in blocks:
+        fitted.extend([mean] * int(count))
+    return fitted
+
+
+class ReferenceRaw:
+    """A rate function's raw data as ``weight -> [value, count]`` cells."""
+
+    def __init__(self, smoothing_alpha, max_count):
+        self.smoothing_alpha = smoothing_alpha
+        self.max_count = max_count
+        self.cells = {0: [0.0, 1]}
+
+    def observe(self, weight, rate):
+        if weight == 0:
+            return
+        cell = self.cells.get(weight)
+        if cell is None:
+            self.cells[weight] = [float(rate), 1]
+        else:
+            cell[0] += self.smoothing_alpha * (float(rate) - cell[0])
+            cell[1] = min(cell[1] + 1, self.max_count)
+
+    def decay_above(self, weight, fraction):
+        for w, cell in self.cells.items():
+            if w > weight and cell[0] > 0.0:
+                cell[0] *= 1.0 - fraction
+
+    def decay_all(self, fraction):
+        self.decay_above(0, fraction)
+
+    def forget(self):
+        self.cells = {0: [0.0, 1]}
+
+    @classmethod
+    def pooled(cls, members):
+        pooled = cls(members[0].smoothing_alpha, members[0].max_count)
+        mass, counts = {}, {}
+        for member in members:
+            for weight, (value, count) in member.cells.items():
+                if weight == 0:
+                    continue
+                if weight in counts:
+                    mass[weight] += value * count
+                    counts[weight] += count
+                else:
+                    mass[weight] = value * count
+                    counts[weight] = count
+        for weight, count in counts.items():
+            pooled.cells[weight] = [
+                mass[weight] / count, min(count, pooled.max_count)
+            ]
+        return pooled
+
+    def columns(self):
+        xs = sorted(self.cells)
+        return xs, [self.cells[w][0] for w in xs], [self.cells[w][1] for w in xs]
+
+    def fit(self):
+        xs, values, counts = self.columns()
+        ys = reference_pava(values, [float(c) for c in counts])
+        if len(xs) >= 2:
+            slope = max(0.0, (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))
+        else:
+            slope = 0.0
+        return xs, ys, slope
+
+
+def bits(values):
+    """Exact spelling of a float list: ``-0.0`` and ``0.0`` differ."""
+    return [float(v).hex() for v in values]
 
 
 def reference_agglomerative_cluster(distances, threshold):
@@ -540,3 +642,116 @@ class TestPointwiseEvaluationOracle:
         assert (
             features.knee_weight, features.knee_value, features.full_value
         ) == expected
+
+
+#: Operations on a pool of up to three functions: ``(op, target, weight,
+#: amount, members)``. Few weights so cells are revisited and counts
+#: saturate; rates include zeros so whole functions stay at zero.
+_SLOTS = st.integers(0, 2)
+_raw_ops = st.one_of(
+    st.tuples(
+        st.just("observe"), _SLOTS, st.sampled_from([0, 1, 2, 5, 13, 40]),
+        st.sampled_from([0.0, -0.0, 1e-7, 0.01, 0.25, 1.0, 3.0]), st.just(()),
+    ),
+    st.tuples(
+        st.just("observe"), _SLOTS, st.integers(0, _SMALL),
+        st.floats(0.0, 10.0), st.just(()),
+    ),
+    st.tuples(
+        st.just("decay_above"), _SLOTS, st.integers(0, _SMALL),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.just(()),
+    ),
+    st.tuples(
+        st.just("decay_all"), _SLOTS, st.just(0),
+        st.sampled_from([0.0, 0.5, 1.0]), st.just(()),
+    ),
+    st.tuples(st.just("forget"), _SLOTS, st.just(0), st.just(0.0), st.just(())),
+    st.tuples(
+        st.just("pooled"), _SLOTS, st.just(0), st.just(0.0),
+        st.lists(_SLOTS, min_size=1, max_size=4),
+    ),
+)
+
+
+class TestRawColumnsOracle:
+    """Sorted raw columns and the one PAVA vs. dict cells and block lists."""
+
+    @staticmethod
+    def assert_same(fn, ref):
+        xs, values, counts = ref.columns()
+        assert fn.observed_weights() == xs
+        assert bits(fn.raw_value(w) for w in xs) == bits(values)
+        assert fn._counts == counts
+        got_xs, got_ys, got_slope = fn._fit()
+        ref_xs, ref_ys, ref_slope = ref.fit()
+        assert got_xs == ref_xs
+        assert bits(got_ys) == bits(ref_ys)
+        assert bits([got_slope]) == bits([ref_slope])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 64]),
+        st.sampled_from([0.3, 0.5, 1.0]),
+        st.lists(_raw_ops, max_size=40),
+    )
+    @example(2, 0.3, [("observe", 0, 5, 1.0, ())] * 4 + [
+        ("observe", 0, 2, 3.0, ()), ("observe", 1, 5, 0.0, ()),
+        ("pooled", 2, 0, 0.0, [0, 1, 0]), ("observe", 2, 5, 2.0, ()),
+    ])
+    @example(64, 0.5, [
+        ("observe", 0, 0, 1.0, ()), ("observe", 0, 3, 0.0, ()),
+        ("observe", 1, 7, 0.0, ()), ("pooled", 2, 0, 0.0, [0, 1]),
+        ("decay_all", 2, 0, 1.0, ()),
+    ])
+    def test_fit_matches_the_reference_on_the_same_raw_data(
+        self, max_count, alpha, ops
+    ):
+        functions = [
+            BlockingRateFunction(
+                _SMALL, smoothing_alpha=alpha, max_count=max_count
+            )
+            for _ in range(3)
+        ]
+        refs = [ReferenceRaw(alpha, max_count) for _ in range(3)]
+        for op, target, weight, amount, members in ops:
+            if op == "pooled":
+                functions[target] = BlockingRateFunction.pooled(
+                    [functions[j] for j in members]
+                )
+                refs[target] = ReferenceRaw.pooled([refs[j] for j in members])
+            elif op == "observe" or op == "decay_above":
+                getattr(functions[target], op)(weight, amount)
+                getattr(refs[target], op)(weight, amount)
+            elif op == "decay_all":
+                functions[target].decay_all(amount)
+                refs[target].decay_all(amount)
+            else:
+                functions[target].forget()
+                refs[target].forget()
+            self.assert_same(functions[target], refs[target])
+        for fn, ref in zip(functions, refs):
+            self.assert_same(fn, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0]),
+                    st.integers(-5, 5),
+                ),
+                st.one_of(
+                    st.floats(1e-3, 1e3), st.integers(1, 64),
+                    st.floats(min_value=5e-324, max_value=1e300),
+                ),
+            ),
+            max_size=30,
+        ),
+        st.booleans(),
+    )
+    def test_monotone_regression_matches_the_reference(self, points, weighted):
+        values = [v for v, _ in points]
+        weights = [w for _, w in points] if weighted else None
+        assert bits(monotone_regression(values, weights)) == bits(
+            reference_pava(values, weights)
+        )

@@ -1,5 +1,6 @@
 """Unit tests for pool-adjacent-violators monotone regression."""
 
+import math
 import random
 
 import pytest
@@ -58,6 +59,24 @@ class TestWeights:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
             monotone_regression([1.0], [0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN and inf pass a ``w <= 0`` test, and either one turns the
+        # pooled means to NaN.
+        with pytest.raises(ValueError, match="finite"):
+            monotone_regression([1.0, 0.5], [bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            monotone_regression([0.5, 1.0], [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # A NaN compares false both ways, so it passes the monotone scan
+        # and would come back as a "non-decreasing" fit.
+        with pytest.raises(ValueError, match="finite"):
+            monotone_regression([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            monotone_regression([1.0, 0.5, bad], [1.0, 2.0, 3.0])
 
     def test_weighted_mean_preserved(self):
         values = [4.0, 1.0, 3.0, 2.0]
