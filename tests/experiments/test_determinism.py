@@ -7,8 +7,9 @@ Three guarantees pinned here:
 * the process-pool sweep executor returns exactly the rows the serial
   path produces;
 * the block path's simulated outcome (Fig. 9 dynamic, ``batch_size=16``,
-  plain / with a crash / observed) equals digests recorded before the
-  merger's reorder buffer was indexed and emission went by run.
+  plain / with a crash / observed / all three) equals digests recorded
+  before the merger's reorder buffer was indexed and emission went by
+  run (the combined one before acks and histogram steps went by run).
 """
 
 import dataclasses
@@ -159,6 +160,18 @@ class TestBlockPathOutcome:
         )
         assert result.obs.metrics["merger_latency_seconds_count"] == 20_000
         assert block_path_digest(result) == "f29b2259a43b896f"
+
+    def test_full(self):
+        # Both gates and a crash: the revoked service, its replay and the
+        # latency histogram all on one run (the sim-full combination).
+        config = dataclasses.replace(
+            fig09_block_config(fault_tolerant=True, observability=True),
+            fault_schedule=FaultSchedule.crash(1, at=5.0, restart_after=3.3),
+        )
+        result = run_experiment(config, "lb-adaptive")
+        assert result.quarantines >= 1
+        assert result.obs.metrics["merger_latency_seconds_count"] == 20_000
+        assert block_path_digest(result) == "55d2592e3b7bd5c0"
 
     def test_count_crash_inside_a_block_fires_on_its_tuple(self, monkeypatch):
         # The merger reaches 6 005 emitted two tuples into the block
