@@ -168,15 +168,18 @@ class WeightedPolicy:
         return alloc
 
     def _settle(self, alloc: list[int], assigned: int, count: int) -> None:
-        """Cycle leftover/excess tuples over the remainder ordering.
+        """Hand out or take back the tuples the floors leave unsettled.
 
-        Clamping floors to zero breaks the textbook largest-remainder
-        invariant that the floors sum to at most ``count`` with fewer
-        leftovers than connections: with mixed debit/credit carries the
-        floors can overshoot ``count``, and the shortfall can exceed the
-        connection count. Settle the difference by cycling over the
-        remainder ordering until the allocation sums exactly to ``count``
-        — the unclamped common case never gets here.
+        This is the only leftover hand-out, so most batches come here:
+        whenever ``count * w_j / total`` is not whole the floors fall
+        short, and the ordinary largest-remainder leftovers go to the
+        largest remainders, lowest index first on ties (weights
+        ``[1, 1, 1]`` and 16 tuples give ``[6, 5, 5]``). Clamping floors
+        to zero adds two cases the textbook rule never meets: with mixed
+        debit/credit carries the floors can overshoot ``count``, and the
+        shortfall can exceed the connection count. So the difference is
+        settled by cycling over the remainder ordering until the
+        allocation sums exactly to ``count``.
         """
         credits = self._batch_credits
         remainders = [(credits[j], j) for j, _ in self._active]

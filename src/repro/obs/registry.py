@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -98,10 +99,14 @@ class Histogram:
     """Fixed-bucket cumulative histogram (Prometheus semantics).
 
     ``buckets`` are upper bounds in increasing order; an implicit
-    ``+Inf`` bucket catches everything above the last bound. ``observe``
-    is O(log buckets) via a linear scan over the (short, fixed) bound
-    list — bucket counts are *non-cumulative* internally and summed at
-    render time, so observation stays one increment.
+    ``+Inf`` bucket catches everything above the last bound. A value
+    lands in the first bucket whose bound it does not exceed
+    (``value <= bound``), found by ``bisect_left`` over the bounds —
+    bucket counts are *non-cumulative* internally and summed at render
+    time, so observation stays one increment. NaN has no bucket and is
+    rejected. The bulk entry points (a repeated value, a column) take
+    the same bucket steps and add to ``sum`` value by value in order, so
+    they read back bit for bit as the single observations would.
     """
 
     __slots__ = ("name", "labels", "bounds", "counts", "sum", "count")
@@ -127,16 +132,40 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times: one bucket step of ``count``."""
         value = float(value)
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        if value != value:
+            raise ValueError(f"histogram {self.name!r} cannot observe NaN")
+        total = self.sum
+        for _ in range(count):
+            total += value
+        self.sum = total
+        self.count += count
+        self.counts[bisect_left(self.bounds, value)] += count
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Record each of ``values`` in one pass, in order.
+
+        A NaN raises as :meth:`observe` would, after the values before it
+        are recorded.
+        """
+        bounds = self.bounds
+        counts = self.counts
+        total = self.sum
+        n = 0
+        try:
+            for value in values:
+                if value != value:
+                    raise ValueError(
+                        f"histogram {self.name!r} cannot observe NaN"
+                    )
+                total += value
+                counts[bisect_left(bounds, value)] += 1
+                n += 1
+        finally:
+            self.sum = total
+            self.count += n
 
     def cumulative(self) -> list[int]:
         """Cumulative bucket counts, ending with the total count."""

@@ -13,6 +13,7 @@ problem strings (empty = valid) so tests can assert on specifics.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 
@@ -62,11 +63,12 @@ SPAN_KINDS = (
 
 _PROM_COMMENT = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*( .*)?$")
 _PROM_SAMPLE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
+    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\""
-    r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\")*\})?"
+    r"(?:,[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\")*\})?"
     r" (NaN|[+-]Inf|[+-]?[0-9.eE+-]+)$"
 )
+_PROM_LABEL = re.compile(r"([a-zA-Z_][a-zA-Z0-9_]*)=\"((?:[^\"\\]|\\.)*)\"")
 _PROM_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
 
 
@@ -139,9 +141,18 @@ def validate_events_jsonl(text: str) -> list[str]:
 
 
 def validate_prometheus(text: str) -> list[str]:
-    """Line-format check of a Prometheus text exposition snapshot."""
+    """Check a Prometheus text exposition snapshot.
+
+    Every line must be well formed, and every histogram series
+    consistent: its cumulative ``_bucket`` counts never decrease as
+    ``le`` grows, and its ``le="+Inf"`` bucket equals its ``_count``.
+    """
     problems: list[str] = []
     typed: set[str] = set()
+    histograms: set[str] = set()
+    #: (histogram, labels without le) -> [(le, cumulative count)].
+    buckets: dict[tuple, list[tuple[float, float]]] = {}
+    counts: dict[tuple, float] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
@@ -161,9 +172,50 @@ def validate_prometheus(text: str) -> list[str]:
                     problems.append(
                         f"line {lineno}: bad metric type in {line!r}"
                     )
+                elif parts[3] == "histogram":
+                    histograms.add(name)
             continue
-        if not _PROM_SAMPLE.match(line):
+        match = _PROM_SAMPLE.match(line)
+        if not match:
             problems.append(f"line {lineno}: malformed sample: {line!r}")
+            continue
+        name, label_text, value = match.groups()
+        family, _, suffix = name.rpartition("_")
+        if family not in histograms or suffix not in ("bucket", "count"):
+            continue
+        labels = dict(_PROM_LABEL.findall(label_text or ""))
+        le = labels.pop("le", None)
+        key = (family, tuple(sorted(labels.items())))
+        try:
+            number = float(value)
+            bound = None if le is None else float(le)
+        except ValueError:
+            problems.append(f"line {lineno}: bad number in {line!r}")
+            continue
+        if suffix == "count":
+            counts[key] = number
+        elif bound is None:
+            problems.append(f"line {lineno}: histogram bucket without le")
+        else:
+            buckets.setdefault(key, []).append((bound, number))
+    for key, series in buckets.items():
+        where = f"histogram {key[0]}{dict(key[1]) or ''}"
+        series.sort()
+        previous = 0.0
+        for le, cumulative in series:
+            if not cumulative >= previous:
+                problems.append(
+                    f"{where}: bucket le={le} count {cumulative} is below "
+                    f"the previous bucket's {previous}"
+                )
+            previous = cumulative
+        if series[-1][0] != math.inf:
+            problems.append(f'{where}: no le="+Inf" bucket')
+        elif series[-1][1] != counts.get(key):
+            problems.append(
+                f'{where}: le="+Inf" bucket {series[-1][1]} != _count '
+                f"{counts.get(key)}"
+            )
     return problems
 
 

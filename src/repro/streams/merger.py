@@ -420,10 +420,12 @@ class OrderedMerger:
         """Emit a whole in-order block without materializing tuples.
 
         The latency samples and histogram are fed from the block's born
-        column. Only an ``on_emit`` hook, which is owed every tuple, and
-        the one block that reaches the :meth:`on_emitted` target, whose
-        callback must run at exactly that count, expand the block and
-        deliver it as the per-tuple path would.
+        stamp: a uniform-born block is one histogram step of ``count``, a
+        born column one pass. Only an ``on_emit`` hook, which is owed
+        every tuple, and the one block that reaches the
+        :meth:`on_emitted` target, whose callback must run at exactly
+        that count, expand the block and deliver it as the per-tuple path
+        would.
         """
         count = block.count
         if (
@@ -442,20 +444,20 @@ class OrderedMerger:
             total = 0.0
             for latency in latencies:
                 total += latency
-        elif block.born is not None:
-            latencies = [now - block.born] * count
-            total = latencies[0] * count
-        else:
-            latencies = None
-        if latencies is not None:
             self.latency_seconds += total
             self.latency_count += count
             if self.latency_samples is not None:
                 self.latency_samples.extend(latencies)
             if self.latency_histogram is not None:
-                observe = self.latency_histogram.observe
-                for latency in latencies:
-                    observe(latency)
+                self.latency_histogram.observe_many(latencies)
+        elif block.born is not None:
+            latency = now - block.born
+            self.latency_seconds += latency * count
+            self.latency_count += count
+            if self.latency_samples is not None:
+                self.latency_samples.extend([latency] * count)
+            if self.latency_histogram is not None:
+                self.latency_histogram.observe(latency, count)
         self._check_completion()
 
     def _check_completion(self) -> None:

@@ -16,9 +16,9 @@ lost — it was never acknowledged, so the splitter's retransmit buffer
 still holds it), be **halted** (quarantined by the recovery layer while
 the process may still be up, e.g. after a connection stall), **restart**
 (process back up, idle), and **resume** (reintegrated into the region).
-Fault-tolerant regions schedule completions through cancellable events so
-a crash can revoke the in-service tuple; plain regions keep the
-allocation-free hot path.
+A fault-tolerant PE schedules its completions on one heap cell it owns and
+re-arms per service, so a crash can cancel the in-service completion;
+plain PEs keep the engine's recycled, handle-less cells.
 """
 
 from __future__ import annotations
@@ -84,19 +84,21 @@ class WorkerPE:
         #: Seconds this PE has spent servicing tuples.
         self.busy_seconds = 0.0
         #: Fault-tolerant mode: completions are cancellable so a crash can
-        #: revoke the tuple in service. Off by default — the plain path
-        #: allocates no event objects per tuple.
+        #: revoke the tuple in service.
         self.fault_tolerant = bool(fault_tolerant)
         #: Whether the PE process is up (heartbeat signal for recovery).
         self.alive = True
         #: Quarantined by the recovery layer: do not consume even if up.
         self._halted = False
-        self._completion_event = None
+        #: Fault-tolerant mode's completion: one heap cell this PE owns,
+        #: re-armed for every service (``Simulator.repush``) and dropped
+        #: when a revoke cancels it. ``None`` until the first service.
+        self._cell: list | None = None
         #: Called ``(pe_id, seq)`` after a tuple is accepted by the merger
         #: — the acknowledgement the splitter's retransmit buffer consumes.
         self.on_processed = None
-        #: Block-mode acknowledgement hook: called ``(pe_id, start, count)``
-        #: once per completed block instead of once per tuple.
+        #: Block-mode acknowledgement hook: called ``(pe_id, runs)`` once
+        #: per completed service run, with the run's blocks in order.
         self.on_processed_run = None
         #: Batched fast path: service up to this many queued tuples with a
         #: single completion event (their service times still accrue per
@@ -204,10 +206,25 @@ class WorkerPE:
         revoked = self._in_service
         self._in_service = None
         self._busy = False
-        if self._completion_event is not None:
-            self._completion_event.cancel()
-            self._completion_event = None
+        cell = self._cell
+        if cell is not None:
+            # A cancelled cell stays in the heap until popped, so it can
+            # never be re-armed: the next service takes a fresh one.
+            self._cell = None
+            self.sim.cancel_cell(cell)
         return revoked
+
+    def _arm_completion(self, duration: float, callback) -> None:
+        """Schedule a fault-tolerant service's completion on the PE's cell.
+
+        A fresh cell and a re-armed one each take one sequence number, as
+        a fresh ``call_after`` event would, so event order is unchanged.
+        """
+        sim = self.sim
+        if self._cell is None:
+            self._cell = sim.new_cell(sim.now + duration, callback, self)
+        else:
+            sim.repush(self._cell, sim.now + duration)
 
     # ------------------------------------------------------------- internal
 
@@ -230,16 +247,13 @@ class WorkerPE:
         self.busy_seconds += duration
         self._in_service = tup
         if self.fault_tolerant:
-            self._completion_event = self.sim.call_after(
-                duration, self._complete_cb
-            )
+            self._arm_completion(duration, self._complete_cb)
         else:
             self.sim.schedule_after(duration, self._complete_cb)
 
     def _complete(self) -> None:
         tup = self._in_service
         self._in_service = None
-        self._completion_event = None
         self.tuples_processed += 1
         self.merger.accept(self.pe_id, tup)
         if self.on_processed is not None:
@@ -301,26 +315,20 @@ class WorkerPE:
         sim = self.sim
         sim.events_coalesced += n - 1
         if self.fault_tolerant:
-            self._completion_event = sim.call_after(
-                duration, self._complete_run_cb
-            )
+            self._arm_completion(duration, self._complete_run_cb)
         else:
             sim.schedule_after(duration, self._complete_run_cb)
 
     def _complete_run(self) -> None:
         runs = self._in_service
         self._in_service = None
-        self._completion_event = None
         processed = 0
         for block in runs:
             processed += block.count
         self.tuples_processed += processed
         self.merger.accept_runs(self.pe_id, runs)
         if self.on_processed_run is not None:
-            on_run = self.on_processed_run
-            pe_id = self.pe_id
-            for block in runs:
-                on_run(pe_id, block.start, block.count)
+            self.on_processed_run(self.pe_id, runs)
         if self._halted or not self.alive:
             self._busy = False
         elif self._recv_runs._tuples > 0:

@@ -159,9 +159,9 @@ class ParallelRegion:
         )
         if self.params.fault_tolerant:
             if self.params.batch_size > 1:
-                # Block mode acknowledges whole completed blocks.
+                # Block mode acknowledges each completed service run once.
                 for worker in self.workers:
-                    worker.on_processed_run = self.splitter.acknowledge_run
+                    worker.on_processed_run = self.splitter.acknowledge_runs
             else:
                 for worker in self.workers:
                     worker.on_processed = self.splitter.acknowledge

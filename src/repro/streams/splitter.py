@@ -324,38 +324,39 @@ class Splitter:
             f"{buffer[0].seq if buffer else 'empty'})"
         )
 
-    def acknowledge_run(self, connection: int, start: int, count: int) -> None:
-        """Retire the acked range ``[start, start+count)`` (block mode).
+    def acknowledge_runs(
+        self, connection: int, runs: "list[TupleBlock]"
+    ) -> None:
+        """Retire one completed service run's blocks (block mode).
 
-        The worker acknowledges whole completed blocks; the retransmit
-        buffer holds blocks split at send-accept boundaries, so one ack
-        may retire several front blocks, or only part of one (which is
-        split, its unacked tail retained).
+        The worker acknowledges each service run once, its blocks in
+        processing order. The retransmit buffer holds blocks split at
+        send-accept boundaries, so one run may retire several front
+        blocks, or only part of one (whose unacked tail is cut off and
+        retained).
         """
         if self._inflight is None:
             return
         buffer = self._inflight[connection]
-        seq = start
-        end = start + count
         retired = 0
-        while seq < end:
-            if buffer and buffer[0].start == seq:
+        for block in runs:
+            seq = block.start
+            end = seq + block.count
+            while seq < end:
+                if not buffer or buffer[0].start != seq:
+                    raise RuntimeError(
+                        f"ack for seq {seq} does not match connection "
+                        f"{connection}'s retransmit buffer (front: "
+                        f"{buffer[0].start if buffer else 'empty'})"
+                    )
                 front = buffer[0]
-                if front.end <= end:
-                    buffer.popleft()
-                    retired += front.count
-                    seq = front.end
-                else:
-                    done, rest = front.split(end - seq)
-                    buffer[0] = rest
-                    retired += done.count
-                    seq = end
-            else:
-                raise RuntimeError(
-                    f"ack for seq {seq} does not match connection "
-                    f"{connection}'s retransmit buffer (front: "
-                    f"{buffer[0].start if buffer else 'empty'})"
-                )
+                front_end = seq + front.count
+                if front_end > end:
+                    buffer[0] = front.cut(end - seq, front_end - end)
+                    break
+                buffer.popleft()
+                seq = front_end
+            retired += block.count
         self._inflight_tuples[connection] -= retired
 
     def fail_channel(
@@ -754,12 +755,14 @@ class Splitter:
         start = self._batch_rotation
         self._batch_rotation = (start + 1) % n
         chunks = self._chunks
-        # Walk the pulled blocks once, splitting only at chunk boundaries:
+        # Walk the pulled blocks once, cutting only at chunk boundaries:
         # each connection's share stays a handful of column blocks however
-        # large the batch.
+        # large the batch, and each piece is one new block (or the pulled
+        # block itself when a share takes all of it).
         block_i = 0
         n_blocks = len(blocks)
         current = blocks[0]
+        offset = 0  # tuples of ``current`` already handed out
         for k in range(n):
             j = (start + k) % n
             count = alloc[j]
@@ -767,17 +770,16 @@ class Splitter:
                 continue
             share: "list[TupleBlock]" = []
             while count:
-                if current.count <= count:
-                    share.append(current)
-                    count -= current.count
-                    block_i += 1
-                    current = (
-                        blocks[block_i] if block_i < n_blocks else None
-                    )
-                else:
-                    head, current = current.split(count)
-                    share.append(head)
-                    count = 0
+                left = current.count - offset
+                if left > count:
+                    share.append(current.cut(offset, count))
+                    offset += count
+                    break
+                share.append(current.cut(offset, left) if offset else current)
+                count -= left
+                block_i += 1
+                current = blocks[block_i] if block_i < n_blocks else None
+                offset = 0
             chunks.append((j, share))
         return True
 

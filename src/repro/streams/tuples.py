@@ -135,42 +135,28 @@ class TupleBlock:
     def __len__(self) -> int:
         return self.count
 
-    def split(self, k: int) -> "tuple[TupleBlock, TupleBlock]":
-        """Split into ``(first k tuples, remainder)``; columns are sliced.
+    def cut(self, offset: int, count: int) -> "TupleBlock":
+        """The ``count`` tuples from ``offset`` on, as one new block.
 
-        Built with ``__new__`` rather than the keyword constructor: splits
+        Built with ``__new__`` rather than the keyword constructor: cuts
         happen on the dispatch/transport hot path (chunk carving, partial
-        sends, buffer boundaries), where argument binding is measurable.
+        acks, buffer boundaries), where argument binding is measurable.
         """
         cls = TupleBlock
-        head = cls.__new__(cls)
-        tail = cls.__new__(cls)
-        start = self.start
-        head.start = start
-        head.count = k
-        tail.start = start + k
-        tail.count = self.count - k
-        cost = self.cost
-        head.cost = cost
-        tail.cost = cost
+        part = cls.__new__(cls)
+        part.start = self.start + offset
+        part.count = count
+        part.cost = self.cost
+        part.born = self.born
         costs = self.costs
-        if costs is None:
-            head.costs = None
-            tail.costs = None
-        else:
-            head.costs = costs[:k]
-            tail.costs = costs[k:]
-        born = self.born
-        head.born = born
-        tail.born = born
+        part.costs = None if costs is None else costs[offset : offset + count]
         borns = self.borns
-        if borns is None:
-            head.borns = None
-            tail.borns = None
-        else:
-            head.borns = borns[:k]
-            tail.borns = borns[k:]
-        return head, tail
+        part.borns = None if borns is None else borns[offset : offset + count]
+        return part
+
+    def split(self, k: int) -> "tuple[TupleBlock, TupleBlock]":
+        """Split into ``(first k tuples, remainder)``; columns are sliced."""
+        return self.cut(0, k), self.cut(k, self.count - k)
 
     def born_at(self, i: int) -> float | None:
         """Birth stamp of the block's ``i``-th tuple (``None`` unstamped)."""

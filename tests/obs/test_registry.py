@@ -1,10 +1,29 @@
 """Unit tests for the metrics registry: callback gauges and histograms."""
 
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+
+BOUNDS = (0.005, 0.1, 1.0, 10.0)
+
+#: Values on every side of every bound: exactly on one, 0 and -0,
+#: negatives, ±inf, above the last bound, and arbitrary finite doubles.
+EDGE_VALUES = st.one_of(
+    st.sampled_from(
+        BOUNDS + (0.0, -0.0, -1.0, 11.0, 1e300, math.inf, -math.inf)
+    ),
+    st.floats(allow_nan=False),
+)
+
+
+def histogram_state(h):
+    """Everything a histogram holds, with the sum compared bit for bit."""
+    return h.counts, h.count, struct.pack("<d", h.sum)
 
 
 @pytest.fixture
@@ -49,6 +68,63 @@ class TestHistogram:
 
     def test_default_buckets_are_increasing(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+
+    def test_value_on_a_bound_lands_in_that_bucket(self):
+        h = Histogram("h", (), BOUNDS)
+        for v in (-math.inf, -1.0, 0.0, 0.005, 1.0, 10.0, 10.5, math.inf):
+            h.observe(v)
+        assert h.counts == [4, 0, 1, 1, 2]
+
+    def test_nan_is_rejected_and_leaves_no_trace(self):
+        # It used to land in +Inf and turn the sum into NaN for the rest
+        # of the run, which the Prometheus export then printed.
+        registry = MetricsRegistry()
+        h = registry.histogram("lat", buckets=BOUNDS)
+        h.observe(0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            h.observe(math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            h.observe(math.nan, 3)
+        assert (h.counts, h.count, h.sum) == ([0, 0, 1, 0, 0], 1, 0.5)
+        assert "NaN" not in registry.to_prometheus()
+
+    def test_bulk_nan_raises_after_recording_what_came_before(self):
+        bulk = Histogram("h", (), BOUNDS)
+        one = Histogram("h", (), BOUNDS)
+        values = [0.5, 20.0, math.nan, 0.001]
+        with pytest.raises(ValueError, match="NaN"):
+            bulk.observe_many(values)
+        with pytest.raises(ValueError, match="NaN"):
+            for v in values:
+                one.observe(v)
+        assert histogram_state(bulk) == histogram_state(one)
+        assert bulk.count == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(EDGE_VALUES, st.integers(min_value=1, max_value=20)),
+            max_size=12,
+        ),
+        start=EDGE_VALUES,
+    )
+    def test_bulk_paths_equal_sequential_observe(self, runs, start):
+        # The merger's two block shapes, a uniform-born run and a born
+        # column, against one observe per tuple in tuple order.
+        one = Histogram("h", (), BOUNDS)
+        repeated = Histogram("h", (), BOUNDS)
+        column = Histogram("h", (), BOUNDS)
+        for h in (one, repeated, column):
+            h.observe(start)
+        flat = []
+        for value, count in runs:
+            repeated.observe(value, count)
+            flat.extend([value] * count)
+        column.observe_many(flat)
+        for value in flat:
+            one.observe(value)
+        assert histogram_state(repeated) == histogram_state(one)
+        assert histogram_state(column) == histogram_state(one)
 
     def test_read_rejects_histogram(self, registry):
         registry.histogram("lat")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.registry import MetricsRegistry
 from repro.obs.schema import (
     SPAN_KINDS,
     main,
@@ -128,6 +129,49 @@ class TestValidatePrometheus:
 
     def test_bad_metric_type_flagged(self):
         assert validate_prometheus("# TYPE a sparkline\na 1\n")
+
+    TYPE = "# TYPE lat histogram\n"
+
+    @staticmethod
+    def histogram(buckets, count, labels=""):
+        """One ``lat`` series: ``(le, cumulative)`` buckets and a count."""
+        prefix = labels + "," if labels else ""
+        braces = "{" + labels + "}" if labels else ""
+        lines = [f'lat_bucket{{{prefix}le="{le}"}} {n}' for le, n in buckets]
+        lines.append(f"lat_count{braces} {count}")
+        return "\n".join(lines) + "\n"
+
+    def test_registry_histogram_export_passes(self):
+        registry = MetricsRegistry()
+        for worker in ("0", "1"):
+            h = registry.histogram("lat", buckets=(0.1, 1.0), worker=worker)
+            h.observe(0.5, 3)
+            h.observe_many([0.05, 7.0])
+        assert validate_prometheus(registry.to_prometheus()) == []
+
+    def test_decreasing_cumulative_bucket_flagged(self):
+        text = self.TYPE + self.histogram(
+            [("0.1", 3), ("1.0", 2), ("+Inf", 3)], 3
+        )
+        assert any("below" in p for p in validate_prometheus(text))
+
+    def test_inf_bucket_must_equal_count(self):
+        text = self.TYPE + self.histogram([("0.1", 1), ("+Inf", 2)], 3)
+        assert any("_count" in p for p in validate_prometheus(text))
+
+    def test_missing_inf_bucket_flagged(self):
+        text = self.TYPE + self.histogram([("0.1", 1), ("1.0", 2)], 2)
+        assert any("+Inf" in p for p in validate_prometheus(text))
+
+    def test_label_sets_are_separate_series(self):
+        text = (
+            self.TYPE
+            + self.histogram([("0.1", 1), ("+Inf", 1)], 1, 'worker="0"')
+            + self.histogram([("0.1", 5), ("+Inf", 9)], 9, 'worker="1"')
+        )
+        assert validate_prometheus(text) == []
+        broken = text.replace('{worker="1"} 9\n', '{worker="1"} 1\n')
+        assert any("'worker': '1'" in p for p in validate_prometheus(broken))
 
 
 class TestCli:

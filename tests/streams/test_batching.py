@@ -63,6 +63,12 @@ class TestWeightedAllocateBatch:
         assert policy.allocate_batch(4) == [3, 1]
         assert policy.allocate_batch(8) == [6, 2]
 
+    def test_unclamped_leftover_goes_to_the_lowest_index_on_ties(self):
+        # No floor clamps here: the one leftover of an ordinary
+        # largest-remainder hand-out still takes the settling path.
+        policy = WeightedPolicy([1, 1, 1])
+        assert policy.allocate_batch(16) == [6, 5, 5]
+
     def test_credits_carry_between_batches(self):
         # 1:1 weights, odd batches: the leftover must alternate.
         policy = WeightedPolicy([1, 1])

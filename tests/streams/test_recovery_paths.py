@@ -17,11 +17,19 @@ from repro.streams.merger import OrderedMerger, SequenceError
 from repro.streams.region import ParallelRegion, RegionParams
 from repro.streams.sources import FiniteSource, constant_cost
 from repro.streams.splitter import Splitter
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import StreamTuple, TupleBlock
 
 
 def tup(seq):
     return StreamTuple(seq=seq, cost_multiplies=1.0)
+
+
+def block(start, count):
+    return TupleBlock.uniform(start, count, 1.0)
+
+
+def spans(blocks):
+    return [(b.start, b.count) for b in blocks]
 
 
 def make_ft_region(sim, n=2, *, total=50, cost=100.0):
@@ -133,6 +141,49 @@ class TestSplitterRetransmit:
         sim.run_until(1.0)
         with pytest.raises(RuntimeError, match="does not match"):
             splitter.acknowledge(0, 2)  # front of connection 0 is seq 0
+
+    def _block_splitter(self, sim):
+        """A block-mode splitter whose connection 0 retransmit buffer is
+        ``[0, 3) [3, 5) [5, 10)``, as partial send-accepts leave it."""
+        connections = [
+            SimulatedConnection(i, block_mode=True) for i in range(2)
+        ]
+        splitter = Splitter(
+            sim,
+            FiniteSource(20, constant_cost(1.0)),
+            connections,
+            RoundRobinPolicy(2),
+            fault_tolerant=True,
+            batch_size=4,
+        )
+        splitter._inflight[0].extend([block(0, 3), block(3, 2), block(5, 5)])
+        splitter._inflight_tuples[0] = 10
+        return splitter
+
+    def test_one_ack_per_run_across_buffer_split_points(self):
+        splitter = self._block_splitter(Simulator())
+        buffer = splitter._inflight[0]
+        # A front block acked in part is cut, its unacked tail retained.
+        splitter.acknowledge_runs(0, [block(0, 2)])
+        assert spans(buffer) == [(2, 1), (3, 2), (5, 5)]
+        assert splitter.inflight_count(0) == 8
+        # One run block retires two front blocks and cuts into a third.
+        splitter.acknowledge_runs(0, [block(2, 4)])
+        assert spans(buffer) == [(6, 4)]
+        assert splitter.inflight_count(0) == 4
+        # Two run blocks retire the one front block between them.
+        splitter.acknowledge_runs(0, [block(6, 1), block(7, 3)])
+        assert spans(buffer) == []
+        assert splitter.inflight_count(0) == 0
+
+    def test_mismatched_run_ack_raises_naming_the_connection(self):
+        splitter = self._block_splitter(Simulator())
+        with pytest.raises(RuntimeError, match="connection 0's .*front: 0"):
+            splitter.acknowledge_runs(0, [block(1, 2)])
+        with pytest.raises(RuntimeError, match="connection 0's .*front: 3"):
+            splitter.acknowledge_runs(0, [block(0, 3), block(6, 1)])
+        with pytest.raises(RuntimeError, match="connection 1's .*empty"):
+            splitter.acknowledge_runs(1, [block(0, 1)])
 
     def test_fail_channel_queues_unacked_for_replay(self):
         sim = Simulator()
@@ -253,6 +304,37 @@ class TestWorkerLifecycle:
         processed = worker.tuples_processed
         sim.run_until(0.3)
         assert worker.tuples_processed == processed
+
+    @pytest.mark.parametrize("batch_size", [1, 16])
+    def test_crash_cancels_the_owned_cell_and_restart_rearms(self, batch_size):
+        from repro.faults import FaultInjector
+
+        sim = Simulator()
+        region = ParallelRegion(
+            sim,
+            FiniteSource(40, constant_cost(100.0)),
+            RoundRobinPolicy(1),
+            Placement.single_host(1, Host("h", cores=8, thread_speed=1000.0)),
+            params=RegionParams(fault_tolerant=True, batch_size=batch_size),
+        )
+        injector = FaultInjector(sim, region)
+        worker = region.workers[0]
+        region.start()
+        sim.run_until(0.05)  # mid-service (0.1 s a tuple)
+        assert worker.busy and worker._cell is not None
+        injector.crash(0)
+        assert worker._cell is None
+        assert sim.perf.events_cancelled == 1
+        sim.run_until(5.0)
+        assert worker.tuples_processed == 0, "the revoked service completed"
+        injector.restart(0)
+        rearmed = worker._cell
+        assert rearmed is not None
+        sim.run_until(100.0)
+        # Every later service re-armed that one cell.
+        assert worker._cell is rearmed
+        assert worker.tuples_processed == region.merger.emitted == 40
+        assert sim.perf.events_cancelled == 1
 
     def test_halt_then_resume_continues(self):
         sim = Simulator()
