@@ -202,8 +202,8 @@ class TestBlockPathOutcome:
         assert block_path_digest(result) == "0c03ffaa0296b5d6"
 
 
-def traced_outcome(monkeypatch, config, policy="lb-adaptive"):
-    """``(block_path_digest, event-trace digest)`` of one simulator run.
+def traced_run(monkeypatch, config, policy="lb-adaptive"):
+    """``(result, event-trace digest)`` of one simulator run.
 
     The runner builds its own :class:`Simulator`; a tracing subclass is
     put in its place for this run, so the product needs no trace hook.
@@ -219,7 +219,18 @@ def traced_outcome(monkeypatch, config, policy="lb-adaptive"):
     monkeypatch.setattr(runner, "Simulator", TracingSimulator)
     result = run_experiment(config, policy)
     (sim,) = built
-    return block_path_digest(result), sim.trace_digest()
+    return result, sim.trace_digest()
+
+
+def traced_outcome(monkeypatch, config, policy="lb-adaptive"):
+    """``(block_path_digest, event-trace digest)`` of one simulator run."""
+    result, trace = traced_run(monkeypatch, config, policy)
+    return block_path_digest(result), trace
+
+
+def fingerprint_sha256(result) -> str:
+    """SHA-256 of :func:`result_fingerprint`: the measured outcome alone."""
+    return hashlib.sha256(result_fingerprint(result).encode()).hexdigest()
 
 
 def fig09_per_tuple_config(**region):
@@ -258,29 +269,49 @@ class TestPerTupleOutcome:
             "2157d2f0fb4001ab", "0d7d993275aef333d497dfda5a99af02"
         )
 
+    # The fault-tolerant runs also pin the SHA-256 of their
+    # result_fingerprint, recorded on the per-tuple path.
+
     def test_fig09_crash(self, monkeypatch):
-        outcome = traced_outcome(monkeypatch, fig09_crash_config())
+        result, trace = traced_run(monkeypatch, fig09_crash_config())
+        assert fingerprint_sha256(result) == (
+            "1292a374a606843d583b629bbf62077b3dce32a35f660f1e43650d62551b67f4"
+        )
+        outcome = (block_path_digest(result), trace)
         assert outcome == (
             "2529ed5ab1eee3e0", "cd1fe8358885dbb6fe8d1eb2683a48e3"
         )
 
     def test_fig09_crash_observed(self, monkeypatch):
         config = fig09_crash_config(observability=True)
+        result, trace = traced_run(monkeypatch, config)
+        assert fingerprint_sha256(result) == (
+            "1292a374a606843d583b629bbf62077b3dce32a35f660f1e43650d62551b67f4"
+        )
         # Recording schedules no event: the crash run's trace, unchanged.
-        assert traced_outcome(monkeypatch, config) == (
+        assert (block_path_digest(result), trace) == (
             "820791e42adcb083", "cd1fe8358885dbb6fe8d1eb2683a48e3"
         )
 
     @pytest.mark.parametrize(
         ("gap_policy", "expected"),
         [
-            ("replay", ("449831130fa106cf", "76771c47205b614e3835be5edbbd108e")),
-            ("skip", ("bf7a3e1b5ed6d2e9", "e8cde49193e919a77e974f4ae79c25d1")),
+            ("replay", (
+                "f7e120c3df20207c57ef32928b3c6a1e702c96cfd983185d82f2158fc6e2b2df",
+                ("449831130fa106cf", "76771c47205b614e3835be5edbbd108e"),
+            )),
+            ("skip", (
+                "ee742a5dad8bb07d98d4cb37f4080e1c140bb130c6da411f6e837aa8989b4ca0",
+                ("bf7a3e1b5ed6d2e9", "e8cde49193e919a77e974f4ae79c25d1"),
+            )),
         ],
     )
     def test_fault_recovery_scenario(self, monkeypatch, gap_policy, expected):
         config = fault_recovery_scenario(duration=60.0, gap_policy=gap_policy)
-        assert traced_outcome(monkeypatch, config) == expected
+        result, trace = traced_run(monkeypatch, config)
+        fingerprint, outcome = expected
+        assert fingerprint_sha256(result) == fingerprint
+        assert (block_path_digest(result), trace) == outcome
 
     def test_overload_scenario(self, monkeypatch):
         config = overload_scenario(duration=40.0)
