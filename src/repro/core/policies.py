@@ -81,7 +81,7 @@ class WeightedPolicy:
     def __init__(self, weights: Sequence[int]) -> None:
         self.n_connections = len(weights)
         self._weights: list[int] = []
-        self._credits: list[float] = []
+        self._credits: list[int] = []
         self._active: list[tuple[int, int]] = []
         self._total = 0
         self.set_weights(weights)
@@ -108,8 +108,7 @@ class WeightedPolicy:
         if sum(cleaned) <= 0:
             raise ValueError("at least one weight must be positive")
         self._weights = cleaned
-        self._credits = [0.0] * len(cleaned)
-        self._batch_credits = [0.0] * len(cleaned)
+        self._credits = [0] * len(cleaned)
         # Weights change at control-interval granularity but are read on
         # every routed tuple: precompute the nonzero (index, weight) pairs
         # and their sum once per change instead of filtering per pick.
@@ -133,36 +132,30 @@ class WeightedPolicy:
     def allocate_batch(self, count: int) -> list[int]:
         """Apportion ``count`` tuples across connections by weight.
 
-        Largest-remainder apportionment over each connection's exact share
-        ``count * w_j / total``, with the fractional part *carried* between
-        calls in a separate credit vector: over any run of batches,
-        connection ``j``'s realized allocation never drifts more than one
-        tuple from ``T * w_j / total`` — the same long-run exactness the
-        smooth per-tuple interleave provides, at one call per batch.
-        Credits reset on :meth:`set_weights`, like the per-pick credits.
+        The smooth round-robin's rule for ``count`` picks at once, on the
+        same integer credits: connection ``j``'s share is ``credit_j +
+        count * w_j`` (in units of ``1/total`` tuples), it is allotted
+        ``share // total`` (never below zero), and what the floors leave
+        unsettled is handed out or taken back by :meth:`_settle`. The
+        credit keeps ``share - alloc * total``, so over any run of batches
+        a connection's realized allocation tracks ``T * w_j / total``, and
+        ``allocate_batch(1)`` is exactly one :meth:`next_connection` pick,
+        credits included — a batch of one is the per-tuple interleave.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         alloc = [0] * self.n_connections
         if count == 0:
             return alloc
-        credits = self._batch_credits
+        credits = self._credits
         total = self._total
         assigned = 0
         for j, w in self._active:
-            share = credits[j] + count * w / total
-            floor = int(share)
-            if floor > share:  # true floor: int() truncates toward zero
-                floor -= 1
-            if floor < 0:
-                # A connection whose carried debt exceeds this batch's
-                # share contributes nothing; the debt carries forward
-                # (its remainder stays negative, sorting it behind every
-                # non-negative remainder for leftover hand-out).
-                floor = 0
+            share = credits[j] + count * w
+            floor = share // total if share > 0 else 0
             alloc[j] = floor
             assigned += floor
-            credits[j] = share - floor
+            credits[j] = share - floor * total
         if assigned != count:
             self._settle(alloc, assigned, count)
         return alloc
@@ -170,45 +163,39 @@ class WeightedPolicy:
     def _settle(self, alloc: list[int], assigned: int, count: int) -> None:
         """Hand out or take back the tuples the floors leave unsettled.
 
-        This is the only leftover hand-out, so most batches come here:
-        whenever ``count * w_j / total`` is not whole the floors fall
-        short, and the ordinary largest-remainder leftovers go to the
-        largest remainders, lowest index first on ties (weights
-        ``[1, 1, 1]`` and 16 tuples give ``[6, 5, 5]``). Clamping floors
-        to zero adds two cases the textbook rule never meets: with mixed
-        debit/credit carries the floors can overshoot ``count``, and the
-        shortfall can exceed the connection count. So the difference is
-        settled by cycling over the remainder ordering until the
-        allocation sums exactly to ``count``.
+        A shortfall goes to the largest remaining credits, lowest index
+        first on ties (weights ``[1, 1, 1]`` and 16 tuples give
+        ``[6, 5, 5]``) — at ``count == 1`` that is the round-robin's
+        pick. Floors clamped at zero (a connection in debt) can overshoot
+        ``count``; the excess is taken back from the smallest remaining
+        credits among connections allotted something, highest index first
+        on ties, cycling until the allocation sums to ``count``. Cycling
+        in that order leaves the largest shares standing, so a batch of
+        one still lands on the round-robin's pick.
         """
-        credits = self._batch_credits
-        remainders = [(credits[j], j) for j, _ in self._active]
+        credits = self._credits
+        total = self._total
         if assigned < count:
-            # Hand leftover tuples to the largest fractional remainders,
-            # lowest index first on ties (deterministic).
-            remainders.sort(key=lambda pair: (-pair[0], pair[1]))
-            leftover = count - assigned
-            while leftover:
-                for _, j in remainders:
-                    alloc[j] += 1
-                    credits[j] -= 1.0
-                    leftover -= 1
-                    if not leftover:
-                        break
+            order = sorted(
+                (j for j, _ in self._active), key=lambda j: (-credits[j], j)
+            )
+            step = 1
+            left = count - assigned
         else:
-            # Take the excess back from the smallest remainders, skipping
-            # connections with nothing allocated; sum(alloc) > count
-            # guarantees each pass finds at least one donor.
-            remainders.sort(key=lambda pair: (pair[0], pair[1]))
-            excess = assigned - count
-            while excess:
-                for _, j in remainders:
-                    if alloc[j] > 0:
-                        alloc[j] -= 1
-                        credits[j] += 1.0
-                        excess -= 1
-                        if not excess:
-                            break
+            order = sorted(
+                (j for j, _ in self._active), key=lambda j: (credits[j], -j)
+            )
+            step = -1
+            left = assigned - count
+        while left:
+            for j in order:
+                if step < 0 and not alloc[j]:
+                    continue
+                alloc[j] += step
+                credits[j] -= step * total
+                left -= 1
+                if not left:
+                    break
 
     def reroute_candidates(self, blocked: int) -> Iterable[int]:
         """Weighted policy elects to block, never reroutes (Section 4.4)."""

@@ -3,7 +3,7 @@
 Each public method models one physical failure as the rest of the region
 would experience it:
 
-* :meth:`FaultInjector.crash` — the PE process dies. The tuple in service
+* :meth:`FaultInjector.crash` — the PE process dies. The run in service
   is revoked and *redelivered* to the head of its receive queue (it was
   never acknowledged; if the channel is later failed over the replay path
   sweeps it up instead), and the connection stalls exactly the way a dead
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.streams.tuples import TupleBlock
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,19 +101,12 @@ class FaultInjector:
         revoked = pe.crash()
         connection = self.region.connections[worker]
         if revoked is not None:
-            # The half-processed tuple(s) go back where they came from:
-            # unacknowledged, so either the restarted PE re-services them
-            # or the failover replay sends them to a survivor — never
-            # both. A batched PE revokes its whole run; requeue it back
-            # to front in reverse so the head keeps the oldest tuple.
-            run = revoked if isinstance(revoked, list) else [revoked]
-            if run and type(run[0]) is TupleBlock:
-                # Block-mode run: requeue whole blocks.
-                for block in reversed(run):
-                    connection.requeue_front_run(block)
-            else:
-                for tup in reversed(run):
-                    connection.requeue_front(tup)
+            # The half-processed run goes back where it came from:
+            # unacknowledged, so either the restarted PE re-services it or
+            # the failover replay sends it to a survivor — never both.
+            # Requeue it back to front so the head keeps the oldest tuple.
+            for block in reversed(revoked):
+                connection.requeue_front_run(block)
         connection.stall()
         self.crashes += 1
         self._record("crash", worker)

@@ -11,7 +11,7 @@ the same config produces the same run, bit for bit.
 Supported faults:
 
 * :class:`CrashEvent` — a PE process dies (optionally restarting after a
-  delay). The tuple in service is revoked and redelivered; the transport
+  delay). The run in service is revoked and redelivered; the transport
   stalls the way a dead peer's TCP connection does.
 * :class:`StallEvent` — the connection wedges (optionally recovering
   after a duration: a *flap*). The worker is fine; nothing moves.

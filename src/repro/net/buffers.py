@@ -58,16 +58,6 @@ class BoundedBuffer(Generic[T]):
         if not self.try_push(item):
             raise BufferFullError(f"buffer full (capacity={self.capacity})")
 
-    def push_front(self, item: T) -> None:
-        """Put ``item`` back at the head, bypassing the capacity check.
-
-        Redelivery path: a crashed worker's in-service tuple is returned
-        to the receive buffer it was taken from (the take never completed,
-        so logically the slot is still its own). The buffer may transiently
-        exceed capacity by one; flow control absorbs it on the next pump.
-        """
-        self._items.appendleft(item)
-
     def clear(self) -> int:
         """Drop every item; return items dropped.
 
@@ -138,9 +128,11 @@ class RunBuffer:
     def push_front_run(self, block) -> None:
         """Put a block back at the head, bypassing the capacity check.
 
-        Crash redelivery, exactly like :meth:`BoundedBuffer.push_front`:
-        the buffer may transiently exceed capacity; flow control absorbs
-        it on the next pump.
+        Redelivery path: a crashed worker's in-service run is returned to
+        the receive buffer it was taken from (the take never completed,
+        so logically the slots are still its own). The buffer may
+        transiently exceed capacity; flow control absorbs it on the next
+        pump.
         """
         self._runs.appendleft(block)
         self._tuples += block.count

@@ -49,11 +49,13 @@ class SimulatedConnection:
         block_mode: bool = False,
     ) -> None:
         self.conn_id = conn_id
-        # ``block_mode`` is the array-native dataplane: buffers hold
-        # contiguous :class:`~repro.streams.tuples.TupleBlock` runs
-        # (capacity still denominated in tuples) and the transport moves
-        # whole blocks via :meth:`send_run`/:meth:`take_runs`. The per-item
-        # APIs (``send_nowait``/``take``/...) are not valid in this mode.
+        #: The array-native dataplane: buffers hold contiguous
+        #: :class:`~repro.streams.tuples.TupleBlock` runs (capacity still
+        #: denominated in tuples) and the transport moves whole blocks via
+        #: :meth:`send_run`/:meth:`take_runs`. The per-item APIs
+        #: (``send_nowait``/``take``) are not valid in this mode. The
+        #: splitter and worker at either end follow it.
+        self.block_mode = block_mode
         if block_mode:
             self._send_buffer: Any = RunBuffer(send_capacity)
             self._recv_buffer: Any = RunBuffer(recv_capacity)
@@ -120,16 +122,6 @@ class SimulatedConnection:
         self._pump()
         return item
 
-    def requeue_front(self, item: Any) -> None:
-        """Return a taken-but-unprocessed tuple to the head of the queue.
-
-        Crash redelivery: the worker died mid-service, so the tuple goes
-        back where it came from and is re-serviced on restart (or swept up
-        by :meth:`fail` and replayed if the channel is failed over
-        instead).
-        """
-        self._recv_buffer.push_front(item)
-
     # ------------------------------------------------- block-mode transport
 
     def send_run(self, block) -> int:
@@ -181,15 +173,21 @@ class SimulatedConnection:
         return runs
 
     def requeue_front_run(self, block) -> None:
-        """Return a taken-but-unprocessed block to the head of the queue."""
+        """Return a taken-but-unprocessed block to the head of the queue.
+
+        Crash redelivery: the worker died mid-service, so the block goes
+        back where it came from and is re-serviced on restart (or swept up
+        by :meth:`fail` and replayed if the channel is failed over
+        instead).
+        """
         self._recv_buffer.push_front_run(block)
 
     def _pump_runs(self) -> None:
         """Block-mode :meth:`_pump`: move whole runs, notify per delivery.
 
-        Always coalesced: a batched region's worker consumes runs, so one
+        Always coalesced: a block-mode worker consumes runs, so one
         notification per pump round is the only sensible granularity (the
-        per-tuple notification schedule is a ``batch_size=1`` behavior).
+        per-tuple notification schedule belongs to the per-tuple path).
         Capacity accounting is still per tuple — blocks split at the
         receive buffer's free-slot boundary exactly where per-tuple flow
         control would have stopped.

@@ -11,14 +11,20 @@ value of 100 makes every tuple take 100x longer, exactly how the paper
 loads half its PEs. It can change mid-run (the experiments remove the load
 an eighth of the way through); the new value applies from the next tuple.
 
-Fault support: a PE can **crash** (process dies; the tuple in service is
-lost — it was never acknowledged, so the splitter's retransmit buffer
-still holds it), be **halted** (quarantined by the recovery layer while
-the process may still be up, e.g. after a connection stall), **restart**
-(process back up, idle), and **resume** (reintegrated into the region).
-A fault-tolerant PE schedules its completions on one heap cell it owns and
-re-arms per service, so a crash can cancel the in-service completion;
-plain PEs keep the engine's recycled, handle-less cells.
+A PE services one of two ways, following its connection's
+``block_mode``: tuple by tuple (plain ``batch_size = 1`` regions), or by
+runs of up to ``batch_size`` tuples with one completion event per run
+(batched or fault-tolerant regions — a run of one is a per-tuple step).
+
+Fault support (run service only): a PE can **crash** (process dies; the
+run in service is lost — it was never acknowledged, so the splitter's
+retransmit buffer still holds it), be **halted** (quarantined by the
+recovery layer while the process may still be up, e.g. after a
+connection stall), **restart** (process back up, idle), and **resume**
+(reintegrated into the region). A fault-tolerant PE schedules its
+completions on one heap cell it owns and re-arms per service, so a crash
+can cancel the in-service completion; plain PEs keep the engine's
+recycled, handle-less cells.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ class WorkerPE:
         # One tuple is in service at a time (_busy guards), so the PE can
         # park it on self and schedule one prebound callback instead of a
         # fresh closure per tuple.
-        # Per-tuple mode parks one StreamTuple; block mode parks the whole
-        # in-service run as a list of TupleBlocks.
+        # Per-tuple service parks one StreamTuple; run service parks the
+        # whole in-service run as a list of TupleBlocks.
         self._in_service: StreamTuple | list[TupleBlock] | None = None
         self._complete_cb = self._complete
         #: Tuples fully processed by this PE.
@@ -84,7 +90,7 @@ class WorkerPE:
         #: Seconds this PE has spent servicing tuples.
         self.busy_seconds = 0.0
         #: Fault-tolerant mode: completions are cancellable so a crash can
-        #: revoke the tuple in service.
+        #: revoke the run in service.
         self.fault_tolerant = bool(fault_tolerant)
         #: Whether the PE process is up (heartbeat signal for recovery).
         self.alive = True
@@ -94,23 +100,20 @@ class WorkerPE:
         #: re-armed for every service (``Simulator.repush``) and dropped
         #: when a revoke cancels it. ``None`` until the first service.
         self._cell: list | None = None
-        #: Called ``(pe_id, seq)`` after a tuple is accepted by the merger
-        #: — the acknowledgement the splitter's retransmit buffer consumes.
-        self.on_processed = None
-        #: Block-mode acknowledgement hook: called ``(pe_id, runs)`` once
-        #: per completed service run, with the run's blocks in order.
+        #: The acknowledgement the splitter's retransmit buffer consumes:
+        #: called ``(pe_id, runs)`` once per completed service run, with
+        #: the run's blocks in order.
         self.on_processed_run = None
-        #: Batched fast path: service up to this many queued tuples with a
+        #: Run service: service up to this many queued tuples with a
         #: single completion event (their service times still accrue per
-        #: tuple). 1 = the per-tuple path, byte-identical to pre-batching.
+        #: tuple).
         self.batch_size = int(batch_size)
-        #: Realized service-run occupancy (batched mode only).
+        #: Realized service-run occupancy (run service only).
         self.service_stats = BatchStats()
-        if self.batch_size > 1:
+        if connection.block_mode:
             # Instance attribute shadows the per-tuple method, so every
             # internal consumer (_on_deliver, restart, resume) takes the
-            # block-native path without a per-call branch. Requires the
-            # connection to be in block mode (the region wires both).
+            # block-native path without a per-call branch.
             self._start_next = self._start_next_run
             self._complete_run_cb = self._complete_run
             # The connection never swaps its buffers (fail/reset clear in
@@ -153,19 +156,18 @@ class WorkerPE:
 
     # --------------------------------------------------------------- faults
 
-    def crash(self) -> "StreamTuple | list[StreamTuple] | None":
-        """Kill the PE process mid-run; returns what was in service.
+    def crash(self) -> "list[TupleBlock] | None":
+        """Kill the PE process mid-run; returns the run in service.
 
-        Per-tuple mode returns the single tuple whose service died; a
-        batched PE returns the whole in-service run (oldest first). The
-        revoked tuples were never acknowledged, so the splitter's
-        retransmit buffer still holds them for replay. Requires
-        ``fault_tolerant`` (plain regions have no cancellable completions).
+        The revoked run's blocks (oldest first) were never acknowledged,
+        so the splitter's retransmit buffer still holds them for replay.
+        Requires ``fault_tolerant`` (plain regions have no cancellable
+        completions).
         """
         self.alive = False
         return self._revoke_service()
 
-    def halt(self) -> "StreamTuple | list[StreamTuple] | None":
+    def halt(self) -> "list[TupleBlock] | None":
         """Quarantine a (possibly still live) PE: stop consuming now.
 
         Used when the recovery layer fails a channel whose worker process
@@ -197,7 +199,7 @@ class WorkerPE:
         if self.alive and not self._busy and self.connection.recv_available() > 0:
             self._start_next()
 
-    def _revoke_service(self) -> "StreamTuple | list[StreamTuple] | None":
+    def _revoke_service(self) -> "list[TupleBlock] | None":
         if not self.fault_tolerant:
             raise RuntimeError(
                 f"PE {self.pe_id} is not fault-tolerant; build the region "
@@ -230,8 +232,6 @@ class WorkerPE:
 
     def _on_deliver(self) -> None:
         if not self._busy and self.connection.recv_available() > 0:
-            if self._halted or not self.alive:
-                return
             self._start_next()
 
     def _on_deliver_run(self) -> None:
@@ -246,26 +246,19 @@ class WorkerPE:
         duration = self.service_time(tup)
         self.busy_seconds += duration
         self._in_service = tup
-        if self.fault_tolerant:
-            self._arm_completion(duration, self._complete_cb)
-        else:
-            self.sim.schedule_after(duration, self._complete_cb)
+        self.sim.schedule_after(duration, self._complete_cb)
 
     def _complete(self) -> None:
         tup = self._in_service
         self._in_service = None
         self.tuples_processed += 1
         self.merger.accept(self.pe_id, tup)
-        if self.on_processed is not None:
-            self.on_processed(self.pe_id, tup.seq)
-        if self._halted or not self.alive:
-            self._busy = False
-        elif self.connection.recv_available() > 0:
+        if self.connection.recv_available() > 0:
             self._start_next()
         else:
             self._busy = False
 
-    # ---------------------------------------------------- batched fast path
+    # ------------------------------------------------------------ run service
 
     def _start_next_run(self) -> None:
         """Service a whole queued run of blocks with one completion event.

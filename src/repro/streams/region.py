@@ -39,8 +39,10 @@ class RegionParams:
     send_capacity: int = 32
     recv_capacity: int = 32
     #: Enable the failure-recovery machinery: the splitter tracks in-flight
-    #: tuples for replay, workers ack processed tuples and schedule
-    #: cancellable completions so a crash can revoke the tuple in service.
+    #: blocks for replay, workers ack each service run and schedule
+    #: cancellable completions so a crash can revoke the run in service.
+    #: Fault tolerance runs the block path at every ``batch_size``
+    #: (B = 1 included, where it schedules the per-tuple path's events).
     #: Off by default — the plain hot path is byte-identical to a region
     #: without fault support.
     fault_tolerant: bool = False
@@ -55,13 +57,14 @@ class RegionParams:
     #: :class:`~repro.streams.pe.WorkerPE`). Seeded by ``seed``.
     service_jitter: float = 0.0
     seed: int = 0
-    #: Batched dataplane fast path: the splitter pulls and apportions up
-    #: to this many tuples per dispatch cycle, workers service runs with
-    #: one completion event, and the merger bulk-accepts each run. 1 (the
-    #: default) is the per-tuple path — golden traces are byte-identical
-    #: to a region without batching support. Larger values amortize the
-    #: per-tuple constant factor at the cost of coarser micro-timing (see
-    #: EXPERIMENTS.md, "Batching").
+    #: Batched dataplane: the splitter pulls and apportions up to this
+    #: many tuples per dispatch cycle, workers service runs with one
+    #: completion event, and the merger bulk-accepts each run. 1 (the
+    #: default) is the per-tuple path unless ``fault_tolerant`` is set —
+    #: the per-tuple path serves only plain B = 1 regions, and golden
+    #: traces are byte-identical to a region without batching support.
+    #: Larger values amortize the per-tuple constant factor at the cost
+    #: of coarser micro-timing (see EXPERIMENTS.md, "Batching").
     batch_size: int = 1
     #: Attach the observability subsystem (:mod:`repro.obs`): metrics
     #: registry, decision audit log, span tracing, and exporters. Off by
@@ -122,12 +125,15 @@ class ParallelRegion:
         #: the production annotation that drops ordering).
         self.ordered = ordered
         self.merger = OrderedMerger(sim) if ordered else UnorderedMerger(sim)
+        # The one decision between the two paths: the splitter and the
+        # workers follow their connections' mode.
+        block_mode = self.params.batch_size > 1 or self.params.fault_tolerant
         self.connections = [
             SimulatedConnection(
                 i,
                 send_capacity=self.params.send_capacity,
                 recv_capacity=self.params.recv_capacity,
-                block_mode=self.params.batch_size > 1,
+                block_mode=block_mode,
             )
             for i in range(n_workers)
         ]
@@ -158,13 +164,9 @@ class ParallelRegion:
             batch_size=self.params.batch_size,
         )
         if self.params.fault_tolerant:
-            if self.params.batch_size > 1:
-                # Block mode acknowledges each completed service run once.
-                for worker in self.workers:
-                    worker.on_processed_run = self.splitter.acknowledge_runs
-            else:
-                for worker in self.workers:
-                    worker.on_processed = self.splitter.acknowledge
+            # Each completed service run is acknowledged once.
+            for worker in self.workers:
+                worker.on_processed_run = self.splitter.acknowledge_runs
 
     @property
     def n_workers(self) -> int:
@@ -232,7 +234,7 @@ class ParallelRegion:
     ) -> list[int]:
         """Kill channel ``channel`` end to end and recover its tuples.
 
-        Halts the worker (revoking any tuple in service — it is still in
+        Halts the worker (revoking any run in service — it is still in
         the retransmit buffer), drops the connection's buffered tuples,
         and queues every unacknowledged tuple for replay to the surviving
         channels. With ``replay=False`` (the *skip* gap policy) nothing is

@@ -13,24 +13,38 @@ Policies that set ``allows_reroute`` get the Section 4.4 transport-level
 re-routing behaviour instead: on would-block the tuple is offered to
 alternate connections, and the splitter blocks only when *every* buffer is
 full. The paper shows why that baseline fails; we reproduce the failure.
-Re-routing is per tuple: such a policy is refused at ``batch_size > 1``.
+Re-routing is per tuple: such a policy is refused on the block path.
 
-Failure recovery (fault-tolerant mode)
---------------------------------------
+Two paths, one rule
+-------------------
+
+The splitter runs one of two send loops, chosen by its connections'
+``block_mode`` (which :class:`~repro.streams.region.ParallelRegion` sets
+for ``batch_size > 1`` or fault tolerance). The **per-tuple** loop serves
+plain ``batch_size = 1`` regions: one tuple, one ``next_connection``
+pick, one send. The **block** loop pulls up to ``batch_size`` tuples as
+:class:`~repro.streams.tuples.TupleBlock` columns, apportions them with
+one ``allocate_batch`` call and pushes each connection's share. A batch of
+one is exactly a per-tuple step: ``allocate_batch(1)`` is the
+``next_connection`` pick and the cycle schedules the same events.
+
+Failure recovery (fault-tolerant mode, block loop only)
+-------------------------------------------------------
 
 The paper assumes workers slow down but never die; a crashed PE would park
 the splitter forever and deadlock the ordered merger on the lost sequence
 numbers. In fault-tolerant mode the splitter therefore keeps a
-**retransmit buffer** of in-flight (sent but unacknowledged) tuples per
+**retransmit buffer** of in-flight (sent but unacknowledged) blocks per
 connection, and never evicts from it: the connection's bounded buffers
 already stop the splitter long before the buffer could grow without
-bound. Acknowledgements arrive once the worker has processed a tuple.
+bound. A worker acknowledges each service run once it has processed it.
 When the recovery layer declares a channel dead, :meth:`fail_channel`
 
-* un-parks the splitter if it was blocked on the dead channel (charging
-  the real blocking time) and re-routes the pending tuple,
-* marks the channel non-live so no policy decision can land on it (the
-  pick is redirected to the cyclically-next live channel and counted in
+* takes the dead channel's undelivered share of the current batch back to
+  the head of the replay queue, un-parking the splitter if it was blocked
+  on that channel (charging the real blocking time),
+* marks the channel non-live so no apportionment can land on it (its
+  share is redirected to the cyclically-next live channel and counted in
   ``fault_reroutes``),
 * queues the channel's unacknowledged tuples for **replay** to survivors
   (the default gap policy), or hands their sequence numbers back to the
@@ -106,10 +120,16 @@ class Splitter:
             raise ValueError("splitter needs at least one connection")
         check_positive("send_overhead", send_overhead)
         check_positive("batch_size", batch_size)
-        if policy.allows_reroute and batch_size > 1:
+        block_mode = connections[0].block_mode
+        if fault_tolerant and not block_mode:
+            raise ValueError(
+                "fault tolerance runs the block path: build the "
+                "connections with block_mode=True"
+            )
+        if policy.allows_reroute and block_mode:
             raise ValueError(
                 "re-routing is a per-tuple behaviour: a policy with "
-                f"allows_reroute needs batch_size=1, got {batch_size}"
+                "allows_reroute needs batch_size=1 and no fault tolerance"
             )
         self.sim = sim
         self.source = source
@@ -132,6 +152,7 @@ class Splitter:
         self.fault_reroutes = 0
         #: Simulated seconds spent paused by merger flow control.
         self.flow_paused_seconds = 0.0
+        #: Per-tuple loop: the tuple parked on a full connection.
         self._pending: "StreamTuple | None" = None
         self._target: int | None = None
         self._block_start: float | None = None
@@ -143,27 +164,21 @@ class Splitter:
         self._flow_gate = None
         self._parked_flow = False
         self._flow_park_start: float | None = None
-        #: Replay queue, consumed before the source. Holds StreamTuples in
-        #: per-tuple mode and TupleBlocks in block mode (batch_size > 1).
-        self._replay: "deque" = deque()
-        #: Per-connection sent-but-unacknowledged tuples (FIFO in send
-        #: order, which is also each worker's processing order). Same
-        #: per-tuple/TupleBlock duality as the replay queue.
-        self._inflight: "list[deque] | None" = (
+        #: Replay queue of TupleBlocks, consumed before the source.
+        self._replay: "deque[TupleBlock]" = deque()
+        #: Per-connection sent-but-unacknowledged blocks (FIFO in send
+        #: order, which is also each worker's processing order).
+        self._inflight: "list[deque[TupleBlock]] | None" = (
             [deque() for _ in connections] if fault_tolerant else None
         )
-        #: Batched fast path: pull up to this many tuples per dispatch
-        #: cycle, apportion them with one policy call, and push each
-        #: connection's share with one bulk send. 1 = the per-tuple path,
-        #: byte-identical to the pre-batching splitter.
-        self.batch_size = int(batch_size)
-        #: Tuples (not blocks) in each connection's retransmit buffer —
-        #: block mode only, where ``len(deque)`` counts blocks.
+        #: Tuples (not blocks) in each connection's retransmit buffer.
         self._inflight_tuples: "list[int] | None" = (
-            [0] * len(connections)
-            if fault_tolerant and self.batch_size > 1
-            else None
+            [0] * len(connections) if fault_tolerant else None
         )
+        #: Block loop: pull up to this many tuples per dispatch cycle,
+        #: apportion them with one policy call, and push each
+        #: connection's share with one bulk send.
+        self.batch_size = int(batch_size)
         #: Realized dispatch-batch occupancy (batched mode only).
         self.dispatch_stats = BatchStats()
         #: Apportioned sub-runs not yet dispatched: (connection, blocks).
@@ -178,7 +193,7 @@ class Splitter:
         # batch), and rebinding the method per send is measurable on the
         # hot path.
         self._try_send_cb = (
-            self._try_send if self.batch_size == 1 else self._try_send_batch
+            self._try_send_batch if block_mode else self._try_send
         )
         #: Observability hub (None = not recording). Checked only on
         #: episodic branches — blocking, flow pauses, batch boundaries —
@@ -250,11 +265,6 @@ class Splitter:
             help="Mean tuples per dispatched batch",
         )
 
-    @property
-    def fault_tolerant(self) -> bool:
-        """Whether the retransmit buffer (and thus replay) is enabled."""
-        return self._inflight is not None
-
     def start(self, at: float = 0.0) -> None:
         """Begin the send loop at simulated time ``at``."""
         if self._started:
@@ -300,34 +310,14 @@ class Splitter:
 
     def inflight_count(self, connection: int) -> int:
         """Unacknowledged tuples currently charged to ``connection``."""
-        if self._inflight is None:
+        if self._inflight_tuples is None:
             return 0
-        if self._inflight_tuples is not None:
-            return self._inflight_tuples[connection]
-        return len(self._inflight[connection])
-
-    def acknowledge(self, connection: int, seq: int) -> None:
-        """Retire ``seq`` from ``connection``'s retransmit buffer.
-
-        Acks arrive in each connection's FIFO processing order, so the
-        acknowledged tuple is the oldest retained one.
-        """
-        if self._inflight is None:
-            return
-        buffer = self._inflight[connection]
-        if buffer and buffer[0].seq == seq:
-            buffer.popleft()
-            return
-        raise RuntimeError(
-            f"ack for seq {seq} does not match connection {connection}'s "
-            f"retransmit buffer (front: "
-            f"{buffer[0].seq if buffer else 'empty'})"
-        )
+        return self._inflight_tuples[connection]
 
     def acknowledge_runs(
         self, connection: int, runs: "list[TupleBlock]"
     ) -> None:
-        """Retire one completed service run's blocks (block mode).
+        """Retire one completed service run's blocks.
 
         The worker acknowledges each service run once, its blocks in
         processing order. The retransmit buffer holds blocks split at
@@ -335,8 +325,6 @@ class Splitter:
         blocks, or only part of one (whose unacked tail is cut off and
         retained).
         """
-        if self._inflight is None:
-            return
         buffer = self._inflight[connection]
         retired = 0
         for block in runs:
@@ -399,45 +387,20 @@ class Splitter:
                 "later."
             )
         self.live[channel] = False
-
-        if self.batch_size > 1:
-            # Abandon the in-progress batch: undelivered chunk tuples go
-            # back to the replay queue and are re-apportioned over the
-            # surviving channels (un-parking from the dead channel if the
-            # splitter was blocked mid-chunk).
-            self._reset_batch_dispatch()
-        # Un-park from the dead channel before anything else: the wait
-        # would never end (this is exactly the deadlock being fixed).
-        elif self._block_start is not None and self._target == channel:
-            self.connections[channel].cancel_wait()
-            self._end_block(channel)
-            self._target = None
-            self.sim.schedule_after(0.0, self._try_send_cb)
-        elif self._pending is not None and self._target == channel:
-            # Not parked but aimed at the dead channel (a send is already
-            # scheduled): just force a re-pick when it fires.
-            self._target = None
+        self._reclaim_chunks(channel)
 
         unacked = self._inflight[channel]
         lost: list[int] = []
         replayed = 0
-        if self.batch_size > 1:
-            # Block mode: the retransmit buffer holds TupleBlocks.
-            if replay:
-                replayed = sum(block.count for block in unacked)
-                self.tuples_replayed += replayed
-                self._replay.extend(unacked)
-            else:
-                for block in unacked:
-                    lost.extend(range(block.start, block.end))
-            self._inflight_tuples[channel] = 0
-        elif replay:
-            replayed = len(unacked)
+        if replay:
+            replayed = self._inflight_tuples[channel]
             self.tuples_replayed += replayed
             self._replay.extend(unacked)
         else:
-            lost.extend(tup.seq for tup in unacked)
+            for block in unacked:
+                lost.extend(range(block.start, block.end))
         unacked.clear()
+        self._inflight_tuples[channel] = 0
         if replayed and self.finished:
             # The source had drained but replay revives the send loop.
             self.finished = False
@@ -466,55 +429,34 @@ class Splitter:
     # ------------------------------------------------------------- internal
 
     def _try_send(self) -> None:
-        if self._pending is None:
-            gate = self._flow_gate
-            if gate is not None and gate.paused:
-                self._park_flow()
-                return
-            if self._replay:
-                tup = self._replay.popleft()
-            else:
-                tup = self.source.next_tuple()
-                if tup is None:
-                    self._park_drained()
-                    return
-            if tup.born_at is None:
-                tup.born_at = self.sim.now
-            self._pending = tup
-            self._target = None
-        if self._target is None:
-            target = self.policy.next_connection()
-            if not 0 <= target < len(self.connections):
-                raise ValueError(
-                    f"policy routed to invalid connection {target}"
-                )
-            if not self.live[target]:
-                live_target = self._live_alternative(target)
-                if live_target is None:
-                    # Every channel is dead: park until one is restored.
-                    self._parked_no_live = True
-                    return
-                self.fault_reroutes += 1
-                target = live_target
-            self._target = target
-
-        target = self._target
-        assert target is not None and self._pending is not None
-        if self.connections[target].send_nowait(self._pending):
+        gate = self._flow_gate
+        if gate is not None and gate.paused:
+            self._park_flow()
+            return
+        tup = self.source.next_tuple()
+        if tup is None:
+            self._park_drained()
+            return
+        if tup.born_at is None:
+            tup.born_at = self.sim.now
+        target = self.policy.next_connection()
+        if not 0 <= target < len(self.connections):
+            raise ValueError(f"policy routed to invalid connection {target}")
+        if self.connections[target].send_nowait(tup):
             self._sent(target)
             return
 
         if self.policy.allows_reroute:
             for alt in self.policy.reroute_candidates(target):
-                if alt == target or not self.live[alt]:
-                    continue
-                if self.connections[alt].send_nowait(self._pending):
+                if alt != target and self.connections[alt].send_nowait(tup):
                     self.rerouted += 1
                     self._sent(alt)
                     return
 
         # Elect to block on the originally chosen connection, recording for
         # how long (the MSG_DONTWAIT + select dance of Section 3).
+        self._pending = tup
+        self._target = target
         self._begin_block(target)
         self.connections[target].wait_for_send_space(self._on_send_space)
 
@@ -584,13 +526,9 @@ class Splitter:
 
     def _sent(self, connection: int) -> None:
         self.sent_per_connection[connection] += 1
-        if self._inflight is not None:
-            self._inflight[connection].append(self._pending)
-        self._pending = None
-        self._target = None
         self.sim.schedule_after(self.send_overhead, self._try_send_cb)
 
-    # ---------------------------------------------------- batched fast path
+    # ------------------------------------------------------------ block loop
 
     def _try_send_batch(self) -> None:
         """Block-native dispatch cycle: pull, apportion, and push runs.
@@ -789,34 +727,40 @@ class Splitter:
         self._end_block(target)
         self._try_send_batch()
 
-    def _reset_batch_dispatch(self) -> None:
-        """Abandon in-progress batch dispatch after a channel failure.
+    def _reclaim_chunks(self, channel: int) -> None:
+        """Take ``channel``'s undelivered share of the batch back.
 
-        Undelivered chunk blocks — whatever their target — go back to the
-        head of the replay queue, to be re-apportioned over the live
-        channels on the next cycle. A splitter parked on a full send
-        buffer is un-parked with its elapsed blocking charged (the wait
-        really happened, whoever the target was).
+        After a channel failure its undelivered chunk blocks go back to
+        the head of the replay queue, to be re-apportioned over the live
+        channels on a later cycle; the other channels' chunks stay where
+        they are. A splitter parked on the dead channel is un-parked with
+        its elapsed blocking charged (the wait really happened); one
+        parked on a live channel stays parked. A batch left with nothing
+        to deliver ends as an aborted ``batch_dispatch`` span.
         """
-        if self._chunk_items is None and not self._chunks:
+        reclaimed: "list[TupleBlock]" = []
+        if self._chunk_items is not None and self._target == channel:
+            # Parked on the dead channel: the wait would never end.
+            self.connections[channel].cancel_wait()
+            self._end_block(channel)
+            reclaimed.extend(self._chunk_items[self._chunk_pos :])
+            self._chunk_items = None
+            self._chunk_pos = 0
+            self._target = None
+            self.sim.schedule_after(0.0, self._try_send_cb)
+        chunks = self._chunks
+        for _ in range(len(chunks)):
+            target, items = chunks.popleft()
+            if target == channel:
+                reclaimed.extend(items)
+            else:
+                chunks.append((target, items))
+        if not reclaimed:
             return
-        target = self._target
-        if self._block_start is not None and target is not None:
-            self.connections[target].cancel_wait()
-            self._end_block(target)
-        leftovers: "list[TupleBlock]" = []
-        if self._chunk_items is not None:
-            leftovers.extend(self._chunk_items[self._chunk_pos :])
-        for _, items in self._chunks:
-            leftovers.extend(items)
-        self._chunks.clear()
-        self._chunk_items = None
-        self._chunk_pos = 0
-        self._target = None
-        self._batch_tuple_count = 0
-        obs = self._obs
-        if obs is not None and self._batch_span >= 0:
-            obs.tracer.finish(self._batch_span, self.sim.now, aborted=True)
-            self._batch_span = -1
-        self._replay.extendleft(reversed(leftovers))
-        self.sim.schedule_after(0.0, self._try_send_cb)
+        self._batch_tuple_count -= sum(block.count for block in reclaimed)
+        if not self._batch_tuple_count:
+            obs = self._obs
+            if obs is not None and self._batch_span >= 0:
+                obs.tracer.finish(self._batch_span, self.sim.now, aborted=True)
+                self._batch_span = -1
+        self._replay.extendleft(reversed(reclaimed))

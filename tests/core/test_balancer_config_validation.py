@@ -3,7 +3,7 @@
 Every bad tunable must fail loudly at construction, not rounds later as
 a solver crash or a silently skewed allocation. The smoothing factors and
 the safe-mode thresholds are module constants: the tests below hold each
-to the rule that validated the field it replaced.
+to the range that validated the field it replaced, one check a constant.
 """
 
 import pytest
@@ -14,14 +14,11 @@ from repro.core.blocking_rate import RATE_ALPHA
 
 
 class TestAlphaValidation:
-    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5])
-    def test_rate_alpha_must_be_positive_fraction(self, value):
-        assert 0.0 < RATE_ALPHA <= 1.0 and RATE_ALPHA != value
+    def test_rate_alpha_must_be_positive_fraction(self):
+        assert 0.0 < RATE_ALPHA <= 1.0
 
-    @pytest.mark.parametrize("value", [0.0, -0.1, 2.0])
-    def test_function_alpha_must_be_positive_fraction(self, value):
+    def test_function_alpha_must_be_positive_fraction(self):
         assert 0.0 < balancer.FUNCTION_ALPHA <= 1.0
-        assert balancer.FUNCTION_ALPHA != value
 
     def test_boundary_one_is_legal(self):
         # The rates are taken as measured: the boundary is the constant.
@@ -76,10 +73,8 @@ class TestClusteringKnobs:
 
 
 class TestSafeModeKnobs:
-    @pytest.mark.parametrize("value", [-0.1, 1.5])
-    def test_safe_saturation_must_be_fraction(self, value):
+    def test_safe_saturation_must_be_fraction(self):
         assert 0.0 <= balancer.SAFE_SATURATION <= 1.0
-        assert balancer.SAFE_SATURATION != value
 
     def test_safe_recover_rounds_must_be_positive(self):
         assert balancer.SAFE_RECOVER_ROUNDS > 0

@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import (
     OraclePolicy,
@@ -72,6 +74,49 @@ class TestWeightedPolicy:
         policy = WeightedPolicy([1, 1])
         with pytest.raises(ValueError):
             policy.set_weights([1, 1, 1])
+
+
+def _weights(n):
+    return st.lists(
+        st.integers(min_value=0, max_value=20), min_size=n, max_size=n
+    ).filter(lambda ws: sum(ws) > 0)
+
+
+class TestBatchOfOneIsAPick:
+    """``allocate_batch(1)`` is one smooth round-robin pick: the same
+    connection and the same credit vector, step for step, whatever
+    batches and weight changes came before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_allocate_batch_one_is_next_connection(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=8), label="n")
+        weights = data.draw(_weights(n), label="weights")
+        batched = WeightedPolicy(weights)
+        picked = WeightedPolicy(weights)
+        ops = data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(("pick", None)),
+                    st.tuples(st.just("batch"), st.integers(0, 40)),
+                    st.tuples(st.just("weights"), _weights(n)),
+                ),
+                max_size=80,
+            ),
+            label="ops",
+        )
+        for op, arg in ops:
+            if op == "pick":
+                pick = picked.next_connection()
+                assert batched.allocate_batch(1) == [
+                    int(j == pick) for j in range(n)
+                ]
+            elif op == "batch":
+                assert batched.allocate_batch(arg) == picked.allocate_batch(arg)
+            else:
+                batched.set_weights(arg)
+                picked.set_weights(arg)
+            assert batched._credits == picked._credits
 
 
 class TestReroutingPolicy:

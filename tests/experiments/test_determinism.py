@@ -7,13 +7,17 @@ Four guarantees pinned here:
 * the process-pool sweep executor returns exactly the rows the serial
   path produces;
 * the block path's simulated outcome (Fig. 9 dynamic, ``batch_size=16``,
-  plain / with a crash / observed / all three) equals digests recorded
-  before the merger's reorder buffer was indexed and emission went by
-  run (the combined one before acks and histogram steps went by run);
-* the per-tuple path's outcome and event trace (Fig. 9 dynamic under
-  three policies, jittered, with a crash bare and observed, the fault
-  scenario under both gap policies, the overload scenario) equal digests
-  recorded before its options became constants.
+  plain / with a crash / observed / all three / a count-triggered crash)
+  equals digests regenerated once when the apportionment took the
+  round-robin's integer credits and a channel failure began to reclaim
+  only the dead channel's share of a batch;
+* the B = 1 outcome and event trace (Fig. 9 dynamic under three
+  policies, jittered, with a crash bare and observed, the fault scenario
+  under both gap policies, the overload scenario) equal digests recorded
+  on the per-tuple path. The four fault-tolerant runs now take the block
+  path: their event traces and result fingerprints are the per-tuple
+  path's, and only their block-path digests moved (see
+  :class:`TestPerTupleOutcome`).
 """
 
 import dataclasses
@@ -145,11 +149,12 @@ def fig09_block_config(**region):
 
 
 class TestBlockPathOutcome:
-    """Digests recorded on the commit before the merge was indexed."""
+    """Digests regenerated once, when the apportionment and the failover
+    reclaim took the rules that make a batch of one a per-tuple step."""
 
     def test_plain(self):
         result = run_experiment(fig09_block_config(), "lb-adaptive")
-        assert block_path_digest(result) == "542e43c31c9137ae"
+        assert block_path_digest(result) == "fc8aa0a785a2128b"
 
     def test_with_crash(self):
         config = dataclasses.replace(
@@ -158,14 +163,14 @@ class TestBlockPathOutcome:
         )
         result = run_experiment(config, "lb-adaptive")
         assert result.quarantines >= 1
-        assert block_path_digest(result) == "6afae45f5de28650"
+        assert block_path_digest(result) == "38199acd27606458"
 
     def test_observed(self):
         result = run_experiment(
             fig09_block_config(observability=True), "lb-adaptive"
         )
         assert result.obs.metrics["merger_latency_seconds_count"] == 20_000
-        assert block_path_digest(result) == "f29b2259a43b896f"
+        assert block_path_digest(result) == "45bea9f379d3dd97"
 
     def test_full(self):
         # Both gates and a crash: the revoked service, its replay and the
@@ -177,7 +182,7 @@ class TestBlockPathOutcome:
         result = run_experiment(config, "lb-adaptive")
         assert result.quarantines >= 1
         assert result.obs.metrics["merger_latency_seconds_count"] == 20_000
-        assert block_path_digest(result) == "55d2592e3b7bd5c0"
+        assert block_path_digest(result) == "1de14dda7fe283f5"
 
     def test_count_crash_inside_a_block_fires_on_its_tuple(self, monkeypatch):
         # The merger reaches 6 005 emitted two tuples into the block
@@ -199,7 +204,7 @@ class TestBlockPathOutcome:
         )
         result = run_experiment(config, "lb-adaptive")
         assert fired == [(6_005, 21.62999999999989)]
-        assert block_path_digest(result) == "0c03ffaa0296b5d6"
+        assert block_path_digest(result) == "7220f4a3003d4e90"
 
 
 def traced_run(monkeypatch, config, policy="lb-adaptive"):
@@ -248,8 +253,16 @@ def fig09_crash_config(**region):
 
 
 class TestPerTupleOutcome:
-    """The per-tuple path (B = 1): outcome and event order, recorded at
-    the commit before the options only tests set became constants."""
+    """B = 1 outcome and event order, recorded on the per-tuple path.
+
+    The five fault-free runs still take the per-tuple path. The four
+    fault-tolerant ones (the crash runs and the fault scenario) take the
+    block path at every B now: their event-trace digests and the SHA-256
+    of their ``result_fingerprint`` are the ones the per-tuple path
+    recorded, and their block-path digests were regenerated once — they
+    differ only in ``batches_dispatched`` and, on the observed run, in one
+    ``batch_dispatch`` span (and its event) per dispatch cycle.
+    """
 
     @pytest.mark.parametrize(
         ("policy", "expected"),
@@ -270,7 +283,8 @@ class TestPerTupleOutcome:
         )
 
     # The fault-tolerant runs also pin the SHA-256 of their
-    # result_fingerprint, recorded on the per-tuple path.
+    # result_fingerprint, recorded on the per-tuple path before they
+    # moved to the block path.
 
     def test_fig09_crash(self, monkeypatch):
         result, trace = traced_run(monkeypatch, fig09_crash_config())
@@ -279,7 +293,7 @@ class TestPerTupleOutcome:
         )
         outcome = (block_path_digest(result), trace)
         assert outcome == (
-            "2529ed5ab1eee3e0", "cd1fe8358885dbb6fe8d1eb2683a48e3"
+            "87efcd2c3aa12aaf", "cd1fe8358885dbb6fe8d1eb2683a48e3"
         )
 
     def test_fig09_crash_observed(self, monkeypatch):
@@ -290,7 +304,7 @@ class TestPerTupleOutcome:
         )
         # Recording schedules no event: the crash run's trace, unchanged.
         assert (block_path_digest(result), trace) == (
-            "820791e42adcb083", "cd1fe8358885dbb6fe8d1eb2683a48e3"
+            "6dafae665ad8e39f", "cd1fe8358885dbb6fe8d1eb2683a48e3"
         )
 
     @pytest.mark.parametrize(
@@ -298,11 +312,11 @@ class TestPerTupleOutcome:
         [
             ("replay", (
                 "f7e120c3df20207c57ef32928b3c6a1e702c96cfd983185d82f2158fc6e2b2df",
-                ("449831130fa106cf", "76771c47205b614e3835be5edbbd108e"),
+                ("0f6c104de4f3483e", "76771c47205b614e3835be5edbbd108e"),
             )),
             ("skip", (
                 "ee742a5dad8bb07d98d4cb37f4080e1c140bb130c6da411f6e837aa8989b4ca0",
-                ("bf7a3e1b5ed6d2e9", "e8cde49193e919a77e974f4ae79c25d1"),
+                ("454cc5f391af9341", "e8cde49193e919a77e974f4ae79c25d1"),
             )),
         ],
     )

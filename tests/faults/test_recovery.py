@@ -32,30 +32,17 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         RecoveryConfig()
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"check_interval": 0.0},
-            {"staleness_timeout": -1.0},
-            {"heartbeat_confirmations": 0},
-            {"gap_policy": "retry"},
-            {"skip_timeout": 0.0},
-            {"check_interval": float("nan")},
-            {"staleness_timeout": float("inf")},
-            {"heartbeat_confirmations": -2},
-        ],
-    )
-    def test_bad_values_rejected(self, kwargs):
-        # Only the gap policy is settable. The detection timings are
-        # module constants, each finite, positive and not the bad value.
-        ((name, value),) = kwargs.items()
-        if name == "gap_policy":
-            with pytest.raises(ValueError, match="gap policy"):
-                RecoveryConfig(**kwargs)
-        else:
-            constant = getattr(recovery_module, name.upper())
-            assert math.isfinite(constant) and constant > 0
-            assert constant != value
+    def test_detection_constants_in_range(self):
+        # The detection timings are module constants: one range check each.
+        for name in ("CHECK_INTERVAL", "STALENESS_TIMEOUT", "SKIP_TIMEOUT"):
+            value = getattr(recovery_module, name)
+            assert math.isfinite(value) and value > 0, name
+        assert recovery_module.HEARTBEAT_CONFIRMATIONS >= 1
+
+    def test_unknown_gap_policy_rejected(self):
+        # Only the gap policy is settable.
+        with pytest.raises(ValueError, match="gap policy"):
+            RecoveryConfig(gap_policy="retry")
 
 
 class TestDetection:

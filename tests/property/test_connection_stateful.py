@@ -2,11 +2,13 @@
 
 A hypothesis rule-based state machine drives a
 :class:`~repro.net.connection.SimulatedConnection` — per tuple
-(``send_nowait`` / ``take`` / ``requeue_front``) or, on the block-mode
-axis, by runs (``send_run`` / ``take_runs`` / ``requeue_front_run``) —
-with arbitrary interleavings of sends, takes, crash redeliveries, waiter
-registrations and the fault transitions ``stall`` / ``unstall`` /
-``fail`` / ``reset``, checking after every step that:
+(``send_nowait`` / ``take``) or, on the block-mode axis, by runs
+(``send_run`` / ``take_runs`` / ``requeue_front_run``) — with arbitrary
+interleavings of sends, takes, waiter registrations and the fault
+transitions ``stall`` / ``unstall`` / ``fail`` / ``reset``, plus crash
+redeliveries in block mode (fault tolerance runs the block path, so only
+a block-mode connection takes a crashed run back), checking after every
+step that:
 
 * tuples come out in exactly the order they went in (FIFO end to end),
   and a redelivered tuple comes out first;
@@ -98,15 +100,11 @@ class ConnectionMachine(RuleBasedStateMachine):
     @rule(max_n=st.integers(min_value=1, max_value=3))
     def redeliver(self, max_n):
         # A worker crashes mid-service: what it took goes back to the head.
-        if not self.conn.recv_available():
+        if not self.block_mode or not self.conn.recv_available():
             return
         runs, out = self._take(max_n)
-        if self.block_mode:
-            for run in reversed(runs):
-                self.conn.requeue_front_run(run)
-        else:
-            for item in reversed(runs):
-                self.conn.requeue_front(item)
+        for run in reversed(runs):
+            self.conn.requeue_front_run(run)
         self.queued.extendleft(reversed(out))
         self.requeued += len(out)
 

@@ -96,8 +96,8 @@ class TestWeightedAllocateBatch:
         # A paper-sized region (dozens of connections, some at weight 0)
         # over a long random count sequence with weight changes mixed in:
         # every batch sums exactly, nobody goes negative, zero weights get
-        # nothing, and the carried credits conserve mass — what one batch
-        # rounds away the next ones pay back.
+        # nothing, and the carried integer credits conserve mass exactly —
+        # what one batch rounds away the next ones pay back.
         rng = random.Random(20160401)
         n = 45
         weights = [rng.choice([0, 1, 3, 9]) for _ in range(n)]
@@ -109,12 +109,12 @@ class TestWeightedAllocateBatch:
             assert sum(alloc) == count, f"round {round_no}"
             assert all(a >= 0 for a in alloc)
             assert all(a == 0 for a, w in zip(alloc, weights) if w == 0)
-            assert abs(sum(policy._batch_credits)) < 1e-6
+            assert sum(policy._credits) == 0
             if round_no % 37 == 36:
                 weights = [rng.choice([0, 1, 3, 9]) for _ in range(n)]
                 weights[-1] = 1
                 policy.set_weights(weights)
-                assert policy._batch_credits == [0.0] * n
+                assert policy._credits == [0] * n
 
     def test_zero_weight_connection_gets_nothing(self):
         policy = WeightedPolicy([0, 2, 0, 1])
@@ -139,7 +139,8 @@ class TestWeightedAllocateBatch:
         # handing +1 to nearly every connection — a batch of 2 came back
         # as an allocation of 8 and crashed the splitter's sum check.
         policy = WeightedPolicy([7, 1, 1, 9, 7, 1])
-        policy._batch_credits = [0.5, -0.5, -0.5, 0.5, 0.5, -0.5]
+        # Half a tuple of credit or debt each, in units of 1/26 tuple.
+        policy._credits = [13, -13, -13, 13, 13, -13]
         alloc = policy.allocate_batch(2)
         assert sum(alloc) == 2, alloc
         assert all(a >= 0 for a in alloc), alloc
@@ -385,17 +386,20 @@ class TestRegionBatching:
     def test_rerouting_policy_refused_in_block_mode(self):
         # Section 4.4 re-routing offers one tuple to alternate buffers; a
         # block path would silently run it as plain round-robin.
-        def region(batch_size):
+        def region(batch_size, **params):
             return ParallelRegion(
                 Simulator(),
                 FiniteSource(8, constant_cost(1_000.0)),
                 ReroutingPolicy(2),
                 Placement.single_host(2, Host("h", cores=2, thread_speed=1e5)),
-                params=RegionParams(batch_size=batch_size),
+                params=RegionParams(batch_size=batch_size, **params),
             )
 
         with pytest.raises(ValueError, match="allows_reroute"):
             region(4)
+        # Fault tolerance runs the block path at B = 1 too.
+        with pytest.raises(ValueError, match="allows_reroute"):
+            region(1, fault_tolerant=True)
         assert region(1).splitter.policy.allows_reroute
 
     def test_dispatch_and_service_stats_recorded(self):

@@ -101,8 +101,11 @@ class TestMergerLostSequences:
 
 class TestSplitterRetransmit:
     def _splitter(self, sim, n=2, total=20):
+        # Fault tolerance runs the block path at every B, B = 1 included.
         connections = [
-            SimulatedConnection(i, send_capacity=4, recv_capacity=4)
+            SimulatedConnection(
+                i, send_capacity=4, recv_capacity=4, block_mode=True
+            )
             for i in range(n)
         ]
         splitter = Splitter(
@@ -131,7 +134,7 @@ class TestSplitterRetransmit:
         splitter.start()
         sim.run_until(1.0)
         before = splitter.inflight_count(0)
-        splitter.acknowledge(0, 0)  # seq 0 went to connection 0 (RR)
+        splitter.acknowledge_runs(0, [block(0, 1)])  # seq 0 went to 0 (RR)
         assert splitter.inflight_count(0) == before - 1
 
     def test_out_of_order_ack_raises(self):
@@ -140,7 +143,8 @@ class TestSplitterRetransmit:
         splitter.start()
         sim.run_until(1.0)
         with pytest.raises(RuntimeError, match="does not match"):
-            splitter.acknowledge(0, 2)  # front of connection 0 is seq 0
+            # The front of connection 0 is seq 0.
+            splitter.acknowledge_runs(0, [block(2, 1)])
 
     def _block_splitter(self, sim):
         """A block-mode splitter whose connection 0 retransmit buffer is
@@ -237,6 +241,85 @@ class TestSplitterRetransmit:
         with pytest.raises(RuntimeError, match="fault-tolerant"):
             splitter.fail_channel(0)
 
+    def test_fault_tolerance_needs_block_mode_connections(self):
+        with pytest.raises(ValueError, match="block path"):
+            Splitter(
+                Simulator(),
+                FiniteSource(5, constant_cost(1.0)),
+                [SimulatedConnection(0)],
+                RoundRobinPolicy(1),
+                fault_tolerant=True,
+            )
+
+    def _parked_splitter(self, sim):
+        """A B = 4 splitter over three block-mode connections, parked on
+        connection 0 with the batch ``[12, 16)`` half sent: 0's chunk
+        ``[12, 14)`` waits for send space, 1's ``[14]`` and 2's ``[15]``
+        are still queued behind it."""
+        connections = [
+            SimulatedConnection(
+                i, send_capacity=2, recv_capacity=2, block_mode=True
+            )
+            for i in range(3)
+        ]
+        splitter = Splitter(
+            sim,
+            FiniteSource(40, constant_cost(1.0)),
+            connections,
+            RoundRobinPolicy(3),
+            fault_tolerant=True,
+            batch_size=4,
+        )
+        splitter.start()
+        sim.run_until(1.0)
+        assert splitter.blocked_on() == 0
+        assert [target for target, _ in splitter._chunks] == [1, 2]
+        return splitter
+
+    def test_failing_a_live_channel_keeps_the_splitter_parked(self):
+        sim = Simulator()
+        splitter = self._parked_splitter(sim)
+        blocking = splitter.connections[0].blocking.lifetime_episodes
+        splitter.fail_channel(1)
+        # Only connection 1's undelivered chunk comes back, to the head
+        # of the replay queue; the wait on connection 0 goes on.
+        assert splitter.blocked_on() == 0
+        assert [target for target, _ in splitter._chunks] == [2]
+        assert spans(splitter._replay)[0] == (14, 1)
+        assert splitter.connections[0].blocking.lifetime_episodes == blocking
+
+    def test_failing_the_parked_channel_unparks_and_keeps_the_rest(self):
+        sim = Simulator()
+        splitter = self._parked_splitter(sim)
+        splitter.fail_channel(0)
+        assert splitter.blocked_on() is None
+        assert splitter.connections[0].blocking.lifetime_episodes == 1
+        # Connection 0's undelivered tuple heads the replay queue; the
+        # live channels' chunks stay queued for the resumed cycle.
+        assert [target for target, _ in splitter._chunks] == [1, 2]
+        assert spans(splitter._replay)[0] == (12, 2)
+
+    def test_reclaim_that_empties_a_batch_of_one_aborts_its_span(self):
+        from repro.obs.hub import ObservabilityHub
+
+        sim = Simulator()
+        splitter, _ = self._splitter(sim)
+        hub = ObservabilityHub(lambda: sim.now)
+        splitter.attach_observability(hub)
+        splitter.start()
+        sim.run_until(1.0)
+        parked = splitter.blocked_on()
+        assert parked is not None
+        splitter.fail_channel(parked)
+        *_, last = (
+            span for span in hub.tracer.as_dicts()
+            if span["kind"] == "batch_dispatch"
+        )
+        assert last["attrs"] == {"tuples": 1, "aborted": True}
+        # The parked tuple heads the replay queue, ahead of the dead
+        # channel's unacknowledged ones.
+        assert spans(splitter._replay)[0] == (splitter.tuples_sent, 1)
+
 
 class TestRegionFailRestore:
     def test_fail_channel_reroutes_everything_to_survivor(self):
@@ -298,7 +381,7 @@ class TestWorkerLifecycle:
         worker = region.workers[0]
         assert worker.busy
         revoked = worker.crash()
-        assert revoked.seq == 0
+        assert spans(revoked) == [(0, 1)]
         assert not worker.busy
         # The cancelled completion never fires.
         processed = worker.tuples_processed
@@ -347,7 +430,8 @@ class TestWorkerLifecycle:
         revoked = worker.halt()
         assert worker._halted
         assert revoked is not None
-        region.connections[0].requeue_front(revoked)
+        for run in reversed(revoked):
+            region.connections[0].requeue_front_run(run)
         sim.run_until(0.5)
         stalled_at = worker.tuples_processed
         worker.resume()
@@ -361,8 +445,8 @@ class TestWorkerLifecycle:
         region.start()
         sim.run_until(0.05)
         worker = region.workers[0]
-        revoked = worker.crash()
-        region.connections[0].requeue_front(revoked)
+        for run in reversed(worker.crash()):
+            region.connections[0].requeue_front_run(run)
         worker.restart()
         sim.run_until(10.0)
         # Nothing lost: the revoked tuple was redelivered.
@@ -388,8 +472,9 @@ class TestConnectionFaultPrimitives:
         assert conn.send_nowait(tup(0))
 
     def test_requeue_front_bypasses_capacity(self):
-        conn = SimulatedConnection(0, send_capacity=2, recv_capacity=1)
-        for seq in range(1, 3):
-            conn.send_nowait(tup(seq))
-        conn.requeue_front(tup(0))
-        assert conn.take().seq == 0
+        conn = SimulatedConnection(
+            0, send_capacity=2, recv_capacity=1, block_mode=True
+        )
+        assert conn.send_run(block(1, 2)) == 2
+        conn.requeue_front_run(block(0, 1))
+        assert spans(conn.take_runs(1)) == [(0, 1)]
