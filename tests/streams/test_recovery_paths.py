@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.policies import RoundRobinPolicy
 from repro.net.connection import SimulatedConnection
+from repro.obs.hub import ObservabilityHub
 from repro.sim.engine import Simulator
 from repro.streams.hosts import Host, Placement
 from repro.streams.merger import OrderedMerger, SequenceError
@@ -300,8 +301,6 @@ class TestSplitterRetransmit:
         assert spans(splitter._replay)[0] == (12, 2)
 
     def test_reclaim_that_empties_a_batch_of_one_aborts_its_span(self):
-        from repro.obs.hub import ObservabilityHub
-
         sim = Simulator()
         splitter, _ = self._splitter(sim)
         hub = ObservabilityHub(lambda: sim.now)
