@@ -69,6 +69,14 @@ class TestWeightedAllocateBatch:
         policy = WeightedPolicy([1, 1, 1])
         assert policy.allocate_batch(16) == [6, 5, 5]
 
+    def test_excess_comes_back_from_the_highest_index_on_ties(self):
+        # A whole tuple of share each for a batch of one: the take-back
+        # leaves the lowest index, the round-robin's pick on a tie.
+        policy = WeightedPolicy([1, 1])
+        policy._credits = [2, 2]
+        assert policy.allocate_batch(1) == [1, 0]
+        assert policy._credits == [1, 3]
+
     def test_credits_carry_between_batches(self):
         # 1:1 weights, odd batches: the leftover must alternate.
         policy = WeightedPolicy([1, 1])
