@@ -40,6 +40,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.util.validation import check_positive
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.balancer import LoadBalancer
     from repro.core.policies import WeightedPolicy
@@ -66,7 +68,7 @@ STABILITY_TOLERANCE = 8
 
 @dataclass(slots=True)
 class RecoveryConfig:
-    """The gap policy of failover."""
+    """The gap policy of failover; building one checks the detection timings."""
 
     #: ``"replay"`` resends unacknowledged tuples to survivors; ``"skip"``
     #: declares them lost after :data:`SKIP_TIMEOUT`.
@@ -78,6 +80,12 @@ class RecoveryConfig:
                 f"unknown gap policy {self.gap_policy!r}; "
                 f"choose from {GAP_POLICIES}"
             )
+        # The detection timings are module constants: an edit that makes
+        # one non-positive or non-finite is refused here.
+        check_positive("CHECK_INTERVAL", CHECK_INTERVAL)
+        check_positive("STALENESS_TIMEOUT", STALENESS_TIMEOUT)
+        check_positive("HEARTBEAT_CONFIRMATIONS", HEARTBEAT_CONFIRMATIONS)
+        check_positive("SKIP_TIMEOUT", SKIP_TIMEOUT)
 
 
 @dataclass(slots=True)
