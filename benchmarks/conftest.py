@@ -1,10 +1,11 @@
-"""Shared infrastructure for the figure-reproduction benches.
+"""Shared infrastructure for the benches.
 
-Each ``bench_fig*.py`` regenerates one of the paper's figures: it runs the
-experiment(s), prints the same rows/series the paper reports, asserts the
-result's *shape* (who wins, by roughly what factor, where crossovers fall),
-and records the rendered report under ``benchmarks/_reports/`` so the
-paper-vs-measured comparison in EXPERIMENTS.md can be re-derived.
+``bench_figures.py`` regenerates the paper's figures, one record of
+``repro.experiments.figures.FIGURES`` each: it runs the experiment(s),
+records the rendered report under ``benchmarks/_reports/`` so the
+paper-vs-measured comparison in EXPERIMENTS.md can be re-derived, and
+checks the result's *shape* (who wins, by roughly what factor, where
+crossovers fall).
 
 Run with::
 
@@ -28,8 +29,8 @@ REPORT_DIR = pathlib.Path(__file__).parent / "_reports"
 #: CI smoke mode (``REPRO_BENCH_SMOKE=1``): every bench runs end to end on
 #: tiny parameters to prove the harness itself works. Shape assertions are
 #: advisory at that scale (the paper's effects need the full budgets to
-#: show), so assertion failures are downgraded to warnings; genuine
-#: crashes — exceptions of any other kind — still fail the job.
+#: show), so assertion failures are downgraded to warnings (here alone);
+#: genuine crashes — exceptions of any other kind — still fail the job.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() not in (
     "",
     "0",

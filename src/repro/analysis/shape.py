@@ -8,27 +8,11 @@ make the benches' checks explicit and their failure messages readable.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 
 class ShapeError(AssertionError):
     """A result's shape does not match the paper's."""
-
-
-def smoke_mode() -> bool:
-    """Whether ``REPRO_BENCH_SMOKE`` is set (CI bench-smoke runs).
-
-    In smoke mode every bench runs end to end on tiny parameters to prove
-    the harness works; the paper's effects need the full budgets to show,
-    so the shape helpers below become no-ops (and the bench conftest
-    additionally downgrades bare assertion failures to warnings).
-    """
-    return os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-    )
 
 
 def ratio(numerator: float, denominator: float) -> float:
@@ -46,8 +30,6 @@ def assert_faster(
     context: str = "",
 ) -> None:
     """Require ``slow_time >= at_least * fast_time``."""
-    if smoke_mode():
-        return
     if slow_time < at_least * fast_time:
         raise ShapeError(
             f"{context}: expected at least {at_least:g}x speedup, got "
@@ -64,8 +46,6 @@ def assert_between(
     context: str = "",
 ) -> None:
     """Require ``low <= value <= high``."""
-    if smoke_mode():
-        return
     if not low <= value <= high:
         raise ShapeError(
             f"{context}: expected value in [{low:g}, {high:g}], got {value:g}"
@@ -80,8 +60,6 @@ def assert_monotone(
     context: str = "",
 ) -> None:
     """Require ``values`` to be monotone within ``tolerance`` slack."""
-    if smoke_mode():
-        return
     for i, (a, b) in enumerate(zip(values, values[1:])):
         ok = b >= a - tolerance if increasing else b <= a + tolerance
         if not ok:

@@ -2,9 +2,11 @@
 
 Commands:
 
-* ``list``                    — list reproducible figures and their benches;
-* ``figure <id>``             — run one figure's experiment(s) and print the
-  report (e.g. ``figure fig8-top``, ``figure fig11-bottom``);
+* ``list``                    — list the reproducible figures' records;
+* ``figure <id>``             — run a figure record at full budget, print its
+  report and a PASS/FAIL line per claim, exit 1 if a claim fails (e.g.
+  ``figure fig8-top``, ``figure fig11-bottom``; an id prefix such as
+  ``sec44`` runs every record it begins);
 * ``demo``                    — the quickstart scenario;
 * ``sweep --pes 2,4,8 ...``   — a custom half-loaded sweep.
 
@@ -15,11 +17,10 @@ quick look should use the library API or the benches.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
+import textwrap
 from collections.abc import Sequence
 
-from repro.analysis.heatmap import ClusterHeatmap
 from repro.analysis.report import render_weight_table
 from repro.experiments import figures
 from repro.experiments.results import format_sweep_table
@@ -29,9 +30,9 @@ from repro.obs.hub import ObservabilityConfig
 
 
 def _cmd_list(_args) -> int:
-    print(f"{'figure':<14} {'bench':<36} description")
-    for entry in figures.FIGURES:
-        print(f"{entry.figure:<14} {entry.bench:<36} {entry.description}")
+    print(f"{'id':<24} {'figure':<14} description")
+    for f in figures.FIGURES:
+        print(f"{f.id:<24} {f.figure:<14} {f.description}")
     return 0
 
 
@@ -56,21 +57,22 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_obs(config, args):
-    """Enable observability on ``config`` when any obs flag was given."""
-    wanted = (
-        getattr(args, "obs", False)
-        or getattr(args, "obs_jsonl", None)
-        or getattr(args, "obs_prom", None)
-        or getattr(args, "obs_console", 0.0) > 0
-    )
-    if not wanted:
-        return config
-    return config.with_observability(ObservabilityConfig(
+def _obs_config(args) -> ObservabilityConfig | None:
+    """What the obs flags ask for, or ``None`` when none was given."""
+    if not (args.obs or args.obs_jsonl or args.obs_prom
+            or args.obs_console > 0):
+        return None
+    return ObservabilityConfig(
         console_interval=args.obs_console,
         jsonl_path=args.obs_jsonl,
         prometheus_path=args.obs_prom,
-    ))
+    )
+
+
+def _apply_obs(config, args):
+    """Enable observability on ``config`` when any obs flag was given."""
+    obs = _obs_config(args)
+    return config if obs is None else config.with_observability(obs)
 
 
 def _obs_summary(result) -> str:
@@ -98,120 +100,58 @@ def _obs_summary(result) -> str:
     return "\n".join(lines)
 
 
-def _run_indepth(config, *, times: Sequence[float], args=None) -> int:
-    if args is not None:
-        config = _apply_obs(config, args)
-    result = run_experiment(config, "lb-adaptive")
-    print(result.summary())
+def _print_obs(result, args) -> None:
+    """The run's observability digest and where its exports went."""
+    if result.obs is None:
+        return
     print()
-    print(render_weight_table(
-        result.weight_series, times=times,
-        title="allocation weights over time:",
-    ))
-    if result.obs is not None:
-        print()
-        print(_obs_summary(result))
-        if args is not None and args.obs_jsonl:
-            print(f"  wrote events -> {args.obs_jsonl}")
-        if args is not None and args.obs_prom:
-            print(f"  wrote metrics -> {args.obs_prom}")
-    return 0
+    print(_obs_summary(result))
+    if args.obs_jsonl:
+        print(f"  wrote events -> {args.obs_jsonl}")
+    if args.obs_prom:
+        print(f"  wrote metrics -> {args.obs_prom}")
 
 
 def _cmd_figure(args) -> int:
-    name = args.id.lower().replace("_", "-").replace(".", "")
-    if name in ("fig8-top", "fig08-top"):
-        return _run_indepth(
-            figures.fig08_top_config(),
-            times=[5, 15, 30, 50, 100, 200, 300, 399],
-            args=args,
-        )
-    if name in ("fig8-bottom", "fig08-bottom"):
-        return _run_indepth(
-            figures.fig08_bottom_config(),
-            times=[10, 30, 60, 100, 200, 300, 399],
-            args=args,
-        )
-    if name in ("fig11-top",):
-        return _run_indepth(
-            figures.fig11_top_config(),
-            times=[10, 30, 60, 120, 200, 299],
-            args=args,
-        )
-    if name in ("fig9", "fig09", "fig10"):
-        builder = figures.fig09_config if name != "fig10" else figures.fig10_config
-        pes = [2, 4, 8] if name != "fig10" else [4, 8]
-        for dynamic in (False, True):
-            rows = run_sweep(
-                lambda n: builder(n, dynamic=dynamic),
-                pes,
-                ("oracle", "lb-static", "lb-adaptive", "rr"),
-            )
-            print(format_sweep_table(
-                rows,
-                title=f"{name} {'dynamic' if dynamic else 'static'} "
-                "(times normalized to Oracle*):",
-            ))
-            print()
-        return 0
-    if name in ("fig11-bottom",):
-        for n in (8, 16, 24):
-            for label, placement, policy in (
-                ("All-Fast", "all-fast", "rr"),
-                ("All-Slow", "all-slow", "rr"),
-                ("Even-RR", "even", "rr"),
-                ("Even-LB", "even", "lb-adaptive"),
-            ):
-                result = run_experiment(
-                    figures.fig11_bottom_config(n, placement),
-                    policy,
-                    record_series=False,
-                )
-                print(f"{n:>3} PEs {label:>9}: exec "
-                      f"{result.execution_time:8.1f}s  tput "
-                      f"{result.final_throughput():8.1f}/s")
-        return 0
-    if name in ("fig12",):
-        result = run_experiment(figures.fig12_config(), "lb-adaptive")
-        heatmap = ClusterHeatmap.from_snapshots(result.cluster_snapshots, 64)
-        print(heatmap.render(max_rows=20))
-        end = result.sim_time - 1.0
-        for label, group in (("100x", range(20)), ("5x", range(20, 40)),
-                             ("1x", range(40, 64))):
-            mean = statistics.mean(
-                result.weight_series[j].value_at(end) for j in group
-            )
-            print(f"mean final weight {label:>4}: {mean / 10:.2f}%")
-        return 0
-    if name in ("fig13",):
-        rows = run_sweep(
-            lambda n: figures.fig13_config(n),
-            [32, 64],
-            ("oracle", "lb-static", "lb-adaptive", "rr"),
-        )
-        print(format_sweep_table(rows, title="fig13:"))
-        return 0
-    if name in ("sec44", "sec4-4"):
-        for cost in (1_000, 10_000):
-            config = figures.sec44_config(cost)
-            rr = run_experiment(config, "rr", record_series=False)
-            rt = run_experiment(config, "reroute", record_series=False)
-            print(f"base {cost}: rerouted {rt.reroute_fraction():.2%}, "
-                  f"gain {rr.execution_time / rt.execution_time:.2f}x")
-        return 0
-    print(f"unknown figure {args.id!r}; try `python -m repro list`",
-          file=sys.stderr)
-    return 2
+    selected = figures.find(args.id)
+    if not selected:
+        print(f"unknown figure {args.id!r}; try `python -m repro list`",
+              file=sys.stderr)
+        return 2
+    failed = 0
+    for figure in selected:
+        # The in-depth records observe their one run and keep it under
+        # "result"; the others ignore the obs flags.
+        measured = figure.run(False, _obs_config(args))
+        print(f"== {figure.id} ({figure.figure}) ==")
+        print(textwrap.fill(f"paper: {figure.quote}", width=76))
+        print()
+        print(figure.render(measured))
+        if isinstance(measured, dict) and "result" in measured:
+            _print_obs(measured["result"], args)
+        print()
+        bad = figure.failed(measured)
+        for claim in figure.claims:
+            verdict = "FAIL" if claim.name in bad else "PASS"
+            print(f"{verdict} {figure.id}: {claim.name}")
+        print()
+        failed += len(bad)
+    return 1 if failed else 0
 
 
 def _cmd_demo(args) -> int:
     if args.backend == "process":
         return _run_process_demo(args)
-    return _run_indepth(
-        figures.fig08_top_config(duration=200.0),
-        times=[5, 15, 25, 50, 100, 150, 199],
-        args=args,
-    )
+    config = _apply_obs(figures.fig08_top_config(duration=200.0), args)
+    result = run_experiment(config, "lb-adaptive")
+    print(result.summary())
+    print()
+    print(render_weight_table(
+        result.weight_series, times=[5, 15, 25, 50, 100, 150, 199],
+        title="allocation weights over time:",
+    ))
+    _print_obs(result, args)
+    return 0
 
 
 def _run_process_demo(args) -> int:
@@ -246,13 +186,7 @@ def _run_process_demo(args) -> int:
               f"eighth of the way through")
     result = run_experiment(config, "rr")
     print(result.summary())
-    if result.obs is not None:
-        print()
-        print(_obs_summary(result))
-        if args.obs_jsonl:
-            print(f"  wrote events -> {args.obs_jsonl}")
-        if args.obs_prom:
-            print(f"  wrote metrics -> {args.obs_prom}")
+    _print_obs(result, args)
     return 0
 
 
@@ -261,7 +195,7 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(
         lambda n: figures.fig09_config(n, dynamic=args.dynamic),
         pes,
-        ("oracle", "lb-static", "lb-adaptive", "rr"),
+        figures.SWEEP_POLICIES,
     )
     print(format_sweep_table(rows, title="custom sweep:"))
     return 0
@@ -278,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list
     )
     figure = sub.add_parser("figure", help="run one figure's experiments")
-    figure.add_argument("id", help="figure id, e.g. fig8-top, fig12, sec44")
+    figure.add_argument(
+        "id", help="record id or id prefix, e.g. fig8-top, fig12, sec44"
+    )
     _add_obs_flags(figure)
     figure.set_defaults(func=_cmd_figure)
     demo = sub.add_parser("demo", help="a two-minute demonstration")

@@ -291,16 +291,17 @@ class Splitter:
             self.sim.schedule_after(0.0, self._try_send_cb)
 
     def _flow_resumed(self) -> None:
-        if not self._parked_flow:
-            return
-        self._parked_flow = False
+        # A failover may have woken the splitter mid-pause to send its
+        # replay; the pause still ends here, on the gate's resume edge.
         if self._flow_park_start is not None:
             self.flow_paused_seconds += self.sim.now - self._flow_park_start
             self._flow_park_start = None
             if self._obs is not None and self._flow_span >= 0:
                 self._obs.tracer.finish(self._flow_span, self.sim.now)
                 self._flow_span = -1
-        self.sim.schedule_after(0.0, self._try_send_cb)
+        if self._parked_flow:
+            self._parked_flow = False
+            self.sim.schedule_after(0.0, self._try_send_cb)
 
     # ------------------------------------------------------------- recovery
 
@@ -405,11 +406,15 @@ class Splitter:
             # The source had drained but replay revives the send loop.
             self.finished = False
             self.sim.schedule_after(0.0, self._try_send_cb)
-        elif replayed and self._parked_idle:
-            # Parked between arrivals of an open-loop source: the replay
-            # queue has work now, so wake up rather than wait for the
-            # next arrival (which may never come).
+        elif replayed and (self._parked_idle or self._parked_flow):
+            # Parked between arrivals of an open-loop source, or on the
+            # merger's flow gate: the replay queue has work now, so wake
+            # up rather than wait for the next arrival (which may never
+            # come) or the gate's resume (which waits on these very
+            # tuples). Clearing the flag keeps that resume edge from
+            # starting a second send loop.
             self._parked_idle = False
+            self._parked_flow = False
             self.sim.schedule_after(0.0, self._try_send_cb)
         return (replayed, lost)
 
@@ -620,13 +625,18 @@ class Splitter:
                 return
 
     def _pull_batch(self) -> bool:
-        """Pull and apportion the next batch; ``False`` = parked/finished."""
+        """Pull and apportion the next batch; ``False`` = parked/finished.
+
+        While the flow gate is paused only the replay queue is sent: those
+        tuples are already sequenced, and the merger drains on them.
+        """
         gate = self._flow_gate
-        if gate is not None and gate.paused:
+        replay = self._replay
+        paused = gate is not None and gate.paused
+        if paused and not replay:
             self._park_flow()
             return False
         limit = self.batch_size
-        replay = self._replay
         if not replay:
             # Steady state: no replayed blocks queued, so the batch is one
             # contiguous pull from the source.
@@ -648,7 +658,7 @@ class Splitter:
                 replay[0] = tail
             blocks.append(block)
             total += block.count
-        if total < limit:
+        if total < limit and not paused:
             block = self.source.next_block(limit - total)
             if block is not None:
                 blocks.append(block)

@@ -1,8 +1,10 @@
-"""Sanity tests for the per-figure experiment builders.
+"""Tests for the per-figure experiment builders and the figure table.
 
-Full shape checks live in ``benchmarks/``; here we verify the builders
-produce internally consistent configurations (separation of time scales,
-load classes, placements) without running the heavy experiments.
+The builder tests verify internally consistent configurations
+(separation of time scales, load classes, placements) without running
+the heavy experiments. :class:`TestPaperGate` is the tier-1 paper gate:
+the figure records that run in seconds at full budget, with every claim a
+real failure; the rest run in ``benchmarks/bench_figures.py``.
 """
 
 import pytest
@@ -131,4 +133,44 @@ class TestSec44:
         figures_listed = {f.figure for f in figures.FIGURES}
         assert {"Fig. 2", "Fig. 5", "Fig. 7", "Fig. 8 top", "Fig. 8 bottom",
                 "Fig. 9", "Fig. 10", "Fig. 11 top", "Fig. 11 bottom",
-                "Fig. 12", "Fig. 13", "Sec. 4.4"} == figures_listed
+                "Fig. 12", "Fig. 13", "Sec. 4.4", "Ablation"} == figures_listed
+        ids = [f.id for f in figures.FIGURES]
+        assert len(set(ids)) == len(ids)
+        assert all(f.quote and f.claims for f in figures.FIGURES)
+
+
+class TestFind:
+    def test_exact_id_short_number_and_prefix(self):
+        assert [f.id for f in figures.find("fig8-top")] == ["fig08_top"]
+        assert [f.id for f in figures.find("fig11_bottom")] == ["fig11_bottom"]
+        assert [f.id for f in figures.find("sec4.4")] == [
+            "sec44_light", "sec44_heavy"
+        ]
+        assert figures.find("fig99") == []
+
+
+class TestPaperGate:
+    """The cheap figure records reproduce the paper at full budget.
+
+    Nothing here writes to ``benchmarks/_reports/``.
+    """
+
+    @pytest.mark.parametrize("figure_id", [
+        "fig02_blocking_rate",
+        "fig02_sawtooth",
+        "fig05_fixed_weights",
+        "fig05_draft_leader",
+        "fig07_rate_functions",
+        "fig08_bottom",
+        "fig11_top",
+        "sec44_light",
+        "sec44_heavy",
+        "ablation_ordering",
+        "ablation_jitter",
+        "ablation_buffers",
+    ])
+    def test_figure_reproduces_at_full_budget(self, figure_id):
+        (figure,) = figures.find(figure_id)
+        measured = figure.run(False, None)
+        report = figure.render(measured)
+        assert figure.failed(measured) == [], report

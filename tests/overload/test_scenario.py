@@ -14,6 +14,7 @@ import pytest
 from repro.experiments.config import overload_scenario
 from repro.experiments.runner import run_experiment
 from repro.faults.schedule import FaultSchedule
+from repro.obs.hub import ObservabilityConfig
 from repro.overload.admission import QUEUE_LIMIT
 from repro.overload.detector import PENDING_HIGH, QUEUE_HIGH
 
@@ -111,3 +112,41 @@ class TestOverloadBurst:
         values = dict(result.queue_series)
         calm = [v for t, v in values.items() if t < 15.0]
         assert max(calm, default=0.0) < QUEUE_HIGH
+
+
+class TestCrashUnderFlowControl:
+    """A crash while the merger's flow gate is paused must not wedge the run.
+
+    At the failover the merger holds tuples behind the dead channel's
+    sequence numbers, so its pending count keeps the gate paused; only
+    the replayed tuples can drain it. The splitter therefore has to send
+    its replay queue while the gate is paused, and the failover has to
+    wake a splitter parked on the gate.
+    """
+
+    @pytest.mark.parametrize(
+        "worker,at,restart_after",
+        [(1, 15.0, 20.0), (0, 5.0, 10.0)],
+        ids=["obs-validate", "worker0-at5"],
+    )
+    def test_throughput_recovers_after_failover(
+        self, worker, at, restart_after
+    ):
+        cfg = dataclasses.replace(
+            overload_scenario(duration=60.0),
+            fault_schedule=FaultSchedule.crash(
+                worker, at=at, restart_after=restart_after
+            ),
+        ).with_observability(ObservabilityConfig())
+        result = run_experiment(cfg, "lb-adaptive")
+        assert result.quarantines >= 1
+        last = result.throughput_series.window(50.0, 60.0)
+        assert last.mean() > 0.0, (result.emitted, list(last))
+        # Waking the splitter mid-pause does not split or drop a pause:
+        # one closed span per gate pause, adding up to the paused time.
+        spans = result.obs.spans_of_kind("flow_pause")
+        assert len(spans) == result.flow_pauses
+        assert all(s["end"] is not None for s in spans)
+        assert sum(s["duration"] for s in spans) == pytest.approx(
+            result.flow_paused_seconds
+        )

@@ -79,6 +79,9 @@ ALLOWLIST = {
         "latency figure the overload and latency tests assert on",
     "repro.obs.hub.ObsReport.spans_of_kind":
         "filters a run's spans by kind in the obs and recovery tests",
+    "repro.analysis.shape.assert_monotone":
+        "shape assertion beside assert_faster and assert_between; the figure "
+        "claims state their two monotone checks as predicates",
 }
 
 #: ``module.Class.attribute`` -> why it stays although only tests load it.
@@ -97,6 +100,12 @@ OPTIONS_ALLOWLIST = {
         "workers dial",
     "repro.streams.operators.SinkOp.__init__.on_tuple":
         "observation point tests read a graph's output through",
+    "repro.analysis.shape.assert_monotone.increasing":
+        "see ALLOWLIST's assert_monotone",
+    "repro.analysis.shape.assert_monotone.tolerance":
+        "see ALLOWLIST's assert_monotone",
+    "repro.analysis.shape.assert_monotone.context":
+        "see ALLOWLIST's assert_monotone",
 }
 
 #: The benchmark harness: frozen, so every name it mentions stays.
