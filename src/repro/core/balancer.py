@@ -45,7 +45,11 @@ from repro.core.constraints import WeightConstraints
 from repro.core.rap import solve_minimax_fox
 from repro.core.rate_function import DEFAULT_RESOLUTION, BlockingRateFunction
 from repro.obs.audit import ControlRoundRecord, DecisionAuditLog
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import (
+    check_fraction,
+    check_non_negative,
+    check_positive,
+)
 
 #: Fraction a reintegrated channel's rate function is decayed by.
 REINTEGRATION_DECAY = 0.5
@@ -247,6 +251,18 @@ class LoadBalancer:
     ) -> None:
         if n_connections <= 0:
             raise ValueError("need at least one connection")
+        # The smoothing, hysteresis and safe-mode thresholds are module
+        # constants: an edit that puts one out of its range is refused
+        # here.
+        if not 0.0 < FUNCTION_ALPHA <= 1.0:
+            raise ValueError(
+                f"FUNCTION_ALPHA must be in (0, 1], got {FUNCTION_ALPHA}"
+            )
+        if not 0.0 <= HYSTERESIS < 1.0:
+            raise ValueError(f"HYSTERESIS must be in [0, 1), got {HYSTERESIS}")
+        check_fraction("SAFE_SATURATION", SAFE_SATURATION)
+        check_positive("SAFE_RECOVER_ROUNDS", SAFE_RECOVER_ROUNDS)
+        check_positive("SAFE_FLIP_LIMIT", SAFE_FLIP_LIMIT)
         self.config = config or BalancerConfig()
         self.n_connections = n_connections
         if self.config.weight_floor * n_connections > self.config.resolution:

@@ -30,6 +30,9 @@ class BlockingRateEstimator:
     def __init__(self, n_connections: int) -> None:
         if n_connections <= 0:
             raise ValueError("need at least one connection")
+        # A module constant: an edit that puts it out of range is refused.
+        if not 0.0 < RATE_ALPHA <= 1.0:
+            raise ValueError(f"RATE_ALPHA must be in (0, 1], got {RATE_ALPHA}")
         self.n_connections = n_connections
         self._rates = [IntervalRate(RATE_ALPHA) for _ in range(n_connections)]
         self._samples_taken = 0

@@ -83,6 +83,7 @@ class WeightedPolicy:
         self._weights: list[int] = []
         self._credits: list[int] = []
         self._active: list[tuple[int, int]] = []
+        self._active_ids: list[int] = []
         self._total = 0
         self.set_weights(weights)
 
@@ -113,6 +114,7 @@ class WeightedPolicy:
         # every routed tuple: precompute the nonzero (index, weight) pairs
         # and their sum once per change instead of filtering per pick.
         self._active = [(j, w) for j, w in enumerate(cleaned) if w]
+        self._active_ids = [j for j, _ in self._active]
         self._total = sum(w for _, w in self._active)
 
     def next_connection(self) -> int:
@@ -133,17 +135,30 @@ class WeightedPolicy:
         """Apportion ``count`` tuples across connections by weight.
 
         The smooth round-robin's rule for ``count`` picks at once, on the
-        same integer credits: connection ``j``'s share is ``credit_j +
-        count * w_j`` (in units of ``1/total`` tuples), it is allotted
-        ``share // total`` (never below zero), and what the floors leave
-        unsettled is handed out or taken back by :meth:`_settle`. The
-        credit keeps ``share - alloc * total``, so over any run of batches
-        a connection's realized allocation tracks ``T * w_j / total``, and
-        ``allocate_batch(1)`` is exactly one :meth:`next_connection` pick,
-        credits included — a batch of one is the per-tuple interleave.
+        same integer credits (:meth:`_floor_and_settle`). A batch of one
+        is exactly one :meth:`next_connection` pick, credits included, so
+        it takes that pick directly.
         """
+        if count == 1:
+            alloc = [0] * self.n_connections
+            alloc[self.next_connection()] = 1
+            return alloc
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
+        return self._floor_and_settle(count)
+
+    def _floor_and_settle(self, count: int) -> list[int]:
+        """The batch rule: floor each share, then settle the remainder.
+
+        Connection ``j``'s share is ``credit_j + count * w_j`` (in units
+        of ``1/total`` tuples), it is allotted ``share // total`` (never
+        below zero), and what the floors leave unsettled is handed out or
+        taken back by :meth:`_settle`. The credit keeps ``share - alloc *
+        total``, so over any run of batches a connection's realized
+        allocation tracks ``T * w_j / total``, and at ``count == 1`` this
+        is exactly one :meth:`next_connection` pick, credits included — a
+        batch of one is the per-tuple interleave.
+        """
         alloc = [0] * self.n_connections
         if count == 0:
             return alloc
@@ -172,19 +187,21 @@ class WeightedPolicy:
         on ties, cycling until the allocation sums to ``count``. Cycling
         in that order leaves the largest shares standing, so a batch of
         one still lands on the round-robin's pick.
+
+        Both orders are one keyed sort of the active indices: Python's
+        sort is stable, with ``reverse=True`` too, so ties keep their
+        input order — ascending for the shortfall, and descending (the
+        indices fed in reversed) for the take-back.
         """
         credits = self._credits
         total = self._total
+        key = credits.__getitem__
         if assigned < count:
-            order = sorted(
-                (j for j, _ in self._active), key=lambda j: (-credits[j], j)
-            )
+            order = sorted(self._active_ids, key=key, reverse=True)
             step = 1
             left = count - assigned
         else:
-            order = sorted(
-                (j for j, _ in self._active), key=lambda j: (credits[j], -j)
-            )
+            order = sorted(reversed(self._active_ids), key=key)
             step = -1
             left = assigned - count
         while left:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .audit import DecisionAuditLog
 from .registry import MetricsRegistry
@@ -88,6 +89,10 @@ class ObservabilityHub:
         self.audit = DecisionAuditLog()
         self.tracer = SpanTracer()
         self.events: list[dict] = []
+        #: Audit records and spans as plain dicts, rendered once by
+        #: :meth:`finalize` for both the event stream and the report.
+        self._audit_dicts: list[dict] | None = None
+        self._span_dicts: list[dict] | None = None
 
     @property
     def now(self) -> float:
@@ -111,26 +116,30 @@ class ObservabilityHub:
         """Close open spans and flush audit/span mirrors at run end.
 
         This is the *only* place audit records and spans enter the
-        event stream, so components can't double-report them.
+        event stream, so components can't double-report them. Each
+        record and span is rendered to a dict once; its event is that
+        dict with ``type`` (and, for a span, ``time``) in front.
         """
         self.tracer.close(end_time)
-        for record in self.audit:
-            self.events.append({"type": "audit", **record.as_dict()})
-        for span in self.tracer:
-            self.events.append(
-                {"type": "span", "time": span.start, **span.as_dict()}
-            )
-        self.events.sort(
-            key=lambda e: (e["time"], 0 if e["type"] != "span" else 1)
+        audit = self._audit_dicts = self.audit.as_dicts()
+        spans = self._span_dicts = self.tracer.as_dicts()
+        events = self.events
+        events.extend([{"type": "audit", **record} for record in audit])
+        events.extend(
+            [{"type": "span", "time": span["start"], **span} for span in spans]
         )
+        # A stable sort by time alone: the spans were appended after
+        # every other event, so at equal times they still come last.
+        events.sort(key=itemgetter("time"))
 
     def report(self) -> ObsReport:
         """Freeze into plain data (call after :meth:`finalize`)."""
+        audit = self._audit_dicts
+        spans = self._span_dicts
         return ObsReport(
             events=list(self.events),
             metrics=self.registry.snapshot(),
             prometheus=self.registry.to_prometheus(),
-            audit=self.audit.as_dicts(),
-            spans=self.tracer.as_dicts(),
+            audit=self.audit.as_dicts() if audit is None else audit,
+            spans=self.tracer.as_dicts() if spans is None else spans,
         )
-

@@ -133,10 +133,19 @@ class Histogram:
         self.count = 0
 
     def observe(self, value: float, count: int = 1) -> None:
-        """Record ``value`` ``count`` times: one bucket step of ``count``."""
+        """Record ``value`` ``count`` times: one bucket step of ``count``.
+
+        ``count == 0`` records nothing; a negative count would take
+        observations back, and is rejected.
+        """
         value = float(value)
         if value != value:
             raise ValueError(f"histogram {self.name!r} cannot observe NaN")
+        if count < 0:
+            raise ValueError(
+                f"histogram {self.name!r} cannot observe a negative "
+                f"count: {count}"
+            )
         total = self.sum
         for _ in range(count):
             total += value

@@ -45,12 +45,13 @@ class Span:
         return self.end - self.start
 
     def as_dict(self) -> dict:
+        end = self.end
         return {
             "span_id": self.span_id,
             "kind": self.kind,
             "start": self.start,
-            "end": self.end,
-            "duration": None if self.end is None else self.duration,
+            "end": end,
+            "duration": None if end is None else end - self.start,
             "parent_round": self.parent_round,
             "attrs": dict(self.attrs),
         }

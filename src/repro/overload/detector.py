@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.util.validation import check_fraction, check_positive
+
 #: Admission policies :func:`~repro.overload.admission.build_shedding_policy`
 #: knows how to build. ``"none"`` disables shedding (flow control only).
 SHEDDING_KINDS = ("drop-tail", "probabilistic", "priority", "none")
@@ -74,6 +76,27 @@ class OverloadDetector:
     """Declares (and un-declares) the overload state, with hysteresis."""
 
     def __init__(self) -> None:
+        # The watermarks, period, threshold and streaks are module
+        # constants: an edit that breaks one's rule is refused here.
+        if not 0 <= QUEUE_LOW < QUEUE_HIGH:
+            raise ValueError(
+                "need 0 <= QUEUE_LOW < QUEUE_HIGH, got "
+                f"QUEUE_LOW={QUEUE_LOW}, QUEUE_HIGH={QUEUE_HIGH}"
+            )
+        if not 0 <= PENDING_LOW < PENDING_HIGH:
+            raise ValueError(
+                "need 0 <= PENDING_LOW < PENDING_HIGH, got "
+                f"PENDING_LOW={PENDING_LOW}, PENDING_HIGH={PENDING_HIGH}"
+            )
+        check_positive("CHECK_INTERVAL", CHECK_INTERVAL)
+        check_fraction("SATURATION_THRESHOLD", SATURATION_THRESHOLD)
+        # Clearing is slower than tripping: re-admitting early re-trips.
+        if not 0 < TRIP_CONFIRMATIONS < CLEAR_CONFIRMATIONS:
+            raise ValueError(
+                "need 0 < TRIP_CONFIRMATIONS < CLEAR_CONFIRMATIONS, got "
+                f"TRIP_CONFIRMATIONS={TRIP_CONFIRMATIONS}, "
+                f"CLEAR_CONFIRMATIONS={CLEAR_CONFIRMATIONS}"
+            )
         #: Current state: ``True`` while the region is declared overloaded.
         self.overloaded = False
         #: Healthy-to-overloaded transitions so far.

@@ -61,7 +61,7 @@ class _RepeatingTimer:
         self._callback()
         if self._active:
             sim = self._sim
-            sim.repush(self._cell, sim._now + self._interval)
+            sim.repush(self._cell, sim.now + self._interval)
 
     def cancel(self) -> None:
         self._active = False
@@ -86,7 +86,7 @@ class Simulator:
         "_free",
         "compactions",
         "cancellations",
-        "_now",
+        "now",
         "_running",
         "_stopped",
         "_trace",
@@ -110,7 +110,10 @@ class Simulator:
         self.compactions = 0
         #: Total events cancelled over the run (diagnostic).
         self.cancellations = 0
-        self._now = 0.0
+        #: Current simulated time in seconds. A plain slot rather than a
+        #: property: every entity reads the clock on its hot path, and
+        #: only the run loop (and ``run_until``) writes it.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._trace: "hashlib._Hash | None" = None
@@ -119,11 +122,6 @@ class Simulator:
         #: Per-tuple events the batched dataplane avoided scheduling
         #: (bumped by batching entities, not the engine itself).
         self.events_coalesced = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # ----------------------------------------------------------- scheduling
 
@@ -135,9 +133,9 @@ class Simulator:
 
     def call_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now {self._now}"
+                f"cannot schedule in the past: {time} < now {self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -155,7 +153,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event.__new__(Event)
-        cell = [self._now + delay, seq, callback, event, True]
+        cell = [self.now + delay, seq, callback, event, True]
         event._cell = cell
         event._sim = self
         heappush(self._heap, cell)
@@ -170,12 +168,12 @@ class Simulator:
         free = self._free
         if free:
             cell = free.pop()
-            cell[0] = self._now + delay
+            cell[0] = self.now + delay
             cell[1] = seq
             cell[2] = callback
             cell[4] = True
         else:
-            cell = [self._now + delay, seq, callback, None, True]
+            cell = [self.now + delay, seq, callback, None, True]
         heappush(self._heap, cell)
 
     def call_every(
@@ -194,10 +192,10 @@ class Simulator:
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive: {interval}")
-        first = start if start is not None else self._now + interval
-        if first < self._now:
+        first = start if start is not None else self.now + interval
+        if first < self.now:
             raise SimulationError(
-                f"cannot schedule in the past: {first} < now {self._now}"
+                f"cannot schedule in the past: {first} < now {self.now}"
             )
         return _RepeatingTimer(self, interval, callback, first).cancel
 
@@ -309,7 +307,7 @@ class Simulator:
         )
         registry.gauge_fn(
             "sim_clock_seconds",
-            lambda: self._now,
+            lambda: self.now,
             help="Current simulated time",
         )
 
@@ -371,7 +369,7 @@ class Simulator:
                     pop(heap)
                     break
                 cell[4] = False
-                self._now = cell[0]
+                self.now = cell[0]
                 self.events_processed += 1
                 callback = cell[2]
                 handle = cell[3]
@@ -419,7 +417,7 @@ class Simulator:
                     pop(heap)
                     break
                 cell[4] = False
-                self._now = cell[0]
+                self.now = cell[0]
                 self.events_processed += 1
                 trace.update(pack(cell[0], cell[1]))
                 callback = cell[2]
@@ -443,13 +441,13 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run_until is not reentrant")
-        if end_time < self._now:
+        if end_time < self.now:
             raise SimulationError(
-                f"end_time {end_time} is before now {self._now}"
+                f"end_time {end_time} is before now {self.now}"
             )
         self._run(end_time)
         if not self._stopped:
-            self._now = end_time
+            self.now = end_time
 
     def run_until_idle(self, max_time: float) -> None:
         """Run until the queue drains, but never past ``max_time``."""

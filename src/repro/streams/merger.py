@@ -32,7 +32,7 @@ arrival of a skipped tuple as a counted drop rather than a
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
@@ -216,77 +216,52 @@ class OrderedMerger:
     def accept_runs(self, worker_id: int, runs: "list[TupleBlock]") -> None:
         """Receive whole column blocks of processed tuples from one worker.
 
-        The block-native bulk accept: an in-order block is parked intact —
-        one dict entry for B tuples, no per-tuple objects — and emitted as
-        a unit when its turn comes. Per-seq scrutiny happens only on
-        fault-path arrivals (lost/skipped bookkeeping active, tuples held
-        one by one, a stale replay, or any overlap with an already-parked
-        run), where the block is expanded and fed through the per-tuple
-        checks.
+        The block-native bulk accept: each block is parked intact — one
+        dict entry for B tuples, no per-tuple objects — and the ready
+        prefix is then drained, so an in-order block is emitted as a unit
+        at once. Parking a block is one bisect of the parked starts
+        (:meth:`_park_index`): the index that finds the two neighbours it
+        could overlap is the one it is inserted at. Per-seq scrutiny
+        happens only on fault-path arrivals (lost/skipped bookkeeping
+        active, tuples held one by one, a stale replay, or any overlap
+        with an already-parked run), where the block is expanded and fed
+        through the per-tuple checks.
         """
         if not runs:
             return
+        pending = self._pending
         pending_runs = self._pending_runs
         starts = self._run_starts
-        if (
-            len(runs) == 1
-            and runs[0].start == self._next_seq
-            and not self._lost
-            and not self._skipped
-            and not self._pending
-            and not (starts and self._overlaps_run(self._next_seq, runs[0].end))
-        ):
-            # Steady-state fast path: a single block arriving exactly in
-            # order emits directly — no park in the reordering buffer, no
-            # drain round-trip. Occupancy peaks at the same value the
-            # park-then-drain path would have recorded.
-            block = runs[0]
-            count = block.count
-            received = self.received_per_worker
-            received[worker_id] = received.get(worker_id, 0) + count
-            occupancy = self._pending_run_tuples + count
-            if occupancy > self.max_pending:
-                self.max_pending = occupancy
-            self._next_seq = block.start + count
-            self._emit_run(block)
-            if pending_runs:
-                self._drain_ready()
-            if self._flow_gate is not None:
-                self._flow_gate.update(
-                    len(self._pending) + self._pending_run_tuples
-                )
-            return
+        awaited = self._next_seq
+        # Only the slow path adds to ``pending``; it never marks or skips.
+        faulted = bool(self._lost or self._skipped)
         fast = 0
         slow = 0
         for block in runs:
             start = block.start
-            if (
-                self._lost
-                or self._skipped
-                or self._pending
-                or start < self._next_seq
-                or (starts and self._overlaps_run(start, start + block.count))
-            ):
+            if faulted or pending or start < awaited:
                 slow += self._accept_block_slow(block)
-            else:
-                pending_runs[start] = block
-                insort(starts, start)
-                fast += block.count
+                continue
+            i = self._park_index(start, start + block.count)
+            if i < 0:
+                slow += self._accept_block_slow(block)
+                continue
+            pending_runs[start] = block
+            starts.insert(i, start)
+            fast += block.count
         self._pending_run_tuples += fast
         accepted = fast + slow
         if accepted:
             received = self.received_per_worker
             received[worker_id] = received.get(worker_id, 0) + accepted
-            occupancy = len(self._pending) + self._pending_run_tuples
+            occupancy = len(pending) + self._pending_run_tuples
             if occupancy > self.max_pending:
                 self.max_pending = occupancy
         self._drain_ready()
         if self._lost and self._next_seq in self._lost:
             self._advance_past_lost()
         if self._flow_gate is not None:
-            self._flow_gate.update(
-                len(self._pending) + self._pending_run_tuples
-            )
+            self._flow_gate.update(len(pending) + self._pending_run_tuples)
 
     def _accept_block_slow(self, block: "TupleBlock") -> int:
         """Per-tuple insertion of a block that needs fault bookkeeping."""
@@ -302,7 +277,7 @@ class OrderedMerger:
             if (
                 seq < self._next_seq
                 or seq in pending
-                or self._overlaps_run(seq, seq + 1)
+                or self._park_index(seq, seq + 1) < 0
             ):
                 raise SequenceError(
                     f"tuple seq {seq} already merged or pending "
@@ -312,25 +287,29 @@ class OrderedMerger:
             accepted += 1
         return accepted
 
-    def _overlaps_run(self, start: int, end: int) -> bool:
-        """Whether ``[start, end)`` touches a block parked in ``_pending_runs``.
+    def _park_index(self, start: int, end: int) -> int:
+        """Where ``[start, end)`` parks in ``_run_starts``; -1 on overlap.
 
-        The parked blocks are disjoint, so only two of them can be the
-        one: the last that starts at or before ``start`` (if it reaches
-        past it) and the first that starts after (if before ``end``).
+        The parked blocks are disjoint, so only two of them can touch the
+        interval: the last that starts at or before ``start`` (if it
+        reaches past it) and the first that starts after (if before
+        ``end``). The bisect that finds them is also the insertion index.
         """
         starts = self._run_starts
         i = bisect_right(starts, start)
         if i:
             before = starts[i - 1]
             if before + self._pending_runs[before].count > start:
-                return True
-        return i < len(starts) and starts[i] < end
+                return -1
+        if i < len(starts) and starts[i] < end:
+            return -1
+        return i
 
     def _drain_ready(self) -> None:
         """Emit the ready prefix from both reordering buffers, in order."""
         pending = self._pending
         runs = self._pending_runs
+        now = self.sim.now
         while True:
             nxt = self._next_seq
             block = runs.pop(nxt, None) if runs else None
@@ -338,7 +317,7 @@ class OrderedMerger:
                 del self._run_starts[0]
                 self._pending_run_tuples -= block.count
                 self._next_seq = nxt + block.count
-                self._emit_run(block)
+                self._emit_run(block, now)
             elif nxt in pending:
                 ready = pending.pop(nxt)
                 self._next_seq = nxt + 1
@@ -359,7 +338,7 @@ class OrderedMerger:
             if (
                 seq < self._next_seq
                 or seq in self._pending
-                or self._overlaps_run(seq, seq + 1)
+                or self._park_index(seq, seq + 1) < 0
             ):
                 continue
             if seq not in self._lost:
@@ -395,7 +374,7 @@ class OrderedMerger:
                 del self._run_starts[0]
                 self._pending_run_tuples -= block.count
                 self._next_seq = nxt + block.count
-                self._emit_run(block)
+                self._emit_run(block, self.sim.now)
             else:
                 return
 
@@ -416,8 +395,8 @@ class OrderedMerger:
             self._emitted_target = self._on_emitted()
         self._check_completion()
 
-    def _emit_run(self, block: "TupleBlock") -> None:
-        """Emit a whole in-order block without materializing tuples.
+    def _emit_run(self, block: "TupleBlock", now: float) -> None:
+        """Emit a whole in-order block at ``now`` without materializing tuples.
 
         The latency samples and histogram are fed from the block's born
         stamp: a uniform-born block is one histogram step of ``count``, a
@@ -435,7 +414,6 @@ class OrderedMerger:
             for tup in block.materialize():
                 self._emit(tup)
             return
-        now = self.sim.now
         self.emitted += count
         self.last_emit_time = now
         borns = block.borns
@@ -458,7 +436,9 @@ class OrderedMerger:
                 self.latency_samples.extend([latency] * count)
             if self.latency_histogram is not None:
                 self.latency_histogram.observe(latency, count)
-        self._check_completion()
+        target = self._completion_target
+        if target is not None and self.emitted + self.tuples_lost >= target:
+            self._check_completion()
 
     def _check_completion(self) -> None:
         if (

@@ -122,7 +122,7 @@ class WorkerPE:
             # paying a method call plus ``__len__`` per check.
             self._recv_runs = connection._recv_buffer
             self._take_runs = connection.take_runs
-            connection.on_deliver = self._on_deliver_run
+            connection.on_deliver = self._start_next_run
         else:
             connection.on_deliver = self._on_deliver
         host.place(self)
@@ -216,29 +216,11 @@ class WorkerPE:
             self.sim.cancel_cell(cell)
         return revoked
 
-    def _arm_completion(self, duration: float, callback) -> None:
-        """Schedule a fault-tolerant service's completion on the PE's cell.
-
-        A fresh cell and a re-armed one each take one sequence number, as
-        a fresh ``call_after`` event would, so event order is unchanged.
-        """
-        sim = self.sim
-        if self._cell is None:
-            self._cell = sim.new_cell(sim.now + duration, callback, self)
-        else:
-            sim.repush(self._cell, sim.now + duration)
-
     # ------------------------------------------------------------- internal
 
     def _on_deliver(self) -> None:
         if not self._busy and self.connection.recv_available() > 0:
             self._start_next()
-
-    def _on_deliver_run(self) -> None:
-        if not self._busy and self._recv_runs._tuples > 0:
-            if self._halted or not self.alive:
-                return
-            self._start_next_run()
 
     def _start_next(self) -> None:
         self._busy = True
@@ -263,12 +245,26 @@ class WorkerPE:
     def _start_next_run(self) -> None:
         """Service a whole queued run of blocks with one completion event.
 
+        Also the connection's delivery callback: it starts a run only when
+        the PE is idle, up, not halted and has tuples queued.
+
         The block-native path: a jitter-free PE charges each block's
         aggregate cost in one multiply (no per-tuple arithmetic at all);
         with jitter the per-tuple draws still happen in take order so the
         noise stream is independent of how tuples were grouped into
         blocks. Either way the simulator schedules one event per run.
+        A fault-tolerant PE re-arms the one heap cell it owns
+        (``Simulator.repush``); a fresh cell and a re-armed one each take
+        one sequence number, as a ``schedule_after`` event would, so the
+        event order is the same either way.
         """
+        if (
+            self._busy
+            or not self._recv_runs._tuples
+            or self._halted
+            or not self.alive
+        ):
+            return
         self._busy = True
         runs = self._take_runs(self.batch_size)
         scale = self._load_multiplier / self.host.per_pe_speed()
@@ -308,7 +304,13 @@ class WorkerPE:
         sim = self.sim
         sim.events_coalesced += n - 1
         if self.fault_tolerant:
-            self._arm_completion(duration, self._complete_run_cb)
+            cell = self._cell
+            if cell is None:
+                self._cell = sim.new_cell(
+                    sim.now + duration, self._complete_run_cb, self
+                )
+            else:
+                sim.repush(cell, sim.now + duration)
         else:
             sim.schedule_after(duration, self._complete_run_cb)
 
@@ -322,12 +324,8 @@ class WorkerPE:
         self.merger.accept_runs(self.pe_id, runs)
         if self.on_processed_run is not None:
             self.on_processed_run(self.pe_id, runs)
-        if self._halted or not self.alive:
-            self._busy = False
-        elif self._recv_runs._tuples > 0:
-            self._start_next_run()
-        else:
-            self._busy = False
+        self._busy = False
+        self._start_next_run()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -154,6 +154,7 @@ class Splitter:
         self.flow_paused_seconds = 0.0
         #: Per-tuple loop: the tuple parked on a full connection.
         self._pending: "StreamTuple | None" = None
+        #: The connection either loop is parked on (``None`` otherwise).
         self._target: int | None = None
         self._block_start: float | None = None
         self._started = False
@@ -181,10 +182,10 @@ class Splitter:
         self.batch_size = int(batch_size)
         #: Realized dispatch-batch occupancy (batched mode only).
         self.dispatch_stats = BatchStats()
-        #: Apportioned sub-runs not yet dispatched: (connection, blocks).
-        self._chunks: "deque[tuple[int, list[TupleBlock]]]" = deque()
-        self._chunk_items: "list[TupleBlock] | None" = None
-        self._chunk_pos = 0
+        #: Apportioned pieces of the batch not yet delivered, in send
+        #: order: ``(connection, block)``. While the splitter is parked on
+        #: a full connection, the head piece is the one waiting.
+        self._chunks: "deque[tuple[int, TupleBlock]]" = deque()
         self._batch_tuple_count = 0
         #: Connection the current batch's head run goes to, advanced per
         #: batch so head-of-line duty at the ordered merger rotates.
@@ -541,88 +542,60 @@ class Splitter:
         One cycle pulls up to ``batch_size`` tuples as contiguous
         :class:`~repro.streams.tuples.TupleBlock` columns (replay queue
         first), apportions them across connections with a single policy
-        call, and pushes each connection's share block by block. The
-        per-tuple send cost still accrues — the cycle ends by sleeping
-        ``send_overhead * batch`` in one event — and blocking is charged
-        per episode to the connection that filled up, so the blocking-rate
-        samples the balancer reads keep their meaning (at batch, rather
-        than tuple, granularity).
+        call, and pushes the pieces in order. The per-tuple send cost
+        still accrues — the cycle ends by sleeping ``send_overhead *
+        batch`` in one event — and blocking is charged per episode to the
+        connection that filled up, so the blocking-rate samples the
+        balancer reads keep their meaning (at batch, rather than tuple,
+        granularity). A cycle parked on a full connection resumes here
+        with the undelivered pieces still queued.
         """
-        # Chunk progress lives in locals and is persisted to the
-        # ``_chunk_*`` attributes only when the dispatcher elects to block
-        # — the simulator is single-threaded, so nothing can observe the
-        # in-flight state between those points.
         chunks = self._chunks
+        if not chunks and not self._pull_batch():
+            return  # parked (flow/idle/no-live) or finished
         connections = self.connections
         sent_per = self.sent_per_connection
         inflight = self._inflight
         inflight_tuples = self._inflight_tuples
-        while True:
-            if self._chunk_items is None:
-                if not chunks:
-                    if not self._pull_batch():
-                        return  # parked (flow/idle/no-live) or finished
-                target, blocks = chunks.popleft()
-                pos = 0
+        while chunks:
+            target, block = chunks[0]
+            accepted = connections[target].send_run(block)
+            if accepted == block.count:
+                chunks.popleft()
+            elif accepted:
+                # Partial accept: the bulk send's own flow-control pump
+                # may have drained tuples onward and freed send space;
+                # split at the accepted boundary and retry the tail
+                # before electing to block.
+                block, tail = block.split(accepted)
+                chunks[0] = (target, tail)
             else:
-                # Resuming after a blocking episode: reload and clear the
-                # persisted progress.
-                target = self._target
-                blocks = self._chunk_items
-                pos = self._chunk_pos
-                self._chunk_items = None
-                self._target = None
-            connection = connections[target]
-            n_blocks = len(blocks)
-            while pos < n_blocks:
-                block = blocks[pos]
-                accepted = connection.send_run(block)
-                if accepted == block.count:
-                    sent_per[target] += accepted
-                    if inflight is not None:
-                        inflight[target].append(block)
-                        inflight_tuples[target] += accepted
-                    pos += 1
-                elif accepted:
-                    # Partial accept: the bulk send's own flow-control
-                    # pump may have drained tuples onward and freed send
-                    # space; split at the accepted boundary and retry the
-                    # tail before electing to block.
-                    head, tail = block.split(accepted)
-                    sent_per[target] += accepted
-                    if inflight is not None:
-                        inflight[target].append(head)
-                        inflight_tuples[target] += accepted
-                    blocks[pos] = tail
-                else:
-                    break
-            if pos < n_blocks:
-                # Elect to block on this connection for the remainder of
-                # the chunk (the MSG_DONTWAIT + select dance of Section 3,
-                # once per full buffer instead of once per tuple).
-                self._chunk_items = blocks
-                self._chunk_pos = pos
+                # Elect to block on this connection until it has space
+                # (the MSG_DONTWAIT + select dance of Section 3, once per
+                # full buffer instead of once per tuple).
                 self._target = target
                 self._begin_block(target)
-                connection.wait_for_send_space(self._on_send_space_batch)
-                return
-            if not chunks:
-                # Batch fully dispatched: charge the per-tuple send cost
-                # in one event and record the realized occupancy.
-                n = self._batch_tuple_count
-                self._batch_tuple_count = 0
-                stats = self.dispatch_stats
-                stats.batches += 1
-                stats.tuples += n
-                self.sim.events_coalesced += n - 1
-                obs = self._obs
-                if obs is not None and self._batch_span >= 0:
-                    obs.tracer.finish(self._batch_span, self.sim.now)
-                    self._batch_span = -1
-                self.sim.schedule_after(
-                    self.send_overhead * n, self._try_send_cb
+                connections[target].wait_for_send_space(
+                    self._on_send_space_batch
                 )
                 return
+            sent_per[target] += accepted
+            if inflight is not None:
+                inflight[target].append(block)
+                inflight_tuples[target] += accepted
+        # Batch fully dispatched: charge the per-tuple send cost in one
+        # event and record the realized occupancy.
+        n = self._batch_tuple_count
+        self._batch_tuple_count = 0
+        stats = self.dispatch_stats
+        stats.batches += 1
+        stats.tuples += n
+        self.sim.events_coalesced += n - 1
+        obs = self._obs
+        if obs is not None and self._batch_span >= 0:
+            obs.tracer.finish(self._batch_span, self.sim.now)
+            self._batch_span = -1
+        self.sim.schedule_after(self.send_overhead * n, self._try_send_cb)
 
     def _pull_batch(self) -> bool:
         """Pull and apportion the next batch; ``False`` = parked/finished.
@@ -703,7 +676,7 @@ class Splitter:
         start = self._batch_rotation
         self._batch_rotation = (start + 1) % n
         chunks = self._chunks
-        # Walk the pulled blocks once, cutting only at chunk boundaries:
+        # Walk the pulled blocks once, cutting only at share boundaries:
         # each connection's share stays a handful of column blocks however
         # large the batch, and each piece is one new block (or the pulled
         # block itself when a share takes all of it).
@@ -714,27 +687,29 @@ class Splitter:
         for k in range(n):
             j = (start + k) % n
             count = alloc[j]
-            if not count:
-                continue
-            share: "list[TupleBlock]" = []
             while count:
                 left = current.count - offset
                 if left > count:
-                    share.append(current.cut(offset, count))
+                    chunks.append((j, current.cut(offset, count)))
                     offset += count
                     break
-                share.append(current.cut(offset, left) if offset else current)
+                chunks.append(
+                    (j, current.cut(offset, left) if offset else current)
+                )
                 count -= left
                 block_i += 1
-                current = blocks[block_i] if block_i < n_blocks else None
+                if block_i == n_blocks:
+                    # The shares sum to the batch: every tuple is carved.
+                    return True
+                current = blocks[block_i]
                 offset = 0
-            chunks.append((j, share))
         return True
 
     def _on_send_space_batch(self) -> None:
         target = self._target
         assert target is not None and self._block_start is not None
         self._end_block(target)
+        self._target = None
         self._try_send_batch()
 
     def _reclaim_chunks(self, channel: int) -> None:
@@ -749,22 +724,19 @@ class Splitter:
         to deliver ends as an aborted ``batch_dispatch`` span.
         """
         reclaimed: "list[TupleBlock]" = []
-        if self._chunk_items is not None and self._target == channel:
+        if self._block_start is not None and self._target == channel:
             # Parked on the dead channel: the wait would never end.
             self.connections[channel].cancel_wait()
             self._end_block(channel)
-            reclaimed.extend(self._chunk_items[self._chunk_pos :])
-            self._chunk_items = None
-            self._chunk_pos = 0
             self._target = None
             self.sim.schedule_after(0.0, self._try_send_cb)
         chunks = self._chunks
         for _ in range(len(chunks)):
-            target, items = chunks.popleft()
+            target, block = chunks.popleft()
             if target == channel:
-                reclaimed.extend(items)
+                reclaimed.append(block)
             else:
-                chunks.append((target, items))
+                chunks.append((target, block))
         if not reclaimed:
             return
         self._batch_tuple_count -= sum(block.count for block in reclaimed)

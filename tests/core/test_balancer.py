@@ -50,9 +50,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             BalancerConfig(decay=1.0)
 
-    def test_invalid_hysteresis_rejected(self):
-        # A constant now, inside the [0, 1) the field was checked against.
-        assert 0.0 <= balancer_module.HYSTERESIS < 1.0
+    def test_invalid_hysteresis_rejected(self, monkeypatch):
+        # A constant now, checked against the [0, 1) the field was.
+        for value in (-0.01, 1.0, float("nan")):
+            with monkeypatch.context() as patch:
+                patch.setattr(balancer_module, "HYSTERESIS", value)
+                with pytest.raises(ValueError, match="HYSTERESIS"):
+                    LoadBalancer(2)
 
 
 class TestControlLoop:

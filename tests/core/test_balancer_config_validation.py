@@ -2,27 +2,46 @@
 
 Every bad tunable must fail loudly at construction, not rounds later as
 a solver crash or a silently skewed allocation. The smoothing factors and
-the safe-mode thresholds are module constants: the tests below hold each
-to the range that validated the field it replaced, one check a constant.
+the safe-mode thresholds are module constants: ``LoadBalancer`` checks
+each against the range that validated the field it replaced, and the
+tests below set one constant at a time to values outside it.
 """
+
+import math
 
 import pytest
 
-from repro.core import balancer
+from repro.core import balancer, blocking_rate
 from repro.core.balancer import BalancerConfig, LoadBalancer
-from repro.core.blocking_rate import RATE_ALPHA
+
+
+def assert_refused(monkeypatch, module, name, *values):
+    """Set ``module.name`` to each of ``values`` in turn: a balancer
+    refuses every one, naming the constant."""
+    for value in values:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, value)
+            with pytest.raises(ValueError, match=name):
+                LoadBalancer(2)
 
 
 class TestAlphaValidation:
-    def test_rate_alpha_must_be_positive_fraction(self):
-        assert 0.0 < RATE_ALPHA <= 1.0
+    def test_rate_alpha_must_be_positive_fraction(self, monkeypatch):
+        assert_refused(
+            monkeypatch, blocking_rate, "RATE_ALPHA", 0.0, -0.5, 1.5, math.nan
+        )
 
-    def test_function_alpha_must_be_positive_fraction(self):
-        assert 0.0 < balancer.FUNCTION_ALPHA <= 1.0
+    def test_function_alpha_must_be_positive_fraction(self, monkeypatch):
+        assert_refused(
+            monkeypatch, balancer, "FUNCTION_ALPHA", 0.0, -0.5, 1.5, math.nan
+        )
 
-    def test_boundary_one_is_legal(self):
-        # The rates are taken as measured: the boundary is the constant.
-        assert RATE_ALPHA == 1.0
+    def test_boundary_one_is_legal(self, monkeypatch):
+        # The rates are taken as measured (alpha 1, the constant's value);
+        # the functions may be too.
+        monkeypatch.setattr(blocking_rate, "RATE_ALPHA", 1.0)
+        monkeypatch.setattr(balancer, "FUNCTION_ALPHA", 1.0)
+        LoadBalancer(2)
 
 
 class TestMovementBounds:
@@ -73,18 +92,20 @@ class TestClusteringKnobs:
 
 
 class TestSafeModeKnobs:
-    def test_safe_saturation_must_be_fraction(self):
-        assert 0.0 <= balancer.SAFE_SATURATION <= 1.0
+    def test_safe_saturation_must_be_fraction(self, monkeypatch):
+        assert_refused(
+            monkeypatch, balancer, "SAFE_SATURATION", -0.1, 1.1, math.nan
+        )
 
-    def test_safe_recover_rounds_must_be_positive(self):
-        assert balancer.SAFE_RECOVER_ROUNDS > 0
+    def test_safe_recover_rounds_must_be_positive(self, monkeypatch):
+        assert_refused(monkeypatch, balancer, "SAFE_RECOVER_ROUNDS", 0, -1)
 
     def test_max_churn_must_be_positive_when_set(self):
         with pytest.raises(ValueError):
             BalancerConfig(max_churn=0)
 
-    def test_safe_flip_limit_must_be_positive(self):
-        assert balancer.SAFE_FLIP_LIMIT > 0
+    def test_safe_flip_limit_must_be_positive(self, monkeypatch):
+        assert_refused(monkeypatch, balancer, "SAFE_FLIP_LIMIT", 0, -3)
 
     def test_safe_mode_defaults_off(self):
         assert not BalancerConfig().safe_mode

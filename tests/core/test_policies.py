@@ -85,7 +85,12 @@ def _weights(n):
 class TestBatchOfOneIsAPick:
     """``allocate_batch(1)`` is one smooth round-robin pick: the same
     connection and the same credit vector, step for step, whatever
-    credits, batches and weight changes came before."""
+    credits, batches and weight changes came before.
+
+    ``allocate_batch`` takes that pick directly at count 1, so the
+    general floor-and-settle rule is also run at count 1 on its own, on a
+    third policy kept in step with the other two: the shortcut is only
+    sound while the rule it skips gives the same answer."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -94,6 +99,8 @@ class TestBatchOfOneIsAPick:
         weights = data.draw(_weights(n), label="weights")
         batched = WeightedPolicy(weights)
         picked = WeightedPolicy(weights)
+        settled = WeightedPolicy(weights)
+        policies = (batched, picked, settled)
         # Any starting credits, not only reachable ones: the shares of a
         # few connections can then reach whole tuples at once, which is
         # what sends a batch of one through the take-back.
@@ -102,8 +109,8 @@ class TestBatchOfOneIsAPick:
             st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
             label="credits",
         )
-        batched._credits = list(credits)
-        picked._credits = list(credits)
+        for policy in policies:
+            policy._credits = list(credits)
         ops = data.draw(
             st.lists(
                 st.one_of(
@@ -118,15 +125,17 @@ class TestBatchOfOneIsAPick:
         for op, arg in ops:
             if op == "pick":
                 pick = picked.next_connection()
-                assert batched.allocate_batch(1) == [
-                    int(j == pick) for j in range(n)
-                ]
+                one = [int(j == pick) for j in range(n)]
+                assert settled._floor_and_settle(1) == one
+                assert batched.allocate_batch(1) == one
             elif op == "batch":
-                assert batched.allocate_batch(arg) == picked.allocate_batch(arg)
+                expected = picked.allocate_batch(arg)
+                assert batched.allocate_batch(arg) == expected
+                assert settled.allocate_batch(arg) == expected
             else:
-                batched.set_weights(arg)
-                picked.set_weights(arg)
-            assert batched._credits == picked._credits
+                for policy in policies:
+                    policy.set_weights(arg)
+            assert batched._credits == picked._credits == settled._credits
 
 
 class TestReroutingPolicy:

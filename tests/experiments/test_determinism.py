@@ -252,6 +252,32 @@ def fig09_crash_config(**region):
     )
 
 
+class TestBatchOfOneAcrossTheRegion:
+    """A batch of one is the per-tuple step, region-wide: a
+    fault-tolerant region runs the block path at B = 1, and with no
+    faults its measured outcome and event trace are the per-tuple path's
+    on the same config — under every policy, with and without service
+    jitter."""
+
+    @pytest.mark.parametrize("policy", ["lb-adaptive", "rr", "oracle"])
+    @pytest.mark.parametrize(
+        "region",
+        [{}, {"service_jitter": 0.05, "seed": 3}],
+        ids=["exact", "jittered"],
+    )
+    def test_block_path_equals_per_tuple_path(
+        self, monkeypatch, policy, region
+    ):
+        plain, plain_trace = traced_run(
+            monkeypatch, fig09_per_tuple_config(**region), policy
+        )
+        config = fig09_per_tuple_config(fault_tolerant=True, **region)
+        block, block_trace = traced_run(monkeypatch, config, policy)
+        assert block.batches_dispatched == block.total_sent
+        assert result_fingerprint(block) == result_fingerprint(plain)
+        assert block_trace == plain_trace
+
+
 class TestPerTupleOutcome:
     """B = 1 outcome and event order, recorded on the per-tuple path.
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.registry import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.schema import validate_prometheus
 
 BOUNDS = (0.005, 0.1, 1.0, 10.0)
 
@@ -87,6 +88,25 @@ class TestHistogram:
             h.observe(math.nan, 3)
         assert (h.counts, h.count, h.sum) == ([0, 0, 1, 0, 0], 1, 0.5)
         assert "NaN" not in registry.to_prometheus()
+
+    def test_negative_count_is_rejected_and_leaves_no_trace(self):
+        # A negative count used to take observations back: 3 then -2 left
+        # count 1 beside a sum of 1.5, and the Prometheus export passed
+        # validation with a mean three times the only value ever seen.
+        registry = MetricsRegistry()
+        h = registry.histogram("lat", buckets=BOUNDS)
+        h.observe(0.5, 3)
+        with pytest.raises(ValueError, match="count"):
+            h.observe(0.5, -2)
+        assert (h.counts, h.count, h.sum) == ([0, 0, 3, 0, 0], 3, 1.5)
+        assert validate_prometheus(registry.to_prometheus()) == []
+
+    def test_zero_count_is_a_no_op(self):
+        h = Histogram("h", (), BOUNDS)
+        h.observe(0.5)
+        before = histogram_state(h)
+        h.observe(20.0, 0)
+        assert histogram_state(h) == before
 
     def test_bulk_nan_raises_after_recording_what_came_before(self):
         bulk = Histogram("h", (), BOUNDS)

@@ -1,11 +1,14 @@
 """Unit tests for the overload detector and its config."""
 
+import math
+
 import pytest
 
 from repro.overload import detector as detector_module
 from repro.overload.detector import (
     CLEAR_CONFIRMATIONS,
     PENDING_HIGH,
+    PENDING_LOW,
     QUEUE_HIGH,
     QUEUE_LOW,
     TRIP_CONFIRMATIONS,
@@ -23,33 +26,52 @@ def tripped():
     return det
 
 
+def assert_refused(monkeypatch, name, *values):
+    """Set detector constant ``name`` to each of ``values`` in turn: the
+    detector refuses every one, naming the constant."""
+    for value in values:
+        with monkeypatch.context() as patch:
+            patch.setattr(detector_module, name, value)
+            with pytest.raises(ValueError, match=name):
+                OverloadDetector()
+
+
 class TestOverloadConfig:
-    """Detection's watermarks and streaks are module constants, held to
-    the rules that validated the fields they replaced; the config keeps
-    the shedding choice and its seed."""
+    """Detection's watermarks and streaks are module constants: the
+    detector checks each against its rule, and each case below sets one
+    to values that break it. The config keeps the shedding choice and
+    its seed."""
 
     def test_defaults_valid(self):
         OverloadConfig()
+        OverloadDetector()
 
     def test_unknown_shedding_rejected(self):
         with pytest.raises(ValueError):
             OverloadConfig(shedding="random-early")
 
-    def test_queue_watermarks_ordered(self):
-        assert 0 <= QUEUE_LOW < QUEUE_HIGH
+    def test_queue_watermarks_ordered(self, monkeypatch):
+        assert_refused(monkeypatch, "QUEUE_LOW", -1, QUEUE_HIGH)
+        assert_refused(monkeypatch, "QUEUE_HIGH", QUEUE_LOW)
 
-    def test_pending_watermarks_ordered(self):
-        assert 0 <= detector_module.PENDING_LOW < PENDING_HIGH
+    def test_pending_watermarks_ordered(self, monkeypatch):
+        assert_refused(monkeypatch, "PENDING_LOW", -1, PENDING_HIGH)
+        assert_refused(monkeypatch, "PENDING_HIGH", PENDING_LOW)
 
-    def test_check_interval_positive(self):
-        assert detector_module.CHECK_INTERVAL > 0
+    def test_check_interval_positive(self, monkeypatch):
+        assert_refused(monkeypatch, "CHECK_INTERVAL", 0.0, -0.25, math.nan)
 
-    def test_saturation_threshold_is_fraction(self):
-        assert 0.0 <= detector_module.SATURATION_THRESHOLD <= 1.0
+    def test_saturation_threshold_is_fraction(self, monkeypatch):
+        assert_refused(
+            monkeypatch, "SATURATION_THRESHOLD", -0.1, 1.5, math.nan
+        )
 
-    def test_confirmations_positive(self):
+    def test_confirmations_positive(self, monkeypatch):
         # Clearing is slower than tripping: re-admitting early re-trips.
-        assert 0 < TRIP_CONFIRMATIONS < CLEAR_CONFIRMATIONS
+        assert_refused(
+            monkeypatch, "TRIP_CONFIRMATIONS", 0, CLEAR_CONFIRMATIONS
+        )
+        assert_refused(monkeypatch, "CLEAR_CONFIRMATIONS", TRIP_CONFIRMATIONS)
 
 
 class TestTripHysteresis:

@@ -20,6 +20,8 @@ plus two runs (the cap the splitter used to enforce), and with the
 overload layer attached (``overload_protection``).
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from repro.faults import FaultInjector
 from repro.overload import OverloadConfig, OverloadManager
 from repro.sim.engine import Simulator
 from repro.streams.hosts import Host, Placement
+from repro.streams.pe import WorkerPE
 from repro.streams.region import ParallelRegion, RegionParams
 from repro.streams.sources import FiniteSource, RatedSource, constant_cost
 
@@ -108,6 +111,87 @@ def test_merged_output_and_weights_match_batch_size_one(workload):
                 f"batch_size={batch_size}: connection {j} got {sent}, "
                 f"exact share {exact:.2f}"
             )
+
+
+def run_traced(workload, *, fault_tolerant):
+    """One B = 1 run: what it emitted, fired and charged to whom."""
+    sim = Simulator()
+    sim.enable_tracing()
+    region, _ = build_region(sim, workload, 1, fault_tolerant=fault_tolerant)
+    # A fault-tolerant region takes the block path at every B.
+    assert region.connections[0].block_mode is fault_tolerant
+    seqs = []
+    region.merger.on_emit = lambda tup: seqs.append(tup.seq)
+    region.merger.on_completion(workload["total"], sim.stop)
+    region.start()
+    sim.run_until(1e6)
+    splitter = region.splitter
+    return {
+        "emitted": seqs,
+        "trace": sim.trace_digest(),
+        "sent_per_connection": splitter.sent_per_connection,
+        "block_events": splitter.block_events,
+        "blocking": [
+            (c.blocking.lifetime_episodes, c.blocking.lifetime_seconds)
+            for c in region.connections
+        ],
+    }
+
+
+def block_path_rounding(pe, tup):
+    """``WorkerPE.service_time`` with the block path's rounding.
+
+    The per-tuple path divides last, ``cost * load / speed``; a run of
+    blocks charges ``cost * count * (load / speed)``. The two differ in
+    the last bit for most speeds, which moves event times by an ulp and
+    can reorder ties (see
+    :func:`test_service_time_rounding_is_the_one_difference`).
+    """
+    base = tup.cost_multiplies * (pe.load_multiplier / pe.host.per_pe_speed())
+    if pe.service_jitter == 0.0:
+        return base
+    return base * (1.0 + pe.service_jitter * (2.0 * pe._rng.random() - 1.0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(workload=workloads)
+def test_batch_of_one_is_the_per_tuple_step(workload):
+    # The block path at B = 1 (a fault-tolerant region with no faults)
+    # against the per-tuple path on the same workload: the same emitted
+    # sequence, the same fired (time, seq) events, the same tuples per
+    # connection and the same blocking charged to each — once both
+    # round a service time the same way.
+    with mock.patch.object(WorkerPE, "service_time", block_path_rounding):
+        per_tuple = run_traced(workload, fault_tolerant=False)
+    block = run_traced(workload, fault_tolerant=True)
+    assert per_tuple["emitted"] == list(range(workload["total"]))
+    assert block == per_tuple
+
+
+def test_service_time_rounding_is_the_one_difference():
+    # A workload on which the two paths' service-time rounding differs:
+    # on worker 2 (3x loaded) the per-tuple path's 1000 * 3 / 1e5 is not
+    # the block path's 1000 * 1 * (3 / 1e5) to the last bit, so the
+    # traces part and the blocking charged to connection 2 ends an ulp
+    # apart. With the per-tuple path rounding as the block path does,
+    # they agree.
+    workload = {
+        "n_workers": 3,
+        "total": 30,
+        "raw_weights": [0, 1, 1, 0],
+        "send_capacity": 2,
+        "recv_capacity": 2,
+        "service_jitter": 0.0,
+        "slowdowns": [1.0, 1.0, 3.0, 1.0],
+    }
+    per_tuple = run_traced(workload, fault_tolerant=False)
+    block = run_traced(workload, fault_tolerant=True)
+    assert 1000.0 * 3.0 / 1e5 != 1000.0 * 1 * (3.0 / 1e5)
+    assert per_tuple["trace"] != block["trace"]
+    assert per_tuple["blocking"][2] == (10, 0.2898199999999999)
+    assert block["blocking"][2] == (10, 0.28981999999999997)
+    with mock.patch.object(WorkerPE, "service_time", block_path_rounding):
+        assert run_traced(workload, fault_tolerant=False) == block
 
 
 @settings(max_examples=20, deadline=None)

@@ -71,10 +71,12 @@ class TestWeightedAllocateBatch:
 
     def test_excess_comes_back_from_the_highest_index_on_ties(self):
         # A whole tuple of share each for a batch of one: the take-back
-        # leaves the lowest index, the round-robin's pick on a tie.
+        # leaves the lowest index, the round-robin's pick on a tie. The
+        # rule is called directly: ``allocate_batch(1)`` takes that pick
+        # without it.
         policy = WeightedPolicy([1, 1])
         policy._credits = [2, 2]
-        assert policy.allocate_batch(1) == [1, 0]
+        assert policy._floor_and_settle(1) == [1, 0]
         assert policy._credits == [1, 3]
 
     def test_credits_carry_between_batches(self):

@@ -33,6 +33,11 @@ def spans(blocks):
     return [(b.start, b.count) for b in blocks]
 
 
+def queued(splitter):
+    """The splitter's undelivered batch pieces: ``(connection, span)``."""
+    return [(j, (b.start, b.count)) for j, b in splitter._chunks]
+
+
 def make_ft_region(sim, n=2, *, total=50, cost=100.0):
     host = Host("h", cores=max(8, n), thread_speed=1000.0)
     return ParallelRegion(
@@ -255,8 +260,8 @@ class TestSplitterRetransmit:
     def _parked_splitter(self, sim):
         """A B = 4 splitter over three block-mode connections, parked on
         connection 0 with the batch ``[12, 16)`` half sent: 0's chunk
-        ``[12, 14)`` waits for send space, 1's ``[14]`` and 2's ``[15]``
-        are still queued behind it."""
+        ``[12, 14)`` waits for send space at the head of the queue, 1's
+        ``[14]`` and 2's ``[15]`` are still queued behind it."""
         connections = [
             SimulatedConnection(
                 i, send_capacity=2, recv_capacity=2, block_mode=True
@@ -274,7 +279,7 @@ class TestSplitterRetransmit:
         splitter.start()
         sim.run_until(1.0)
         assert splitter.blocked_on() == 0
-        assert [target for target, _ in splitter._chunks] == [1, 2]
+        assert queued(splitter) == [(0, (12, 2)), (1, (14, 1)), (2, (15, 1))]
         return splitter
 
     def test_failing_a_live_channel_keeps_the_splitter_parked(self):
@@ -285,7 +290,7 @@ class TestSplitterRetransmit:
         # Only connection 1's undelivered chunk comes back, to the head
         # of the replay queue; the wait on connection 0 goes on.
         assert splitter.blocked_on() == 0
-        assert [target for target, _ in splitter._chunks] == [2]
+        assert queued(splitter) == [(0, (12, 2)), (2, (15, 1))]
         assert spans(splitter._replay)[0] == (14, 1)
         assert splitter.connections[0].blocking.lifetime_episodes == blocking
 
@@ -297,7 +302,7 @@ class TestSplitterRetransmit:
         assert splitter.connections[0].blocking.lifetime_episodes == 1
         # Connection 0's undelivered tuple heads the replay queue; the
         # live channels' chunks stay queued for the resumed cycle.
-        assert [target for target, _ in splitter._chunks] == [1, 2]
+        assert queued(splitter) == [(1, (14, 1)), (2, (15, 1))]
         assert spans(splitter._replay)[0] == (12, 2)
 
     def test_reclaim_that_empties_a_batch_of_one_aborts_its_span(self):
