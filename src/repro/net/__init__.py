@@ -14,13 +14,17 @@ Two implementations share that contract, and :class:`BlockingCounter`:
   :mod:`repro.net.framing`.
 """
 
-from repro.net.blocking import BlockingCounter
-from repro.net.buffers import BoundedBuffer, BufferFullError
-from repro.net.connection import SimulatedConnection
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockingCounter",
-    "BoundedBuffer",
-    "BufferFullError",
-    "SimulatedConnection",
-]
+#: Public name -> defining module, resolved lazily (PEP 562): the worker
+#: executable imports :mod:`repro.net.framing` on every start and must
+#: not pay for the simulator's transport it never uses.
+_EXPORTS = {
+    "BlockingCounter": "repro.net.blocking",
+    "BoundedBuffer": "repro.net.buffers",
+    "BufferFullError": "repro.net.buffers",
+    "SimulatedConnection": "repro.net.connection",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

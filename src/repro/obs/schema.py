@@ -58,7 +58,7 @@ SPAN_KINDS = (
     "reconvergence",   # quarantine -> weights re-settled (duration == ttr)
     "overload",        # overload detector trip -> clear
     "flow_pause",      # merger backpressure pause -> resume
-    "restart",         # supervised respawn -> serving (process backend)
+    "restart",         # supervised release -> serving (process backend)
 )
 
 _PROM_COMMENT = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*( .*)?$")

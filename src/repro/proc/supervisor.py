@@ -2,13 +2,28 @@
 
 Lifecycle per slot::
 
-    spawn -> STARTING -> (HELLO over TCP) -> UP
+    launch + release -> STARTING -> (HELLO over TCP) -> UP
         UP -> DOWN on: dead socket | missed heartbeats | nonzero exit
-        DOWN -> STARTING after capped jittered exponential backoff
+        DOWN: the next interpreter launches at once and boots (start,
+              imports) parked on its stdin while the backoff runs
+        DOWN -> STARTING at ``restart_at``, after capped jittered
+                exponential backoff: the release hands the parked
+                process its argument line, and only then does it
+                connect and send HELLO
         DOWN -> QUARANTINED when the restart budget for the window is
                 spent (the circuit breaker: a crash-looping worker must
                 not be restarted forever while it drags the region's
-                tail latency with it)
+                tail latency with it); nothing is launched
+
+A restart is split in two so the interpreter start overlaps the
+backoff, which exists only to throttle crash loops. The launch
+(``Popen`` of a bare ``python -m repro.proc.worker``) runs outside the
+region lock; the release writes one line to the waiting process's
+stdin and closes it. The incarnation begins at the release: the
+incarnation bump, the restart budget, ``spawned_at`` (and with it
+``SPAWN_GRACE``), the ``STARTING`` state and the ``restart`` span all
+date from it, so the backoff gates the HELLO, not the interpreter
+start. :meth:`Supervisor.start` takes the same two steps back to back.
 
 Detection is three-pronged and any prong fires the same path:
 ``Popen.poll`` catches exits, the heartbeat deadline catches frozen
@@ -89,6 +104,12 @@ class SupervisorConfig:
         check_positive("backoff_start", self.backoff_start)
         check_positive("backoff_max", self.backoff_max)
         check_positive("restart_budget", self.restart_budget)
+        if self.heartbeat_timeout <= self.heartbeat_interval:
+            # Silence that short passes between two healthy beats.
+            raise ValueError(
+                f"heartbeat_timeout ({self.heartbeat_timeout}) must exceed "
+                f"heartbeat_interval ({self.heartbeat_interval})"
+            )
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError(
                 f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
@@ -110,14 +131,17 @@ class WorkerSlot:
     multiplier: float = 1.0
     state: str = field(init=False, default=DOWN)
     process: subprocess.Popen | None = field(init=False, default=None)
-    #: Bumps on every spawn; stale connections/heartbeats are rejected.
+    #: The next incarnation's interpreter while the slot is DOWN:
+    #: launched at the death, parked on its stdin until the release.
+    waiting: subprocess.Popen | None = field(init=False, default=None)
+    #: Bumps on every release; stale connections/heartbeats are rejected.
     incarnation: int = field(init=False, default=-1)
     #: Region-clock time of the last heartbeat or result.
     last_seen: float = field(init=False, default=0.0)
     spawned_at: float = field(init=False, default=0.0)
-    #: When a DOWN slot is due for its next spawn attempt.
+    #: When a DOWN slot's waiting process is due for release.
     restart_at: float = field(init=False, default=0.0)
-    #: Spawn attempts after the first (i.e. supervised restarts).
+    #: Releases after the first (i.e. supervised restarts).
     restarts: int = field(init=False, default=0)
     #: Consecutive failures since the last healthy connect (backoff arg).
     consecutive_failures: int = field(init=False, default=0)
@@ -179,14 +203,18 @@ class Supervisor:
         self._stop = threading.Event()
         self._obs = None
         self._quarantine_spans: dict[int, int] = {}
+        #: Slots whose launch is in flight (outside the lock).
+        self._launching: set[int] = set()
         self._spawn_env = self._build_env()
 
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
-        """Spawn every slot and start the monitor thread."""
+        """Launch and release every slot; start the monitor thread."""
         if self._monitor is not None:
             raise RuntimeError("supervisor already started")
+        for slot in self.slots:
+            self._launch(slot)
         with self.lock:
             for slot in self.slots:
                 self._spawn(slot)
@@ -200,42 +228,62 @@ class Supervisor:
 
         Assumes the region already sent EOS (graceful drain); waits
         ``DRAIN_TIMEOUT`` for clean exits, then escalates SIGTERM ->
-        (``TERM_GRACE``) -> SIGKILL. Returns ``(slot index, how)`` for
-        every process that needed escalation.
+        (``TERM_GRACE``) -> SIGKILL. A process still waiting for its
+        release gets EOF on its stdin instead and exits 0. Returns
+        ``(slot index, how)`` for every process that needed escalation.
         """
         self._stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
+        # A launch finishing after this point sees ``_stop`` and
+        # dismisses its own process.
+        with self.lock:
+            waiting = [
+                (s.index, s.waiting)
+                for s in self.slots
+                if s.waiting is not None
+            ]
+            for slot in self.slots:
+                slot.waiting = None
+        for _, process in waiting:
+            process.stdin.close()
         escalated: list[tuple[int, str]] = []
         deadline = time.monotonic() + DRAIN_TIMEOUT
-        procs = [s for s in self.slots if s.process is not None]
+        procs = [
+            (s.index, s.process) for s in self.slots if s.process is not None
+        ]
         # Only UP slots received EOS and will exit on their own; a
         # replacement still STARTING (or a slot already DOWN) has
         # nothing to drain, so waiting the drain window on it would
         # stall every close that races a pending restart.
-        drainable = [s for s in procs if s.state == UP]
+        drainable = [
+            process for index, process in procs
+            if self.slots[index].state == UP
+        ]
+        procs += waiting
+        drainable += [process for _, process in waiting]
         while time.monotonic() < deadline:
-            if all(s.process.poll() is not None for s in drainable):
+            if all(process.poll() is not None for process in drainable):
                 break
             time.sleep(0.01)
-        for slot in procs:
-            if slot.process.poll() is None:
-                escalated.append((slot.index, "sigterm"))
-                self._signal(slot, "SIGCONT")  # a stopped process cannot
-                self._signal(slot, "SIGTERM")  # handle SIGTERM
+        for index, process in procs:
+            if process.poll() is None:
+                escalated.append((index, "sigterm"))
+                self._signal(process, "SIGCONT")  # a stopped process
+                self._signal(process, "SIGTERM")  # cannot handle SIGTERM
         term_deadline = time.monotonic() + TERM_GRACE
         while time.monotonic() < term_deadline:
-            if all(s.process.poll() is not None for s in procs):
+            if all(process.poll() is not None for _, process in procs):
                 break
             time.sleep(0.01)
-        for slot in procs:
-            if slot.process.poll() is None:
-                escalated.append((slot.index, "sigkill"))
-                slot.process.kill()
-        for slot in procs:
+        for index, process in procs:
+            if process.poll() is None:
+                escalated.append((index, "sigkill"))
+                process.kill()
+        for _, process in procs:
             try:
-                slot.process.wait(timeout=5.0)
+                process.wait(timeout=5.0)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 pass
         return escalated
@@ -254,9 +302,12 @@ class Supervisor:
     ) -> bool:
         """Fail slot ``index`` over: kill remains, schedule the restart.
 
-        Idempotent per incarnation — the three detection prongs and the
-        splitter's send-failure path all funnel here, and only the first
-        caller acts. Returns whether this call performed the failover.
+        Unless the slot is quarantined, its next interpreter launches
+        here, before the failover replay, and boots while the backoff
+        runs. Idempotent per incarnation — the three detection prongs
+        and the splitter's send-failure path all funnel here, and only
+        the first caller acts. Returns whether this call performed the
+        failover.
         """
         slot = self.slots[index]
         quarantined = False
@@ -295,6 +346,7 @@ class Supervisor:
                 )
                 slot.restart_at = now + backoff
                 slot.consecutive_failures += 1
+                self._launching.add(index)
             if self._obs is not None:
                 tracer = self._obs.tracer
                 if episode.fault_at is not None:
@@ -308,7 +360,13 @@ class Supervisor:
                 self._obs.event(
                     "fault", kind="worker_dead", channel=index, detail=reason
                 )
-        # Callbacks run without the lock: replay sends may block.
+        # Without the lock: the launch forks and execs, and replay
+        # sends may block.
+        if not quarantined:
+            try:
+                self._launch(slot)
+            except OSError:
+                pass  # nothing waits: the release launches cold
         self.listener.on_slot_down(slot, reason)
         if quarantined:
             self.listener.on_slot_quarantined(slot)
@@ -417,14 +475,40 @@ class Supervisor:
             )
         return env
 
-    def _spawn(self, slot: WorkerSlot) -> None:
-        """Start a fresh incarnation of ``slot`` (lock held)."""
-        slot.incarnation += 1
-        if slot.incarnation > 0:
-            slot.restarts += 1
-            slot.restart_times.append(self.clock())
-        cmd = [
-            sys.executable, "-m", "repro.proc.worker",
+    def _launch(self, slot: WorkerSlot) -> None:
+        """Start ``slot``'s next interpreter, parked on its stdin.
+
+        Runs without the lock (``Popen`` forks and execs). The process
+        boots and imports, then waits for :meth:`_spawn` to release it;
+        one launched for a slot no longer waiting (the region closed
+        meanwhile) is dismissed at once.
+        """
+        process = None
+        try:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.proc.worker"],
+                env=self._spawn_env,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.DEVNULL,
+                bufsize=0,
+            )
+        finally:
+            with self.lock:
+                self._launching.discard(slot.index)
+                if (
+                    process is not None
+                    and slot.state == DOWN
+                    and slot.waiting is None
+                    and not self._stop.is_set()
+                ):
+                    slot.waiting, process = process, None
+        if process is not None:
+            process.stdin.close()  # EOF before a line: it exits 0
+            process.wait()
+
+    def _argv(self, slot: WorkerSlot) -> list[str]:
+        """The worker's command line for ``slot``'s current incarnation."""
+        return [
             "--host", self.host,
             "--port", str(self.port),
             "--worker-id", str(slot.index),
@@ -433,12 +517,27 @@ class Supervisor:
             "--heartbeat-interval", repr(self.config.heartbeat_interval),
             "--mode", self.config.worker_mode,
         ]
-        slot.process = subprocess.Popen(
-            cmd,
-            env=self._spawn_env,
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.DEVNULL,
-        )
+
+    def _spawn(self, slot: WorkerSlot) -> None:
+        """Release ``slot``'s waiting process as its next incarnation.
+
+        Lock held. The one pipe write is a line far below the pipe
+        buffer, so it never blocks; a process that died since the
+        monitor checked it fails the write, and the startup-exit check
+        declares it dead on the next tick.
+        """
+        process, slot.waiting = slot.waiting, None
+        slot.incarnation += 1
+        if slot.incarnation > 0:
+            slot.restarts += 1
+            slot.restart_times.append(self.clock())
+        try:
+            process.stdin.write(" ".join(self._argv(slot)).encode() + b"\n")
+        except BrokenPipeError:
+            pass
+        finally:
+            process.stdin.close()
+        slot.process = process
         slot.state = STARTING
         slot.spawned_at = self.clock()
         if self._obs is not None:
@@ -453,7 +552,7 @@ class Supervisor:
         config = self.config
         while not self._stop.wait(config.monitor_interval):
             dead: list[tuple[int, str, int]] = []
-            respawn: list[WorkerSlot] = []
+            cold: list[WorkerSlot] = []
             with self.lock:
                 now = self.clock()
                 for slot in self.slots:
@@ -494,17 +593,34 @@ class Supervisor:
                                 "never connected within spawn grace",
                                 slot.incarnation,
                             ))
-                    elif slot.state == DOWN and now >= slot.restart_at:
-                        respawn.append(slot)
-                for slot in respawn:
-                    self._spawn(slot)
+                    elif (
+                        slot.state == DOWN
+                        and now >= slot.restart_at
+                        and slot.index not in self._launching
+                    ):
+                        waiting = slot.waiting
+                        if waiting is not None and waiting.poll() is None:
+                            self._spawn(slot)
+                        else:
+                            # It died while waiting (or never launched):
+                            # this restart starts cold.
+                            if waiting is not None:
+                                waiting.stdin.close()
+                                slot.waiting = None
+                            self._launching.add(slot.index)
+                            cold.append(slot)
+            for slot in cold:
+                self._launch(slot)
+                with self.lock:
+                    if slot.waiting is not None:
+                        self._spawn(slot)
             for index, reason, incarnation in dead:
                 self.declare_dead(index, reason, incarnation=incarnation)
 
-    def _signal(self, slot: WorkerSlot, name: str) -> None:
+    def _signal(self, process: subprocess.Popen, name: str) -> None:
         import signal as _signal
 
         try:
-            os.kill(slot.process.pid, getattr(_signal, name))
+            os.kill(process.pid, getattr(_signal, name))
         except (OSError, ProcessLookupError):  # pragma: no cover - race
             pass

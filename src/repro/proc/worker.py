@@ -1,4 +1,6 @@
-"""The worker process: ``python -m repro.proc.worker``.
+"""The worker process: ``python -m repro.proc.worker [options]``.
+
+Run bare, it reads its options as one line from stdin (see :func:`main`).
 
 One worker = one OS process = one duplex TCP connection back to the
 parent region. The loop is deliberately primitive — a single thread
@@ -233,6 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one worker; started with no arguments, wait for them on stdin.
+
+    The supervisor launches the interpreter bare as soon as a worker
+    dies, so it boots while the restart backoff runs, then releases it
+    with one argument line. EOF before that line (the region closed,
+    or its parent died) means the worker is not needed: exit 0.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+        if not argv:
+            line = sys.stdin.readline()
+            if not line:
+                return 0
+            argv = line.split()
     args = build_parser().parse_args(argv)
     worker = WorkerMain(
         args.host,

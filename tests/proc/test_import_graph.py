@@ -24,6 +24,15 @@ HEAVY = [
     "repro.experiments",
 ]
 
+#: The simulator's transport: a worker needs :mod:`repro.net.framing` only.
+SIMULATED_TRANSPORT = [
+    "repro.net.connection",
+    "repro.net.buffers",
+    "repro.net.blocking",
+    "repro.util.ewma",
+    "repro.util.timeseries",
+]
+
 PROBE = """
 import importlib.util, json, sys
 import repro.proc.worker
@@ -56,6 +65,7 @@ def test_process_entry_points_import_no_simulator_or_control_plane():
         done.stdout
     )
     assert [m for m in HEAVY + ["repro.streams"] if m in after_worker] == []
+    assert [m for m in SIMULATED_TRANSPORT if m in after_worker] == []
     assert [m for m in HEAVY if m in after_region] == []
     # Lazy package exports hand out the defining module's own class: both
     # raisers (simulated splitter, process region) raise, and every

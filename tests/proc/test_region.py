@@ -24,7 +24,6 @@ import os
 import select
 import signal
 import socket
-import subprocess
 import threading
 import time
 
@@ -37,10 +36,12 @@ from repro.obs.hub import ObservabilityConfig, ObservabilityHub
 from repro.proc.faults import RealFaultDriver
 from repro.proc.region import ProcessRegion, send_measured
 from repro.proc.supervisor import (
+    DOWN,
     DRAIN_TIMEOUT,
     QUARANTINED,
     STARTING,
     UP,
+    Supervisor,
     SupervisorConfig,
 )
 from tests.proc.fakewire import FakeWire
@@ -266,19 +267,20 @@ class TestStallDetection:
 
 class TestCircuitBreaker:
     def test_crash_loop_quarantines_but_run_completes(self, monkeypatch):
-        # Worker 1 is spawned with the worker's own --exit-after flag and
-        # exits nonzero after every single tuple, forever. The budget of
-        # 2 restarts in the window trips the breaker; the survivors absorb
-        # its share. The run is long enough (wall-clock) for three crash
-        # cycles, each dominated by interpreter startup of the replacement.
-        popen = subprocess.Popen
+        # Worker 1 is released with the worker's own --exit-after flag
+        # and exits nonzero after every single tuple, forever. The budget
+        # of 2 restarts in the window trips the breaker; the survivors
+        # absorb its share. The run is long enough (wall-clock) for three
+        # crash cycles.
+        argv = Supervisor._argv
 
-        def spawn(cmd, **kwargs):
-            if cmd[cmd.index("--worker-id") + 1] == "1":
-                cmd = [*cmd, "--exit-after", "1", "--exit-code", "3"]
-            return popen(cmd, **kwargs)
+        def released(self, slot):
+            line = argv(self, slot)
+            if slot.index == 1:
+                line += ["--exit-after", "1", "--exit-code", "3"]
+            return line
 
-        monkeypatch.setattr(subprocess, "Popen", spawn)
+        monkeypatch.setattr(Supervisor, "_argv", released)
         config = SupervisorConfig(
             heartbeat_interval=0.02,
             heartbeat_timeout=0.25,
@@ -296,6 +298,8 @@ class TestCircuitBreaker:
         assert region.slots[1].state == QUARANTINED
         # Budget spent before the breaker tripped.
         assert region.slots[1].restarts == 2
+        # The quarantining death launched no replacement.
+        assert region.slots[1].waiting is None
 
 
 class TestChaos:
@@ -529,6 +533,132 @@ class TestPromptShutdown:
             f"close stalled {close_seconds:.2f}s on an undrainable "
             f"STARTING replacement (DRAIN_TIMEOUT is {DRAIN_TIMEOUT:g}s)"
         )
+
+
+def wait_for(predicate, timeout=20.0):
+    """Poll ``predicate`` until it holds; fail the test at ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def worker_children():
+    """Pids of this process's children running ``repro.proc.worker``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as f:
+                ppid = int(f.read().rsplit(b")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                cmdline = f.read()
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == os.getpid() and b"repro.proc.worker" in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
+#: Fast detection, but a replacement waits out a jitter-free 0.4 s.
+SLOW_BACKOFF = SupervisorConfig(
+    heartbeat_interval=0.02,
+    heartbeat_timeout=0.25,
+    monitor_interval=0.01,
+    backoff_start=0.4,
+    backoff_jitter=0.0,
+)
+
+
+class TestEarlyLaunch:
+    """A restart launches at the death and releases at ``restart_at``."""
+
+    def test_backoff_still_gates_the_incarnation(self):
+        region = ProcessRegion(2, supervisor_config=SLOW_BACKOFF, window=8)
+        slot = region.slots[1]
+        try:
+            region.start().wait_ready(timeout=30.0)
+            assert region.supervisor.kill(1, signal.SIGKILL)
+            wait_for(lambda: slot.waiting is not None)
+            # The replacement process exists inside the backoff, but
+            # its incarnation has not begun.
+            waiting = slot.waiting
+            assert region.clock() < slot.restart_at
+            assert waiting.poll() is None
+            assert (slot.state, slot.incarnation, slot.restarts) == (
+                DOWN, 0, 0
+            )
+            episodes = region.supervisor.episodes
+            wait_for(lambda: episodes[0].reintegrated_at is not None)
+        finally:
+            region.close()
+        assert slot.process is waiting
+        assert (slot.incarnation, slot.restarts) == (1, 1)
+        # Release and HELLO both wait out the backoff.
+        assert slot.spawned_at >= slot.restart_at
+        assert episodes[0].reintegrated_at >= slot.restart_at
+
+    def test_waiting_process_dead_at_release_is_replaced_cold(self):
+        region = ProcessRegion(2, supervisor_config=SLOW_BACKOFF, window=8)
+        slot = region.slots[0]
+        try:
+            region.start().wait_ready(timeout=30.0)
+            assert region.supervisor.kill(0, signal.SIGKILL)
+            wait_for(lambda: slot.waiting is not None)
+            waiting = slot.waiting
+            waiting.kill()
+            episodes = region.supervisor.episodes
+            wait_for(lambda: episodes[0].reintegrated_at is not None)
+        finally:
+            region.close()
+        assert waiting.returncode == -signal.SIGKILL
+        assert slot.process is not waiting
+        assert (slot.incarnation, slot.restarts) == (1, 1)
+
+    def test_close_during_backoff_dismisses_the_waiting_process(self):
+        config = SupervisorConfig(
+            heartbeat_interval=0.02,
+            heartbeat_timeout=0.25,
+            monitor_interval=0.01,
+            backoff_start=30.0,
+            backoff_max=30.0,
+        )
+        region = ProcessRegion(2, supervisor_config=config, window=8)
+        slot = region.slots[0]
+        try:
+            region.start().wait_ready(timeout=30.0)
+            assert region.supervisor.kill(0, signal.SIGKILL)
+            wait_for(lambda: slot.waiting is not None)
+            waiting = slot.waiting
+        finally:
+            escalated = region.close()
+        # EOF on its stdin before an argument line: a clean exit, reaped.
+        assert escalated == []
+        assert waiting.returncode == 0
+        assert slot.waiting is None
+        assert worker_children() == []
+
+    def test_restarts_leak_no_descriptor_and_no_process(self):
+        kills = 4
+        before = len(os.listdir("/proc/self/fd"))
+        region = ProcessRegion(2, supervisor_config=FAST, window=8)
+        episodes = region.supervisor.episodes
+        try:
+            region.start().wait_ready(timeout=30.0)
+            for k in range(kills):
+                victim = k % 2
+                wait_for(lambda: region.slots[victim].state == UP)
+                assert region.supervisor.kill(victim, signal.SIGKILL)
+                wait_for(
+                    lambda: len(episodes) == k + 1
+                    and episodes[k].reintegrated_at is not None
+                )
+        finally:
+            region.close()
+        assert region.supervisor.restarts == kills
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert worker_children() == []
 
 
 class TestGracefulDegradation:

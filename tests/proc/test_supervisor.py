@@ -3,8 +3,9 @@
 The supervisor's process-management logic — idempotent death handling,
 capped jittered backoff, the restart-budget circuit breaker, stale
 incarnation rejection — is exercised against a recording listener and a
-controllable clock. No sockets, no subprocesses: ``_spawn`` is stubbed
-so each "process" is just an incarnation bump.
+controllable clock. No sockets, no subprocesses: ``_launch`` and
+``_spawn`` are stubbed, so a launch parks a placeholder in
+``slot.waiting`` and a release is just an incarnation bump.
 """
 
 import threading
@@ -71,10 +72,17 @@ def make_supervisor(n=2, **config_overrides):
         clock=clock,
         config=config,
     )
-    # No real processes in these tests: a spawn is an incarnation bump.
+    # No real processes in these tests: a launch parks a placeholder, a
+    # release (spawn) is an incarnation bump.
+    launches = []
     spawns = []
 
+    def fake_launch(slot):
+        slot.waiting = object()
+        launches.append(slot.index)
+
     def fake_spawn(slot):
+        slot.waiting = None
         slot.incarnation += 1
         if slot.incarnation > 0:
             slot.restarts += 1
@@ -84,7 +92,9 @@ def make_supervisor(n=2, **config_overrides):
         slot.spawned_at = clock()
         spawns.append((slot.index, slot.incarnation))
 
+    supervisor._launch = fake_launch
     supervisor._spawn = fake_spawn
+    supervisor.launches = launches
     supervisor.spawns = spawns
     return supervisor, clock, listener
 
@@ -176,6 +186,9 @@ class TestCircuitBreaker:
         assert slot.state == QUARANTINED
         # 3 restarts spent the budget; the 4th death trips the breaker.
         assert slot.restarts == 3
+        # Every restart had its launch; the quarantining death has none.
+        assert supervisor.launches == [0, 0, 0]
+        assert slot.waiting is None
         assert listener.quarantined == [0]
         assert supervisor.quarantined == [0]
 
@@ -207,6 +220,26 @@ class TestCircuitBreaker:
         supervisor.declare_dead(0, "crash 1")
         assert slot.state == QUARANTINED
         assert not supervisor.on_connected(0, slot.incarnation)
+
+
+class TestEarlyLaunch:
+    def test_death_launches_the_next_interpreter_before_the_release(self):
+        supervisor, clock, listener = make_supervisor()
+        slot = supervisor.slots[0]
+        supervisor._spawn(slot)
+        supervisor.on_connected(0, 0)
+        clock.now = 5.0
+        assert supervisor.declare_dead(0, "kill")
+        assert not supervisor.declare_dead(0, "second caller loses")
+        # One launch at the death; the incarnation waits for the release.
+        assert supervisor.launches == [0]
+        assert slot.waiting is not None
+        assert (slot.state, slot.incarnation, slot.restarts) == (DOWN, 0, 0)
+        supervisor._spawn(slot)
+        assert slot.waiting is None
+        assert (slot.state, slot.incarnation, slot.restarts) == (
+            STARTING, 1, 1
+        )
 
 
 class TestEpisodes:
@@ -249,6 +282,19 @@ class TestConfigValidation:
     def test_rejects_bad_jitter(self):
         with pytest.raises(ValueError, match="backoff_jitter"):
             SupervisorConfig(backoff_jitter=1.5)
+
+    @pytest.mark.parametrize("timeout", [0.1, 0.2])
+    def test_rejects_heartbeat_timeout_not_above_interval(self, timeout):
+        # A timeout at or below the beat period declares every healthy
+        # worker dead between two of its own heartbeats.
+        with pytest.raises(
+            ValueError, match="heartbeat_timeout.*heartbeat_interval"
+        ):
+            SupervisorConfig(
+                heartbeat_interval=0.2,
+                heartbeat_timeout=timeout,
+                monitor_interval=0.01,
+            )
 
     def test_rejects_unknown_worker_mode(self):
         with pytest.raises(ValueError, match="worker_mode"):

@@ -6,13 +6,15 @@ parent side (accept, send DATA/CONTROL/EOS, collect RESULT/BYE) runs on
 a helper thread.
 """
 
+import io
 import socket
+import sys
 import threading
 
 import pytest
 
 from repro.net import framing
-from repro.proc.worker import WorkerMain, build_parser
+from repro.proc.worker import WorkerMain, build_parser, main
 
 pytestmark = pytest.mark.sockets
 
@@ -309,3 +311,23 @@ class TestArgumentParser:
         )
         assert args.exit_after == 5
         assert args.exit_code == 9
+
+
+class TestBareLaunch:
+    """Started with no arguments, the worker takes them from stdin."""
+
+    def test_eof_before_a_line_exits_zero(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["repro.proc.worker"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main() == 0
+
+    def test_released_line_is_the_argv(self, monkeypatch):
+        parent = ParentStub()
+        parent.start(lambda conn: conn.sendall(framing.encode_eos()))
+        line = f"--port {parent.port} --worker-id 5 --incarnation 7\n"
+        monkeypatch.setattr(sys, "argv", ["repro.proc.worker"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(line))
+        assert main() == 0
+        parent.finish()
+        hello = parent.of_type(framing.MSG_HELLO)
+        assert [m.hello() for m in hello] == [(5, 7)]
