@@ -125,10 +125,9 @@ def run_recovery() -> dict:
             # holds its share of the window when the kill lands.
             region.start().wait_ready(timeout=60.0)
             if kill:
-                driver = RealFaultDriver(region, poll_interval=0.002)
-                FaultSchedule.crash_after_emitted(
-                    1, RECOVERY_TUPLES // 8
-                ).arm_real(driver)
+                driver = RealFaultDriver(region, poll_interval=0.002).arm(
+                    FaultSchedule.crash_after_emitted(1, RECOVERY_TUPLES // 8)
+                )
                 driver.start()
             stats = region.run(
                 [RECOVERY_COST] * RECOVERY_TUPLES, timeout=300.0

@@ -17,7 +17,6 @@ Run:  python examples/process_kill_recovery.py
 
 import time
 
-from repro.faults.recovery import first_time_to_reconverge
 from repro.faults.schedule import FaultSchedule
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
 from repro.proc.faults import RealFaultDriver
@@ -46,10 +45,9 @@ def main() -> None:
     hub = ObservabilityHub(region.clock, ObservabilityConfig())
     region.attach_observability(hub)
 
-    driver = RealFaultDriver(region)
-    FaultSchedule.crash_after_emitted(
-        KILL_WORKER, KILL_AT_EMITTED
-    ).arm_real(driver)
+    driver = RealFaultDriver(region).arm(
+        FaultSchedule.crash_after_emitted(KILL_WORKER, KILL_AT_EMITTED)
+    )
 
     print(f"{N_WORKERS} worker processes, {TOTAL_TUPLES} tuples; "
           f"SIGKILL worker {KILL_WORKER} after {KILL_AT_EMITTED} emitted.")
@@ -62,7 +60,7 @@ def main() -> None:
         # Keep the region open until the replacement rejoins, so the
         # restart episode closes (it usually has by now).
         deadline = time.monotonic() + 30.0
-        while (first_time_to_reconverge(region.supervisor.episodes) is None
+        while (region.supervisor.ledger.time_to_reconverge() is None
                and time.monotonic() < deadline):
             time.sleep(0.02)
         stats = region.stats()

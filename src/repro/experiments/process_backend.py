@@ -142,8 +142,7 @@ def run_process_experiment(
 
     driver: RealFaultDriver | None = None
     if not config.fault_schedule.empty():
-        driver = RealFaultDriver(region)
-        config.fault_schedule.arm_real(driver)
+        driver = RealFaultDriver(region).arm(config.fault_schedule)
 
     total = config.total_tuples
     budget = timeout if timeout is not None else config.horizon()

@@ -37,11 +37,7 @@ from repro.experiments.oracle import (
     worker_capacities,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.recovery import (
-    RecoveryCoordinator,
-    first_time_to_quarantine,
-    first_time_to_reconverge,
-)
+from repro.faults.recovery import RecoveryCoordinator, RecoveryLedger
 from repro.obs.console import ConsoleReporter
 from repro.obs.export import write_exports
 from repro.obs.hub import ObservabilityHub, ObsReport
@@ -558,7 +554,7 @@ def run_experiment(
     execution_time = (
         region.merger.last_emit_time if completed else None
     )
-    episodes = recovery.episodes if recovery is not None else []
+    ledger = recovery.ledger if recovery is not None else RecoveryLedger()
     return RunResult(
         name=config.name,
         policy=policy,
@@ -576,9 +572,9 @@ def run_experiment(
         total_sent=region.splitter.tuples_sent,
         block_events=region.splitter.block_events,
         final_weights=current_weights(),
-        quarantines=recovery.quarantines if recovery is not None else 0,
-        time_to_quarantine=first_time_to_quarantine(episodes),
-        time_to_reconverge=first_time_to_reconverge(episodes),
+        quarantines=len(ledger.episodes),
+        time_to_quarantine=ledger.time_to_quarantine(),
+        time_to_reconverge=ledger.time_to_reconverge(),
         tuples_replayed=region.splitter.tuples_replayed,
         tuples_lost=region.merger.tuples_lost,
         events_processed=sim.events_processed,

@@ -6,21 +6,25 @@ lost sequence number. This package supplies what a production region
 needs to survive exactly that:
 
 * :mod:`repro.faults.schedule` — a :class:`FaultSchedule` (modeled on
-  :class:`~repro.workloads.external_load.LoadSchedule`) arming timed and
+  :class:`~repro.workloads.external_load.LoadSchedule`) of timed and
   progress-triggered faults: PE crashes, delayed restarts, connection
-  stalls/flaps, and host-wide slowdown bursts;
+  stalls/flaps, and host-wide slowdown bursts. Its one action list
+  (:meth:`FaultSchedule.actions`) arms both the simulator and the
+  process backend's fault driver;
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` that applies
   those faults to a live region and keeps the fault log;
 * :mod:`repro.faults.recovery` — the :class:`RecoveryCoordinator`: a
   liveness monitor (progress staleness + saturated blocking) that fails
   dead channels over, quarantines them in the balancer, replays or skips
-  their in-flight tuples, and reintegrates them on recovery.
+  their in-flight tuples, and reintegrates them on recovery. Its
+  :class:`RecoveryLedger` keeps the episodes, ttq/ttr and their spans;
+  the process supervisor holds the same ledger.
 """
 
 from repro._lazy import lazy_exports
 
 #: Public name -> defining module, resolved lazily (PEP 562): the process
-#: supervisor needs only :class:`~repro.faults.recovery.ChannelRecovery`
+#: supervisor needs only :mod:`repro.faults.recovery` (its ledger)
 #: and must not load the injector (and with it the simulated dataplane).
 _EXPORTS = {
     "FaultInjector": "repro.faults.injector",
@@ -28,6 +32,7 @@ _EXPORTS = {
     "ChannelRecovery": "repro.faults.recovery",
     "RecoveryConfig": "repro.faults.recovery",
     "RecoveryCoordinator": "repro.faults.recovery",
+    "RecoveryLedger": "repro.faults.recovery",
     "CountCrashEvent": "repro.faults.schedule",
     "CrashEvent": "repro.faults.schedule",
     "FaultSchedule": "repro.faults.schedule",

@@ -18,9 +18,10 @@ would experience it:
 * :meth:`FaultInjector.slowdown` / :meth:`FaultInjector.end_slowdown` —
   a host-wide burst multiplying every resident PE's per-tuple cost.
 
-Every action is appended to :attr:`FaultInjector.log`, which the recovery
-metrics use to anchor detection latency (time-to-quarantine is measured
-from the *fault*, not from the detection round that noticed it).
+Every action is appended to :attr:`FaultInjector.log`. A crash or a
+stall is also reported through :attr:`FaultInjector.on_fault`, which the
+recovery coordinator points at its ledger: time-to-quarantine is
+measured from the *fault*, not from the detection round that noticed it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class FaultInjector:
         self.crashes = 0
         self.restarts = 0
         self.stalls = 0
+        #: ``(channel, time)`` callback for each crash and stall: the
+        #: ttq anchor (None = nobody listens).
+        self.on_fault = None
         #: Observability hub (None = not recording).
         self._obs = None
 
@@ -92,7 +96,7 @@ class FaultInjector:
     # --------------------------------------------------------------- faults
 
     def crash(
-        self, worker: int, *, restart_after: float | None = None
+        self, worker: int, restart_after: float | None = None
     ) -> None:
         """Kill PE ``worker`` now; optionally restart it after a delay."""
         pe = self.region.workers[worker]
@@ -110,6 +114,8 @@ class FaultInjector:
         connection.stall()
         self.crashes += 1
         self._record("crash", worker)
+        if self.on_fault is not None:
+            self.on_fault(worker, self.sim.now)
         if restart_after is not None:
             self.sim.call_after(restart_after, lambda: self.restart(worker))
 
@@ -139,6 +145,8 @@ class FaultInjector:
         self.region.connections[worker].stall()
         self.stalls += 1
         self._record("stall", worker)
+        if self.on_fault is not None:
+            self.on_fault(worker, self.sim.now)
 
     def unstall(self, worker: int) -> None:
         """Recover ``worker``'s connection from a stall."""
@@ -208,16 +216,3 @@ class FaultInjector:
                 channel=-1 if channel is None else channel,
                 detail=detail,
             )
-
-    def last_fault_time(self, channel: int, before: float) -> float | None:
-        """Time of the most recent crash/stall on ``channel`` at or before
-        ``before`` — the anchor for time-to-quarantine."""
-        latest: float | None = None
-        for record in self.log:
-            if (
-                record.channel == channel
-                and record.kind in ("crash", "stall")
-                and record.time <= before
-            ):
-                latest = record.time
-        return latest

@@ -28,15 +28,16 @@ the channel is restored with its blocking rate function decayed so
 exploration re-learns its capacity, and weight ramps back
 under the balancer's usual incremental bounds — a slow-start.
 
-The coordinator also keeps the recovery metrics the experiments report:
-per-episode time-to-quarantine (anchored at the injected fault) and
-time-to-reconverge (quarantine until the balancer's weights hold still
-for ``STABLE_ROUNDS`` consecutive checks).
+The recovery metrics the experiments report live in a
+:class:`RecoveryLedger`, the one episode bookkeeper of both backends (the
+process supervisor holds one too): per-episode time-to-quarantine
+(anchored at the injected fault, which the injector reports to the
+ledger) and time-to-reconverge (here: quarantine until the balancer's
+weights hold still for ``STABLE_ROUNDS`` consecutive checks).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -119,16 +120,113 @@ class ChannelRecovery:
         return self.reconverged_at - self.quarantined_at
 
 
-def first_time_to_quarantine(episodes: Iterable[ChannelRecovery]) -> float | None:
-    """Detection latency of the first fault-anchored episode (or None)."""
-    latencies = (e.time_to_quarantine() for e in episodes)
-    return next((t for t in latencies if t is not None), None)
+class RecoveryLedger:
+    """Every recovery episode of one region, from fault to settled weights.
 
+    The one bookkeeper of both backends: the simulator's coordinator and
+    the process supervisor each hold one. :meth:`note_fault` keeps a
+    channel's ttq anchor until :meth:`open` takes it at the failover;
+    :meth:`close` (reintegration) drops an anchor noted while the channel
+    was out, so it cannot blame the next death; :meth:`settle` marks
+    episodes reconverged. With a ``tracer``, the same timestamps make the
+    ``detection``, ``quarantine`` and ``reconvergence`` spans, whose
+    durations are therefore ttq, the time out of rotation, and ttr. Not
+    thread-safe: the supervisor calls it under the region lock.
+    """
 
-def first_time_to_reconverge(episodes: Iterable[ChannelRecovery]) -> float | None:
-    """Reconvergence time of the first episode that settled (or None)."""
-    latencies = (e.time_to_reconverge() for e in episodes)
-    return next((t for t in latencies if t is not None), None)
+    def __init__(self) -> None:
+        #: Opened episodes, closed or not, in failover order.
+        self.episodes: list[ChannelRecovery] = []
+        #: Span recorder (None = not tracing).
+        self.tracer = None
+        self._anchors: dict[int, float] = {}
+        self._out: dict[int, ChannelRecovery] = {}
+        self._spans: dict[int, int] = {}
+
+    @property
+    def open_count(self) -> int:
+        """Channels whose episode is open."""
+        return len(self._out)
+
+    def note_fault(self, channel: int, at: float) -> None:
+        """An injected fault hit ``channel`` at ``at``: its next ttq anchor."""
+        self._anchors[channel] = at
+
+    def open(
+        self,
+        channel: int,
+        at: float,
+        *,
+        replayed: int | None = None,
+        lost: int = 0,
+        **labels,
+    ) -> ChannelRecovery:
+        """Start ``channel``'s episode: it was failed over at ``at``.
+
+        ``labels`` go on its spans next to the channel. A failover that
+        knows its counts as it opens passes ``replayed`` and ``lost``;
+        they also label the quarantine span.
+        """
+        episode = ChannelRecovery(
+            channel, at, fault_at=self._anchors.pop(channel, None)
+        )
+        quarantine_labels = labels
+        if replayed is not None:
+            episode.replayed, episode.lost = replayed, lost
+            quarantine_labels = {**labels, "replayed": replayed, "lost": lost}
+        self.episodes.append(episode)
+        self._out[channel] = episode
+        if self.tracer is not None:
+            if episode.fault_at is not None:
+                self.tracer.record(
+                    "detection", episode.fault_at, at,
+                    channel=channel, **labels,
+                )
+            self._spans[channel] = self.tracer.start(
+                "quarantine", at, channel=channel, **quarantine_labels
+            )
+        return episode
+
+    def close(self, channel: int, at: float, *, settled: bool = False) -> None:
+        """End ``channel``'s open episode: it was reintegrated at ``at``.
+
+        ``settled``: the reintegration is the reconvergence too (the
+        process backend's, where the slot serving again is the measure).
+        """
+        episode = self._out.pop(channel, None)
+        if episode is None:
+            return
+        self._anchors.pop(channel, None)
+        episode.reintegrated_at = at
+        if channel in self._spans:
+            self.tracer.finish(self._spans.pop(channel), at)
+        if settled:
+            self._settle(episode, at)
+
+    def settle(self, at: float) -> None:
+        """Weights settled at ``at``: every unsettled episode opened by
+        then has reconverged."""
+        for episode in self.episodes:
+            if episode.reconverged_at is None and at >= episode.quarantined_at:
+                self._settle(episode, at)
+
+    def _settle(self, episode: ChannelRecovery, at: float) -> None:
+        episode.reconverged_at = at
+        if self.tracer is not None:
+            self.tracer.record(
+                "reconvergence", episode.quarantined_at, at,
+                channel=episode.channel,
+            )
+
+    def time_to_quarantine(self) -> float | None:
+        """Detection latency of the first fault-anchored episode (or None)."""
+        latencies = (e.time_to_quarantine() for e in self.episodes)
+        return next((t for t in latencies if t is not None), None)
+
+    def time_to_reconverge(self) -> float | None:
+        """Reconvergence time of the first episode that settled (or None)."""
+        latencies = (e.time_to_reconverge() for e in self.episodes)
+        return next((t for t in latencies if t is not None), None)
 
 
 class RecoveryCoordinator:
@@ -152,47 +250,36 @@ class RecoveryCoordinator:
         self.region = region
         self.balancer = balancer
         self.routing = routing
-        self.injector = injector
         self.config = config or RecoveryConfig()
-        #: Completed and in-progress quarantine episodes, in order.
-        self.episodes: list[ChannelRecovery] = []
+        self.ledger = RecoveryLedger()
+        if injector is not None:
+            injector.on_fault = self.ledger.note_fault
         n = region.n_workers
         self._last_processed = [w.tuples_processed for w in region.workers]
         self._last_progress_time = [0.0] * n
         self._healthy_checks = [0] * n
-        self._open: dict[int, ChannelRecovery] = {}
         self._last_weights: list[int] | None = None
         self._stable_streak = 0
         self._cancel = None
-        #: Observability hub (None = not recording).
-        self._obs = None
-        #: Open "quarantine" span per quarantined channel.
-        self._quarantine_spans: dict[int, int] = {}
 
     def attach_observability(self, hub) -> None:
-        """Register recovery instruments and arm episode spans.
-
-        Three span kinds per episode, all derived from the same episode
-        timestamps as the ttq/ttr metrics (so their durations agree by
-        construction): ``detection`` (fault to failover), ``quarantine``
-        (failover to reintegration), and ``reconvergence`` (failover to
-        re-settled weights).
-        """
-        self._obs = hub
+        """Register recovery instruments and trace the ledger's episodes."""
+        ledger = self.ledger
+        ledger.tracer = hub.tracer
         registry = hub.registry
         registry.gauge_fn(
             "recovery_quarantines_total",
-            lambda: len(self.episodes),
+            lambda: len(ledger.episodes),
             help="Failover episodes opened",
         )
         registry.gauge_fn(
             "recovery_open_quarantines",
-            lambda: len(self._open),
+            lambda: ledger.open_count,
             help="Channels currently quarantined",
         )
         registry.gauge_fn(
             "recovery_tuples_lost_total",
-            lambda: sum(e.lost for e in self.episodes),
+            lambda: sum(e.lost for e in ledger.episodes),
             help="Sequence numbers declared lost at failover",
         )
 
@@ -249,35 +336,14 @@ class RecoveryCoordinator:
                 SKIP_TIMEOUT,
                 lambda seqs=tuple(lost): region.merger.mark_lost(seqs),
             )
-        episode = ChannelRecovery(
-            channel=channel,
-            quarantined_at=now,
-            fault_at=(
-                self.injector.last_fault_time(channel, now)
-                if self.injector is not None
-                else None
-            ),
-            replayed=replayed,
-            lost=len(lost),
+        episode = self.ledger.open(
+            channel, now, replayed=replayed, lost=len(lost)
         )
-        self.episodes.append(episode)
-        self._open[channel] = episode
         self._healthy_checks[channel] = 0
         self._stable_streak = 0
         self._last_weights = (
             self.balancer.weights if self.balancer is not None else None
         )
-        if self._obs is not None:
-            tracer = self._obs.tracer
-            if episode.fault_at is not None:
-                # Detection span: same endpoints as time_to_quarantine().
-                tracer.record(
-                    "detection", episode.fault_at, now, channel=channel
-                )
-            self._quarantine_spans[channel] = tracer.start(
-                "quarantine", now,
-                channel=channel, replayed=replayed, lost=len(lost),
-            )
         return episode
 
     def reintegrate(self, channel: int) -> None:
@@ -285,26 +351,13 @@ class RecoveryCoordinator:
         if self.balancer is not None:
             self.balancer.reintegrate(channel)
         self.region.restore_channel(channel)
-        episode = self._open.pop(channel, None)
-        if episode is not None:
-            episode.reintegrated_at = self.sim.now
-            if self._obs is not None:
-                span_id = self._quarantine_spans.pop(channel, None)
-                if span_id is not None:
-                    self._obs.tracer.finish(span_id, self.sim.now)
+        self.ledger.close(channel, self.sim.now)
         # Progress bookkeeping restarts fresh for the revived channel.
         self._last_processed[channel] = (
             self.region.workers[channel].tuples_processed
         )
         self._last_progress_time[channel] = self.sim.now
         self._stable_streak = 0
-
-    # -------------------------------------------------------------- metrics
-
-    @property
-    def quarantines(self) -> int:
-        """Total failover episodes so far."""
-        return len(self.episodes)
 
     # ------------------------------------------------------------- internal
 
@@ -355,22 +408,7 @@ class RecoveryCoordinator:
         else:
             self._stable_streak = 0
         self._last_weights = weights
-        if self._stable_streak < STABLE_ROUNDS:
-            return
-        settled_at = self.sim.now - (
-            self._stable_streak * CHECK_INTERVAL
-        )
-        for episode in self.episodes:
-            if (
-                episode.reconverged_at is None
-                and settled_at >= episode.quarantined_at
-            ):
-                episode.reconverged_at = max(settled_at, episode.quarantined_at)
-                if self._obs is not None:
-                    # Same endpoints as time_to_reconverge().
-                    self._obs.tracer.record(
-                        "reconvergence",
-                        episode.quarantined_at,
-                        episode.reconverged_at,
-                        channel=episode.channel,
-                    )
+        if self._stable_streak >= STABLE_ROUNDS:
+            self.ledger.settle(
+                self.sim.now - self._stable_streak * CHECK_INTERVAL
+            )

@@ -4,7 +4,9 @@ A :class:`FaultSchedule` is to failures what
 :class:`~repro.workloads.external_load.LoadSchedule` is to external load:
 a declarative list of timed (and progress-triggered) events that
 :meth:`FaultSchedule.arm` schedules on a simulator against a
-:class:`~repro.faults.injector.FaultInjector`. Keeping schedules
+:class:`~repro.faults.injector.FaultInjector`, and the process backend's
+fault driver fires against live workers; both read the one list
+:meth:`FaultSchedule.actions` makes of it. Keeping schedules
 declarative keeps fault experiments reproducible: the same schedule on
 the same config produces the same run, bit for bit.
 
@@ -32,6 +34,7 @@ Supported faults:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.util.validation import check_non_negative, check_positive
@@ -190,61 +193,46 @@ class FaultSchedule:
                 f"{n_workers} workers"
             )
 
-    def arm_real(self, driver) -> "FaultSchedule":
-        """Arm this schedule against *live worker processes*.
+    def actions(self) -> list[tuple[float, str, tuple]]:
+        """Every timed fault as ``(time, action, args)``, in arming order.
 
-        ``driver`` is a :class:`repro.proc.faults.RealFaultDriver`: the
-        same declarative events that :meth:`arm` schedules as simulator
-        callbacks become real ``SIGKILL``/``SIGSTOP``/``SIGCONT`` and
-        CONTROL frames against the process backend. Validation and the
-        event-to-action mapping live on the driver; this method exists
-        so experiment code reads symmetrically (``schedule.arm(sim,
-        injector)`` vs ``schedule.arm_real(driver)``).
+        ``action`` names a method of the fault injector (and of the
+        process backend's fault driver); ``args`` are its arguments.
+        The order is crashes, then stalls with their unstalls, then
+        slowdowns with their ends, then bursts with their ends, so
+        same-time events keep their sequence. Progress-triggered crashes
+        (:attr:`count_crashes`) are not timed and are not listed.
         """
-        driver.arm(self)
-        return self
+        actions = [
+            (e.time, "crash", (e.worker, e.restart_after))
+            for e in self.crashes
+        ]
+        # Each of these ends with its ``end`` action after ``duration``.
+        for events, start, end, args_of in (
+            (self.stalls, "stall", "unstall", lambda e: (e.worker,)),
+            (
+                self.slowdowns, "slowdown", "end_slowdown",
+                lambda e: (e.host, e.multiplier),
+            ),
+            (
+                self.bursts, "overload_burst", "end_overload_burst",
+                lambda e: (e.factor,),
+            ),
+        ):
+            for event in events:
+                args = args_of(event)
+                actions.append((event.time, start, args))
+                if event.duration is not None:
+                    actions.append((event.time + event.duration, end, args))
+        return actions
 
     def arm(self, sim: "Simulator", injector: "FaultInjector") -> None:
-        """Schedule every *timed* event on ``sim`` against ``injector``.
+        """Schedule every timed event on ``sim`` against ``injector``.
 
         Progress-triggered events (:attr:`count_crashes`) cannot be armed
         on the clock; the experiment runner fires them from its merger
         progress hook via :meth:`FaultInjector.crash`.
         """
         self.validate(injector.n_channels)
-        for event in self.crashes:
-            sim.call_at(
-                event.time,
-                lambda e=event: injector.crash(
-                    e.worker, restart_after=e.restart_after
-                ),
-            )
-        for event in self.stalls:
-            sim.call_at(
-                event.time, lambda e=event: injector.stall(e.worker)
-            )
-            if event.duration is not None:
-                sim.call_at(
-                    event.time + event.duration,
-                    lambda e=event: injector.unstall(e.worker),
-                )
-        for event in self.slowdowns:
-            sim.call_at(
-                event.time,
-                lambda e=event: injector.slowdown(e.host, e.multiplier),
-            )
-            if event.duration is not None:
-                sim.call_at(
-                    event.time + event.duration,
-                    lambda e=event: injector.end_slowdown(e.host, e.multiplier),
-                )
-        for event in self.bursts:
-            sim.call_at(
-                event.time,
-                lambda e=event: injector.overload_burst(e.factor),
-            )
-            if event.duration is not None:
-                sim.call_at(
-                    event.time + event.duration,
-                    lambda e=event: injector.end_overload_burst(e.factor),
-                )
+        for time, action, args in self.actions():
+            sim.call_at(time, partial(getattr(injector, action), *args))

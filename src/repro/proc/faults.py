@@ -2,7 +2,10 @@
 
 The simulator arms a :class:`~repro.faults.schedule.FaultSchedule` as
 clock callbacks against a model injector. Here the *same schedule* is
-armed against live worker processes:
+armed against live worker processes. Both read the one action list
+:meth:`~repro.faults.schedule.FaultSchedule.actions` makes of it, and
+:class:`RealFaultDriver` names its methods as the injector does
+(``crash``, ``stall``, ``unstall``, ``slowdown``, ``end_slowdown``):
 
 * :class:`~repro.faults.schedule.CrashEvent` -> ``SIGKILL``. The
   supervisor's own policy (capped jittered backoff, restart budget)
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import signal
 import threading
+from functools import partial
 
 from repro.faults.schedule import FaultSchedule
 from repro.util.validation import check_positive
@@ -58,50 +62,47 @@ class RealFaultDriver:
     # ---------------------------------------------------------------- arming
 
     def arm(self, schedule: FaultSchedule) -> "RealFaultDriver":
-        """Translate ``schedule`` into pending signal/control actions."""
+        """Queue ``schedule``'s actions, each for the method it names."""
         schedule.validate(self.region.n_workers)
         if schedule.bursts:
             raise ValueError(
                 "overload bursts drive the offered arrival rate; the "
                 "process backend has no rated source to burst"
             )
-        for event in schedule.crashes:
+        for time, action, args in schedule.actions():
             self._timed.append((
-                event.time,
-                f"SIGKILL worker {event.worker}",
-                lambda e=event: self._kill(e.worker, signal.SIGKILL),
+                time,
+                f"{action}({', '.join(map(repr, args))})",
+                partial(getattr(self, action), *args),
             ))
-        for event in schedule.stalls:
-            self._timed.append((
-                event.time,
-                f"SIGSTOP worker {event.worker}",
-                lambda e=event: self._kill(e.worker, signal.SIGSTOP),
-            ))
-            if event.duration is not None:
-                self._timed.append((
-                    event.time + event.duration,
-                    f"SIGCONT worker {event.worker}",
-                    lambda e=event: self.supervisor.kill(
-                        e.worker, signal.SIGCONT
-                    ),
-                ))
-        for event in schedule.slowdowns:
-            self._timed.append((
-                event.time,
-                f"slowdown x{event.multiplier:g}",
-                lambda e=event: self._set_slowdown(e.multiplier),
-            ))
-            if event.duration is not None:
-                self._timed.append((
-                    event.time + event.duration,
-                    "slowdown end",
-                    lambda e=event: self._set_slowdown(1.0),
-                ))
         for event in schedule.count_crashes:
             self._counted.append((event.emitted, event.worker))
         self._timed.sort(key=lambda t: t[0])
         self._counted.sort()
         return self
+
+    # ---------------------------------------------------------------- actions
+
+    def crash(self, worker: int, restart_after: float | None = None) -> None:
+        """``SIGKILL`` the worker; the supervisor times the restart."""
+        self._kill(worker, signal.SIGKILL)
+
+    def stall(self, worker: int) -> None:
+        """``SIGSTOP`` the worker: its socket stays open, it goes silent."""
+        self._kill(worker, signal.SIGSTOP)
+
+    def unstall(self, worker: int) -> None:
+        """``SIGCONT`` the worker (a corpse by now, if it was detected)."""
+        self.supervisor.kill(worker, signal.SIGCONT)
+
+    def slowdown(self, host: str, multiplier: float) -> None:
+        """Set every live worker's service-time multiplier: one host."""
+        for slot in self.region.slots:
+            self.region.send_control(slot.index, multiplier)
+
+    def end_slowdown(self, host: str, multiplier: float) -> None:
+        """Reset every live worker's service-time multiplier to 1."""
+        self.slowdown(host, 1.0)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -138,10 +139,9 @@ class RealFaultDriver:
                 emitted = self.region.emitted
                 while self._counted and self._counted[0][0] <= emitted:
                     _, worker = self._counted.pop(0)
-                    self._kill(worker, signal.SIGKILL)
+                    self.crash(worker)
                     self.fired.append((
-                        now,
-                        f"SIGKILL worker {worker} at emitted={emitted}",
+                        now, f"crash({worker}) at emitted={emitted}"
                     ))
             if self.exhausted:
                 return
@@ -150,7 +150,3 @@ class RealFaultDriver:
         """Announce then deliver a lethal/freezing signal."""
         self.supervisor.note_fault(worker)
         self.supervisor.kill(worker, sig)
-
-    def _set_slowdown(self, multiplier: float) -> None:
-        for slot in self.region.slots:
-            self.region.send_control(slot.index, multiplier)

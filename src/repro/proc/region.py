@@ -76,10 +76,6 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from repro.faults.recovery import (
-    first_time_to_quarantine,
-    first_time_to_reconverge,
-)
 from repro.net import framing
 from repro.net.blocking import BlockingCounter
 from repro.proc.supervisor import (
@@ -525,6 +521,7 @@ class ProcessRegion:
         return self.stats()
 
     def stats(self) -> ProcessRunStats:
+        ledger = self.supervisor.ledger
         with self._lock:
             flushes = sum(self._data_flushes)
             flushed = sum(self._data_tuples_flushed)
@@ -535,13 +532,9 @@ class ProcessRegion:
                 replayed=self._replayed,
                 restarts=self.supervisor.restarts,
                 quarantined=self.supervisor.quarantined,
-                episodes=len(self.supervisor.episodes),
-                time_to_quarantine=first_time_to_quarantine(
-                    self.supervisor.episodes
-                ),
-                time_to_reconverge=first_time_to_reconverge(
-                    self.supervisor.episodes
-                ),
+                episodes=len(ledger.episodes),
+                time_to_quarantine=ledger.time_to_quarantine(),
+                time_to_reconverge=ledger.time_to_reconverge(),
                 wall_seconds=self.clock(),
                 per_worker_results=[s.results for s in self.slots],
                 blocked_seconds=[

@@ -29,11 +29,13 @@ Detection is three-pronged and any prong fires the same path:
 ``Popen.poll`` catches exits, the heartbeat deadline catches frozen
 processes (``SIGSTOP``) and wedged loops, and the receiver's socket EOF
 catches kills between heartbeats. All timestamps come from the region's
-shared wall clock, so the recovery episodes
-(:class:`~repro.faults.recovery.ChannelRecovery` — the same record the
-simulator's coordinator keeps) yield directly comparable ttq/ttr
-numbers, and the obs spans (``detection``/``quarantine``/``restart``)
-are derived from the identical timestamps.
+shared wall clock. The recovery episodes live in a
+:class:`~repro.faults.recovery.RecoveryLedger`, the same bookkeeper the
+simulator's coordinator holds, so ttq/ttr numbers and the episode spans
+(``detection``/``quarantine``/``reconvergence``) mean the same on both
+backends. A slot's episode closes and settles at once when its
+replacement connects: service restored is reconvergence here. The
+``restart`` span is the supervisor's own.
 
 The supervisor never touches routing or buffers: on every transition it
 calls back into its listener (the
@@ -54,7 +56,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.faults.recovery import ChannelRecovery
+from repro.faults.recovery import ChannelRecovery, RecoveryLedger
 from repro.util.validation import check_positive
 
 #: Slot states.
@@ -194,15 +196,11 @@ class Supervisor:
         self.clock = clock
         self.config = config or SupervisorConfig()
         self._rng = random.Random(self.config.seed)
-        #: Completed and in-progress death episodes, in detection order.
-        self.episodes: list[ChannelRecovery] = []
-        self._open_episodes: dict[int, ChannelRecovery] = {}
-        #: Injected-fault timestamps awaiting detection (ttq anchors).
-        self._pending_faults: dict[int, float] = {}
+        #: Death episodes and their ttq anchors; touched under the lock.
+        self.ledger = RecoveryLedger()
         self._monitor: threading.Thread | None = None
         self._stop = threading.Event()
         self._obs = None
-        self._quarantine_spans: dict[int, int] = {}
         #: Slots whose launch is in flight (outside the lock).
         self._launching: set[int] = set()
         self._spawn_env = self._build_env()
@@ -290,12 +288,10 @@ class Supervisor:
 
     # -------------------------------------------------------------- actions
 
-    def note_fault(self, index: int, at: float | None = None) -> None:
-        """Record an injected fault's time: the ttq anchor for ``index``."""
+    def note_fault(self, index: int) -> None:
+        """Record an injected fault now: the ttq anchor for ``index``."""
         with self.lock:
-            self._pending_faults[index] = (
-                self.clock() if at is None else at
-            )
+            self.ledger.note_fault(index, self.clock())
 
     def declare_dead(
         self, index: int, reason: str, *, incarnation: int | None = None
@@ -317,13 +313,7 @@ class Supervisor:
             if slot.state in (DOWN, QUARANTINED):
                 return False
             now = self.clock()
-            episode = ChannelRecovery(
-                channel=index,
-                quarantined_at=now,
-                fault_at=self._pending_faults.pop(index, None),
-            )
-            self.episodes.append(episode)
-            self._open_episodes[index] = episode
+            self.ledger.open(index, now, reason=reason)
             # The process may be SIGSTOPped, half-dead, or already gone;
             # SIGKILL is the one terminator that covers all three.
             if slot.process is not None and slot.process.poll() is None:
@@ -348,15 +338,6 @@ class Supervisor:
                 slot.consecutive_failures += 1
                 self._launching.add(index)
             if self._obs is not None:
-                tracer = self._obs.tracer
-                if episode.fault_at is not None:
-                    tracer.record(
-                        "detection", episode.fault_at, now,
-                        channel=index, reason=reason,
-                    )
-                self._quarantine_spans[index] = tracer.start(
-                    "quarantine", now, channel=index, reason=reason,
-                )
                 self._obs.event(
                     "fault", kind="worker_dead", channel=index, detail=reason
                 )
@@ -377,7 +358,9 @@ class Supervisor:
 
         Rejects stale incarnations (a zombie from before a kill) and
         quarantined slots. On acceptance the slot turns UP, the open
-        episode closes, and the region reintegrates the slot.
+        episode closes and settles (capacity is back; the balancer, if
+        any, keeps refining weights), and the region reintegrates the
+        slot.
         """
         slot = self.slots[index]
         with self.lock:
@@ -387,22 +370,12 @@ class Supervisor:
             slot.state = UP
             slot.last_seen = now
             slot.consecutive_failures = 0
-            episode = self._open_episodes.pop(index, None)
-            if episode is not None:
-                episode.reintegrated_at = now
-                # Service restored == the region is re-converged from
-                # this slot's perspective; the balancer (if any) keeps
-                # refining weights but capacity is back.
-                episode.reconverged_at = now
-            if self._obs is not None:
-                span_id = self._quarantine_spans.pop(index, None)
-                if span_id is not None:
-                    self._obs.tracer.finish(span_id, now)
-                if slot.incarnation > 0:
-                    self._obs.tracer.record(
-                        "restart", slot.spawned_at, now,
-                        channel=index, incarnation=slot.incarnation,
-                    )
+            self.ledger.close(index, now, settled=True)
+            if self._obs is not None and slot.incarnation > 0:
+                self._obs.tracer.record(
+                    "restart", slot.spawned_at, now,
+                    channel=index, incarnation=slot.incarnation,
+                )
         self.listener.on_slot_up(slot)
         return True
 
@@ -434,13 +407,19 @@ class Supervisor:
         return sum(slot.restarts for slot in self.slots)
 
     @property
+    def episodes(self) -> list[ChannelRecovery]:
+        """Death episodes so far, in detection order."""
+        return self.ledger.episodes
+
+    @property
     def quarantined(self) -> list[int]:
         """Slots the circuit breaker took out of rotation."""
         return [s.index for s in self.slots if s.state == QUARANTINED]
 
     def attach_observability(self, hub) -> None:
-        """Register supervision instruments on ``hub``."""
+        """Register supervision instruments on ``hub``; trace episodes."""
         self._obs = hub
+        self.ledger.tracer = hub.tracer
         registry = hub.registry
         registry.gauge_fn(
             "supervisor_restarts_total",

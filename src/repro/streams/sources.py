@@ -247,32 +247,19 @@ class RatedSource(TupleSource):
         self._next_seq += 1
         return tup
 
+    def _block_limit(self, max_n: int) -> int:
+        return min(max_n, len(self._queue))
+
     def next_block(self, max_n: int) -> TupleBlock | None:
         """Drain up to ``max_n`` backlogged arrivals as one block.
 
         Arrival timestamps become the block's ``borns`` column, so the
         merger's latency accounting still starts at queue entry.
         """
-        if max_n <= 0:
-            raise ValueError(f"max_n must be positive, got {max_n}")
-        queue = self._queue
-        n = min(max_n, len(queue))
-        if n <= 0:
-            return None
-        start = self._next_seq
-        popleft = queue.popleft
-        borns = [popleft() for _ in range(n)]
-        uniform = self._uniform_cost
-        if uniform is not None:
-            block = TupleBlock.uniform(start, n, uniform)
-            block.borns = _column(borns)
-        else:
-            block = TupleBlock.from_costs(
-                start,
-                [model(seq) for seq in range(start, start + n)],
-                borns=borns,
-            )
-        self._next_seq = start + n
+        block = super().next_block(max_n)
+        if block is not None:
+            popleft = self._queue.popleft
+            block.borns = _column([popleft() for _ in range(block.count)])
         return block
 
     def _arrive(self) -> None:

@@ -53,7 +53,7 @@ class TestCrash:
         # window, so the liveness monitor never quarantines the channel.
         rig.sim.call_at(0.505, lambda: rig.injector.crash(1, restart_after=0.3))
         merger = rig.run(60.0, stop_on_total=total)
-        assert rig.recovery.quarantines == 0
+        assert len(rig.recovery.ledger.episodes) == 0
         assert merger.emitted == total
         assert merger.tuples_lost == 0
 
@@ -91,12 +91,16 @@ class TestStallAndSlowdown:
         assert rig.region.workers[0].load_multiplier == pytest.approx(3.0)
 
 
-class TestFaultLog:
-    def test_last_fault_time_anchors_detection(self, rig_factory):
+class TestFaultAnchor:
+    def test_crash_and_stall_anchor_the_recovery_ledger(self, rig_factory):
+        # The coordinator is not started: the test opens the episodes.
         rig = rig_factory(n=2)
+        ledger = rig.recovery.ledger
         rig.sim.call_at(1.0, lambda: rig.injector.stall(0))
         rig.sim.call_at(3.0, lambda: rig.injector.crash(0))
-        rig.sim.run_until(5.0)
-        assert rig.injector.last_fault_time(0, before=2.0) == pytest.approx(1.0)
-        assert rig.injector.last_fault_time(0, before=4.0) == pytest.approx(3.0)
-        assert rig.injector.last_fault_time(1, before=4.0) is None
+        rig.sim.run_until(2.0)
+        assert ledger.open(0, 2.0).fault_at == pytest.approx(1.0)
+        ledger.close(0, 2.5)
+        rig.sim.run_until(4.0)
+        assert ledger.open(0, 4.0).fault_at == pytest.approx(3.0)
+        assert ledger.open(1, 4.0).fault_at is None

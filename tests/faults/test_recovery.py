@@ -20,10 +20,6 @@ from repro.experiments.figures import fig09_config
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultSchedule, RecoveryConfig
 from repro.faults import recovery as recovery_module
-from repro.faults.recovery import (
-    first_time_to_quarantine,
-    first_time_to_reconverge,
-)
 from repro.streams.region import RegionParams
 
 
@@ -62,8 +58,8 @@ class TestDetection:
         rig = rig_factory(n=4)
         rig.sim.call_at(2.0, lambda: rig.injector.crash(1))
         rig.run(8.0)
-        assert rig.recovery.quarantines == 1
-        episode = rig.recovery.episodes[0]
+        assert len(rig.recovery.ledger.episodes) == 1
+        episode = rig.recovery.ledger.episodes[0]
         assert episode.channel == 1
         assert episode.fault_at == pytest.approx(2.0)
         # Detection needs STALENESS_TIMEOUT (1 s) of no progress, rounded
@@ -74,13 +70,13 @@ class TestDetection:
         rig = rig_factory(n=4)
         rig.sim.call_at(2.0, lambda: rig.injector.stall(2))
         rig.run(8.0)
-        assert rig.recovery.quarantines == 1
-        assert rig.recovery.episodes[0].channel == 2
+        assert len(rig.recovery.ledger.episodes) == 1
+        assert rig.recovery.ledger.episodes[0].channel == 2
 
     def test_healthy_run_never_quarantines(self, rig_factory):
         rig = rig_factory(n=4)
         rig.run(10.0)
-        assert rig.recovery.quarantines == 0
+        assert len(rig.recovery.ledger.episodes) == 0
 
     def test_short_flap_beats_the_monitor(self, rig_factory):
         """A stall shorter than the staleness window is absorbed silently."""
@@ -89,7 +85,7 @@ class TestDetection:
         rig.sim.call_at(2.0, lambda: rig.injector.stall(0))
         rig.sim.call_at(2.5, lambda: rig.injector.unstall(0))
         merger = rig.run(60.0, stop_on_total=total)
-        assert rig.recovery.quarantines == 0
+        assert len(rig.recovery.ledger.episodes) == 0
         assert merger.emitted == total
 
 
@@ -110,7 +106,7 @@ class TestFailover:
         merger = rig.run(120.0, stop_on_total=total)
         assert merger.emitted == total
         assert merger.tuples_lost == 0
-        assert rig.recovery.episodes[0].replayed > 0
+        assert rig.recovery.ledger.episodes[0].replayed > 0
         assert rig.region.splitter.tuples_replayed > 0
 
     def test_skip_policy_bounds_the_gap(self, rig_factory):
@@ -120,7 +116,7 @@ class TestFailover:
         )
         rig.sim.call_at(2.0, lambda: rig.injector.crash(1))
         merger = rig.run(120.0, stop_on_total=total)
-        episode = rig.recovery.episodes[0]
+        episode = rig.recovery.ledger.episodes[0]
         assert episode.lost > 0
         assert merger.tuples_lost == episode.lost
         assert merger.emitted + merger.tuples_lost == total
@@ -141,7 +137,7 @@ class TestReintegration:
         rig = rig_factory(n=4)
         rig.sim.call_at(2.0, lambda: rig.injector.crash(1, restart_after=4.0))
         rig.run(30.0)
-        episode = rig.recovery.episodes[0]
+        episode = rig.recovery.ledger.episodes[0]
         assert episode.reintegrated_at is not None
         assert episode.reintegrated_at >= 6.0
         assert rig.region.splitter.live[1]
@@ -153,7 +149,7 @@ class TestReintegration:
         rig = rig_factory(n=4)
         rig.sim.call_at(2.0, lambda: rig.injector.crash(1))
         rig.run(30.0)
-        episode = rig.recovery.episodes[0]
+        episode = rig.recovery.ledger.episodes[0]
         assert episode.reintegrated_at is None
         assert not rig.region.splitter.live[1]
         assert rig.balancer.weights[1] == 0
@@ -162,11 +158,9 @@ class TestReintegration:
         rig = rig_factory(n=4)
         rig.sim.call_at(2.0, lambda: rig.injector.crash(1, restart_after=4.0))
         rig.run(60.0)
-        episodes = rig.recovery.episodes
-        assert first_time_to_quarantine(episodes) == pytest.approx(
-            1.0, abs=0.5
-        )
-        ttr = first_time_to_reconverge(episodes)
+        ledger = rig.recovery.ledger
+        assert ledger.time_to_quarantine() == pytest.approx(1.0, abs=0.5)
+        ttr = ledger.time_to_reconverge()
         assert ttr is not None and ttr > 0.0
 
 

@@ -29,6 +29,7 @@ from repro.experiments.config import (
     fault_recovery_scenario,
     overload_scenario,
 )
+from repro.experiments.process_backend import process_scenario
 from repro.experiments.runner import run_experiment
 from repro.faults.schedule import FaultSchedule
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
@@ -58,6 +59,15 @@ def observed_scenario() -> ExperimentConfig:
 @pytest.fixture(scope="module")
 def observed_run():
     return run_experiment(observed_scenario(), "lb-adaptive")
+
+
+@pytest.fixture(scope="module")
+def observed_process_run():
+    """Real worker processes, one SIGKILL mid-run: about a second."""
+    config = process_scenario(
+        batch_size=16, total_tuples=1000, crash_at_emitted=200
+    )
+    return run_experiment(config.with_observability(), "lb-adaptive")
 
 
 class TestObsOffIsFree:
@@ -212,19 +222,30 @@ class TestReplayFromExport:
 
 
 class TestSpanAcceptance:
-    def test_detection_span_matches_ttq(self, observed_run):
-        spans = observed_run.obs.spans_of_kind("detection")
-        assert len(spans) == 1
-        assert spans[0]["duration"] == pytest.approx(
-            observed_run.time_to_quarantine
-        )
+    # The simulator's and the process backend's recovery spans come from
+    # the same ledger: each backend's spans agree with its ttq and ttr.
 
-    def test_reconvergence_span_matches_ttr(self, observed_run):
-        spans = observed_run.obs.spans_of_kind("reconvergence")
-        assert len(spans) == 1
-        assert spans[0]["duration"] == pytest.approx(
-            observed_run.time_to_reconverge
-        )
+    @pytest.mark.sockets
+    def test_detection_span_matches_ttq(
+        self, observed_run, observed_process_run
+    ):
+        for run in (observed_run, observed_process_run):
+            spans = run.obs.spans_of_kind("detection")
+            assert len(spans) == 1
+            assert spans[0]["duration"] == pytest.approx(
+                run.time_to_quarantine
+            )
+
+    @pytest.mark.sockets
+    def test_reconvergence_span_matches_ttr(
+        self, observed_run, observed_process_run
+    ):
+        for run in (observed_run, observed_process_run):
+            spans = run.obs.spans_of_kind("reconvergence")
+            assert len(spans) == 1
+            assert spans[0]["duration"] == pytest.approx(
+                run.time_to_reconverge
+            )
 
     def test_overload_spans_match_overloaded_seconds(self, observed_run):
         spans = observed_run.obs.spans_of_kind("overload")

@@ -29,7 +29,6 @@ import time
 
 import pytest
 
-from repro.faults.recovery import first_time_to_reconverge
 from repro.faults.schedule import FaultSchedule
 from repro.net import framing
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
@@ -76,7 +75,7 @@ def run_region(
             region.wait_ready(timeout=30.0)
         if schedule is not None:
             driver = RealFaultDriver(region, poll_interval=0.002)
-            schedule.arm_real(driver)
+            driver.arm(schedule)
             driver.start()
         stats = region.run(costs, bodies=bodies, timeout=timeout)
         outputs = list(region.outputs)
@@ -171,7 +170,7 @@ class TestKillRecovery:
         # emitted tuple #50, regardless of host speed.
         schedule = FaultSchedule.crash_after_emitted(1, 50)
         driver = RealFaultDriver(region, poll_interval=0.002)
-        schedule.arm_real(driver)
+        driver.arm(schedule)
         try:
             # Every worker serving before tuple 0, so the victim holds
             # its share of the window when the kill lands (a submit no
@@ -188,7 +187,7 @@ class TestKillRecovery:
             # the "restart" span.
             deadline = time.monotonic() + 20.0
             while (
-                first_time_to_reconverge(region.supervisor.episodes) is None
+                region.supervisor.ledger.time_to_reconverge() is None
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)
@@ -406,7 +405,7 @@ class TestBatchedWire:
             4, supervisor_config=FAST, window=64, batch_size=16
         )
         driver = RealFaultDriver(region, poll_interval=0.002)
-        FaultSchedule.crash_after_emitted(1, 150).arm_real(driver)
+        driver.arm(FaultSchedule.crash_after_emitted(1, 150))
         try:
             region.start().wait_ready(timeout=30.0)
             driver.start()

@@ -12,10 +12,7 @@ import threading
 
 import pytest
 
-from repro.faults.recovery import (
-    first_time_to_quarantine,
-    first_time_to_reconverge,
-)
+from repro.obs.hub import ObservabilityHub
 from repro.proc.supervisor import (
     DOWN,
     QUARANTINED,
@@ -251,9 +248,7 @@ class TestEpisodes:
         supervisor.note_fault(0)
         clock.now = 10.25
         supervisor.declare_dead(0, "injected kill")
-        assert first_time_to_quarantine(supervisor.episodes) == pytest.approx(
-            0.25
-        )
+        assert supervisor.ledger.time_to_quarantine() == pytest.approx(0.25)
 
     def test_reconnection_closes_the_episode(self):
         supervisor, clock, listener = make_supervisor()
@@ -265,17 +260,41 @@ class TestEpisodes:
         supervisor._spawn(slot)
         clock.now = 12.5
         supervisor.on_connected(0, slot.incarnation)
-        assert first_time_to_reconverge(supervisor.episodes) == pytest.approx(
-            2.5
-        )
+        assert supervisor.ledger.time_to_reconverge() == pytest.approx(2.5)
         assert listener.ups == [0, 0]
+
+    def test_fault_noted_while_down_does_not_anchor_the_next_death(self):
+        # The note-then-kill pattern on a slot that is already DOWN kills
+        # nothing; the next, unrelated death must not be blamed on it.
+        supervisor, clock, listener = make_supervisor()
+        hub = ObservabilityHub(clock)
+        supervisor.attach_observability(hub)
+        slot = supervisor.slots[0]
+        supervisor._spawn(slot)
+        supervisor.on_connected(0, 0)
+        clock.now = 1.0
+        supervisor.note_fault(0)
+        clock.now = 1.1
+        supervisor.declare_dead(0, "injected kill")
+        clock.now = 1.3
+        supervisor.note_fault(0)
+        supervisor._spawn(slot)
+        clock.now = 1.5
+        supervisor.on_connected(0, slot.incarnation)
+        clock.now = 2.5
+        supervisor.declare_dead(0, "raw kill")
+        second = supervisor.episodes[1]
+        assert second.fault_at is None
+        assert second.time_to_quarantine() is None
+        detections = [s for s in hub.tracer.spans if s.kind == "detection"]
+        assert [s.start for s in detections] == [1.0]
 
     def test_unanchored_episode_has_no_ttq(self):
         supervisor, clock, listener = make_supervisor()
         supervisor._spawn(supervisor.slots[0])
         supervisor.on_connected(0, 0)
         supervisor.declare_dead(0, "spontaneous death")
-        assert first_time_to_quarantine(supervisor.episodes) is None
+        assert supervisor.ledger.time_to_quarantine() is None
 
 
 class TestConfigValidation:

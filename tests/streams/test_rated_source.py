@@ -51,6 +51,18 @@ class TestArrivals:
         assert tup.seq == 0
         assert tup.born_at == pytest.approx(0.25)
 
+    def test_block_of_a_varying_cost_model(self):
+        sim = Simulator()
+        source = RatedSource(10.0, lambda seq: 100.0 + seq, total=5)
+        arrivals = []
+        source.arm(sim, on_available=lambda: arrivals.append(sim.now))
+        sim.run_until(1.0)
+        block = source.next_block(3)
+        assert (block.start, block.count) == (0, 3)
+        assert list(block.costs) == [100.0, 101.0, 102.0]
+        assert list(block.borns) == arrivals[:3]
+        assert source.backlog() == 2
+
     def test_on_available_fires_per_admitted_arrival(self):
         sim = Simulator()
         source = make_source(rate=10.0)
