@@ -4,7 +4,8 @@ Topology::
 
     caller thread --submit()--> weighted splitter --TCP--> worker procs
     acceptor thread: accepts (re)connecting workers, reads HELLO
-    one receiver thread per live connection: results, heartbeats
+    one receiver thread: polls every worker wire for results, heartbeats
+    one short-lived thread per wire the receiver saw end: its failover
     supervisor monitor thread: liveness, restarts (repro.proc.supervisor)
 
 Correctness invariants, in the order they matter:
@@ -31,16 +32,17 @@ Correctness invariants, in the order they matter:
    everything in it is in ``unacked`` and re-batches through replay.
 
 3. *No blocking sends under the region lock, no receiver waiting on a
-   send.* Death handling collects replay entries under the lock but
-   performs the sends outside it; a send that fails simply funnels into
-   the same death path. Batch flushes pop a whole outbox under the
-   region lock and ship it with one send-lock acquisition and one
-   measured write outside it. Receiver threads send too — the idle
-   flush below — but only to their own worker, only after taking its
-   send lock *without waiting*, and only a run popped while that worker
-   owed nothing: a single-threaded worker that is blocked writing
-   results is therefore never waited on by the one thread that reads
-   them.
+   worker it reads.* Death handling collects replay entries under the
+   lock but performs the sends outside it; a send that fails simply
+   funnels into the same death path. Batch flushes pop a whole outbox
+   under the region lock and ship it with one send-lock acquisition and
+   one measured write outside it. The receiver reads every worker, so
+   the failover of a wire it saw end, and of an idle flush it could not
+   deliver, runs on a thread of its own. The receiver sends only the
+   idle flush below: after taking that worker's send lock *without
+   waiting*, and only a run popped while that worker owed nothing. A
+   single-threaded worker that is blocked writing results is therefore
+   never waited on by the one thread that reads them.
 
 With ``batch_size=B > 1`` the splitter accumulates each worker's run in
 its slot outbox, and ``B`` is a **cap, not a target**. A run leaves as a
@@ -62,9 +64,9 @@ and not in the outbox, so it counts as in flight and an idle flush can
 never overtake it. ``batch_size=1`` keeps the original
 one-``DATA``-frame-per-tuple wire behavior byte for byte.
 
-The ordered merger is a tiny reorder buffer keyed on the global
-sequence number; output order is submission order regardless of which
-worker (or which incarnation of which worker) serviced each tuple.
+The ordered merger is a reorder buffer keyed on the global sequence
+number; output order is submission order regardless of which worker
+(or which incarnation of which worker) serviced each tuple.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ from repro.proc.supervisor import (
     WorkerSlot,
 )
 from repro.streams.splitter import RegionStalledError
-from repro.util.validation import check_positive
+from repro.util.validation import check_non_negative, check_positive
 
 #: One pending flush: ``(slot index, incarnation, entries, reason)``.
 _FlushOrder = tuple[int, int, list[tuple[int, float, bytes]], str]
@@ -96,7 +98,7 @@ _FlushOrder = tuple[int, int, list[tuple[int, float, bytes]], str]
 FLUSH_REASONS = ("full", "idle", "backpressure", "drain", "failover")
 
 #: The flag, not the socket's mode, makes one send non-blocking: the
-#: slot's receiver sits in a blocking ``recv`` on the same descriptor.
+#: receiver reads the same descriptor in blocking mode.
 #: Where the platform lacks the flag, 0 leaves a plain blocking send.
 _DONTWAIT = getattr(socket, "MSG_DONTWAIT", 0)
 
@@ -199,56 +201,6 @@ class ProcessRunStats:
     #: trailing flush of a failover. Sums to ``data_flushes``.
     flushes_by_reason: dict[str, int] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "tuples": self.tuples,
-            "results": self.results,
-            "duplicates_dropped": self.duplicates_dropped,
-            "replayed": self.replayed,
-            "restarts": self.restarts,
-            "quarantined": list(self.quarantined),
-            "episodes": self.episodes,
-            "time_to_quarantine": self.time_to_quarantine,
-            "time_to_reconverge": self.time_to_reconverge,
-            "wall_seconds": self.wall_seconds,
-            "per_worker_results": list(self.per_worker_results),
-            "blocked_seconds": list(self.blocked_seconds),
-            "escalated": [list(e) for e in self.escalated],
-            "wire_frames_sent": self.wire_frames_sent,
-            "wire_bytes_sent": self.wire_bytes_sent,
-            "wire_frames_received": self.wire_frames_received,
-            "data_flushes": self.data_flushes,
-            "mean_batch_occupancy": self.mean_batch_occupancy,
-            "flushes_by_reason": dict(self.flushes_by_reason),
-        }
-
-
-class _Reorderer:
-    """Reorder buffer: emits ``(seq, body)`` in global sequence order."""
-
-    __slots__ = ("next_expected", "pending")
-
-    def __init__(self) -> None:
-        self.next_expected = 0
-        self.pending: dict[int, bytes] = {}
-
-    def push(self, seq: int, body: bytes) -> list[tuple[int, bytes]]:
-        """Absorb one result; return everything now emittable, in order."""
-        if seq < self.next_expected or seq in self.pending:
-            return []  # defensive: the owner map should have deduped
-        self.pending[seq] = body
-        out: list[tuple[int, bytes]] = []
-        while self.next_expected in self.pending:
-            out.append(
-                (self.next_expected, self.pending.pop(self.next_expected))
-            )
-            self.next_expected += 1
-        return out
-
-    @property
-    def held(self) -> int:
-        return len(self.pending)
-
 
 class ProcessRegion:
     """An ordered data-parallel region over real worker processes."""
@@ -277,12 +229,17 @@ class ProcessRegion:
             raise ValueError(
                 f"{len(multipliers)} multipliers for {n_workers} workers"
             )
+        for j, m in enumerate(multipliers):
+            check_positive(f"multipliers[{j}]", m)
         self.n_workers = n_workers
         self.window = window
         self.batch_size = batch_size
         self.balancer = balancer
         self.balancer_interval = balancer_interval
-        self.sink = sink
+        # Where merged results go: the caller's sink, else ``outputs``.
+        self._sink = sink if sink is not None else (
+            lambda seq, body: self.outputs.append((seq, body))
+        )
         self.host = host
         self._lock = threading.RLock()
         self._cv = threading.Condition(self._lock)
@@ -301,6 +258,8 @@ class ProcessRegion:
                     f"{len(initial_weights)} initial_weights for "
                     f"{n_workers} workers"
                 )
+            for j, w in enumerate(initial_weights):
+                check_non_negative(f"initial_weights[{j}]", w)
             total = sum(initial_weights)
             if total <= 0:
                 raise ValueError("initial_weights must sum to > 0")
@@ -318,21 +277,27 @@ class ProcessRegion:
         self._last_balance = 0.0
         self._socks: list[socket.socket | None] = [None] * n_workers
         self._send_locks = [threading.Lock() for _ in range(n_workers)]
-        # Wire accounting, one cell per worker so each is only ever
-        # touched under that worker's send lock (out) or by its single
-        # receiver thread (in) — no shared hot counter.
+        # Wire accounting: one cell per worker out, each only ever
+        # touched under that worker's send lock — no shared hot counter;
+        # in, one count only the receiver touches.
         self._wire_frames_out = [0] * n_workers
         self._wire_bytes_out = [0] * n_workers
-        self._wire_frames_in = [0] * n_workers
+        self._wire_frames_in = 0
         self._data_flushes = [0] * n_workers
         self._data_tuples_flushed = [0] * n_workers
         self._flush_reasons = [
             dict.fromkeys(FLUSH_REASONS, 0) for _ in range(n_workers)
         ]
-        self._recv_threads: list[threading.Thread] = []
+        # The one receiver, and the wires ``_admit`` hands it:
+        # ``(slot, conn, assembler, incarnation, backlog)`` each.
+        self._receiver: threading.Thread | None = None
+        self._joining: list = []
+        self._wake: tuple[socket.socket, socket.socket] | None = None
         self._owner: dict[int, int] = {}
         self._parked: list[tuple[int, float, bytes]] = []
-        self._reorderer = _Reorderer()
+        # The reorder buffer: results parked until their predecessors.
+        self._held: dict[int, bytes] = {}
+        self._next_expected = 0
         self.outputs: list[tuple[int, bytes]] = []
         self._next_seq = 0
         self._results = 0
@@ -346,15 +311,11 @@ class ProcessRegion:
         self._obs = None
         self._blocking_hist = None
         self._occupancy_hist = None
-        # Bind before the supervisor exists so spawns know the port.
-        self._listener_sock = socket.socket(
-            socket.AF_INET, socket.SOCK_STREAM
+        # Bind before the supervisor exists so spawns know the port
+        # (``create_server`` sets SO_REUSEADDR on POSIX).
+        self._listener_sock = socket.create_server(
+            (host, 0), backlog=n_workers * 2
         )
-        self._listener_sock.setsockopt(
-            socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-        )
-        self._listener_sock.bind((host, 0))
-        self._listener_sock.listen(n_workers * 2)
         self.port = self._listener_sock.getsockname()[1]
         self.supervisor = Supervisor(
             self.slots,
@@ -380,6 +341,12 @@ class ProcessRegion:
             raise RuntimeError("region already started")
         self._started = True
         self._t0 = time.monotonic()
+        self._wake = socket.socketpair()
+        self._wake[1].setblocking(False)
+        self._receiver = threading.Thread(
+            target=self._receive_loop, name="repro-region-recv", daemon=True
+        )
+        self._receiver.start()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-region-accept", daemon=True
         )
@@ -482,22 +449,20 @@ class ProcessRegion:
             if slot.state == UP:
                 self._send_frame(slot.index, framing.encode_eos())
         self._escalated = self.supervisor.shutdown()
-        try:
-            self._listener_sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._listener_sock.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
         with self._lock:
-            for j, sock in enumerate(self._socks):
-                if sock is not None:
-                    try:
-                        sock.close()
-                    except OSError:  # pragma: no cover
-                        pass
-                    self._socks[j] = None
-        for thread in self._recv_threads:
-            thread.join(timeout=5.0)
+            socks = [sock for sock in self._socks if sock is not None]
+            self._socks[:] = [None] * self.n_workers
+        for sock in socks:
+            self._hang_up(sock)
+        if self._receiver is not None:
+            # The hung-up wake wire stops the receiver, which closes
+            # every worker socket it still holds.
+            self._wake[1].close()
+            self._receiver.join(timeout=5.0)
+            self._wake[0].close()
         return list(self._escalated)
 
     def run(
@@ -512,9 +477,7 @@ class ProcessRegion:
             self.start()
         try:
             for i, cost in enumerate(costs):
-                self.submit(
-                    cost, b"" if bodies is None else bodies[i]
-                )
+                self.submit(cost, b"" if bodies is None else bodies[i])
             self.drain(timeout=timeout)
         finally:
             self.close()
@@ -543,7 +506,7 @@ class ProcessRegion:
                 escalated=list(self._escalated),
                 wire_frames_sent=sum(self._wire_frames_out),
                 wire_bytes_sent=sum(self._wire_bytes_out),
-                wire_frames_received=sum(self._wire_frames_in),
+                wire_frames_received=self._wire_frames_in,
                 data_flushes=flushes,
                 mean_batch_occupancy=(
                     flushed / flushes if flushes else 0.0
@@ -578,7 +541,12 @@ class ProcessRegion:
     def emitted(self) -> int:
         """Tuples emitted by the ordered merger (gap-free prefix)."""
         with self._lock:
-            return self._reorderer.next_expected
+            return self._next_expected
+
+    @property
+    def held(self) -> int:
+        """Results the ordered merger holds back for a predecessor."""
+        return len(self._held)
 
     def attach_observability(self, hub) -> None:
         """Register region + supervisor instruments on ``hub``.
@@ -590,49 +558,33 @@ class ProcessRegion:
         self._obs = hub
         self.supervisor.attach_observability(hub)
         registry = hub.registry
-        registry.gauge_fn(
-            "process_region_results_total",
-            lambda: self._results,
-            help="Unique results merged",
-        )
-        registry.gauge_fn(
-            "process_region_replayed_total",
-            lambda: self._replayed,
-            help="Tuples replayed after worker deaths",
-        )
-        registry.gauge_fn(
-            "process_region_duplicates_total",
-            lambda: self._duplicates,
-            help="Redundant results dropped by dedup",
-        )
-        registry.gauge_fn(
-            "process_region_inflight",
-            lambda: sum(len(s.unacked) for s in self.slots),
-            help="Tuples awaiting results across all workers",
-        )
+        for name, read, text in (
+            ("process_region_results_total", lambda: self._results,
+             "Unique results merged"),
+            ("process_region_replayed_total", lambda: self._replayed,
+             "Tuples replayed after worker deaths"),
+            ("process_region_duplicates_total", lambda: self._duplicates,
+             "Redundant results dropped by dedup"),
+            ("process_region_inflight",
+             lambda: sum(len(s.unacked) for s in self.slots),
+             "Tuples awaiting results across all workers"),
+            ("process_region_wire_frames_sent_total",
+             lambda: sum(self._wire_frames_out),
+             "Wire frames written to worker sockets"),
+            ("process_region_wire_bytes_sent_total",
+             lambda: sum(self._wire_bytes_out),
+             "Wire bytes written to worker sockets"),
+            ("process_region_wire_frames_received_total",
+             lambda: self._wire_frames_in,
+             "Wire frames read from worker sockets"),
+            ("process_region_data_flushes_total",
+             lambda: sum(self._data_flushes),
+             "DATA/DATA_BATCH flushes (one frame each)"),
+        ):
+            registry.gauge_fn(name, read, help=text)
         self._blocking_hist = registry.histogram(
             "process_region_block_seconds",
             help="Splitter blocking episode durations",
-        )
-        registry.gauge_fn(
-            "process_region_wire_frames_sent_total",
-            lambda: sum(self._wire_frames_out),
-            help="Wire frames written to worker sockets",
-        )
-        registry.gauge_fn(
-            "process_region_wire_bytes_sent_total",
-            lambda: sum(self._wire_bytes_out),
-            help="Wire bytes written to worker sockets",
-        )
-        registry.gauge_fn(
-            "process_region_wire_frames_received_total",
-            lambda: sum(self._wire_frames_in),
-            help="Wire frames read from worker sockets",
-        )
-        registry.gauge_fn(
-            "process_region_data_flushes_total",
-            lambda: sum(self._data_flushes),
-            help="DATA/DATA_BATCH flushes (one frame each)",
         )
         for reason in FLUSH_REASONS:
             registry.gauge_fn(
@@ -668,10 +620,7 @@ class ProcessRegion:
             self._replayed += len(entries)
             self._cv.notify_all()
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            self._hang_up(sock)
         if self._closing:
             return
         for seq, (cost, body) in entries:
@@ -793,7 +742,8 @@ class ProcessRegion:
         # clock read behind it).
         stall_deadline: float | None = None
         while True:
-            with self._cv:
+            # The bare RLock ``_cv`` wraps: ``_cv.wait`` below works.
+            with self._lock:
                 if self._fatal is not None:
                     raise self._fatal
                 if self._closing and not replay:
@@ -801,7 +751,8 @@ class ProcessRegion:
                 if seq is None:
                     seq = self._next_seq
                     self._next_seq += 1
-                self._maybe_rebalance_locked()
+                if self.balancer is not None:
+                    self._maybe_rebalance_locked()
                 slot, blocked_on = self._pick_locked()
                 if slot is None and replay:
                     if blocked_on is not None:
@@ -890,14 +841,15 @@ class ProcessRegion:
     def _flush_if_idle(self, slot: WorkerSlot, incarnation: int) -> None:
         """The ack half of the idle rule: release the run behind an ack.
 
-        Runs on ``slot``'s receiver thread, the one thread a worker
-        blocked writing results is waiting on — so it never waits for
-        the send lock. Whoever holds it is putting a frame on this wire,
-        whose own ack re-runs this check. With the lock in hand the wire
-        is re-examined under the region lock; a run popped here leaves a
-        worker that owes nothing and a socket carrying nothing of ours,
-        so the one write cannot be stuck behind results nobody is
-        reading.
+        Runs on the receiver, the one thread a worker blocked writing
+        results is waiting on. So it never waits for the send lock (its
+        holder is putting a frame on this wire, whose own ack re-runs
+        this check); it re-tests the wire under the region lock; and it
+        writes only to a worker that owes nothing, so is not stuck
+        writing results. Its one possible wait is a frame to a stopped
+        worker that does not fit the free kernel buffer, which heartbeat
+        detection ends. A send it cannot complete fails over on a
+        thread of its own.
 
         In flight means unacked and no longer in the outbox — sent, or
         popped and about to be. The test is ``<=`` rather than ``==``:
@@ -924,7 +876,9 @@ class ProcessRegion:
         finally:
             send_lock.release()
         if not sent:
-            self._send_failed(slot.index, incarnation, entries)
+            self._fail_over(
+                self._send_failed, slot.index, incarnation, entries
+            )
 
     def _dispatch_entries(
         self,
@@ -987,8 +941,6 @@ class ProcessRegion:
 
     def _maybe_rebalance_locked(self) -> None:
         """Feed the blocking counters to the balancer once per interval."""
-        if self.balancer is None:
-            return
         now = self.clock()
         if now - self._last_balance < self.balancer_interval:
             return
@@ -1102,95 +1054,119 @@ class ProcessRegion:
                 return
             old = self._socks[worker_id]
             self._socks[worker_id] = conn
-        if old is not None:  # pragma: no cover - stale socket leak guard
+            # From here on the connection is the receiver's to close.
+            self._joining.append(
+                (slot, conn, assembler, incarnation, backlog)
+            )
             try:
-                old.close()
-            except OSError:
+                self._wake[1].send(b"\0")
+            except BlockingIOError:  # pragma: no cover - a wake is pending
                 pass
-        receiver = threading.Thread(
-            target=self._receive_loop,
-            args=(slot, conn, assembler, incarnation, backlog),
-            name=f"repro-region-recv-{worker_id}",
-            daemon=True,
-        )
-        # One receiver per (re)connect: drop the ones whose connection
-        # already ended, or a kill cadence grows this list without bound.
-        self._recv_threads = [
-            t for t in self._recv_threads if t.is_alive()
-        ]
-        self._recv_threads.append(receiver)
-        receiver.start()
+        if old is not None:  # pragma: no cover - stale socket leak guard
+            self._hang_up(old)
         if not self.supervisor.on_connected(worker_id, incarnation):
             with self._lock:
                 if self._socks[worker_id] is conn:
                     self._socks[worker_id] = None
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            self._hang_up(conn)
 
-    def _receive_loop(
-        self,
-        slot: WorkerSlot,
-        conn: socket.socket,
-        assembler: framing.MessageAssembler,
-        incarnation: int,
-        backlog: list[framing.Message],
-    ) -> None:
-        torn = None
+    def _hang_up(self, sock: socket.socket) -> None:
+        """End a worker connection. A running receiver alone closes what
+        it polls (a descriptor closed under its poll could come back as
+        the next connection's); anyone else shuts down, which it sees."""
         try:
-            for message in backlog:
-                self._handle_message(slot, incarnation, message)
-            self._wire_frames_in[slot.index] += len(backlog)
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    assembler.eof()  # raises if the peer died mid-frame
-                    break
-                messages = assembler.feed(chunk)
-                self._wire_frames_in[slot.index] += len(messages)
-                for message in messages:
-                    self._handle_message(slot, incarnation, message)
-        except framing.TruncatedStreamError as exc:
-            torn = str(exc)
-        except OSError:
-            pass
-        if not self._closing:
-            self.supervisor.declare_dead(
-                slot.index,
-                torn or "connection lost",
-                incarnation=incarnation,
-            )
-
-    def _absorb_result_locked(
-        self, slot: WorkerSlot, seq: int, body: bytes
-    ) -> None:
-        """Dedup + credit + merge one result (region lock held)."""
-        owner = self._owner.pop(seq, None)
-        if owner is None:
-            self._duplicates += 1
-            return
-        self.slots[owner].unacked.pop(seq, None)
-        slot.results += 1
-        self._results += 1
-        for out_seq, out_body in self._reorderer.push(seq, body):
-            if self.sink is not None:
-                self.sink(out_seq, out_body)
+            if self._receiver is None:
+                sock.close()
             else:
-                self.outputs.append((out_seq, out_body))
+                sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already ended
+
+    def _fail_over(self, target: Callable, *args, **kwargs) -> None:
+        """Run a death path off the receiver: its replay sends may wait
+        on a worker blocked writing results only the receiver reads."""
+        threading.Thread(
+            target=target, args=args, kwargs=kwargs,
+            name="repro-region-failover",
+            daemon=True,
+        ).start()
+
+    def _receive_loop(self) -> None:
+        """The one receiver: every worker wire under one ``poll``.
+
+        A readable wire gets one ``recv``, fed to its assembler and
+        handled here. A wire that ends — EOF, a torn frame, an error —
+        is unregistered and closed here, and its failover runs off this
+        thread. EOF on the wake wire is :meth:`close` saying stop.
+        """
+        wake = self._wake[0]
+        poller = select.poll()
+        poller.register(wake, select.POLLIN)
+        wires: dict[int, tuple] = {}
+        while True:
+            for fd, _events in poller.poll():
+                if fd not in wires:  # the wake wire
+                    stop = not wake.recv(4096)
+                    with self._lock:
+                        joining, self._joining = self._joining, []
+                    for slot, conn, assembler, incarnation, backlog in joining:
+                        wires[conn.fileno()] = (
+                            slot, conn, assembler, incarnation
+                        )
+                        poller.register(conn, select.POLLIN)
+                        for message in backlog:
+                            self._handle_message(slot, incarnation, message)
+                        self._wire_frames_in += len(backlog)
+                    if stop:
+                        for _, conn, _, _ in wires.values():
+                            conn.close()
+                        return
+                    continue
+                slot, conn, assembler, incarnation = wires[fd]
+                torn = None
+                try:
+                    chunk = conn.recv(65536)
+                    if chunk:
+                        messages = assembler.feed(chunk)
+                        self._wire_frames_in += len(messages)
+                        for message in messages:
+                            self._handle_message(slot, incarnation, message)
+                        continue
+                    assembler.eof()  # raises if the peer died mid-frame
+                except framing.TruncatedStreamError as exc:
+                    torn = str(exc)
+                except OSError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the sink raised
+                    # The merge stopped half way: nothing more can be
+                    # emitted in order, and every waiter says so.
+                    with self._lock:
+                        self._fatal = exc
+                        self._cv.notify_all()
+                    continue
+                poller.unregister(fd)
+                del wires[fd]
+                with self._lock:
+                    if self._socks[slot.index] is conn:
+                        self._socks[slot.index] = None
+                conn.close()
+                if not self._closing and slot.incarnation == incarnation:
+                    self._fail_over(
+                        self.supervisor.declare_dead, slot.index,
+                        torn or "connection lost", incarnation=incarnation,
+                    )
 
     def _handle_message(
         self, slot: WorkerSlot, incarnation: int, message: framing.Message
     ) -> None:
         kind = message.type
-        if kind == framing.MSG_RESULT:
-            entries = (message.result(),)
-        elif kind == framing.MSG_RESULT_BATCH:
-            # One cumulative ack run: one lock acquisition, one wakeup,
-            # one liveness refresh for the whole batch. A replayed batch
-            # overlapping already-acked seqs dedupes entry by entry —
-            # first result wins, the rest count as duplicates.
+        if kind == framing.MSG_RESULT_BATCH:
+            # One cumulative ack run. A replayed batch overlapping
+            # already-acked seqs dedupes entry by entry — first result
+            # wins, the rest count as duplicates.
             entries = message.result_batch()
+        elif kind == framing.MSG_RESULT:
+            entries = (message.result(),)
         elif kind == framing.MSG_HEARTBEAT:
             _processed, beat_incarnation = message.heartbeat()
             self.supervisor.heartbeat(slot.index, beat_incarnation)
@@ -1202,9 +1178,33 @@ class ProcessRegion:
             # HELLO/DATA/CONTROL/EOS are parent->worker or handled at
             # admit.
             return
-        with self._cv:
+        owners = self._owner
+        slots = self.slots
+        pending = self._held
+        sink = self._sink
+        # The whole run in one pass under one lock acquisition: dedup,
+        # unacked, merge; then one wakeup and one liveness refresh.
+        with self._lock:
+            expected = self._next_expected
+            credited = 0
             for seq, _service, body in entries:
-                self._absorb_result_locked(slot, seq, body)
+                owner = owners.pop(seq, None)
+                if owner is None:
+                    continue  # first result won
+                slots[owner].unacked.pop(seq, None)
+                credited += 1
+                if seq != expected:
+                    pending[seq] = body
+                    continue
+                sink(seq, body)
+                expected += 1
+                while expected in pending:
+                    sink(expected, pending.pop(expected))
+                    expected += 1
+            self._next_expected = expected
+            slot.results += credited
+            self._results += credited
+            self._duplicates += len(entries) - credited
             self._cv.notify_all()
             # The supervisor's lock is this (reentrant) one: refreshing
             # liveness here saves the second acquisition per frame.

@@ -1,12 +1,12 @@
 """A ``ProcessRegion`` whose workers are socketpairs: no processes, no sleeps.
 
 The region is constructed normally (it binds its listener) but never
-started: no supervisor monitor, no acceptor, no receiver threads. Each
+started: no supervisor monitor, no acceptor, no receiver thread. Each
 slot's socket is one end of a ``socket.socketpair()`` and the slot is
 brought up through the supervisor's own ``on_connected``; the test plays
 the worker — it reads the frames the region put on the wire from the
 other end and injects acks through ``ProcessRegion._handle_message``,
-exactly where a receiver thread would deliver them. Everything is
+exactly where the receiver would deliver them. Everything is
 synchronous, so "what is on the wire right now" is an exact question.
 
 :meth:`FakeWire.shrink` makes a slot's kernel buffer a few KiB, so a

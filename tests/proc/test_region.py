@@ -12,9 +12,11 @@ real signals. They are the acceptance tests for the process backend:
   while the survivors still finish the run;
 * repeated SIGKILLs (the CI ``process-chaos`` job's smoke case).
 
-The flush-rule, wake-up, send-blocking and receiver-list classes at the
-end use no processes at all: :class:`tests.proc.fakewire.FakeWire` plays
-the workers over socketpairs, so what is on the wire is an exact question.
+The flush-rule, wake-up and send-blocking classes at the end use no
+processes at all: :class:`tests.proc.fakewire.FakeWire` plays the
+workers over socketpairs, so what is on the wire is an exact question.
+The one-receiver class starts a real region whose workers the test
+plays over socketpairs, so the receiver and the failovers run for real.
 
 Everything is bounded by internal deadlines (``drain(timeout=...)``), so
 a hung dataplane fails the assertion instead of hanging pytest.
@@ -128,6 +130,25 @@ class TestHappyPath:
         region.run([0.0] * 10, timeout=20.0)
         first = region.close()
         assert region.close() == first
+
+
+class TestRoutingInputs:
+    """A routing input that cannot route is refused, named, at once."""
+
+    @pytest.mark.parametrize("argument, values", [
+        ("initial_weights", [1.0, float("nan")]),
+        ("initial_weights", [float("inf"), 1.0]),
+        ("initial_weights", [1.0, -0.5]),
+        ("multipliers", [1.0, float("nan")]),
+        ("multipliers", [1.0, 0.0]),
+        ("multipliers", [1.0, -1.0]),
+    ], ids=[
+        "nan-weight", "inf-weight", "negative-weight",
+        "nan-multiplier", "zero-multiplier", "negative-multiplier",
+    ])
+    def test_unroutable_input_is_rejected(self, argument, values):
+        with pytest.raises(ValueError, match=rf"{argument}\["):
+            ProcessRegion(2, **{argument: values})
 
 
 class TestBlockingReflectsCapacity:
@@ -645,6 +666,7 @@ class TestEarlyLaunch:
         episodes = region.supervisor.episodes
         try:
             region.start().wait_ready(timeout=30.0)
+            threads = threading.active_count()
             for k in range(kills):
                 victim = k % 2
                 wait_for(lambda: region.slots[victim].state == UP)
@@ -653,6 +675,12 @@ class TestEarlyLaunch:
                     lambda: len(episodes) == k + 1
                     and episodes[k].reintegrated_at is not None
                 )
+            # Every failover thread has ended; no receiver was added.
+            for thread in threading.enumerate():
+                if thread.name == "repro-region-failover":
+                    thread.join(timeout=10.0)
+            assert threading.active_count() == threads
+            assert receivers() == [region._receiver]
         finally:
             region.close()
         assert region.supervisor.restarts == kills
@@ -1204,34 +1232,171 @@ class TestSendBlocking:
             assert counter.lifetime_seconds >= 0.09
 
 
-class TestReceiverThreads:
-    def test_finished_receivers_are_dropped_on_reconnect(self):
-        n_workers = 2
-        region = ProcessRegion(n_workers, supervisor_config=FAST)
-        region._started = True
+def receiving_region(n_workers, **kwargs):
+    """A started region whose workers the test plays over socketpairs.
+
+    The supervisor launches nothing at start and runs no monitor; the
+    acceptor, the one receiver and every failover run as they would.
+    """
+    region = ProcessRegion(n_workers, supervisor_config=FAST, **kwargs)
+    region.supervisor.start = lambda: None
+    return region.start()
+
+
+def connect(region, index):
+    """Attach slot ``index``'s next incarnation; return the test's end."""
+    slot = region.slots[index]
+    with region._lock:
+        slot.incarnation += 1
+        slot.state = STARTING
+    ours, peer = socket.socketpair()
+    peer.sendall(framing.encode_hello(index, slot.incarnation))
+    region._admit(ours)
+    assert slot.state == UP
+    return peer
+
+
+def receivers():
+    return [t for t in threading.enumerate() if t.name == "repro-region-recv"]
+
+
+def recv_frames(peer, assembler, count):
+    """Read data frames off ``peer`` until ``count`` tuples have come."""
+    entries = []
+    while len(entries) < count:
+        chunk = peer.recv(65536)
+        assert chunk, "the region hung up"
+        for message in assembler.feed(chunk):
+            if message.type == framing.MSG_DATA:
+                entries.append(message.data())
+    return entries
+
+
+def results_of(entries):
+    return b"".join(
+        framing.encode_result(seq, 0.0, body) for seq, _cost, body in entries
+    )
+
+
+class TestOneReceiver:
+    """One receiver thread polls every wire and never waits on a reader."""
+
+    def test_one_receiver_across_restarts(self):
+        region = receiving_region(2)
+        episodes = region.supervisor.episodes
         peers = []
         try:
             for kill in range(20):
-                index = kill % n_workers
-                slot = region.slots[index]
-                with region._lock:
-                    slot.incarnation += 1
-                    slot.state = STARTING
-                ours, peer = socket.socketpair()
-                peers.append(peer)
-                peer.sendall(framing.encode_hello(index, slot.incarnation))
-                region._admit(ours)
-                assert slot.state == UP
-                assert len(region._recv_threads) <= n_workers
-                # The kill: EOF ends this receiver, which declares the
-                # slot dead itself (the third detection prong).
-                receiver = region._recv_threads[-1]
-                peer.close()
-                receiver.join(timeout=10.0)
-                assert not receiver.is_alive()
-                assert slot.state != UP
-            assert region.stats().episodes == 20
+                index = kill % 2
+                peers.append(connect(region, index))
+                assert receivers() == [region._receiver]
+                # The kill: EOF on the wire, and the failover follows.
+                peers[-1].close()
+                wait_for(lambda: len(episodes) == kill + 1)
+                assert region.slots[index].state != UP
+            # Each slot's next connect closes its last episode.
+            peers += [connect(region, 0), connect(region, 1)]
+            assert receivers() == [region._receiver]
+            assert all(e.reintegrated_at is not None for e in episodes)
+            assert len(episodes) == 20
         finally:
             region.close()
             for peer in peers:
                 peer.close()
+        assert not region._receiver.is_alive()
+
+    def test_failover_replays_while_a_survivor_writes_results(self):
+        # Worker 0 dies while survivor 1, single-threaded like a real
+        # worker, writes more results than its shrunk socket holds and
+        # reads nothing meanwhile. The replay onto it parks; were it on
+        # the receiver, nobody would read those results.
+        n, body = 128, bytes(1024)
+        region = receiving_region(2, window=n, initial_weights=[1, 1])
+        peers = [connect(region, 0), connect(region, 1)]
+        errors = []
+        try:
+            for i in range(n):
+                region.submit(0.0, body + b"%d" % i)
+            assemblers = [framing.MessageAssembler() for _ in peers]
+            mine = recv_frames(peers[1], assemblers[1], n // 2)
+            recv_frames(peers[0], assemblers[0], n // 2)
+            for sock in (region._socks[1], peers[1]):
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            peers[0].close()
+            wait_for(lambda: region.stats().replayed == n // 2)
+            # The replay is on survivor 1's wire, and parked behind it.
+            assert select.select([peers[1]], [], [], 10.0)[0]
+
+            def survivor():
+                peers[1].settimeout(15.0)
+                try:
+                    peers[1].sendall(results_of(mine))
+                    replayed = recv_frames(peers[1], assemblers[1], n // 2)
+                    peers[1].sendall(results_of(replayed))
+                except OSError as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=survivor, daemon=True)
+            thread.start()
+            region.drain(timeout=10.0)
+            thread.join(timeout=10.0)
+            outputs = list(region.outputs)
+            stats = region.stats()
+        finally:
+            region.close()
+            for peer in peers:
+                peer.close()
+        assert errors == []
+        expect_ordered(outputs, n, lambda i: body + b"%d" % i)
+        assert (stats.replayed, stats.duplicates_dropped) == (n // 2, 0)
+        assert stats.episodes == 1
+
+    def test_a_raising_sink_fails_the_region(self):
+        def sink(seq, body):
+            raise RuntimeError("sink broke")
+
+        region = receiving_region(1, sink=sink)
+        peer = connect(region, 0)
+        try:
+            region.submit(0.0, b"x")
+            peer.sendall(results_of(
+                recv_frames(peer, framing.MessageAssembler(), 1)
+            ))
+            with pytest.raises(RuntimeError, match="sink broke"):
+                region.drain(timeout=10.0)
+            assert receivers() == [region._receiver]
+        finally:
+            region.close()
+            peer.close()
+
+    def test_stopped_worker_does_not_stall_the_other_wire(self):
+        # Worker 0 is SIGSTOPped mid-run: until heartbeat detection
+        # fails it over, the receiver keeps absorbing worker 1's frames,
+        # so worker 1 is never the one declared dead.
+        region = ProcessRegion(2, supervisor_config=FAST, window=16)
+        stale = []
+        done = threading.Event()
+
+        def watch():
+            while not done.wait(0.005):
+                slot = region.slots[1]
+                stale.append(region.clock() - slot.last_seen)
+
+        try:
+            region.start().wait_ready(timeout=30.0)
+            threading.Thread(target=watch, daemon=True).start()
+            assert region.supervisor.kill(0, signal.SIGSTOP)
+            for _ in range(400):
+                region.submit(0.0005, b"")
+            region.drain(timeout=60.0)
+            done.set()
+            stats = region.stats()
+            outputs = list(region.outputs)
+        finally:
+            done.set()
+            region.close()
+        expect_ordered(outputs, 400)
+        assert [e.channel for e in region.supervisor.episodes] == [0]
+        assert stats.per_worker_results[1] > 0
+        assert max(stale) < FAST.heartbeat_timeout

@@ -158,7 +158,7 @@ class Model:
         assert [seq for seq, _ in outputs] == list(range(len(outputs)))
         assert all(body == self.body(seq) for seq, body in outputs)
         stats = region.stats()
-        assert stats.results == len(outputs) + region._reorderer.held
+        assert stats.results == len(outputs) + region.held
         for slot in region.slots:
             if stats.replayed == 0:
                 assert len(slot.unacked) <= WINDOW

@@ -71,7 +71,7 @@ ALLOWLIST = {
         "observation point of the merge frontier",
     "repro.streams.splitter.Splitter.inflight_count":
         "observation point of the retransmit window",
-    "repro.proc.region._Reorderer.held":
+    "repro.proc.region.ProcessRegion.held":
         "observation point of the process region's reorder buffer",
     "repro.net.framing.MessageAssembler.pending_bytes":
         "observation point of a torn frame's buffered prefix",
