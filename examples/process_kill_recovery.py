@@ -5,8 +5,9 @@ Four worker OS processes serve a region over TCP. A third of the way
 through the batch, worker 1 is SIGKILLed — a real signal to a real pid,
 not a simulated event. The supervisor detects the death (dead socket /
 missed heartbeats), replays the killed worker's unacknowledged tuples to
-the survivors from the retransmit buffer, respawns the worker with
-backoff, and reintegrates it when it reconnects.
+the survivors from the retransmit buffer, restarts the worker at once
+(only a crash loop is backed off), and reintegrates it when it
+reconnects.
 
 The example asserts the paper's end-to-end guarantee: the merged output
 is gap-free, in order, and exactly-once — and the observability export

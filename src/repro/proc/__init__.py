@@ -5,8 +5,9 @@ package is the *system*: the splitter and the ordered merger run in the
 parent process, every worker is a separate OS process reached over a
 framed TCP connection (:mod:`repro.net.framing`), and a
 :class:`~repro.proc.supervisor.Supervisor` owns the worker lifecycle —
-spawn, heartbeat liveness, crash detection, capped-jittered-backoff
-restarts with a restart-budget circuit breaker, and quarantine.
+spawn, heartbeat liveness, crash detection, restarts from a booted
+spare (capped jittered backoff only for a crash loop) with a
+restart-budget circuit breaker, and quarantine.
 
 Ordered exactly-once delivery holds across real ``SIGKILL``: every
 in-flight tuple sits in a bounded per-worker retransmit buffer until its

@@ -4,26 +4,40 @@ Lifecycle per slot::
 
     launch + release -> STARTING -> (HELLO over TCP) -> UP
         UP -> DOWN on: dead socket | missed heartbeats | nonzero exit
-        DOWN: the next interpreter launches at once and boots (start,
-              imports) parked on its stdin while the backoff runs
-        DOWN -> STARTING at ``restart_at``, after capped jittered
-                exponential backoff: the release hands the parked
-                process its argument line, and only then does it
-                connect and send HELLO
+        DOWN: the region's spare (booted, parked on its stdin) becomes
+              the slot's waiting process; with no spare parked (the
+              region's first death, or two deaths within one boot), the
+              next interpreter launches at the death instead
+        DOWN -> STARTING once the failover is done (the old connection
+                detached, its unacked tuples collected): at once for a
+                slot that connected since its last failure, else at
+                ``restart_at``, after capped jittered exponential
+                backoff. The release hands the waiting process its
+                argument line, and only then does it connect and send
+                HELLO
         DOWN -> QUARANTINED when the restart budget for the window is
                 spent (the circuit breaker: a crash-looping worker must
                 not be restarted forever while it drags the region's
                 tail latency with it); nothing is launched
 
-A restart is split in two so the interpreter start overlaps the
-backoff, which exists only to throttle crash loops. The launch
-(``Popen`` of a bare ``python -m repro.proc.worker``) runs outside the
-region lock; the release writes one line to the waiting process's
-stdin and closes it. The incarnation begins at the release: the
-incarnation bump, the restart budget, ``spawned_at`` (and with it
-``SPAWN_GRACE``), the ``STARTING`` state and the ``restart`` span all
-date from it, so the backoff gates the HELLO, not the interpreter
-start. :meth:`Supervisor.start` takes the same two steps back to back.
+    spare: launched by the monitor once the region has lost a worker
+           and every live slot is UP, taken by the next death,
+           launched again after each take
+
+A restart is split in two so the interpreter start is off the recovery
+path. The launch (``Popen`` of a bare ``python -m repro.proc.worker``)
+runs outside the region lock; the release writes one line to the
+waiting process's stdin and closes it. The incarnation begins at the
+release: the incarnation bump, the restart budget, ``spawned_at`` (and
+with it ``SPAWN_GRACE``), the ``STARTING`` state and the ``restart``
+span all date from it. :meth:`Supervisor.start` takes the same two
+steps back to back. The backoff only throttles a slot failing again
+before its HELLO: a serving worker's replacement is released as soon as
+its failover returns. The monitor thread is the only releaser; it
+sleeps until its next tick or the earliest due release, and a death
+wakes it. Releasing no earlier than the failover's return is what keeps
+a new incarnation from connecting while the region still holds its
+predecessor's socket and window.
 
 Detection is three-pronged and any prong fires the same path:
 ``Popen.poll`` catches exits, the heartbeat deadline catches frozen
@@ -46,6 +60,7 @@ state machine testable without a dataplane attached.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -85,7 +100,10 @@ class SupervisorConfig:
     heartbeat_timeout: float = 1.0
     #: Monitor thread tick.
     monitor_interval: float = 0.05
-    #: First restart backoff; doubles per consecutive failure.
+    #: Backoff before the release after a second consecutive failure
+    #: without a HELLO; doubles per further one. A slot's first failure
+    #: since it last connected waits for no backoff: a serving worker's
+    #: replacement is released as soon as its failover is done.
     backoff_start: float = 0.05
     #: Backoff cap.
     backoff_max: float = 2.0
@@ -112,6 +130,12 @@ class SupervisorConfig:
                 f"heartbeat_timeout ({self.heartbeat_timeout}) must exceed "
                 f"heartbeat_interval ({self.heartbeat_interval})"
             )
+        if self.backoff_max < self.backoff_start:
+            # Every backoff would be capped below its configured start.
+            raise ValueError(
+                f"backoff_max ({self.backoff_max}) must be at least "
+                f"backoff_start ({self.backoff_start})"
+            )
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ValueError(
                 f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
@@ -133,15 +157,17 @@ class WorkerSlot:
     multiplier: float = 1.0
     state: str = field(init=False, default=DOWN)
     process: subprocess.Popen | None = field(init=False, default=None)
-    #: The next incarnation's interpreter while the slot is DOWN:
-    #: launched at the death, parked on its stdin until the release.
+    #: The next incarnation's interpreter while the slot is DOWN: the
+    #: region's spare taken at the death (or launched there), parked on
+    #: its stdin until the release.
     waiting: subprocess.Popen | None = field(init=False, default=None)
     #: Bumps on every release; stale connections/heartbeats are rejected.
     incarnation: int = field(init=False, default=-1)
     #: Region-clock time of the last heartbeat or result.
     last_seen: float = field(init=False, default=0.0)
     spawned_at: float = field(init=False, default=0.0)
-    #: When a DOWN slot's waiting process is due for release.
+    #: When a DOWN slot's waiting process is due for release, once its
+    #: failover is done.
     restart_at: float = field(init=False, default=0.0)
     #: Releases after the first (i.e. supervised restarts).
     restarts: int = field(init=False, default=0)
@@ -200,9 +226,14 @@ class Supervisor:
         self.ledger = RecoveryLedger()
         self._monitor: threading.Thread | None = None
         self._stop = threading.Event()
+        #: Set by a finished failover (and by shutdown): wakes the monitor.
+        self._kick = threading.Event()
         self._obs = None
-        #: Slots whose launch is in flight (outside the lock).
-        self._launching: set[int] = set()
+        #: Slots whose failover is in flight (outside the lock): none of
+        #: them is released before it returns.
+        self._failing: set[int] = set()
+        #: One booted interpreter parked ahead of any death.
+        self._spare: subprocess.Popen | None = None
         self._spawn_env = self._build_env()
 
     # ------------------------------------------------------------ lifecycle
@@ -227,10 +258,12 @@ class Supervisor:
         Assumes the region already sent EOS (graceful drain); waits
         ``DRAIN_TIMEOUT`` for clean exits, then escalates SIGTERM ->
         (``TERM_GRACE``) -> SIGKILL. A process still waiting for its
-        release gets EOF on its stdin instead and exits 0. Returns
-        ``(slot index, how)`` for every process that needed escalation.
+        release, and the spare, get EOF on their stdin instead and exit
+        0. Returns ``(slot index, how)`` for every process that needed
+        escalation; the spare, which belongs to no slot, reports as -1.
         """
         self._stop.set()
+        self._kick.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
@@ -244,6 +277,9 @@ class Supervisor:
             ]
             for slot in self.slots:
                 slot.waiting = None
+            if self._spare is not None:
+                waiting.append((-1, self._spare))
+                self._spare = None
         for _, process in waiting:
             process.stdin.close()
         escalated: list[tuple[int, str]] = []
@@ -298,15 +334,18 @@ class Supervisor:
     ) -> bool:
         """Fail slot ``index`` over: kill remains, schedule the restart.
 
-        Unless the slot is quarantined, its next interpreter launches
-        here, before the failover replay, and boots while the backoff
-        runs. Idempotent per incarnation — the three detection prongs
-        and the splitter's send-failure path all funnel here, and only
-        the first caller acts. Returns whether this call performed the
-        failover.
+        Unless the slot is quarantined, it takes the region's spare as
+        its next interpreter, or with none parked (the first death, two
+        deaths within one boot, or the spare found dead) launches one
+        here, before the failover replay. The restart is due after the listener's
+        failover returns, and not before ``restart_at``. Idempotent per
+        incarnation — the three detection prongs and the splitter's
+        send-failure path all funnel here, and only the first caller
+        acts. Returns whether this call performed the failover.
         """
         slot = self.slots[index]
         quarantined = False
+        spare = None
         with self.lock:
             if incarnation is not None and incarnation != slot.incarnation:
                 return False
@@ -326,29 +365,43 @@ class Supervisor:
                 quarantined = True
             else:
                 slot.state = DOWN
-                backoff = min(
-                    self.config.backoff_start
-                    * (2.0 ** slot.consecutive_failures),
-                    self.config.backoff_max,
-                )
-                backoff -= (
-                    backoff * self.config.backoff_jitter * self._rng.random()
-                )
-                slot.restart_at = now + backoff
                 slot.consecutive_failures += 1
-                self._launching.add(index)
+                backoff = 0.0
+                if slot.consecutive_failures > 1:
+                    # Failing again before a HELLO: a crash loop, throttled.
+                    backoff = min(
+                        self.config.backoff_start
+                        * (2.0 ** (slot.consecutive_failures - 2)),
+                        self.config.backoff_max,
+                    )
+                    backoff -= (
+                        backoff * self.config.backoff_jitter
+                        * self._rng.random()
+                    )
+                slot.restart_at = now + backoff
+                self._failing.add(index)
+                spare, self._spare = self._spare, None
+                if spare is not None and spare.poll() is None:
+                    slot.waiting, spare = spare, None
             if self._obs is not None:
                 self._obs.event(
                     "fault", kind="worker_dead", channel=index, detail=reason
                 )
         # Without the lock: the launch forks and execs, and replay
         # sends may block.
-        if not quarantined:
-            try:
-                self._launch(slot)
-            except OSError:
-                pass  # nothing waits: the release launches cold
-        self.listener.on_slot_down(slot, reason)
+        try:
+            if spare is not None:
+                self._dismiss(spare)  # found dead: reap it
+            if not quarantined and slot.waiting is None:
+                try:
+                    self._launch(slot)
+                except OSError:
+                    pass  # nothing waits: the release launches cold
+            self.listener.on_slot_down(slot, reason)
+        finally:
+            with self.lock:
+                self._failing.discard(index)
+            self._kick.set()
         if quarantined:
             self.listener.on_slot_quarantined(slot)
         return True
@@ -454,36 +507,36 @@ class Supervisor:
             )
         return env
 
-    def _launch(self, slot: WorkerSlot) -> None:
-        """Start ``slot``'s next interpreter, parked on its stdin.
+    def _launch(self, slot: WorkerSlot | None = None) -> None:
+        """Start an interpreter, parked on its stdin: ``slot``'s next
+        one, or with no slot the region's spare.
 
         Runs without the lock (``Popen`` forks and execs). The process
         boots and imports, then waits for :meth:`_spawn` to release it;
-        one launched for a slot no longer waiting (the region closed
-        meanwhile) is dismissed at once.
+        one no longer wanted (the slot is not waiting, a spare is
+        parked, the region closed meanwhile) is dismissed at once.
         """
-        process = None
-        try:
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro.proc.worker"],
-                env=self._spawn_env,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.DEVNULL,
-                bufsize=0,
-            )
-        finally:
-            with self.lock:
-                self._launching.discard(slot.index)
-                if (
-                    process is not None
-                    and slot.state == DOWN
-                    and slot.waiting is None
-                    and not self._stop.is_set()
-                ):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.proc.worker"],
+            env=self._spawn_env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            bufsize=0,
+        )
+        with self.lock:
+            if not self._stop.is_set():
+                if slot is None:
+                    if self._spare is None:
+                        self._spare, process = process, None
+                elif slot.state == DOWN and slot.waiting is None:
                     slot.waiting, process = process, None
         if process is not None:
-            process.stdin.close()  # EOF before a line: it exits 0
-            process.wait()
+            self._dismiss(process)
+
+    def _dismiss(self, process: subprocess.Popen) -> None:
+        """Reap a parked interpreter: EOF before a line, it exits 0."""
+        process.stdin.close()
+        process.wait()
 
     def _argv(self, slot: WorkerSlot) -> list[str]:
         """The worker's command line for ``slot``'s current incarnation."""
@@ -528,73 +581,114 @@ class Supervisor:
             )
 
     def _monitor_loop(self) -> None:
-        config = self.config
-        while not self._stop.wait(config.monitor_interval):
-            dead: list[tuple[int, str, int]] = []
-            cold: list[WorkerSlot] = []
+        while True:
             with self.lock:
-                now = self.clock()
-                for slot in self.slots:
-                    if slot.state == UP:
-                        exit_code = (
-                            slot.process.poll()
-                            if slot.process is not None
-                            else None
-                        )
-                        if exit_code is not None:
-                            dead.append((
-                                slot.index,
-                                f"process exited with code {exit_code}",
-                                slot.incarnation,
-                            ))
-                        elif now - slot.last_seen > config.heartbeat_timeout:
-                            dead.append((
-                                slot.index,
-                                f"missed heartbeats for "
-                                f"{now - slot.last_seen:.2f}s",
-                                slot.incarnation,
-                            ))
-                    elif slot.state == STARTING:
-                        exit_code = (
-                            slot.process.poll()
-                            if slot.process is not None
-                            else None
-                        )
-                        if exit_code is not None:
-                            dead.append((
-                                slot.index,
-                                f"exited during startup with code {exit_code}",
-                                slot.incarnation,
-                            ))
-                        elif now - slot.spawned_at > SPAWN_GRACE:
-                            dead.append((
-                                slot.index,
-                                "never connected within spawn grace",
-                                slot.incarnation,
-                            ))
-                    elif (
-                        slot.state == DOWN
-                        and now >= slot.restart_at
-                        and slot.index not in self._launching
-                    ):
-                        waiting = slot.waiting
-                        if waiting is not None and waiting.poll() is None:
-                            self._spawn(slot)
-                        else:
-                            # It died while waiting (or never launched):
-                            # this restart starts cold.
-                            if waiting is not None:
-                                waiting.stdin.close()
-                                slot.waiting = None
-                            self._launching.add(slot.index)
-                            cold.append(slot)
-            for slot in cold:
-                self._launch(slot)
-                with self.lock:
-                    if slot.waiting is not None:
+                timeout = self._wait_s()
+            self._kick.wait(timeout)
+            # A kick landing after this clear is seen by the next wait;
+            # one before it made its change visible to the pass below.
+            self._kick.clear()
+            if self._stop.is_set():
+                return
+            self._tick()
+
+    def _wait_s(self) -> float:
+        """Seconds the monitor sleeps: to its next tick or the earliest
+        due release, whichever comes first (lock held)."""
+        now = self.clock()
+        due = min(
+            (
+                slot.restart_at for slot in self.slots
+                if slot.state == DOWN and slot.index not in self._failing
+            ),
+            default=math.inf,
+        )
+        return max(0.0, min(self.config.monitor_interval, due - now))
+
+    def _tick(self) -> None:
+        """One monitor pass: detect deaths, release due restarts, and
+        park a spare once a region that has lost a worker is serving
+        on every live slot."""
+        config = self.config
+        dead: list[tuple[int, str, int]] = []
+        cold: list[WorkerSlot] = []
+        with self.lock:
+            now = self.clock()
+            for slot in self.slots:
+                if slot.state == UP:
+                    exit_code = (
+                        slot.process.poll()
+                        if slot.process is not None
+                        else None
+                    )
+                    if exit_code is not None:
+                        dead.append((
+                            slot.index,
+                            f"process exited with code {exit_code}",
+                            slot.incarnation,
+                        ))
+                    elif now - slot.last_seen > config.heartbeat_timeout:
+                        dead.append((
+                            slot.index,
+                            f"missed heartbeats for "
+                            f"{now - slot.last_seen:.2f}s",
+                            slot.incarnation,
+                        ))
+                elif slot.state == STARTING:
+                    exit_code = (
+                        slot.process.poll()
+                        if slot.process is not None
+                        else None
+                    )
+                    if exit_code is not None:
+                        dead.append((
+                            slot.index,
+                            f"exited during startup with code {exit_code}",
+                            slot.incarnation,
+                        ))
+                    elif now - slot.spawned_at > SPAWN_GRACE:
+                        dead.append((
+                            slot.index,
+                            "never connected within spawn grace",
+                            slot.incarnation,
+                        ))
+                elif (
+                    slot.state == DOWN
+                    and now >= slot.restart_at
+                    and slot.index not in self._failing
+                ):
+                    waiting = slot.waiting
+                    if waiting is not None and waiting.poll() is None:
                         self._spawn(slot)
-            for index, reason, incarnation in dead:
-                self.declare_dead(index, reason, incarnation=incarnation)
+                    else:
+                        # It died while waiting (or never launched):
+                        # this restart starts cold.
+                        if waiting is not None:
+                            waiting.stdin.close()
+                            slot.waiting = None
+                        cold.append(slot)
+        for slot in cold:
+            self._launch(slot)
+            with self.lock:
+                if slot.waiting is not None:
+                    self._spawn(slot)
+        for index, reason, incarnation in dead:
+            self.declare_dead(index, reason, incarnation=incarnation)
+        with self.lock:
+            live = [s.state for s in self.slots if s.state != QUARANTINED]
+            # Not before the first death: its boot would take CPU from a
+            # region that may never lose a worker.
+            wanted = (
+                self._spare is None
+                and bool(self.ledger.episodes)
+                and bool(live)
+                and all(state == UP for state in live)
+            )
+        if wanted:
+            try:
+                self._launch()
+            except OSError:
+                pass  # no spare: the next death launches its own
 
     def _signal(self, process: subprocess.Popen, name: str) -> None:
         import signal as _signal

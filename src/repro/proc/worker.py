@@ -237,10 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one worker; started with no arguments, wait for them on stdin.
 
-    The supervisor launches the interpreter bare as soon as a worker
-    dies, so it boots while the restart backoff runs, then releases it
-    with one argument line. EOF before that line (the region closed,
-    or its parent died) means the worker is not needed: exit 0.
+    The supervisor launches the interpreter bare ahead of a worker's
+    death (or, with no spare parked, at it), so it has usually booted
+    by the time a restart releases it with one argument line. EOF
+    before that line (the region closed, or its parent died) means the
+    worker is not needed: exit 0.
     """
     if argv is None:
         argv = sys.argv[1:]

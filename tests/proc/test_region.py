@@ -581,7 +581,7 @@ def worker_children():
     return pids
 
 
-#: Fast detection, but a replacement waits out a jitter-free 0.4 s.
+#: Fast detection; a second failure before HELLO waits a jitter-free 0.4 s.
 SLOW_BACKOFF = SupervisorConfig(
     heartbeat_interval=0.02,
     heartbeat_timeout=0.25,
@@ -591,52 +591,133 @@ SLOW_BACKOFF = SupervisorConfig(
 )
 
 
-class TestEarlyLaunch:
-    """A restart launches at the death and releases at ``restart_at``."""
+def fail_before_hello(monkeypatch, index):
+    """Make slot ``index``'s incarnation 1 exit before it says HELLO.
 
-    def test_backoff_still_gates_the_incarnation(self):
-        region = ProcessRegion(2, supervisor_config=SLOW_BACKOFF, window=8)
-        slot = region.slots[1]
+    It is released with an option the worker does not know, so it exits
+    with code 2: a second consecutive failure for the slot.
+    """
+    argv = Supervisor._argv
+
+    def released(self, slot):
+        line = argv(self, slot)
+        if slot.index == index and slot.incarnation == 1:
+            line.append("--no-such-option")
+        return line
+
+    monkeypatch.setattr(Supervisor, "_argv", released)
+
+
+def backed_off(region, index):
+    """Kill serving slot ``index``; return it once its replacement has
+    failed before HELLO and waits out the backoff. Needs
+    :func:`fail_before_hello` for ``index``."""
+    slot = region.slots[index]
+    assert region.supervisor.kill(index, signal.SIGKILL)
+    wait_for(
+        lambda: slot.incarnation == 1
+        and slot.state == DOWN
+        and slot.waiting is not None
+    )
+    return slot
+
+
+class TestEarlyLaunch:
+    """A restart takes a booted interpreter; the release follows the
+    failover at once, or after the backoff in a crash loop."""
+
+    def test_serving_worker_replacement_says_hello_within_25ms(self):
+        # The benchmark's supervision, with a 50 ms backoff_start that a
+        # serving worker's restart must not wait out.
+        config = SupervisorConfig(
+            restart_budget=10_000,
+            backoff_jitter=0.0,
+            heartbeat_interval=0.02,
+            heartbeat_timeout=0.25,
+            monitor_interval=0.01,
+        )
+        region = ProcessRegion(2, supervisor_config=config, window=16)
+        supervisor = region.supervisor
+        episodes = supervisor.episodes
+        kills = 7
+        n = 0
         try:
             region.start().wait_ready(timeout=30.0)
-            assert region.supervisor.kill(1, signal.SIGKILL)
-            wait_for(lambda: slot.waiting is not None)
-            # The replacement process exists inside the backoff, but
-            # its incarnation has not begun.
+            for k in range(kills):
+                # Traffic between kills, as in the benchmark (0.2 s of
+                # it); the spare boots meanwhile.
+                for _ in range(400):
+                    region.submit(0.001, b"%d" % n)
+                    n += 1
+                region.drain(timeout=60.0)
+                if k:  # the first death is what buys the region a spare
+                    wait_for(lambda: supervisor._spare is not None)
+                victim = k % 2
+                assert supervisor.kill(victim, signal.SIGKILL)
+                wait_for(
+                    lambda: len(episodes) == k + 1
+                    and episodes[k].reintegrated_at is not None
+                )
+            region.drain(timeout=60.0)
+            outputs = list(region.outputs)
+        finally:
+            region.close()
+        expect_ordered(outputs, n, lambda i: b"%d" % i)
+        ttrs = sorted(
+            e.reintegrated_at - e.quarantined_at for e in episodes[1:]
+        )
+        assert ttrs[len(ttrs) // 2] < 0.025, ttrs
+
+    def test_backoff_still_gates_the_incarnation(self, monkeypatch):
+        # The first death is released at once; incarnation 1 dies
+        # before its HELLO, and that second failure waits backoff_start.
+        fail_before_hello(monkeypatch, 1)
+        region = ProcessRegion(2, supervisor_config=SLOW_BACKOFF, window=8)
+        try:
+            region.start().wait_ready(timeout=30.0)
+            slot = backed_off(region, 1)
+            # The next process exists inside the backoff, but its
+            # incarnation has not begun.
             waiting = slot.waiting
+            episodes = region.supervisor.episodes
+            assert len(episodes) == 2
+            assert slot.restart_at == pytest.approx(
+                episodes[1].quarantined_at + 0.4
+            )
             assert region.clock() < slot.restart_at
             assert waiting.poll() is None
-            assert (slot.state, slot.incarnation, slot.restarts) == (
-                DOWN, 0, 0
-            )
-            episodes = region.supervisor.episodes
-            wait_for(lambda: episodes[0].reintegrated_at is not None)
+            assert (slot.state, slot.restarts) == (DOWN, 1)
+            wait_for(lambda: episodes[1].reintegrated_at is not None)
         finally:
             region.close()
         assert slot.process is waiting
-        assert (slot.incarnation, slot.restarts) == (1, 1)
+        assert (slot.incarnation, slot.restarts) == (2, 2)
         # Release and HELLO both wait out the backoff.
         assert slot.spawned_at >= slot.restart_at
-        assert episodes[0].reintegrated_at >= slot.restart_at
+        assert episodes[1].reintegrated_at >= slot.restart_at
 
-    def test_waiting_process_dead_at_release_is_replaced_cold(self):
+    def test_waiting_process_dead_at_release_is_replaced_cold(
+        self, monkeypatch
+    ):
+        fail_before_hello(monkeypatch, 0)
         region = ProcessRegion(2, supervisor_config=SLOW_BACKOFF, window=8)
-        slot = region.slots[0]
         try:
             region.start().wait_ready(timeout=30.0)
-            assert region.supervisor.kill(0, signal.SIGKILL)
-            wait_for(lambda: slot.waiting is not None)
+            slot = backed_off(region, 0)
             waiting = slot.waiting
             waiting.kill()
             episodes = region.supervisor.episodes
-            wait_for(lambda: episodes[0].reintegrated_at is not None)
+            wait_for(lambda: episodes[1].reintegrated_at is not None)
         finally:
             region.close()
         assert waiting.returncode == -signal.SIGKILL
         assert slot.process is not waiting
-        assert (slot.incarnation, slot.restarts) == (1, 1)
+        assert (slot.incarnation, slot.restarts) == (2, 2)
 
-    def test_close_during_backoff_dismisses_the_waiting_process(self):
+    def test_close_during_backoff_dismisses_the_waiting_process(
+        self, monkeypatch
+    ):
+        fail_before_hello(monkeypatch, 0)
         config = SupervisorConfig(
             heartbeat_interval=0.02,
             heartbeat_timeout=0.25,
@@ -645,11 +726,9 @@ class TestEarlyLaunch:
             backoff_max=30.0,
         )
         region = ProcessRegion(2, supervisor_config=config, window=8)
-        slot = region.slots[0]
         try:
             region.start().wait_ready(timeout=30.0)
-            assert region.supervisor.kill(0, signal.SIGKILL)
-            wait_for(lambda: slot.waiting is not None)
+            slot = backed_off(region, 0)
             waiting = slot.waiting
         finally:
             escalated = region.close()
@@ -659,22 +738,69 @@ class TestEarlyLaunch:
         assert slot.waiting is None
         assert worker_children() == []
 
+    def test_two_deaths_within_one_boot_launch_the_second_at_the_death(self):
+        # After a first death has bought the region a spare, each of
+        # the next two failovers holds until both deaths are declared,
+        # so neither slot serves again (and no spare is parked) in
+        # between: one death takes the spare, the other launches its own.
+        n = 400
+        region = ProcessRegion(2, supervisor_config=FAST, window=16)
+        supervisor = region.supervisor
+        episodes = supervisor.episodes
+        down = region.on_slot_down
+
+        def on_slot_down(slot, reason):
+            wait_for(lambda: len(episodes) == 3)
+            down(slot, reason)
+
+        try:
+            region.start().wait_ready(timeout=30.0)
+            assert supervisor.kill(0, signal.SIGKILL)
+            wait_for(lambda: supervisor._spare is not None)
+            spare = supervisor._spare
+            region.on_slot_down = on_slot_down
+            for i in range(n // 2):
+                region.submit(0.001, b"%d" % i)
+            assert supervisor.kill(0, signal.SIGKILL)
+            assert supervisor.kill(1, signal.SIGKILL)
+            for i in range(n // 2, n):
+                region.submit(0.001, b"%d" % i)
+            region.drain(timeout=60.0)
+            wait_for(
+                lambda: len(episodes) == 3
+                and all(e.reintegrated_at is not None for e in episodes)
+            )
+            stats = region.stats()
+            outputs = list(region.outputs)
+            replacements = [slot.process for slot in region.slots]
+        finally:
+            region.close()
+        expect_ordered(outputs, n, lambda i: b"%d" % i)
+        assert stats.results == n
+        assert [s.incarnation for s in region.slots] == [2, 1]
+        assert sum(process is spare for process in replacements) == 1
+
     def test_restarts_leak_no_descriptor_and_no_process(self):
-        kills = 4
+        kills = 10
         before = len(os.listdir("/proc/self/fd"))
         region = ProcessRegion(2, supervisor_config=FAST, window=8)
-        episodes = region.supervisor.episodes
+        supervisor = region.supervisor
+        episodes = supervisor.episodes
         try:
             region.start().wait_ready(timeout=30.0)
             threads = threading.active_count()
             for k in range(kills):
                 victim = k % 2
                 wait_for(lambda: region.slots[victim].state == UP)
-                assert region.supervisor.kill(victim, signal.SIGKILL)
+                assert supervisor.kill(victim, signal.SIGKILL)
                 wait_for(
                     lambda: len(episodes) == k + 1
                     and episodes[k].reintegrated_at is not None
                 )
+                # Two live workers and at most one parked spare.
+                assert len(worker_children()) <= 3
+            wait_for(lambda: supervisor._spare is not None)
+            spare = supervisor._spare
             # Every failover thread has ended; no receiver was added.
             for thread in threading.enumerate():
                 if thread.name == "repro-region-failover":
@@ -682,8 +808,11 @@ class TestEarlyLaunch:
             assert threading.active_count() == threads
             assert receivers() == [region._receiver]
         finally:
-            region.close()
-        assert region.supervisor.restarts == kills
+            escalated = region.close()
+        assert escalated == []
+        assert spare.returncode == 0
+        assert supervisor._spare is None
+        assert supervisor.restarts == kills
         assert len(os.listdir("/proc/self/fd")) == before
         assert worker_children() == []
 
@@ -1061,9 +1190,28 @@ class TestSendMeasured:
         ours, peer = self.pair(sndbuf=4096)
         with ours, peer:
             result = []
+            tried = threading.Event()
+
+            class FirstSendSignals:
+                """``ours``, saying when the first attempt has returned."""
+
+                def send(self, data, flags=0):
+                    try:
+                        return ours.send(data, flags)
+                    finally:
+                        tried.set()
+
+                def fileno(self):
+                    return ours.fileno()
+
             thread, errors = run_blocked(
-                lambda: result.append(send_measured(ours, BIG, 30.0))
+                lambda: result.append(
+                    send_measured(FirstSendSignals(), BIG, 30.0)
+                )
             )
+            # Reading before that attempt could drain the buffer under
+            # it, and the frame would go out without ever blocking.
+            assert tried.wait(10.0)
             received = bytearray()
             peer.settimeout(10.0)
             while len(received) < len(BIG):

@@ -5,9 +5,11 @@ capped jittered backoff, the restart-budget circuit breaker, stale
 incarnation rejection — is exercised against a recording listener and a
 controllable clock. No sockets, no subprocesses: ``_launch`` and
 ``_spawn`` are stubbed, so a launch parks a placeholder in
-``slot.waiting`` and a release is just an incarnation bump.
+``slot.waiting`` (or, for no slot, as the spare) and a release is just
+an incarnation bump. Monitor passes are run by hand (``_tick``).
 """
 
+import io
 import threading
 
 import pytest
@@ -39,6 +41,20 @@ class RecordingListener:
 
     def on_slot_quarantined(self, slot):
         self.quarantined.append(slot.index)
+
+
+class ParkedProcess:
+    """A placeholder parked interpreter: alive until given a returncode."""
+
+    def __init__(self):
+        self.returncode = None
+        self.stdin = io.BytesIO()
+
+    def poll(self):
+        return self.returncode
+
+    def wait(self, timeout=None):
+        return self.returncode
 
 
 class FakeClock:
@@ -74,9 +90,13 @@ def make_supervisor(n=2, **config_overrides):
     launches = []
     spawns = []
 
-    def fake_launch(slot):
-        slot.waiting = object()
-        launches.append(slot.index)
+    def fake_launch(slot=None):
+        if slot is None:
+            supervisor._spare = ParkedProcess()
+            launches.append("spare")
+        else:
+            slot.waiting = ParkedProcess()
+            launches.append(slot.index)
 
     def fake_spawn(slot):
         slot.waiting = None
@@ -97,7 +117,8 @@ def make_supervisor(n=2, **config_overrides):
 
 
 class TestDeclareDead:
-    def test_first_death_schedules_backoff_restart(self):
+    def test_first_death_schedules_an_immediate_restart(self):
+        # A serving worker's death is no crash loop: no backoff.
         supervisor, clock, listener = make_supervisor()
         slot = supervisor.slots[0]
         supervisor._spawn(slot)
@@ -105,7 +126,7 @@ class TestDeclareDead:
         clock.now = 5.0
         assert supervisor.declare_dead(0, "kill test")
         assert slot.state == DOWN
-        assert slot.restart_at == pytest.approx(5.1)  # backoff_start
+        assert slot.restart_at == 5.0
         assert listener.downs == [(0, "kill test")]
         assert len(supervisor.episodes) == 1
 
@@ -132,26 +153,20 @@ class TestDeclareDead:
         assert slot.state == UP
 
     def test_backoff_doubles_up_to_cap(self):
+        # A crash loop: every release dies again before its HELLO, so
+        # consecutive_failures keeps growing. The first death waits for
+        # nothing; the k-th (k >= 2) waits backoff_start * 2^(k-2).
         supervisor, clock, listener = make_supervisor(restart_budget=100)
         slot = supervisor.slots[0]
         supervisor._spawn(slot)
-        delays = []
-        for _ in range(6):
-            supervisor.on_connected(0, slot.incarnation)
-            # Reconnection resets consecutive_failures; simulate a
-            # crash-loop by never reconnecting between deaths instead.
-            break
         supervisor.on_connected(0, slot.incarnation)
-        for round_no in range(6):
+        delays = []
+        for round_no in range(7):
             clock.now += 10.0
-            # Each death is followed by a respawn but no reconnect, so
-            # consecutive_failures keeps growing.
-            if slot.state != UP and round_no > 0:
-                slot.state = UP  # pretend the monitor saw it STARTING->UP
             supervisor.declare_dead(0, f"death {round_no}")
             delays.append(slot.restart_at - clock.now)
             supervisor._spawn(slot)
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.8, 1.0, 1.0])
+        assert delays == pytest.approx([0.0, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0])
 
     def test_reconnect_resets_consecutive_failures(self):
         supervisor, clock, listener = make_supervisor(restart_budget=100)
@@ -164,7 +179,11 @@ class TestDeclareDead:
         assert slot.consecutive_failures == 0
         clock.now = 50.0
         supervisor.declare_dead(0, "two")
-        # Back to the initial backoff, not the doubled one.
+        # A first failure again: released at once, not backed off.
+        assert slot.restart_at == clock.now
+        supervisor._spawn(slot)
+        clock.now = 60.0
+        supervisor.declare_dead(0, "three, before a HELLO")
         assert slot.restart_at - clock.now == pytest.approx(0.1)
 
 
@@ -239,6 +258,114 @@ class TestEarlyLaunch:
         )
 
 
+class TestSpare:
+    """One booted interpreter per region, taken by the next death."""
+
+    def test_death_takes_the_parked_spare(self):
+        supervisor, clock, listener = make_supervisor()
+        slot = supervisor.slots[0]
+        supervisor._spawn(slot)
+        supervisor.on_connected(0, 0)
+        spare = supervisor._spare = ParkedProcess()
+        assert supervisor.declare_dead(0, "kill")
+        assert slot.waiting is spare
+        assert supervisor._spare is None
+        assert supervisor.launches == []
+
+    def test_dead_spare_is_reaped_and_the_death_launches(self):
+        supervisor, clock, listener = make_supervisor()
+        slot = supervisor.slots[0]
+        supervisor._spawn(slot)
+        supervisor.on_connected(0, 0)
+        spare = supervisor._spare = ParkedProcess()
+        spare.returncode = -9
+        assert supervisor.declare_dead(0, "kill")
+        assert spare.stdin.closed
+        assert supervisor._spare is None
+        assert slot.waiting is not spare
+        assert supervisor.launches == [0]
+
+    def test_monitor_parks_a_spare_after_a_death_once_all_serve(self):
+        supervisor, clock, listener = make_supervisor(n=3)
+        for slot in supervisor.slots:
+            supervisor._spawn(slot)
+        supervisor.on_connected(0, 0)
+        supervisor.on_connected(1, 0)
+        supervisor.on_connected(2, 0)
+        supervisor._tick()
+        assert supervisor.launches == []  # no death yet: no spare
+        supervisor.declare_dead(0, "kill")
+        supervisor._tick()  # the release: slot 0 is STARTING
+        supervisor._tick()
+        assert supervisor.launches == [0]
+        supervisor.slots[2].state = QUARANTINED  # does not count
+        supervisor.on_connected(0, 1)
+        supervisor._tick()
+        supervisor._tick()
+        assert supervisor.launches == [0, "spare"]
+
+    def test_release_waits_for_the_failover_to_return(self):
+        # The failover detaches the dead connection; a release before it
+        # returns would let the next incarnation connect beside it. No
+        # clock reading may release the slot early.
+        supervisor, clock, listener = make_supervisor(n=1)
+        entered, leave = threading.Event(), threading.Event()
+
+        def blocking_down(slot, reason):
+            entered.set()
+            assert leave.wait(10.0)
+
+        listener.on_slot_down = blocking_down
+        slot = supervisor.slots[0]
+        supervisor._spawn(slot)
+        supervisor.on_connected(0, 0)
+        clock.now = 5.0
+        failover = threading.Thread(
+            target=supervisor.declare_dead, args=(0, "kill")
+        )
+        failover.start()
+        try:
+            assert entered.wait(10.0)
+            clock.now = 1000.0  # far past restart_at
+            assert slot.restart_at < clock.now
+            supervisor._tick()
+            with supervisor.lock:
+                # Not a due release either: the monitor sleeps a tick.
+                assert supervisor._wait_s() == pytest.approx(0.05)
+            assert (slot.state, slot.incarnation) == (DOWN, 0)
+            assert supervisor.spawns == [(0, 0)]
+        finally:
+            leave.set()
+            failover.join(timeout=10.0)
+        assert not failover.is_alive()
+        # Returning wakes the monitor, whose next pass releases.
+        assert supervisor._kick.is_set()
+        supervisor._tick()
+        assert (slot.state, slot.incarnation) == (STARTING, 1)
+
+    def test_monitor_sleeps_to_the_tick_or_the_earliest_due_release(self):
+        supervisor, clock, listener = make_supervisor(
+            n=3, monitor_interval=0.05
+        )
+        for slot in supervisor.slots:
+            supervisor._spawn(slot)
+            supervisor.on_connected(slot.index, 0)
+        clock.now = 10.0
+        with supervisor.lock:
+            assert supervisor._wait_s() == pytest.approx(0.05)
+        for index, due in ((0, 10.03), (1, 10.01), (2, 10.2)):
+            supervisor.slots[index].state = DOWN
+            supervisor.slots[index].restart_at = due
+        with supervisor.lock:
+            assert supervisor._wait_s() == pytest.approx(0.01)
+            supervisor._failing.add(1)  # failover in flight: not due
+            assert supervisor._wait_s() == pytest.approx(0.03)
+            clock.now = 10.04  # overdue: no sleep at all
+            assert supervisor._wait_s() == 0.0
+            supervisor.slots[0].state = QUARANTINED
+            assert supervisor._wait_s() == pytest.approx(0.05)
+
+
 class TestEpisodes:
     def test_note_fault_anchors_time_to_quarantine(self):
         supervisor, clock, listener = make_supervisor()
@@ -298,6 +425,12 @@ class TestEpisodes:
 
 
 class TestConfigValidation:
+    def test_rejects_backoff_max_below_backoff_start(self):
+        # Every backoff would be capped below the configured start.
+        with pytest.raises(ValueError, match="backoff_max.*backoff_start"):
+            SupervisorConfig(backoff_start=0.5, backoff_max=0.1)
+        SupervisorConfig(backoff_start=0.5, backoff_max=0.5)
+
     def test_rejects_bad_jitter(self):
         with pytest.raises(ValueError, match="backoff_jitter"):
             SupervisorConfig(backoff_jitter=1.5)
