@@ -28,14 +28,11 @@ connections share four tuples: half a tuple per chunk) and is recorded,
 not gated. Each batch size is timed ``REPEATS`` times and the best run
 recorded, so scheduler noise does not masquerade as a regression.
 
-Writes a ``batched_dataplane`` section into ``BENCH_core.json`` (merged,
-preserving the hot-path sections). Regenerate standalone with::
+Reports to ``benchmarks/_reports/batched_dataplane.txt``::
 
-    PYTHONPATH=src python benchmarks/bench_batched_dataplane.py
+    PYTHONPATH=src python -m pytest benchmarks/bench_batched_dataplane.py --benchmark-only
 """
 
-import json
-import pathlib
 import time
 
 from conftest import SMOKE, run_once, smoke_scale
@@ -48,8 +45,6 @@ from repro.sim.engine import Simulator
 from repro.streams.hosts import Host, Placement
 from repro.streams.region import ParallelRegion, RegionParams
 from repro.streams.sources import FiniteSource, constant_cost
-
-BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_core.json"
 
 BATCH_SIZES = (1, 4, 16, 64)
 N_WORKERS = 4
@@ -122,22 +117,8 @@ def sweep(run) -> list[dict]:
 
 def collect_report() -> dict:
     return {
-        "workload": {
-            "total_tuples": TOTAL_TUPLES,
-            "tuple_cost_multiplies": TUPLE_COST,
-            "n_workers": N_WORKERS,
-            "repeats": REPEATS,
-        },
         "sweep": sweep(run_region),
-        "heterogeneous": {
-            "workload": {
-                "config": "fig09_config(8, dynamic=True)",
-                "policy": "lb-adaptive",
-                "total_tuples": HETEROGENEOUS_TUPLES,
-                "repeats": REPEATS,
-            },
-            "sweep": sweep(run_heterogeneous),
-        },
+        "heterogeneous": sweep(run_heterogeneous),
     }
 
 
@@ -159,22 +140,13 @@ def render(payload: dict) -> str:
         f"{'B':>4}  {'tuples/s':>10}  {'max pending':>11}  {'sim exec s':>10}"
         f"  {'speedup':>7}",
     ]
-    for row in payload["heterogeneous"]["sweep"]:
+    for row in payload["heterogeneous"]:
         lines.append(
             f"{row['batch_size']:>4}  {row['tuples_per_sec']:>10,.0f}"
             f"  {row['max_merger_pending']:>11,}  {row['execution_time']:>10.2f}"
             f"  {row['speedup_vs_b1']:>6.2f}x"
         )
     return "\n".join(lines)
-
-
-def write_report(payload: dict) -> None:
-    """Merge the ``batched_dataplane`` section into BENCH_core.json."""
-    existing = {}
-    if BENCH_JSON.exists():
-        existing = json.loads(BENCH_JSON.read_text())
-    existing["batched_dataplane"] = payload
-    BENCH_JSON.write_text(json.dumps(existing, indent=1) + "\n")
 
 
 def check_shape(payload: dict) -> None:
@@ -197,7 +169,7 @@ def check_shape(payload: dict) -> None:
         # block puts B=16 at or below the per-tuple path.
         hetero = {
             row["batch_size"]: row["tuples_per_sec"]
-            for row in payload["heterogeneous"]["sweep"]
+            for row in payload["heterogeneous"]
         }
         if hetero[16] < 1.25 * hetero[1]:
             raise RuntimeError(
@@ -245,17 +217,4 @@ def check_shape(payload: dict) -> None:
 def test_batched_dataplane_sweep(benchmark, report):
     payload = run_once(benchmark, collect_report)
     report("batched_dataplane", render(payload))
-    if not SMOKE:  # tiny smoke runs must not overwrite recorded numbers
-        write_report(payload)
     check_shape(payload)
-
-
-def main() -> None:
-    payload = collect_report()
-    write_report(payload)
-    print(render(payload))
-    check_shape(payload)
-
-
-if __name__ == "__main__":
-    main()

@@ -1,4 +1,4 @@
-"""Hot-path micro-benchmarks and the recorded speedup report.
+"""Hot-path micro-benchmarks against the pre-overhaul seed.
 
 Four micro-benches cover the layers the hot-path overhaul touched, plus
 one end-to-end timing of the Figure 9 static sweep:
@@ -19,17 +19,17 @@ one end-to-end timing of the Figure 9 static sweep:
 
 ``SEED_BASELINE`` pins the same measurements taken on the pre-overhaul
 seed commit on the reference machine (single core). Running this bench
-writes ``BENCH_core.json`` at the repo root with the fresh numbers and
-the speedups against that baseline. Regenerate standalone with::
+writes the fresh numbers and the speedups against that baseline to
+``benchmarks/_reports/core_hotpath.txt``::
 
-    PYTHONPATH=src python benchmarks/bench_core_hotpath.py
+    PYTHONPATH=src python -m pytest benchmarks/bench_core_hotpath.py --benchmark-only
 
 A second bench, ``bench_obs_overhead``, runs the fault-recovery
-scenario with observability off and on and merges an
-``observability_overhead`` section into the same report: the
-off-by-default subsystem must cost the engine hot path < 2% versus the
-recorded measurement, and full recording must stay a modest fraction
-of the run.
+scenario with observability off and on and reports to
+``benchmarks/_reports/obs_overhead.txt``: the off-by-default subsystem
+must cost the engine hot path < 2% versus
+``RECORDED_EVENTS_PER_SEC``, and full recording must stay a modest
+fraction of the run.
 
 The methodology (chain counts, LCG-seeded rate points, solver rounds)
 is byte-for-byte the one used to capture the baseline — the ratios are
@@ -37,21 +37,17 @@ meaningful, the absolute numbers are machine-dependent.
 """
 
 import gc
-import json
-import pathlib
 import time
 
+from bench_rate_function import populated_function
 from conftest import SMOKE, run_once, smoke_scale
 
 from repro.core.rap import solve_minimax_fox
-from repro.core.rate_function import BlockingRateFunction
 from repro.experiments.config import fault_recovery_scenario
 from repro.experiments.figures import fig09_config
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_sweep
 from repro.sim.engine import Simulator
-
-BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_core.json"
 
 #: Pre-overhaul numbers, measured with this file's exact methodology on
 #: the seed commit (reference machine: 1 core). Ratios against these are
@@ -63,6 +59,10 @@ SEED_BASELINE = {
     "fox_solves_per_sec": 1_086.7,
     "fig09_static_sweep_seconds": 12.66,
 }
+
+#: Event-chain throughput this bench last recorded on the reference
+#: machine (events/s): the obs-off hot-path check's baseline.
+RECORDED_EVENTS_PER_SEC = 1_050_103.1
 
 PE_COUNTS = (2, 4, 8, 16)
 POLICIES = ("oracle", "lb-static", "lb-adaptive", "rr")
@@ -105,18 +105,9 @@ def measure_call_every(ticks: int = 200_000) -> float:
     return n[0] / (time.perf_counter() - t0)
 
 
-def _populated(points: int, seed: int) -> BlockingRateFunction:
-    fn = BlockingRateFunction()
-    state = seed
-    for _ in range(points):
-        state = (state * 1103515245 + 12345) % (2**31)
-        fn.observe(1 + state % 1000, (state >> 8 & 0xFF) / 255.0)
-    return fn
-
-
 def measure_rate_function_rounds(rounds: int = 200) -> float:
     """Control rounds/sec: observe + decay + full fitted table."""
-    fn = _populated(40, 7)
+    fn = populated_function(40, 7)
     t0 = time.perf_counter()
     for _ in range(rounds):
         fn.observe(333, 0.4)
@@ -134,7 +125,7 @@ def measure_fox_solves(rounds: int = 50, n: int = 16) -> float:
     reads a few weights per run; tables are kept here so the number
     stays comparable with the recorded ones.
     """
-    fns = [_populated(30, j * 977 + 13) for j in range(n)]
+    fns = [populated_function(30, j * 977 + 13) for j in range(n)]
     evaluators = [fn.table() for fn in fns]
     t0 = time.perf_counter()
     for _ in range(rounds):
@@ -179,11 +170,6 @@ def measure_obs_ablation(duration: float = 40.0) -> dict:
     assert on.final_weights == off.final_weights
     assert on.events_processed == off.events_processed
     return {
-        "scenario": {
-            "name": config.name,
-            "duration": duration,
-            "policy": "lb-adaptive",
-        },
         "obs_off_wall_seconds": round(off_seconds, 4),
         "obs_on_wall_seconds": round(on_seconds, 4),
         "obs_off_tuples_per_sec": round(off.emitted / off_seconds, 1),
@@ -200,10 +186,10 @@ def measure_obs_off_hotpath(repeats: int = 5) -> dict:
 
     The observability hooks sit entirely off the per-event path when
     the region doesn't opt in; this pins that merging the subsystem
-    cost the engine hot path less than noise (< 2%) against the
-    ``events_per_sec`` number recorded in BENCH_core.json. The recorded
-    number was taken at the top of a fresh process with a young heap;
-    collect-and-freeze the heap this process has accumulated so the
+    cost the engine hot path less than noise (< 2%) against
+    ``RECORDED_EVENTS_PER_SEC``. The recorded number was taken at the
+    top of a fresh process with a young heap; collect-and-freeze the
+    heap this process has accumulated so the
     generational GC doesn't tax the loop with work the baseline never
     paid, and take the best of ``repeats`` to shed warm-up jitter.
     """
@@ -216,24 +202,16 @@ def measure_obs_off_hotpath(repeats: int = 5) -> dict:
         )
     finally:
         gc.unfreeze()
-    recorded = None
-    if BENCH_JSON.exists():
-        recorded = (
-            json.loads(BENCH_JSON.read_text())
-            .get("measured", {})
-            .get("events_per_sec")
-        )
     return {
         "events_per_sec_best": round(best, 1),
-        "events_per_sec_recorded": recorded,
-        "regression_fraction": (
-            None if not recorded else round(1.0 - best / recorded, 4)
+        "regression_fraction": round(
+            1.0 - best / RECORDED_EVENTS_PER_SEC, 4
         ),
     }
 
 
 def collect_obs_report() -> dict:
-    """Assemble the ``observability_overhead`` section for the report.
+    """The scenario ablation plus the obs-off hot-path check.
 
     The hot-path check runs *before* the scenario ablation so it sees
     the same young heap the recorded baseline did.
@@ -244,21 +222,8 @@ def collect_obs_report() -> dict:
     return section
 
 
-def write_report(payload: dict) -> None:
-    """Merge this bench's sections into BENCH_core.json.
-
-    Read-modify-write so sections recorded by other benches (e.g.
-    ``batched_dataplane`` from bench_batched_dataplane.py) survive.
-    """
-    existing = {}
-    if BENCH_JSON.exists():
-        existing = json.loads(BENCH_JSON.read_text())
-    existing.update(payload)
-    BENCH_JSON.write_text(json.dumps(existing, indent=1) + "\n")
-
-
 def collect_report() -> dict:
-    """Run every measurement and assemble the BENCH_core.json payload."""
+    """Run every measurement; speedups are against ``SEED_BASELINE``."""
     measured = {
         "events_per_sec": measure_event_chains(
             events=smoke_scale(400_000, 20_000)
@@ -303,10 +268,8 @@ def collect_report() -> dict:
 
 
 def bench_core_hotpath(benchmark, report):
-    """Measure every hot path, record BENCH_core.json, assert the floors."""
+    """Measure every hot path, report the speedups, assert the floors."""
     payload = run_once(benchmark, collect_report)
-    if not SMOKE:  # tiny smoke runs must not overwrite recorded numbers
-        write_report(payload)
 
     lines = [f"{'metric':34} {'seed':>12} {'now':>12} {'speedup':>8}"]
     measured = payload["measured"]
@@ -342,16 +305,9 @@ def bench_core_hotpath(benchmark, report):
 
 
 def bench_obs_overhead(benchmark, report):
-    """Obs-on vs obs-off ablation; record the overhead, pin its bounds."""
-    payload = run_once(
-        benchmark, lambda: {"observability_overhead": collect_obs_report()}
-    )
-    if not SMOKE:  # tiny smoke runs must not overwrite recorded numbers
-        write_report(payload)
-
-    section = payload["observability_overhead"]
+    """Obs-on vs obs-off ablation; report the overhead, pin its bounds."""
+    section = run_once(benchmark, collect_obs_report)
     hot = section["hotpath_obs_off"]
-    recorded = hot["events_per_sec_recorded"]
     report(
         "obs_overhead",
         "\n".join(
@@ -364,8 +320,7 @@ def bench_obs_overhead(benchmark, report):
                 f"[{section['audit_records']} audit records, "
                 f"{section['spans']} spans, {section['events']} events]",
                 f"hot path obs-off: {hot['events_per_sec_best']:.1f} "
-                f"events/s vs recorded "
-                f"{recorded if recorded is not None else 'n/a'}",
+                f"events/s vs recorded {RECORDED_EVENTS_PER_SEC:.1f}",
             ]
         ),
     )
@@ -377,17 +332,5 @@ def bench_obs_overhead(benchmark, report):
     # and spans/audit piggyback on existing episode boundaries.
     assert section["overhead_fraction"] < 0.5
     # Obs off must be free — within noise of the recorded hot-path
-    # number taken before the subsystem existed.
-    if hot["regression_fraction"] is not None:
-        assert hot["regression_fraction"] < 0.02
-
-
-def main() -> None:
-    payload = collect_report()
-    payload["observability_overhead"] = collect_obs_report()
-    write_report(payload)
-    print(json.dumps(payload, indent=1))
-
-
-if __name__ == "__main__":
-    main()
+    # number.
+    assert hot["regression_fraction"] < 0.02

@@ -29,16 +29,13 @@ batching must not invert scaling: the batched run at the widest worker
 count may not carry more framework overhead than the unbatched
 single-worker run.
 
-Merges a ``process_dataplane`` section into ``BENCH_core.json``
-(existing keys in the section survive). Regenerate standalone with::
+Reports to ``benchmarks/_reports/process_dataplane.txt``::
 
-    PYTHONPATH=src python benchmarks/bench_process_dataplane.py
+    PYTHONPATH=src python -m pytest benchmarks/bench_process_dataplane.py --benchmark-only
 """
 
 import dataclasses
-import json
 import os
-import pathlib
 import time
 
 from conftest import SMOKE, run_once, smoke_scale
@@ -47,8 +44,6 @@ from repro.faults.schedule import FaultSchedule
 from repro.proc.faults import RealFaultDriver
 from repro.proc.region import ProcessRegion
 from repro.proc.supervisor import SupervisorConfig
-
-BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_core.json"
 
 WORKER_COUNTS = (1, 2, 4)
 #: Tuples per DATA_BATCH frame in the batched sweep.
@@ -102,15 +97,11 @@ def run_scaling(n_workers: int, batch_size: int = 1) -> dict:
         "workers": n_workers,
         "batch_size": batch_size,
         "tuples": total,
-        "service_seconds": round(service, 3),
         "spawn_seconds": round(spawn, 3),
         "wall_seconds": round(wall, 3),
         "framework_overhead_seconds": round(wall - ideal, 3),
         "tuples_per_sec": round(total / wall, 1),
         "wire_frames_sent": stats.wire_frames_sent,
-        "wire_frames_received": stats.wire_frames_received,
-        "data_flushes": stats.data_flushes,
-        "mean_batch_occupancy": round(stats.mean_batch_occupancy, 2),
     }
 
 
@@ -160,7 +151,6 @@ def run_recovery() -> dict:
             else round(stats.time_to_reconverge, 3)
         ),
         "tuples_replayed": stats.replayed,
-        "restarts": stats.restarts,
         "duplicates_dropped": stats.duplicates_dropped,
     }
 
@@ -174,34 +164,28 @@ def collect_report() -> dict:
             row["speedup_vs_1"] = round(base / row["wall_seconds"], 2)
         sweeps[key] = rows
     return {
-        "workload": {
-            "tuple_cost_seconds": TUPLE_COST,
-            "service_budget_seconds": SPIN_BUDGET_SECONDS,
-            "cores": os.cpu_count(),
-            "mode": "spin",
-            "batch_size_batched": BATCH_SIZE,
-        },
+        "cores": os.cpu_count() or 1,
         **sweeps,
         "recovery": run_recovery(),
     }
 
 
 def render(payload: dict) -> str:
-    lines = [f"cores available: {payload['workload']['cores']}"]
+    lines = [f"cores available: {payload['cores']}"]
     for key, label in (
         ("scaling", "per-tuple wire (batch_size=1)"),
-        ("scaling_batched",
-         f"batched wire (batch_size={payload['workload']['batch_size_batched']})"),
+        ("scaling_batched", f"batched wire (batch_size={BATCH_SIZE})"),
     ):
         lines += [
             "",
             f"{label}:",
-            f"{'workers':>7}  {'tuples':>7}  {'wall s':>7}  {'ovh s':>7}"
-            f"  {'tuples/s':>9}  {'frames':>7}  {'speedup':>7}",
+            f"{'workers':>7}  {'tuples':>7}  {'spawn s':>7}  {'wall s':>7}"
+            f"  {'ovh s':>7}  {'tuples/s':>9}  {'frames':>7}  {'speedup':>7}",
         ]
         for row in payload[key]:
             lines.append(
                 f"{row['workers']:>7}  {row['tuples']:>7}"
+                f"  {row['spawn_seconds']:>7.3f}"
                 f"  {row['wall_seconds']:>7.3f}"
                 f"  {row['framework_overhead_seconds']:>7.3f}"
                 f"  {row['tuples_per_sec']:>9,.0f}"
@@ -221,17 +205,6 @@ def render(payload: dict) -> str:
         f"  ({r['duplicates_dropped']} duplicates dropped)",
     ]
     return "\n".join(lines)
-
-
-def write_report(payload: dict) -> None:
-    existing = {}
-    if BENCH_JSON.exists():
-        existing = json.loads(BENCH_JSON.read_text())
-    # Merge, don't clobber: keys another run put in this section (or a
-    # sweep this invocation didn't regenerate) survive the update.
-    section = existing.setdefault("process_dataplane", {})
-    section.update(payload)
-    BENCH_JSON.write_text(json.dumps(existing, indent=1) + "\n")
 
 
 def check_shape(payload: dict) -> None:
@@ -257,7 +230,7 @@ def check_shape(payload: dict) -> None:
             f"exceeds unbatched 1-worker overhead {unbatched_ovh}s: "
             "the batched wire is not amortizing per-tuple costs"
         )
-    cores = payload["workload"]["cores"] or 1
+    cores = payload["cores"]
     if SMOKE or cores < 2:
         return
     # With real cores, spinning workers must actually scale: 2 workers
@@ -276,17 +249,4 @@ def check_shape(payload: dict) -> None:
 def bench_process_dataplane(benchmark, report):
     payload = run_once(benchmark, collect_report)
     report("process_dataplane", render(payload))
-    if not SMOKE:  # tiny smoke runs must not overwrite recorded numbers
-        write_report(payload)
     check_shape(payload)
-
-
-def main() -> None:
-    payload = collect_report()
-    write_report(payload)
-    print(render(payload))
-    check_shape(payload)
-
-
-if __name__ == "__main__":
-    main()

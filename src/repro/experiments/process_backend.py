@@ -17,8 +17,9 @@ between workers, which is all the paper's results depend on, are
 preserved exactly.
 
 What does **not** map (and raises, loudly, instead of silently lying):
-open-loop arrival rates, overload bursts, timed load-schedule events,
-and the ``reroute``/``oracle`` policies — all are defined in terms of
+open-loop arrival rates, overload bursts, overload protection, an
+unordered merge, timed load-schedule events, and the
+``reroute``/``oracle`` policies — all are defined in terms of
 simulator machinery with no process equivalent yet.
 """
 
@@ -79,6 +80,16 @@ def run_process_experiment(
         raise ValueError(
             "the process backend has no open-loop rated source; unset "
             "arrival_rate"
+        )
+    if not config.ordered:
+        raise ValueError(
+            "the process backend always merges in order; unset "
+            "ordered=False"
+        )
+    if config.region.overload_protection:
+        raise ValueError(
+            "the process backend has no overload layer; unset "
+            "region.overload_protection"
         )
     if config.load_schedule.events or config.load_schedule.count_events:
         raise ValueError(

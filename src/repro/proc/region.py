@@ -231,6 +231,11 @@ class ProcessRegion:
             )
         for j, m in enumerate(multipliers):
             check_positive(f"multipliers[{j}]", m)
+        if balancer is not None and balancer.n_connections != n_workers:
+            raise ValueError(
+                f"balancer.n_connections={balancer.n_connections} for "
+                f"{n_workers} workers"
+            )
         self.n_workers = n_workers
         self.window = window
         self.batch_size = batch_size

@@ -63,6 +63,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="arrival_rate"):
             run_process_experiment(config, "rr")
 
+    def test_rejects_unordered_region(self):
+        config = dataclasses.replace(
+            process_scenario(crash_worker=None), ordered=False
+        )
+        with pytest.raises(ValueError, match="ordered"):
+            run_process_experiment(config, "rr")
+
+    def test_rejects_overload_protection(self):
+        config = process_scenario(crash_worker=None)
+        config = dataclasses.replace(
+            config,
+            region=dataclasses.replace(
+                config.region, overload_protection=True
+            ),
+        )
+        with pytest.raises(ValueError, match="overload_protection"):
+            run_process_experiment(config, "rr")
+
     def test_region_params_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             RegionParams(backend="quantum")

@@ -31,6 +31,7 @@ import time
 
 import pytest
 
+from repro.core.balancer import LoadBalancer
 from repro.faults.schedule import FaultSchedule
 from repro.net import framing
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
@@ -149,6 +150,11 @@ class TestRoutingInputs:
     def test_unroutable_input_is_rejected(self, argument, values):
         with pytest.raises(ValueError, match=rf"{argument}\["):
             ProcessRegion(2, **{argument: values})
+
+    @pytest.mark.parametrize("connections", [1, 3])
+    def test_balancer_must_match_worker_count(self, connections):
+        with pytest.raises(ValueError, match="n_connections"):
+            ProcessRegion(2, balancer=LoadBalancer(connections))
 
 
 class TestBlockingReflectsCapacity:
