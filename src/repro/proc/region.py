@@ -3,9 +3,10 @@
 Topology::
 
     caller thread --submit()--> weighted splitter --TCP--> worker procs
-    acceptor thread: accepts (re)connecting workers, reads HELLO
-    one receiver thread: polls every worker wire for results, heartbeats
-    one short-lived thread per wire the receiver saw end: its failover
+    one receiver thread: polls the listener and every worker wire; a
+        new wire is admitted by its first message, which must be HELLO
+    one short-lived thread per failover, and per parked replay a slot
+        coming up releases: everything the receiver must not send
     supervisor monitor thread: liveness, restarts (repro.proc.supervisor)
 
 Correctness invariants, in the order they matter:
@@ -38,7 +39,8 @@ Correctness invariants, in the order they matter:
    under the region lock and ship it with one send-lock acquisition and
    one measured write outside it. The receiver reads every worker, so
    the failover of a wire it saw end, and of an idle flush it could not
-   deliver, runs on a thread of its own. The receiver sends only the
+   deliver, and the replay of tuples parked until a slot came up, run
+   on a thread of its own. The receiver sends only the
    idle flush below: after taking that worker's send lock *without
    waiting*, and only a run popped while that worker owed nothing. A
    single-threaded worker that is blocked writing results is therefore
@@ -73,6 +75,7 @@ from __future__ import annotations
 
 import select
 import socket
+import struct
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -293,10 +296,9 @@ class ProcessRegion:
         self._flush_reasons = [
             dict.fromkeys(FLUSH_REASONS, 0) for _ in range(n_workers)
         ]
-        # The one receiver, and the wires ``_admit`` hands it:
-        # ``(slot, conn, assembler, incarnation, backlog)`` each.
+        # The one receiver, and the pair whose far end ``close`` hangs
+        # up to stop it.
         self._receiver: threading.Thread | None = None
-        self._joining: list = []
         self._wake: tuple[socket.socket, socket.socket] | None = None
         self._owner: dict[int, int] = {}
         self._parked: list[tuple[int, float, bytes]] = []
@@ -331,7 +333,6 @@ class ProcessRegion:
             config=supervisor_config,
             host=host,
         )
-        self._accept_thread: threading.Thread | None = None
 
     # ----------------------------------------------------------------- clock
 
@@ -347,15 +348,10 @@ class ProcessRegion:
         self._started = True
         self._t0 = time.monotonic()
         self._wake = socket.socketpair()
-        self._wake[1].setblocking(False)
         self._receiver = threading.Thread(
             target=self._receive_loop, name="repro-region-recv", daemon=True
         )
         self._receiver.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-region-accept", daemon=True
-        )
-        self._accept_thread.start()
         self.supervisor.start()
         return self
 
@@ -454,9 +450,6 @@ class ProcessRegion:
             if slot.state == UP:
                 self._send_frame(slot.index, framing.encode_eos())
         self._escalated = self.supervisor.shutdown()
-        self._listener_sock.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
         with self._lock:
             socks = [sock for sock in self._socks if sock is not None]
             self._socks[:] = [None] * self.n_workers
@@ -464,10 +457,12 @@ class ProcessRegion:
             self._hang_up(sock)
         if self._receiver is not None:
             # The hung-up wake wire stops the receiver, which closes
-            # every worker socket it still holds.
+            # every worker socket it still holds; the listener it polls
+            # is closed only after.
             self._wake[1].close()
             self._receiver.join(timeout=5.0)
             self._wake[0].close()
+        self._listener_sock.close()
         return list(self._escalated)
 
     def run(
@@ -617,30 +612,41 @@ class ProcessRegion:
         with self._cv:
             sock = self._socks[slot.index]
             self._socks[slot.index] = None
-            entries = sorted(slot.unacked.items())
+            entries = sorted(
+                (seq, cost, body)
+                for seq, (cost, body) in slot.unacked.items()
+            )
             slot.unacked.clear()
             slot.outbox = []
-            for seq, _ in entries:
+            for seq, _, _ in entries:
                 self._owner.pop(seq, None)
             self._replayed += len(entries)
             self._cv.notify_all()
         if sock is not None:
             self._hang_up(sock)
-        if self._closing:
-            return
-        for seq, (cost, body) in entries:
-            self._route_and_send(seq, cost, body, replay=True)
-        # Replays re-batch through the survivors' outboxes; a trailing
-        # partial run must not wait out a round trip of unrelated
-        # traffic while the merger is stalled on exactly these tuples.
-        self._flush_outboxes("failover")
+        if not self._closing:
+            self._replay(entries)
 
     def on_slot_up(self, slot: WorkerSlot) -> None:
-        """A (re)connected worker is serving: flush parked tuples."""
+        """A (re)connected worker is serving: replay the parked tuples.
+
+        Called on the receiver, which sends nothing: the replay runs on
+        a thread of its own.
+        """
         with self._cv:
             parked, self._parked = self._parked, []
             self._cv.notify_all()
-        for seq, cost, body in sorted(parked):
+        if parked:
+            self._fail_over(self._replay, sorted(parked))
+
+    def _replay(self, entries: list[tuple[int, float, bytes]]) -> None:
+        """Re-route tuples a dead worker held, then flush their runs.
+
+        Replays re-batch through the survivors' outboxes; a trailing
+        partial run must not wait out a round trip of unrelated traffic
+        while the merger is stalled on exactly these tuples.
+        """
+        for seq, cost, body in entries:
             self._route_and_send(seq, cost, body, replay=True)
         self._flush_outboxes("failover")
 
@@ -999,81 +1005,31 @@ class ProcessRegion:
                 self._occupancy_hist.observe(tuples)
         return True
 
-    def _accept_loop(self) -> None:
-        # The listener carries an accept timeout: closing a socket from
-        # another thread does not wake a blocked accept() on Linux, so
-        # the loop must poll its own exit condition.
-        self._listener_sock.settimeout(0.25)
-        while True:
-            try:
-                conn, _ = self._listener_sock.accept()
-            except TimeoutError:
-                if self._closing:
-                    return
-                continue
-            except OSError:
-                return  # listener closed: region shutdown
-            try:
-                self._admit(conn)
-            except (framing.TruncatedStreamError, OSError, ValueError):
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+    def _admit(
+        self, conn: socket.socket, hello: framing.Message
+    ) -> tuple[WorkerSlot, int] | None:
+        """Attach a new wire by its first message; ``None`` refuses it.
 
-    def _admit(self, conn: socket.socket) -> None:
-        """Read HELLO, attach the connection, hand the slot to serving."""
-        conn.settimeout(10.0)
+        Only a HELLO the supervisor accepts attaches; anything else
+        (another message type, an unknown worker, a HELLO it refuses, a
+        region closing) leaves every slot as it was.
+        """
+        if hello.type != framing.MSG_HELLO:
+            return None
         try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover
-            pass
-        assembler = framing.MessageAssembler()
-        hello = None
-        backlog: list[framing.Message] = []
-        while hello is None:
-            chunk = conn.recv(65536)
-            if not chunk:
-                raise framing.TruncatedStreamError("EOF before HELLO")
-            messages = assembler.feed(chunk)
-            if messages:
-                if messages[0].type != framing.MSG_HELLO:
-                    raise ValueError(
-                        f"first message must be HELLO, got "
-                        f"type={messages[0].type}"
-                    )
-                hello = messages[0]
-                backlog = messages[1:]
-        worker_id, incarnation = hello.hello()
+            worker_id, incarnation = hello.hello()
+        except struct.error:
+            return None
         if not 0 <= worker_id < self.n_workers:
-            raise ValueError(f"HELLO from unknown worker {worker_id}")
-        conn.settimeout(None)
-        slot = self.slots[worker_id]
+            return None
         with self._lock:
-            if (
-                incarnation != slot.incarnation
-                or slot.state == QUARANTINED
-                or self._closing
+            # One hold: nobody sees the slot UP without its socket.
+            if self._closing or not self.supervisor.on_connected(
+                worker_id, incarnation
             ):
-                conn.close()
-                return
-            old = self._socks[worker_id]
+                return None
             self._socks[worker_id] = conn
-            # From here on the connection is the receiver's to close.
-            self._joining.append(
-                (slot, conn, assembler, incarnation, backlog)
-            )
-            try:
-                self._wake[1].send(b"\0")
-            except BlockingIOError:  # pragma: no cover - a wake is pending
-                pass
-        if old is not None:  # pragma: no cover - stale socket leak guard
-            self._hang_up(old)
-        if not self.supervisor.on_connected(worker_id, incarnation):
-            with self._lock:
-                if self._socks[worker_id] is conn:
-                    self._socks[worker_id] = None
-            self._hang_up(conn)
+        return self.slots[worker_id], incarnation
 
     def _hang_up(self, sock: socket.socket) -> None:
         """End a worker connection. A running receiver alone closes what
@@ -1088,8 +1044,9 @@ class ProcessRegion:
             pass  # already ended
 
     def _fail_over(self, target: Callable, *args, **kwargs) -> None:
-        """Run a death path off the receiver: its replay sends may wait
-        on a worker blocked writing results only the receiver reads."""
+        """Run a death path or a replay off the receiver: its sends may
+        wait on a worker blocked writing results only the receiver
+        reads."""
         threading.Thread(
             target=target, args=args, kwargs=kwargs,
             name="repro-region-failover",
@@ -1097,47 +1054,75 @@ class ProcessRegion:
         ).start()
 
     def _receive_loop(self) -> None:
-        """The one receiver: every worker wire under one ``poll``.
+        """The one receiver: the listener and every wire under one ``poll``.
 
-        A readable wire gets one ``recv``, fed to its assembler and
-        handled here. A wire that ends — EOF, a torn frame, an error —
-        is unregistered and closed here, and its failover runs off this
-        thread. EOF on the wake wire is :meth:`close` saying stop.
+        A readable listener gets one ``accept``: a new wire, with no
+        slot until its first message attaches it (:meth:`_admit`). A
+        readable wire gets one ``recv``, fed to its assembler and
+        handled here. A wire that ends — EOF, a torn frame, an error, a
+        refused first message — is unregistered and closed here; an
+        attached one's failover runs off this thread. EOF on the wake
+        wire is :meth:`close` saying stop.
         """
         wake = self._wake[0]
+        listener = self._listener_sock
+        listener.setblocking(False)
         poller = select.poll()
         poller.register(wake, select.POLLIN)
+        poller.register(listener, select.POLLIN)
+        # fd -> (slot, conn, assembler, incarnation); the slot is None
+        # until the wire's HELLO.
         wires: dict[int, tuple] = {}
+        accepting = listener.fileno()
         while True:
             for fd, _events in poller.poll():
-                if fd not in wires:  # the wake wire
-                    stop = not wake.recv(4096)
-                    with self._lock:
-                        joining, self._joining = self._joining, []
-                    for slot, conn, assembler, incarnation, backlog in joining:
-                        wires[conn.fileno()] = (
-                            slot, conn, assembler, incarnation
+                wire = wires.get(fd)
+                if wire is None and fd == accepting:
+                    try:
+                        conn, _ = listener.accept()
+                    except OSError:
+                        continue  # the peer gave up before the accept
+                    conn.setblocking(True)
+                    try:
+                        conn.setsockopt(
+                            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
                         )
-                        poller.register(conn, select.POLLIN)
-                        for message in backlog:
-                            self._handle_message(slot, incarnation, message)
-                        self._wire_frames_in += len(backlog)
-                    if stop:
-                        for _, conn, _, _ in wires.values():
-                            conn.close()
-                        return
+                    except OSError:  # pragma: no cover - reset already
+                        conn.close()
+                        continue
+                    wires[conn.fileno()] = (
+                        None, conn, framing.MessageAssembler(), -1
+                    )
+                    poller.register(conn, select.POLLIN)
                     continue
-                slot, conn, assembler, incarnation = wires[fd]
+                if wire is None:  # the wake wire: stop
+                    for _, conn, _, _ in wires.values():
+                        conn.close()
+                    return
+                slot, conn, assembler, incarnation = wire
                 torn = None
                 try:
                     chunk = conn.recv(65536)
                     if chunk:
                         messages = assembler.feed(chunk)
                         self._wire_frames_in += len(messages)
-                        for message in messages:
-                            self._handle_message(slot, incarnation, message)
-                        continue
-                    assembler.eof()  # raises if the peer died mid-frame
+                        if slot is None and messages:
+                            admitted = self._admit(conn, messages.pop(0))
+                            if admitted is None:
+                                messages = None  # refused: the wire ends
+                            else:
+                                slot, incarnation = admitted
+                                wires[fd] = (
+                                    slot, conn, assembler, incarnation
+                                )
+                        if messages is not None:
+                            for message in messages:
+                                self._handle_message(
+                                    slot, incarnation, message
+                                )
+                            continue
+                    else:
+                        assembler.eof()  # raises if the peer died mid-frame
                 except framing.TruncatedStreamError as exc:
                     torn = str(exc)
                 except OSError:
@@ -1151,6 +1136,9 @@ class ProcessRegion:
                     continue
                 poller.unregister(fd)
                 del wires[fd]
+                if slot is None:  # never attached: nothing to fail over
+                    conn.close()
+                    continue
                 with self._lock:
                     if self._socks[slot.index] is conn:
                         self._socks[slot.index] = None

@@ -2,42 +2,43 @@
 
 Lifecycle per slot::
 
-    launch + release -> STARTING -> (HELLO over TCP) -> UP
+    release -> STARTING -> (HELLO over TCP) -> UP
         UP -> DOWN on: dead socket | missed heartbeats | nonzero exit
-        DOWN: the region's spare (booted, parked on its stdin) becomes
-              the slot's waiting process; with no spare parked (the
-              region's first death, or two deaths within one boot), the
-              next interpreter launches at the death instead
         DOWN -> STARTING once the failover is done (the old connection
                 detached, its unacked tuples collected): at once for a
                 slot that connected since its last failure, else at
                 ``restart_at``, after capped jittered exponential
-                backoff. The release hands the waiting process its
-                argument line, and only then does it connect and send
-                HELLO
+                backoff. The release takes the region's spare (booted,
+                parked on its stdin) if it is alive, else launches an
+                interpreter; it hands that process its argument line,
+                and only then does it connect and send HELLO. A launch
+                that fails leaves the slot DOWN, retried after the
+                crash-loop backoff
         DOWN -> QUARANTINED when the restart budget for the window is
                 spent (the circuit breaker: a crash-looping worker must
                 not be restarted forever while it drags the region's
-                tail latency with it); nothing is launched
+                tail latency with it); nothing is released
 
     spare: launched by the monitor once the region has lost a worker
-           and every live slot is UP, taken by the next death,
+           and every live slot is UP, taken by the next release,
            launched again after each take
 
-A restart is split in two so the interpreter start is off the recovery
-path. The launch (``Popen`` of a bare ``python -m repro.proc.worker``)
-runs outside the region lock; the release writes one line to the
-waiting process's stdin and closes it. The incarnation begins at the
-release: the incarnation bump, the restart budget, ``spawned_at`` (and
-with it ``SPAWN_GRACE``), the ``STARTING`` state and the ``restart``
-span all date from it. :meth:`Supervisor.start` takes the same two
-steps back to back. The backoff only throttles a slot failing again
-before its HELLO: a serving worker's replacement is released as soon as
-its failover returns. The monitor thread is the only releaser; it
-sleeps until its next tick or the earliest due release, and a death
-wakes it. Releasing no earlier than the failover's return is what keeps
-a new incarnation from connecting while the region still holds its
-predecessor's socket and window.
+A restart's interpreter is started ahead of the restart where it can
+be: the spare boots while the region serves, and the release that takes
+it only writes one line to its stdin and closes it. The launch
+(``Popen`` of a bare ``python -m repro.proc.worker``) always runs
+outside the region lock. The incarnation begins at the release: the
+incarnation bump, the restart budget, ``spawned_at`` (and with it
+``SPAWN_GRACE``), the ``STARTING`` state and the ``restart`` span all
+date from it. :meth:`Supervisor.start` releases every slot the same
+way, each with a fresh launch. The backoff only throttles a slot
+failing again before its HELLO: a serving worker's replacement is
+released as soon as its failover returns. The monitor thread is the
+only releaser and the only owner of the spare; it sleeps until its next
+tick or the earliest due release, and a death wakes it. Releasing no
+earlier than the failover's return is what keeps a new incarnation from
+connecting while the region still holds its predecessor's socket and
+window.
 
 Detection is three-pronged and any prong fires the same path:
 ``Popen.poll`` catches exits, the heartbeat deadline catches frozen
@@ -156,18 +157,14 @@ class WorkerSlot:
     #: Service-time multiplier (heterogeneous capacity), passed to spawns.
     multiplier: float = 1.0
     state: str = field(init=False, default=DOWN)
+    #: The current incarnation's process, set at its release.
     process: subprocess.Popen | None = field(init=False, default=None)
-    #: The next incarnation's interpreter while the slot is DOWN: the
-    #: region's spare taken at the death (or launched there), parked on
-    #: its stdin until the release.
-    waiting: subprocess.Popen | None = field(init=False, default=None)
     #: Bumps on every release; stale connections/heartbeats are rejected.
     incarnation: int = field(init=False, default=-1)
     #: Region-clock time of the last heartbeat or result.
     last_seen: float = field(init=False, default=0.0)
     spawned_at: float = field(init=False, default=0.0)
-    #: When a DOWN slot's waiting process is due for release, once its
-    #: failover is done.
+    #: When a DOWN slot is due for release, once its failover is done.
     restart_at: float = field(init=False, default=0.0)
     #: Releases after the first (i.e. supervised restarts).
     restarts: int = field(init=False, default=0)
@@ -232,21 +229,19 @@ class Supervisor:
         #: Slots whose failover is in flight (outside the lock): none of
         #: them is released before it returns.
         self._failing: set[int] = set()
-        #: One booted interpreter parked ahead of any death.
+        #: One booted interpreter parked ahead of the next release; only
+        #: the monitor (and shutdown, after it) touches it.
         self._spare: subprocess.Popen | None = None
         self._spawn_env = self._build_env()
 
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
-        """Launch and release every slot; start the monitor thread."""
+        """Release every slot; start the monitor thread."""
         if self._monitor is not None:
             raise RuntimeError("supervisor already started")
         for slot in self.slots:
-            self._launch(slot)
-        with self.lock:
-            for slot in self.slots:
-                self._spawn(slot)
+            self._release(slot)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-supervisor", daemon=True
         )
@@ -257,10 +252,10 @@ class Supervisor:
 
         Assumes the region already sent EOS (graceful drain); waits
         ``DRAIN_TIMEOUT`` for clean exits, then escalates SIGTERM ->
-        (``TERM_GRACE``) -> SIGKILL. A process still waiting for its
-        release, and the spare, get EOF on their stdin instead and exit
-        0. Returns ``(slot index, how)`` for every process that needed
-        escalation; the spare, which belongs to no slot, reports as -1.
+        (``TERM_GRACE``) -> SIGKILL. The spare gets EOF on its stdin
+        instead and exits 0. Returns ``(slot index, how)`` for every
+        process that needed escalation; the spare, which belongs to no
+        slot, reports as -1.
         """
         self._stop.set()
         self._kick.set()
@@ -270,18 +265,7 @@ class Supervisor:
         # A launch finishing after this point sees ``_stop`` and
         # dismisses its own process.
         with self.lock:
-            waiting = [
-                (s.index, s.waiting)
-                for s in self.slots
-                if s.waiting is not None
-            ]
-            for slot in self.slots:
-                slot.waiting = None
-            if self._spare is not None:
-                waiting.append((-1, self._spare))
-                self._spare = None
-        for _, process in waiting:
-            process.stdin.close()
+            spare, self._spare = self._spare, None
         escalated: list[tuple[int, str]] = []
         deadline = time.monotonic() + DRAIN_TIMEOUT
         procs = [
@@ -295,8 +279,10 @@ class Supervisor:
             process for index, process in procs
             if self.slots[index].state == UP
         ]
-        procs += waiting
-        drainable += [process for _, process in waiting]
+        if spare is not None:
+            spare.stdin.close()
+            procs.append((-1, spare))
+            drainable.append(spare)
         while time.monotonic() < deadline:
             if all(process.poll() is not None for process in drainable):
                 break
@@ -334,18 +320,14 @@ class Supervisor:
     ) -> bool:
         """Fail slot ``index`` over: kill remains, schedule the restart.
 
-        Unless the slot is quarantined, it takes the region's spare as
-        its next interpreter, or with none parked (the first death, two
-        deaths within one boot, or the spare found dead) launches one
-        here, before the failover replay. The restart is due after the listener's
-        failover returns, and not before ``restart_at``. Idempotent per
-        incarnation — the three detection prongs and the splitter's
-        send-failure path all funnel here, and only the first caller
-        acts. Returns whether this call performed the failover.
+        The restart is due after the listener's failover returns, and
+        not before ``restart_at``. Idempotent per incarnation — the
+        three detection prongs and the splitter's send-failure path all
+        funnel here, and only the first caller acts. Returns whether
+        this call performed the failover.
         """
         slot = self.slots[index]
         quarantined = False
-        spare = None
         with self.lock:
             if incarnation is not None and incarnation != slot.incarnation:
                 return False
@@ -365,38 +347,14 @@ class Supervisor:
                 quarantined = True
             else:
                 slot.state = DOWN
-                slot.consecutive_failures += 1
-                backoff = 0.0
-                if slot.consecutive_failures > 1:
-                    # Failing again before a HELLO: a crash loop, throttled.
-                    backoff = min(
-                        self.config.backoff_start
-                        * (2.0 ** (slot.consecutive_failures - 2)),
-                        self.config.backoff_max,
-                    )
-                    backoff -= (
-                        backoff * self.config.backoff_jitter
-                        * self._rng.random()
-                    )
-                slot.restart_at = now + backoff
+                self._back_off(slot, now)
                 self._failing.add(index)
-                spare, self._spare = self._spare, None
-                if spare is not None and spare.poll() is None:
-                    slot.waiting, spare = spare, None
             if self._obs is not None:
                 self._obs.event(
                     "fault", kind="worker_dead", channel=index, detail=reason
                 )
-        # Without the lock: the launch forks and execs, and replay
-        # sends may block.
+        # Without the lock: replay sends may block.
         try:
-            if spare is not None:
-                self._dismiss(spare)  # found dead: reap it
-            if not quarantined and slot.waiting is None:
-                try:
-                    self._launch(slot)
-                except OSError:
-                    pass  # nothing waits: the release launches cold
             self.listener.on_slot_down(slot, reason)
         finally:
             with self.lock:
@@ -409,15 +367,16 @@ class Supervisor:
     def on_connected(self, index: int, incarnation: int) -> bool:
         """A worker's HELLO arrived; accept or reject the connection.
 
-        Rejects stale incarnations (a zombie from before a kill) and
-        quarantined slots. On acceptance the slot turns UP, the open
+        Accepts only the current incarnation of a STARTING slot: not a
+        zombie from before a kill, nor a slot that is quarantined, down
+        or already serving. On acceptance the slot turns UP, the open
         episode closes and settles (capacity is back; the balancer, if
         any, keeps refining weights), and the region reintegrates the
         slot.
         """
         slot = self.slots[index]
         with self.lock:
-            if incarnation != slot.incarnation or slot.state == QUARANTINED:
+            if incarnation != slot.incarnation or slot.state != STARTING:
                 return False
             now = self.clock()
             slot.state = UP
@@ -507,31 +466,63 @@ class Supervisor:
             )
         return env
 
-    def _launch(self, slot: WorkerSlot | None = None) -> None:
-        """Start an interpreter, parked on its stdin: ``slot``'s next
-        one, or with no slot the region's spare.
+    def _back_off(self, slot: WorkerSlot, now: float) -> None:
+        """Count one more failure before a HELLO; schedule the release.
 
-        Runs without the lock (``Popen`` forks and execs). The process
-        boots and imports, then waits for :meth:`_spawn` to release it;
-        one no longer wanted (the slot is not waiting, a spare is
-        parked, the region closed meanwhile) is dismissed at once.
+        Lock held. A first failure since the slot last connected waits
+        for nothing; each further one is a crash loop, throttled.
         """
-        process = subprocess.Popen(
+        slot.consecutive_failures += 1
+        backoff = 0.0
+        if slot.consecutive_failures > 1:
+            backoff = min(
+                self.config.backoff_start
+                * (2.0 ** (slot.consecutive_failures - 2)),
+                self.config.backoff_max,
+            )
+            backoff -= (
+                backoff * self.config.backoff_jitter * self._rng.random()
+            )
+        slot.restart_at = now + backoff
+
+    def _launch(self) -> subprocess.Popen:
+        """Start an interpreter parked on its stdin, without the lock
+        (``Popen`` forks and execs). It boots and imports, then waits
+        for :meth:`_spawn` to release it."""
+        return subprocess.Popen(
             [sys.executable, "-m", "repro.proc.worker"],
             env=self._spawn_env,
             stdin=subprocess.PIPE,
             stdout=subprocess.DEVNULL,
             bufsize=0,
         )
+
+    def _release(self, slot: WorkerSlot) -> None:
+        """Start DOWN ``slot``'s next incarnation: on the spare if it is
+        alive, else on a fresh launch.
+
+        The one place a slot gets its interpreter; runs without the
+        lock. A launch that fails leaves the slot DOWN, due again after
+        the crash-loop backoff. A process the slot no longer wants (the
+        region closed meanwhile) is dismissed.
+        """
         with self.lock:
-            if not self._stop.is_set():
-                if slot is None:
-                    if self._spare is None:
-                        self._spare, process = process, None
-                elif slot.state == DOWN and slot.waiting is None:
-                    slot.waiting, process = process, None
-        if process is not None:
-            self._dismiss(process)
+            process, self._spare = self._spare, None
+        if process is not None and process.poll() is not None:
+            self._dismiss(process)  # found dead: reap it
+            process = None
+        if process is None:
+            try:
+                process = self._launch()
+            except OSError:
+                with self.lock:
+                    self._back_off(slot, self.clock())
+                return
+        with self.lock:
+            if slot.state == DOWN and not self._stop.is_set():
+                self._spawn(slot, process)
+                return
+        self._dismiss(process)
 
     def _dismiss(self, process: subprocess.Popen) -> None:
         """Reap a parked interpreter: EOF before a line, it exits 0."""
@@ -550,15 +541,14 @@ class Supervisor:
             "--mode", self.config.worker_mode,
         ]
 
-    def _spawn(self, slot: WorkerSlot) -> None:
-        """Release ``slot``'s waiting process as its next incarnation.
+    def _spawn(self, slot: WorkerSlot, process: subprocess.Popen) -> None:
+        """Hand parked ``process`` its line as ``slot``'s next incarnation.
 
         Lock held. The one pipe write is a line far below the pipe
-        buffer, so it never blocks; a process that died since the
-        monitor checked it fails the write, and the startup-exit check
-        declares it dead on the next tick.
+        buffer, so it never blocks; a process that died since it was
+        checked fails the write, and the startup-exit check declares it
+        dead on the next tick.
         """
-        process, slot.waiting = slot.waiting, None
         slot.incarnation += 1
         if slot.incarnation > 0:
             slot.restarts += 1
@@ -609,69 +599,38 @@ class Supervisor:
         """One monitor pass: detect deaths, release due restarts, and
         park a spare once a region that has lost a worker is serving
         on every live slot."""
-        config = self.config
         dead: list[tuple[int, str, int]] = []
-        cold: list[WorkerSlot] = []
+        due: list[WorkerSlot] = []
         with self.lock:
             now = self.clock()
             for slot in self.slots:
-                if slot.state == UP:
-                    exit_code = (
-                        slot.process.poll()
-                        if slot.process is not None
-                        else None
+                if slot.state == DOWN:
+                    if (
+                        now >= slot.restart_at
+                        and slot.index not in self._failing
+                    ):
+                        due.append(slot)
+                    continue
+                if slot.state == QUARANTINED:
+                    continue
+                up = slot.state == UP
+                process = slot.process
+                exit_code = None if process is None else process.poll()
+                silent = now - slot.last_seen
+                if exit_code is not None:
+                    reason = (
+                        f"process exited with code {exit_code}" if up
+                        else f"exited during startup with code {exit_code}"
                     )
-                    if exit_code is not None:
-                        dead.append((
-                            slot.index,
-                            f"process exited with code {exit_code}",
-                            slot.incarnation,
-                        ))
-                    elif now - slot.last_seen > config.heartbeat_timeout:
-                        dead.append((
-                            slot.index,
-                            f"missed heartbeats for "
-                            f"{now - slot.last_seen:.2f}s",
-                            slot.incarnation,
-                        ))
-                elif slot.state == STARTING:
-                    exit_code = (
-                        slot.process.poll()
-                        if slot.process is not None
-                        else None
-                    )
-                    if exit_code is not None:
-                        dead.append((
-                            slot.index,
-                            f"exited during startup with code {exit_code}",
-                            slot.incarnation,
-                        ))
-                    elif now - slot.spawned_at > SPAWN_GRACE:
-                        dead.append((
-                            slot.index,
-                            "never connected within spawn grace",
-                            slot.incarnation,
-                        ))
-                elif (
-                    slot.state == DOWN
-                    and now >= slot.restart_at
-                    and slot.index not in self._failing
-                ):
-                    waiting = slot.waiting
-                    if waiting is not None and waiting.poll() is None:
-                        self._spawn(slot)
-                    else:
-                        # It died while waiting (or never launched):
-                        # this restart starts cold.
-                        if waiting is not None:
-                            waiting.stdin.close()
-                            slot.waiting = None
-                        cold.append(slot)
-        for slot in cold:
-            self._launch(slot)
-            with self.lock:
-                if slot.waiting is not None:
-                    self._spawn(slot)
+                elif up and silent > self.config.heartbeat_timeout:
+                    reason = f"missed heartbeats for {silent:.2f}s"
+                elif not up and now - slot.spawned_at > SPAWN_GRACE:
+                    reason = "never connected within spawn grace"
+                else:
+                    continue
+                dead.append((slot.index, reason, slot.incarnation))
+        for slot in due:
+            self._release(slot)
         for index, reason, incarnation in dead:
             self.declare_dead(index, reason, incarnation=incarnation)
         with self.lock:
@@ -684,11 +643,17 @@ class Supervisor:
                 and bool(live)
                 and all(state == UP for state in live)
             )
-        if wanted:
-            try:
-                self._launch()
-            except OSError:
-                pass  # no spare: the next death launches its own
+        if not wanted:
+            return
+        try:
+            spare = self._launch()
+        except OSError:
+            return  # no spare: the next release launches its own
+        with self.lock:
+            if not self._stop.is_set():
+                self._spare, spare = spare, None
+        if spare is not None:
+            self._dismiss(spare)
 
     def _signal(self, process: subprocess.Popen, name: str) -> None:
         import signal as _signal

@@ -237,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one worker; started with no arguments, wait for them on stdin.
 
-    The supervisor launches the interpreter bare ahead of a worker's
-    death (or, with no spare parked, at it), so it has usually booted
-    by the time a restart releases it with one argument line. EOF
+    The supervisor launches the interpreter bare, as the region's spare
+    ahead of a death or at a release that finds no spare alive, and
+    releases it with one argument line. EOF
     before that line (the region closed, or its parent died) means the
     worker is not needed: exit 0.
     """

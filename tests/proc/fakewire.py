@@ -1,13 +1,16 @@
 """A ``ProcessRegion`` whose workers are socketpairs: no processes, no sleeps.
 
 The region is constructed normally (it binds its listener) but never
-started: no supervisor monitor, no acceptor, no receiver thread. Each
-slot's socket is one end of a ``socket.socketpair()`` and the slot is
-brought up through the supervisor's own ``on_connected``; the test plays
-the worker — it reads the frames the region put on the wire from the
-other end and injects acks through ``ProcessRegion._handle_message``,
-exactly where the receiver would deliver them. Everything is
-synchronous, so "what is on the wire right now" is an exact question.
+started: no supervisor monitor, no receiver thread, so nothing polls the
+listener and nothing is admitted through it. Each slot's socket is one
+end of a ``socket.socketpair()`` and the slot is brought up through the
+supervisor's own ``on_connected``, as the receiver's admission does;
+the test plays the worker — it reads the frames the region put on the
+wire from the other end and injects acks through
+``ProcessRegion._handle_message``, exactly where the receiver would
+deliver them. Everything is synchronous, so "what is on the wire right
+now" is an exact question: a slot coming up replays the parked tuples
+on a thread of its own, and :meth:`FakeWire.up` waits for it.
 
 :meth:`FakeWire.shrink` makes a slot's kernel buffer a few KiB, so a
 frame larger than that parks its sender until the test reads — the second
@@ -17,6 +20,7 @@ source of backpressure a real socket has, next to a full window.
 import math
 import select
 import socket
+import threading
 from unittest import mock
 
 from repro.net import framing
@@ -75,6 +79,10 @@ class FakeWire:
         self._assemblers[index] = framing.MessageAssembler()
         self.in_flight[index] = []
         assert region.supervisor.on_connected(index, slot.incarnation)
+        for thread in threading.enumerate():
+            if thread.name == "repro-region-failover":
+                thread.join(10.0)
+                assert not thread.is_alive(), "a replay never finished"
 
     def shrink(self, index, nbytes=4096):
         """Make slot ``index``'s kernel buffers hold only a few KiB."""

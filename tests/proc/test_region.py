@@ -15,8 +15,9 @@ real signals. They are the acceptance tests for the process backend:
 The flush-rule, wake-up and send-blocking classes at the end use no
 processes at all: :class:`tests.proc.fakewire.FakeWire` plays the
 workers over socketpairs, so what is on the wire is an exact question.
-The one-receiver class starts a real region whose workers the test
-plays over socketpairs, so the receiver and the failovers run for real.
+The one-receiver and admission classes start a real region whose
+workers the test plays over TCP connections to its port, so admission,
+the receiver and the failovers run for real.
 
 Everything is bounded by internal deadlines (``drain(timeout=...)``), so
 a hung dataplane fails the assertion instead of hanging pytest.
@@ -324,8 +325,6 @@ class TestCircuitBreaker:
         assert region.slots[1].state == QUARANTINED
         # Budget spent before the breaker tripped.
         assert region.slots[1].restarts == 2
-        # The quarantining death launched no replacement.
-        assert region.slots[1].waiting is None
 
 
 class TestChaos:
@@ -620,17 +619,14 @@ def backed_off(region, index):
     :func:`fail_before_hello` for ``index``."""
     slot = region.slots[index]
     assert region.supervisor.kill(index, signal.SIGKILL)
-    wait_for(
-        lambda: slot.incarnation == 1
-        and slot.state == DOWN
-        and slot.waiting is not None
-    )
+    wait_for(lambda: slot.incarnation == 1 and slot.state == DOWN)
     return slot
 
 
 class TestEarlyLaunch:
-    """A restart takes a booted interpreter; the release follows the
-    failover at once, or after the backoff in a crash loop."""
+    """A restart takes the spare booted early if it is alive, else a
+    fresh launch; the release follows the failover at once, or after the
+    backoff in a crash loop."""
 
     def test_serving_worker_replacement_says_hello_within_25ms(self):
         # The benchmark's supervision, with a 50 ms backoff_start that a
@@ -682,45 +678,46 @@ class TestEarlyLaunch:
         try:
             region.start().wait_ready(timeout=30.0)
             slot = backed_off(region, 1)
-            # The next process exists inside the backoff, but its
-            # incarnation has not begun.
-            waiting = slot.waiting
+            # Inside the backoff the next incarnation has not begun.
             episodes = region.supervisor.episodes
             assert len(episodes) == 2
             assert slot.restart_at == pytest.approx(
                 episodes[1].quarantined_at + 0.4
             )
             assert region.clock() < slot.restart_at
-            assert waiting.poll() is None
             assert (slot.state, slot.restarts) == (DOWN, 1)
             wait_for(lambda: episodes[1].reintegrated_at is not None)
         finally:
             region.close()
-        assert slot.process is waiting
         assert (slot.incarnation, slot.restarts) == (2, 2)
         # Release and HELLO both wait out the backoff.
         assert slot.spawned_at >= slot.restart_at
         assert episodes[1].reintegrated_at >= slot.restart_at
 
-    def test_waiting_process_dead_at_release_is_replaced_cold(
-        self, monkeypatch
-    ):
-        fail_before_hello(monkeypatch, 0)
-        region = ProcessRegion(2, supervisor_config=SLOW_BACKOFF, window=8)
+    def test_spare_dead_at_release_is_replaced_by_a_launch(self):
+        region = ProcessRegion(2, supervisor_config=FAST, window=8)
+        supervisor = region.supervisor
+        episodes = supervisor.episodes
+        slot = region.slots[0]
         try:
             region.start().wait_ready(timeout=30.0)
-            slot = backed_off(region, 0)
-            waiting = slot.waiting
-            waiting.kill()
-            episodes = region.supervisor.episodes
-            wait_for(lambda: episodes[1].reintegrated_at is not None)
+            assert supervisor.kill(0, signal.SIGKILL)
+            wait_for(lambda: supervisor._spare is not None)
+            spare = supervisor._spare
+            spare.kill()
+            spare.wait()
+            assert supervisor.kill(0, signal.SIGKILL)
+            wait_for(
+                lambda: len(episodes) == 2
+                and episodes[1].reintegrated_at is not None
+            )
         finally:
             region.close()
-        assert waiting.returncode == -signal.SIGKILL
-        assert slot.process is not waiting
+        assert spare.returncode == -signal.SIGKILL
+        assert slot.process is not spare
         assert (slot.incarnation, slot.restarts) == (2, 2)
 
-    def test_close_during_backoff_dismisses_the_waiting_process(
+    def test_close_during_backoff_leaves_no_worker_process(
         self, monkeypatch
     ):
         fail_before_hello(monkeypatch, 0)
@@ -735,20 +732,17 @@ class TestEarlyLaunch:
         try:
             region.start().wait_ready(timeout=30.0)
             slot = backed_off(region, 0)
-            waiting = slot.waiting
         finally:
             escalated = region.close()
-        # EOF on its stdin before an argument line: a clean exit, reaped.
         assert escalated == []
-        assert waiting.returncode == 0
-        assert slot.waiting is None
+        assert (slot.state, slot.incarnation) == (DOWN, 1)
         assert worker_children() == []
 
-    def test_two_deaths_within_one_boot_launch_the_second_at_the_death(self):
+    def test_two_deaths_within_one_boot_both_restart(self):
         # After a first death has bought the region a spare, each of
         # the next two failovers holds until both deaths are declared,
-        # so neither slot serves again (and no spare is parked) in
-        # between: one death takes the spare, the other launches its own.
+        # so neither slot serves again (and no second spare is parked)
+        # in between: one release takes the spare, the other launches.
         n = 400
         region = ProcessRegion(2, supervisor_config=FAST, window=16)
         supervisor = region.supervisor
@@ -1387,10 +1381,11 @@ class TestSendBlocking:
 
 
 def receiving_region(n_workers, **kwargs):
-    """A started region whose workers the test plays over socketpairs.
+    """A started region whose workers the test plays over TCP.
 
     The supervisor launches nothing at start and runs no monitor; the
-    acceptor, the one receiver and every failover run as they would.
+    one receiver, admitting every wire by its HELLO, and every failover
+    run as they would.
     """
     region = ProcessRegion(n_workers, supervisor_config=FAST, **kwargs)
     region.supervisor.start = lambda: None
@@ -1403,10 +1398,9 @@ def connect(region, index):
     with region._lock:
         slot.incarnation += 1
         slot.state = STARTING
-    ours, peer = socket.socketpair()
+    peer = socket.create_connection((region.host, region.port))
     peer.sendall(framing.encode_hello(index, slot.incarnation))
-    region._admit(ours)
-    assert slot.state == UP
+    wait_for(lambda: slot.state == UP)
     return peer
 
 
@@ -1554,3 +1548,124 @@ class TestOneReceiver:
         assert [e.channel for e in region.supervisor.episodes] == [0]
         assert stats.per_worker_results[1] > 0
         assert max(stale) < FAST.heartbeat_timeout
+
+
+def hung_up(sock):
+    """Whether the region ended ``sock``'s wire (within 10 s)."""
+    sock.settimeout(10.0)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestAdmission:
+    """The receiver admits every wire by its first message."""
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "heartbeat", "unknown_worker", "stale_incarnation",
+            "malformed_hello", "eof",
+        ],
+    )
+    def test_a_refused_wire_is_closed_with_no_episode(self, first):
+        region = receiving_region(2, initial_weights=[1, 1])
+        region.slots[0].incarnation = 0  # slot 0 serves as incarnation 1
+        peers = [connect(region, 0), connect(region, 1)]
+        socks = list(region._socks)
+        stranger = socket.create_connection((region.host, region.port))
+        try:
+            if first == "heartbeat":
+                stranger.sendall(framing.encode_heartbeat(0, 1))
+            elif first == "unknown_worker":
+                stranger.sendall(framing.encode_hello(2, 0))
+            elif first == "stale_incarnation":
+                stranger.sendall(framing.encode_hello(0, 0))
+            elif first == "malformed_hello":
+                stranger.sendall(framing.encode(framing.MSG_HELLO, b"\0"))
+            else:
+                stranger.shutdown(socket.SHUT_WR)
+            assert hung_up(stranger)
+            assert region.supervisor.episodes == []
+            assert [s.state for s in region.slots] == [UP, UP]
+            assert [s.incarnation for s in region.slots] == [1, 0]
+            assert region._socks == socks
+            # Both slots still serve: one tuple each, acked.
+            region.submit(0.0, b"a")
+            region.submit(0.0, b"b")
+            for peer in peers:
+                peer.sendall(results_of(
+                    recv_frames(peer, framing.MessageAssembler(), 1)
+                ))
+            region.drain(timeout=10.0)
+            outputs = list(region.outputs)
+        finally:
+            region.close()
+            stranger.close()
+            for peer in peers:
+                peer.close()
+        assert outputs == [(0, b"a"), (1, b"b")]
+
+    def test_a_stale_hello_does_not_take_a_starting_slot(self):
+        region = receiving_region(1)
+        slot = region.slots[0]
+        with region._lock:
+            slot.incarnation, slot.state = 1, STARTING
+        zombie = socket.create_connection((region.host, region.port))
+        peer = None
+        try:
+            zombie.sendall(framing.encode_hello(0, 0))
+            assert hung_up(zombie)
+            assert (slot.state, region._socks[0]) == (STARTING, None)
+            peer = socket.create_connection((region.host, region.port))
+            peer.sendall(framing.encode_hello(0, 1))
+            wait_for(lambda: slot.state == UP)
+            assert region._socks[0] is not None
+            assert region.supervisor.episodes == []
+        finally:
+            region.close()
+            zombie.close()
+            if peer is not None:
+                peer.close()
+
+    def test_an_idle_connection_does_not_hold_up_a_restart(self):
+        region = ProcessRegion(2, supervisor_config=FAST, window=8)
+        slot = region.slots[1]
+        try:
+            region.start().wait_ready(timeout=30.0)
+            idle = socket.create_connection((region.host, region.port))
+            started = time.monotonic()
+            assert region.supervisor.kill(1, signal.SIGKILL)
+            wait_for(lambda: slot.incarnation == 1 and slot.state == UP)
+            took = time.monotonic() - started
+        finally:
+            region.close()
+        idle.close()
+        assert took < 2.0, f"the replacement came up after {took:.2f}s"
+
+    def test_close_of_a_drained_region_is_prompt(self):
+        region = ProcessRegion(2, supervisor_config=FAST, window=8)
+        try:
+            region.start().wait_ready(timeout=30.0)
+            for i in range(100):
+                region.submit(0.0, b"%d" % i)
+            region.drain(timeout=30.0)
+            started = time.monotonic()
+        finally:
+            escalated = region.close()
+        took = time.monotonic() - started
+        assert escalated == []
+        assert took < 0.2, f"close took {took:.3f}s"
+
+    def test_a_started_region_runs_two_threads_of_its_own(self):
+        region = ProcessRegion(2, supervisor_config=FAST, window=8)
+        try:
+            region.start().wait_ready(timeout=30.0)
+            names = sorted(
+                t.name for t in threading.enumerate()
+                if t.name.startswith("repro-")
+            )
+        finally:
+            region.close()
+        assert names == ["repro-region-recv", "repro-supervisor"]

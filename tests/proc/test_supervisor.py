@@ -3,12 +3,13 @@
 The supervisor's process-management logic — idempotent death handling,
 capped jittered backoff, the restart-budget circuit breaker, stale
 incarnation rejection — is exercised against a recording listener and a
-controllable clock. No sockets, no subprocesses: ``_launch`` and
-``_spawn`` are stubbed, so a launch parks a placeholder in
-``slot.waiting`` (or, for no slot, as the spare) and a release is just
-an incarnation bump. Monitor passes are run by hand (``_tick``).
+controllable clock. No sockets, no subprocesses: ``_launch`` returns a
+placeholder parked process (or raises what ``launch_error`` holds) and
+``_spawn`` is just an incarnation bump that records which process it
+released. Monitor passes are run by hand (``_tick``).
 """
 
+import errno
 import io
 import threading
 
@@ -85,32 +86,31 @@ def make_supervisor(n=2, **config_overrides):
         clock=clock,
         config=config,
     )
-    # No real processes in these tests: a launch parks a placeholder, a
-    # release (spawn) is an incarnation bump.
+    # No real processes in these tests: a launch returns a placeholder
+    # (or raises ``supervisor.launch_error``), a release (spawn) is an
+    # incarnation bump.
     launches = []
     spawns = []
 
-    def fake_launch(slot=None):
-        if slot is None:
-            supervisor._spare = ParkedProcess()
-            launches.append("spare")
-        else:
-            slot.waiting = ParkedProcess()
-            launches.append(slot.index)
+    def fake_launch():
+        if supervisor.launch_error is not None:
+            raise supervisor.launch_error
+        launches.append(ParkedProcess())
+        return launches[-1]
 
-    def fake_spawn(slot):
-        slot.waiting = None
+    def fake_spawn(slot, process=None):
+        slot.process = process
         slot.incarnation += 1
         if slot.incarnation > 0:
             slot.restarts += 1
             slot.restart_times.append(clock())
-        slot.process = None
         slot.state = STARTING
         slot.spawned_at = clock()
         spawns.append((slot.index, slot.incarnation))
 
     supervisor._launch = fake_launch
     supervisor._spawn = fake_spawn
+    supervisor.launch_error = None
     supervisor.launches = launches
     supervisor.spawns = spawns
     return supervisor, clock, listener
@@ -202,9 +202,10 @@ class TestCircuitBreaker:
         assert slot.state == QUARANTINED
         # 3 restarts spent the budget; the 4th death trips the breaker.
         assert slot.restarts == 3
-        # Every restart had its launch; the quarantining death has none.
-        assert supervisor.launches == [0, 0, 0]
-        assert slot.waiting is None
+        # Nothing is ever released for a quarantined slot.
+        clock.now += 1000.0
+        supervisor._tick()
+        assert (slot.state, slot.incarnation) == (QUARANTINED, 3)
         assert listener.quarantined == [0]
         assert supervisor.quarantined == [0]
 
@@ -238,52 +239,56 @@ class TestCircuitBreaker:
         assert not supervisor.on_connected(0, slot.incarnation)
 
 
-class TestEarlyLaunch:
-    def test_death_launches_the_next_interpreter_before_the_release(self):
-        supervisor, clock, listener = make_supervisor()
+class TestSpare:
+    """One booted interpreter per region, taken by the next release."""
+
+    def test_release_launches_when_no_spare_is_parked(self):
+        supervisor, clock, listener = make_supervisor(n=1)
         slot = supervisor.slots[0]
         supervisor._spawn(slot)
         supervisor.on_connected(0, 0)
         clock.now = 5.0
         assert supervisor.declare_dead(0, "kill")
         assert not supervisor.declare_dead(0, "second caller loses")
-        # One launch at the death; the incarnation waits for the release.
-        assert supervisor.launches == [0]
-        assert slot.waiting is not None
+        # The death launches nothing; the incarnation waits for the
+        # release, which launches the interpreter it starts.
+        assert supervisor.launches == []
         assert (slot.state, slot.incarnation, slot.restarts) == (DOWN, 0, 0)
-        supervisor._spawn(slot)
-        assert slot.waiting is None
+        supervisor._tick()
+        assert len(supervisor.launches) == 1
+        assert slot.process is supervisor.launches[0]
         assert (slot.state, slot.incarnation, slot.restarts) == (
             STARTING, 1, 1
         )
 
-
-class TestSpare:
-    """One booted interpreter per region, taken by the next death."""
-
-    def test_death_takes_the_parked_spare(self):
-        supervisor, clock, listener = make_supervisor()
+    def test_release_takes_the_parked_spare(self):
+        supervisor, clock, listener = make_supervisor(n=1)
         slot = supervisor.slots[0]
         supervisor._spawn(slot)
         supervisor.on_connected(0, 0)
         spare = supervisor._spare = ParkedProcess()
         assert supervisor.declare_dead(0, "kill")
-        assert slot.waiting is spare
+        assert supervisor._spare is spare  # the death leaves it parked
+        supervisor._tick()
+        assert slot.process is spare
+        assert (slot.state, slot.incarnation) == (STARTING, 1)
         assert supervisor._spare is None
         assert supervisor.launches == []
 
-    def test_dead_spare_is_reaped_and_the_death_launches(self):
-        supervisor, clock, listener = make_supervisor()
+    def test_dead_spare_is_reaped_and_the_release_launches(self):
+        supervisor, clock, listener = make_supervisor(n=1)
         slot = supervisor.slots[0]
         supervisor._spawn(slot)
         supervisor.on_connected(0, 0)
         spare = supervisor._spare = ParkedProcess()
         spare.returncode = -9
         assert supervisor.declare_dead(0, "kill")
+        supervisor._tick()
         assert spare.stdin.closed
         assert supervisor._spare is None
-        assert slot.waiting is not spare
-        assert supervisor.launches == [0]
+        assert len(supervisor.launches) == 1
+        assert slot.process is supervisor.launches[0]
+        assert (slot.state, slot.incarnation) == (STARTING, 1)
 
     def test_monitor_parks_a_spare_after_a_death_once_all_serve(self):
         supervisor, clock, listener = make_supervisor(n=3)
@@ -297,12 +302,14 @@ class TestSpare:
         supervisor.declare_dead(0, "kill")
         supervisor._tick()  # the release: slot 0 is STARTING
         supervisor._tick()
-        assert supervisor.launches == [0]
+        assert len(supervisor.launches) == 1
+        assert supervisor._spare is None
         supervisor.slots[2].state = QUARANTINED  # does not count
         supervisor.on_connected(0, 1)
         supervisor._tick()
         supervisor._tick()
-        assert supervisor.launches == [0, "spare"]
+        assert len(supervisor.launches) == 2
+        assert supervisor._spare is supervisor.launches[1]
 
     def test_release_waits_for_the_failover_to_return(self):
         # The failover detaches the dead connection; a release before it
@@ -364,6 +371,35 @@ class TestSpare:
             assert supervisor._wait_s() == 0.0
             supervisor.slots[0].state = QUARANTINED
             assert supervisor._wait_s() == pytest.approx(0.05)
+
+
+class TestMonitor:
+    def test_failed_launch_keeps_slot_down_and_the_monitor_running(self):
+        # Out of descriptors at the release: the slot stays DOWN, is
+        # retried after the crash-loop backoff, and the same pass still
+        # detects a death on another slot.
+        supervisor, clock, listener = make_supervisor()
+        for slot in supervisor.slots:
+            supervisor._spawn(slot)
+            supervisor.on_connected(slot.index, 0)
+        slot = supervisor.slots[1]
+        clock.now = 5.0
+        supervisor.heartbeat(1, 0)
+        assert supervisor.declare_dead(1, "SIGKILL")
+        supervisor.launch_error = OSError(errno.EMFILE, "Too many open files")
+        clock.now = 5.0 + supervisor.config.heartbeat_timeout + 0.01
+        supervisor._tick()  # slot 0 has been silent since 0.0
+        assert (slot.state, slot.incarnation) == (DOWN, 0)
+        assert slot.restart_at == pytest.approx(clock.now + 0.1)
+        assert [e.channel for e in supervisor.episodes] == [1, 0]
+        # Launches work again; the release waits out the backoff.
+        supervisor.launch_error = None
+        supervisor._tick()
+        assert (slot.state, slot.incarnation) == (DOWN, 0)
+        clock.now += 0.1
+        supervisor._tick()
+        assert (slot.state, slot.incarnation) == (STARTING, 1)
+        assert slot.process is supervisor.launches[-1]
 
 
 class TestEpisodes:
