@@ -52,7 +52,7 @@ EVENT_SCHEMAS: dict[str, dict[str, type | tuple]] = {
 #: Span kinds the subsystem emits (attrs vary by kind).
 SPAN_KINDS = (
     "blocking",        # splitter blocked on one connection's send queue
-    "batch_dispatch",  # one batched dispatch cycle
+    "batch_dispatch",  # one batched dispatch cycle that waited
     "detection",       # fault occurrence -> quarantine (duration == ttq)
     "quarantine",      # quarantine -> reintegration
     "reconvergence",   # quarantine -> weights re-settled (duration == ttr)

@@ -1,7 +1,7 @@
 """Span tracing for long-lived episodes.
 
 A span is a named interval on the *simulation* clock: a blocking
-episode on one connection, a batch dispatch cycle, a recovery
+episode on one connection, a batch dispatch cycle that waited, a recovery
 detection/quarantine/reconvergence window, an overload shed interval.
 Spans link to the owning control round (``parent_round``) so an
 exported trace can be joined against the decision audit log.

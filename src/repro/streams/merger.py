@@ -104,6 +104,14 @@ class OrderedMerger:
         #: When set (observability), per-emit end-to-end latencies are
         #: additionally recorded into this fixed-bucket histogram.
         self.latency_histogram = None
+        #: A histogram step held back: the uniform blocks of one dispatch
+        #: batch drain back to back at one latency, so consecutive equal
+        #: latencies fold into one ``observe(latency, count)``. It is
+        #: flushed before any other feed of the histogram and before
+        #: control leaves the merger or runs a callback, so every reader
+        #: sees what per-block observation would have recorded.
+        self._held_latency = 0.0
+        self._held_count = 0
 
     @property
     def next_seq(self) -> int:
@@ -323,6 +331,8 @@ class OrderedMerger:
                 self._next_seq = nxt + 1
                 self._emit(ready)
             else:
+                if self._held_count:
+                    self._flush_latency()
                 return
 
     def mark_lost(self, seqs: "Iterable[int]") -> int:
@@ -376,9 +386,19 @@ class OrderedMerger:
                 self._next_seq = nxt + block.count
                 self._emit_run(block, self.sim.now)
             else:
+                if self._held_count:
+                    self._flush_latency()
                 return
 
+    def _flush_latency(self) -> None:
+        """Record the held histogram step (see ``_held_count``)."""
+        count = self._held_count
+        self._held_count = 0
+        self.latency_histogram.observe(self._held_latency, count)
+
     def _emit(self, tup: StreamTuple) -> None:
+        if self._held_count:
+            self._flush_latency()
         self.emitted += 1
         now = self.sim.now
         self.last_emit_time = now
@@ -399,12 +419,12 @@ class OrderedMerger:
         """Emit a whole in-order block at ``now`` without materializing tuples.
 
         The latency samples and histogram are fed from the block's born
-        stamp: a uniform-born block is one histogram step of ``count``, a
-        born column one pass. Only an ``on_emit`` hook, which is owed
-        every tuple, and the one block that reaches the
-        :meth:`on_emitted` target, whose callback must run at exactly
-        that count, expand the block and deliver it as the per-tuple path
-        would.
+        stamp: a uniform-born block adds ``count`` to the held histogram
+        step (a new step if its latency differs), a born column is one
+        pass. Only an ``on_emit`` hook, which is owed every tuple, and
+        the one block that reaches the :meth:`on_emitted` target, whose
+        callback must run at exactly that count, expand the block and
+        deliver it as the per-tuple path would.
         """
         count = block.count
         if (
@@ -427,6 +447,8 @@ class OrderedMerger:
             if self.latency_samples is not None:
                 self.latency_samples.extend(latencies)
             if self.latency_histogram is not None:
+                if self._held_count:
+                    self._flush_latency()
                 self.latency_histogram.observe_many(latencies)
         elif block.born is not None:
             latency = now - block.born
@@ -435,7 +457,14 @@ class OrderedMerger:
             if self.latency_samples is not None:
                 self.latency_samples.extend([latency] * count)
             if self.latency_histogram is not None:
-                self.latency_histogram.observe(latency, count)
+                step = self._held_count
+                if step and latency == self._held_latency:
+                    self._held_count = step + count
+                else:
+                    if step:
+                        self._flush_latency()
+                    self._held_latency = latency
+                    self._held_count = count
         target = self._completion_target
         if target is not None and self.emitted + self.tuples_lost >= target:
             self._check_completion()
@@ -445,6 +474,8 @@ class OrderedMerger:
             self._completion_target is not None
             and self.emitted + self.tuples_lost >= self._completion_target
         ):
+            if self._held_count:
+                self._flush_latency()
             callback, self._on_complete = self._on_complete, None
             self._completion_target = None
             if callback is not None:

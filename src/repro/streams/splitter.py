@@ -197,8 +197,9 @@ class Splitter:
             self._try_send_batch if block_mode else self._try_send
         )
         #: Observability hub (None = not recording). Checked only on
-        #: episodic branches — blocking, flow pauses, batch boundaries —
-        #: never per tuple.
+        #: episodic branches — blocking, flow pauses, the end of a
+        #: dispatch cycle — never per tuple. Only a cycle that waited
+        #: records a ``batch_dispatch`` span.
         self._obs = None
         self._block_hist = None
         self._block_span = -1
@@ -574,6 +575,16 @@ class Splitter:
                 # (the MSG_DONTWAIT + select dance of Section 3, once per
                 # full buffer instead of once per tuple).
                 self._target = target
+                obs = self._obs
+                if obs is not None and self._batch_span < 0:
+                    # The cycle's first wait opens its span. That wait
+                    # comes in the callback that pulled the batch, so the
+                    # span starts at the cycle's start, in its round.
+                    self._batch_span = obs.tracer.start(
+                        "batch_dispatch",
+                        self.sim.now,
+                        tuples=self._batch_tuple_count,
+                    )
                 self._begin_block(target)
                 connections[target].wait_for_send_space(
                     self._on_send_space_batch
@@ -668,11 +679,6 @@ class Splitter:
                     alloc[alt] += alloc[j]
                     alloc[j] = 0
         self._batch_tuple_count = total
-        obs = self._obs
-        if obs is not None:
-            self._batch_span = obs.tracer.start(
-                "batch_dispatch", self.sim.now, tuples=total
-            )
         start = self._batch_rotation
         self._batch_rotation = (start + 1) % n
         chunks = self._chunks
@@ -721,7 +727,8 @@ class Splitter:
         they are. A splitter parked on the dead channel is un-parked with
         its elapsed blocking charged (the wait really happened); one
         parked on a live channel stays parked. A batch left with nothing
-        to deliver ends as an aborted ``batch_dispatch`` span.
+        to deliver ends as an aborted ``batch_dispatch`` span: a cycle
+        with undelivered pieces has waited, so its span is open.
         """
         reclaimed: "list[TupleBlock]" = []
         if self._block_start is not None and self._target == channel:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.obs.hub import ObservabilityHub
+from repro.obs.registry import Histogram
 from repro.sim.engine import Simulator
 from repro.streams.merger import OrderedMerger, SequenceError, UnorderedMerger
 from repro.streams.tuples import StreamTuple, TupleBlock
@@ -376,3 +378,69 @@ class TestBlockPathMatchesTuplePath:
         for merger in (reference, hooked, bulk):
             assert merger.next_seq == total
             assert merger.pending_count == 0
+
+
+class TestFoldedLatencyHistogram:
+    """Consecutive equal latencies are one histogram step, bit for bit."""
+
+    def test_one_drain_reads_as_per_block_observation(self):
+        sim = Simulator()
+        hub = ObservabilityHub(lambda: sim.now)
+        merger = OrderedMerger(sim)
+        merger.attach_observability(hub)
+        histogram = merger.latency_histogram
+
+        def count():
+            return hub.registry.snapshot()["merger_latency_seconds_count"]
+
+        at_target, at_completion = [], []
+        merger.on_emitted(
+            23, lambda: at_target.append((merger.emitted, count())) or math.inf
+        )
+        merger.on_completion(
+            41, lambda: at_completion.append((merger.emitted, count()))
+        )
+
+        def uniform(start, born):
+            return TupleBlock.uniform(start, 4, 1.0, born=born)
+
+        borns = [0.1, 0.2, 0.3, 0.4]
+        # Parked at t = 0, all behind the gap [0, 5): two blocks of one
+        # latency, a born column between them and two more of it (the
+        # on_emitted target, 23, lands in the second), a new latency,
+        # and a run of three equal blocks that ends on the completion
+        # target. The column's values are ones whose place in the sum
+        # changes its last bit.
+        merger.accept_runs(0, [
+            uniform(5, 0.3), uniform(9, 0.3),
+            TupleBlock.from_costs(13, [1.0] * 4, borns=borns),
+            uniform(17, 0.3), uniform(21, 0.3), uniform(25, 0.1),
+            uniform(29, 0.8), uniform(33, 0.8), uniform(37, 0.8),
+        ])
+        merger.accept(0, StreamTuple(seq=4, cost_multiplies=1.0, born_at=0.05))
+        assert merger.emitted == 0
+        sim.run_until(1.0)
+        # Seq 4 waits in the per-tuple buffer, so this block takes the
+        # slow path and the whole drain runs inside this one call.
+        merger.accept_runs(0, [uniform(0, 0.0)])
+
+        reference = Histogram("reference", (), histogram.bounds)
+        for _ in range(4):
+            reference.observe(1.0 - 0.0)
+        reference.observe(1.0 - 0.05)
+        for _ in range(2):
+            reference.observe(1.0 - 0.3, 4)
+        reference.observe_many([1.0 - born for born in borns])
+        reference.observe(1.0 - 0.3, 4)
+        for _ in range(4):
+            reference.observe(1.0 - 0.3)
+        reference.observe(1.0 - 0.1, 4)
+        for _ in range(3):
+            reference.observe(1.0 - 0.8, 4)
+
+        assert merger.emitted == 41
+        assert at_target == [(23, 23)]
+        assert at_completion == [(41, 41)]
+        assert histogram.sum == reference.sum
+        assert histogram.count == reference.count == 41
+        assert histogram.counts == reference.counts

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.policies import ReroutingPolicy, RoundRobinPolicy, WeightedPolicy
 from repro.net.connection import SimulatedConnection
+from repro.obs.hub import ObservabilityHub
 from repro.sim.engine import Simulator
 from repro.streams.splitter import Splitter
 from repro.streams.sources import FiniteSource, constant_cost
@@ -122,3 +123,59 @@ class TestRerouting:
         sim.run_until(5.0)
         assert splitter.tuples_sent == 8  # both pipelines full
         assert splitter.block_events >= 1
+
+
+class TestDispatchSpans:
+    """Only a dispatch cycle that waited records a ``batch_dispatch`` span."""
+
+    def _observed(self, sim, rounds, *, batch_size, total):
+        connection = SimulatedConnection(
+            0, send_capacity=4, recv_capacity=4, block_mode=True
+        )
+        splitter = Splitter(
+            sim,
+            FiniteSource(total, constant_cost(1.0)),
+            [connection],
+            RoundRobinPolicy(1),
+            send_overhead=0.001,
+            batch_size=batch_size,
+        )
+        hub = ObservabilityHub(lambda: sim.now)
+        hub.link_round_source(lambda: rounds[-1])
+        splitter.attach_observability(hub)
+        return splitter, connection, hub
+
+    def test_cycles_that_dispatch_in_their_instant_record_no_span(self):
+        sim = Simulator()
+        splitter, _, hub = self._observed(sim, [0], batch_size=2, total=8)
+        splitter.start()
+        sim.run_until(1.0)
+        # Two buffers of four take all eight tuples: no cycle waited.
+        assert splitter.finished
+        assert splitter.dispatch_stats.batches == 4
+        assert splitter.block_events == 0
+        assert len(hub.tracer) == 0
+
+    def test_a_cycle_that_waits_records_one_span_from_its_start(self):
+        sim = Simulator()
+        rounds = [3]
+        splitter, connection, hub = self._observed(
+            sim, rounds, batch_size=3, total=12
+        )
+        splitter.start()
+        sim.run_until(1.0)
+        # Cycles at 0 and 0.003 dispatch whole; the one at 0.006 sends
+        # two of its three tuples and waits for the third.
+        assert splitter.dispatch_stats.batches == 2
+        assert splitter.blocked_on() == 0
+        rounds.append(4)
+        sim.call_at(1.5, lambda: connection.take_runs(8))
+        sim.run_until(2.0)
+        assert splitter.finished
+        assert splitter.dispatch_stats.batches == 4
+        span, blocking = hub.tracer
+        assert (span.kind, blocking.kind) == ("batch_dispatch", "blocking")
+        assert span.start == blocking.start == pytest.approx(0.006)
+        assert span.end == blocking.end == 1.5
+        assert span.attrs == {"tuples": 3}
+        assert span.parent_round == 3
