@@ -18,8 +18,9 @@ the gap-free ordered stream.
 Entry points:
 
 * :class:`~repro.proc.region.ProcessRegion` — the library API;
-* ``python -m repro.proc.worker`` — the worker executable (spawned by
-  the supervisor, rarely run by hand);
+* ``python -m repro.proc.worker --host H --port P`` — the worker
+  executable, launched by the supervisor with its region's address: it
+  connects at boot and reads its slot's identity from stdin;
 * :class:`~repro.proc.faults.RealFaultDriver` — arms a declarative
   :class:`~repro.faults.schedule.FaultSchedule` as real signals
   (``SIGKILL``/``SIGSTOP``/``SIGCONT``) against live worker processes;

@@ -9,11 +9,11 @@ Lifecycle per slot::
                 slot that connected since its last failure, else at
                 ``restart_at``, after capped jittered exponential
                 backoff. The release takes the region's spare (booted,
-                parked on its stdin) if it is alive, else launches an
-                interpreter; it hands that process its argument line,
-                and only then does it connect and send HELLO. A launch
-                that fails leaves the slot DOWN, retried after the
-                crash-loop backoff
+                its wire open, parked on its stdin) if it is alive, else
+                launches an interpreter; it hands that process the
+                slot's identity line, and the HELLO follows on the wire
+                the process opened at boot. A launch that fails leaves
+                the slot DOWN, retried after the crash-loop backoff
         DOWN -> QUARANTINED when the restart budget for the window is
                 spent (the circuit breaker: a crash-looping worker must
                 not be restarted forever while it drags the region's
@@ -24,21 +24,23 @@ Lifecycle per slot::
            launched again after each take
 
 A restart's interpreter is started ahead of the restart where it can
-be: the spare boots while the region serves, and the release that takes
-it only writes one line to its stdin and closes it. The launch
-(``Popen`` of a bare ``python -m repro.proc.worker``) always runs
-outside the region lock. The incarnation begins at the release: the
-incarnation bump, the restart budget, ``spawned_at`` (and with it
-``SPAWN_GRACE``), the ``STARTING`` state and the ``restart`` span all
-date from it. :meth:`Supervisor.start` releases every slot the same
-way, each with a fresh launch. The backoff only throttles a slot
+be: the spare boots and connects while the region serves, and the
+release that takes it only writes one line to its stdin and closes it.
+The launch (``Popen`` of ``python -m repro.proc.worker --host H --port
+P``, the listener's address, fixed for the region's life) always runs
+outside the region lock; the one receiver holds a launched process's
+wire unattached until its HELLO. The incarnation begins at the
+release: the incarnation bump, the restart budget, ``spawned_at`` (and
+with it ``SPAWN_GRACE``), the ``STARTING`` state and the ``restart``
+span all date from it. :meth:`Supervisor.start` releases every slot the
+same way, each with a fresh launch. The backoff only throttles a slot
 failing again before its HELLO: a serving worker's replacement is
 released as soon as its failover returns. The monitor thread is the
 only releaser and the only owner of the spare; it sleeps until its next
 tick or the earliest due release, and a death wakes it. Releasing no
-earlier than the failover's return is what keeps a new incarnation from
-connecting while the region still holds its predecessor's socket and
-window.
+earlier than the failover's return is what keeps a new incarnation's
+HELLO from arriving while the region still holds its predecessor's
+socket and window.
 
 Detection is three-pronged and any prong fires the same path:
 ``Popen.poll`` catches exits, the heartbeat deadline catches frozen
@@ -487,10 +489,15 @@ class Supervisor:
 
     def _launch(self) -> subprocess.Popen:
         """Start an interpreter parked on its stdin, without the lock
-        (``Popen`` forks and execs). It boots and imports, then waits
-        for :meth:`_spawn` to release it."""
+        (``Popen`` forks and execs). It boots, imports, builds its parser
+        and opens its wire to the listener, whose address is fixed for
+        the region's life; then it waits for :meth:`_spawn` to release
+        it."""
         return subprocess.Popen(
-            [sys.executable, "-m", "repro.proc.worker"],
+            [
+                sys.executable, "-m", "repro.proc.worker",
+                "--host", self.host, "--port", str(self.port),
+            ],
             env=self._spawn_env,
             stdin=subprocess.PIPE,
             stdout=subprocess.DEVNULL,
@@ -530,10 +537,8 @@ class Supervisor:
         process.wait()
 
     def _argv(self, slot: WorkerSlot) -> list[str]:
-        """The worker's command line for ``slot``'s current incarnation."""
+        """The release line's options: ``slot``'s current incarnation."""
         return [
-            "--host", self.host,
-            "--port", str(self.port),
             "--worker-id", str(slot.index),
             "--incarnation", str(slot.incarnation),
             "--multiplier", repr(slot.multiplier),

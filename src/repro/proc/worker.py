@@ -1,6 +1,9 @@
-"""The worker process: ``python -m repro.proc.worker [options]``.
+"""The worker process: ``python -m repro.proc.worker --host H --port P``.
 
-Run bare, it reads its options as one line from stdin (see :func:`main`).
+The command line names the region; the slot the worker serves arrives
+later, as one line on stdin. At boot the worker builds its parser and
+opens its wire to the region, so the line only completes its options
+and the HELLO goes out on a wire already open (see :func:`main`).
 
 One worker = one OS process = one duplex TCP connection back to the
 parent region. The loop is deliberately primitive — a single thread
@@ -108,17 +111,15 @@ class WorkerMain:
 
     # ---------------------------------------------------------------- loop
 
-    def run(self) -> int:
-        """Connect, serve until told (or made) to stop; return exit code."""
+    def run(self, sock: socket.socket | None = None) -> int:
+        """Serve until told (or made) to stop; return the exit code.
+
+        ``sock`` is a wire already open to the parent (:func:`connect`);
+        without one, the worker opens its own.
+        """
         signal.signal(signal.SIGTERM, self._on_sigterm)
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=CONNECT_TIMEOUT
-        )
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - AF_UNIX in exotic setups
-            pass
-        sock.settimeout(None)
+        if sock is None:
+            sock = connect(self.host, self.port)
         sock.sendall(framing.encode_hello(self.worker_id, self.incarnation))
         assembler = framing.MessageAssembler()
         # Queue entries are ``(seq, cost, body, batched)``: batched
@@ -217,6 +218,17 @@ class WorkerMain:
         self._draining = True
 
 
+def connect(host: str, port: int) -> socket.socket:
+    """Open a blocking ``TCP_NODELAY`` wire to the parent's listener."""
+    sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:  # pragma: no cover - AF_UNIX in exotic setups
+        pass
+    sock.settimeout(None)
+    return sock
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.proc.worker",
@@ -224,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--worker-id", type=int, required=True)
+    # Required, but arrives after the launch: ``main`` checks it.
+    parser.add_argument("--worker-id", type=int, default=None)
     parser.add_argument("--incarnation", type=int, default=0)
     parser.add_argument("--multiplier", type=float, default=1.0)
     parser.add_argument("--heartbeat-interval", type=float, default=0.1)
@@ -235,34 +248,47 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one worker; started with no arguments, wait for them on stdin.
+    """Run one worker: the region's address from the command line, the
+    slot's identity from one line on stdin.
 
-    The supervisor launches the interpreter bare, as the region's spare
-    ahead of a death or at a release that finds no spare alive, and
-    releases it with one argument line. EOF
-    before that line (the region closed, or its parent died) means the
-    worker is not needed: exit 0.
+    The supervisor launches the interpreter with ``--host``/``--port``,
+    as the region's spare ahead of a death or at a release that finds no
+    spare alive. At boot the worker parses that, opens its wire, and
+    waits; the release writes ``--worker-id`` and the rest of the slot's
+    options as one line, parsed with the boot's parser, and the HELLO
+    leaves on the open wire. EOF before that line (the region closed, or
+    its parent died) means the worker is not needed: it closes the wire
+    unused and exits 0, as it does when the connect is refused.
     """
     if argv is None:
         argv = sys.argv[1:]
-        if not argv:
-            line = sys.stdin.readline()
-            if not line:
-                return 0
-            argv = line.split()
-    args = build_parser().parse_args(argv)
-    worker = WorkerMain(
-        args.host,
-        args.port,
-        args.worker_id,
-        args.incarnation,
-        multiplier=args.multiplier,
-        heartbeat_interval=args.heartbeat_interval,
-        mode=args.mode,
-        exit_after=args.exit_after,
-        exit_code=args.exit_code,
-    )
-    return worker.run()
+    parser = build_parser()
+    launch = parser.parse_args(argv)
+    try:
+        sock = connect(launch.host, launch.port)
+    except OSError:
+        return 0  # the region is gone: nobody to serve
+    try:
+        line = sys.stdin.readline()
+        if not line:
+            return 0
+        args = parser.parse_args(argv + line.split())
+        if args.worker_id is None:
+            parser.error("the release line carries no --worker-id")
+        worker = WorkerMain(
+            args.host,
+            args.port,
+            args.worker_id,
+            args.incarnation,
+            multiplier=args.multiplier,
+            heartbeat_interval=args.heartbeat_interval,
+            mode=args.mode,
+            exit_after=args.exit_after,
+            exit_code=args.exit_code,
+        )
+        return worker.run(sock)
+    finally:
+        sock.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

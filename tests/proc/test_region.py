@@ -586,6 +586,16 @@ def worker_children():
     return pids
 
 
+def wires_to(port):
+    """Established TCP connections into ``port`` on this host."""
+    with open("/proc/net/tcp") as f:
+        rows = [line.split() for line in f.readlines()[1:]]
+    return sum(
+        1 for row in rows
+        if int(row[1].split(":")[1], 16) == port and row[3] == "01"
+    )
+
+
 #: Fast detection; a second failure before HELLO waits a jitter-free 0.4 s.
 SLOW_BACKOFF = SupervisorConfig(
     heartbeat_interval=0.02,
@@ -815,6 +825,26 @@ class TestEarlyLaunch:
         assert supervisor.restarts == kills
         assert len(os.listdir("/proc/self/fd")) == before
         assert worker_children() == []
+
+
+    def test_close_with_a_parked_connected_spare_leaves_nothing(self):
+        region = ProcessRegion(2, supervisor_config=FAST, window=8)
+        supervisor = region.supervisor
+        try:
+            region.start().wait_ready(timeout=30.0)
+            assert supervisor.kill(0, signal.SIGKILL)
+            wait_for(lambda: supervisor._spare is not None)
+            # The spare's wire is open while it is parked: two serving
+            # wires and its own.
+            wait_for(lambda: wires_to(region.port) == 3)
+            started = time.monotonic()
+        finally:
+            escalated = region.close()
+        took = time.monotonic() - started
+        assert escalated == []
+        assert took < 0.2, f"close took {took:.3f}s"
+        assert worker_children() == []
+        assert not region._receiver.is_alive()
 
 
 class TestGracefulDegradation:

@@ -57,6 +57,9 @@ class ParkedProcess:
     def wait(self, timeout=None):
         return self.returncode
 
+    def kill(self):
+        self.returncode = -9
+
 
 class FakeClock:
     def __init__(self):
@@ -279,16 +282,18 @@ class TestSpare:
         supervisor, clock, listener = make_supervisor(n=1)
         slot = supervisor.slots[0]
         supervisor._spawn(slot)
-        supervisor.on_connected(0, 0)
-        spare = supervisor._spare = ParkedProcess()
-        spare.returncode = -9
-        assert supervisor.declare_dead(0, "kill")
-        supervisor._tick()
-        assert spare.stdin.closed
-        assert supervisor._spare is None
-        assert len(supervisor.launches) == 1
-        assert slot.process is supervisor.launches[0]
-        assert (slot.state, slot.incarnation) == (STARTING, 1)
+        # Killed while parked; or exited 0 at boot, its connect refused.
+        for incarnation, returncode in enumerate((-9, 0), start=1):
+            supervisor.on_connected(0, incarnation - 1)
+            spare = supervisor._spare = ParkedProcess()
+            spare.returncode = returncode
+            assert supervisor.declare_dead(0, "kill")
+            supervisor._tick()
+            assert spare.stdin.closed
+            assert supervisor._spare is None
+            assert len(supervisor.launches) == incarnation
+            assert slot.process is supervisor.launches[-1]
+            assert (slot.state, slot.incarnation) == (STARTING, incarnation)
 
     def test_monitor_parks_a_spare_after_a_death_once_all_serve(self):
         supervisor, clock, listener = make_supervisor(n=3)

@@ -7,6 +7,8 @@ a helper thread.
 """
 
 import io
+import os
+import select
 import socket
 import sys
 import threading
@@ -29,10 +31,13 @@ class ParentStub:
         self.port = self.server.getsockname()[1]
         self.messages = []
         self.thread = None
+        #: Connections made to the stub, the one it served included.
+        self.accepted = 0
 
     def start(self, script):
         def serve():
             conn, _ = self.server.accept()
+            self.accepted += 1
             conn.settimeout(5.0)
             try:
                 script(conn)
@@ -57,6 +62,13 @@ class ParentStub:
     def finish(self):
         self.thread.join(timeout=5.0)
         assert not self.thread.is_alive(), "parent stub never finished"
+        self.server.setblocking(False)
+        while True:
+            try:
+                self.server.accept()[0].close()
+            except BlockingIOError:
+                break
+            self.accepted += 1
         self.server.close()
 
     def of_type(self, msg_type):
@@ -314,20 +326,78 @@ class TestArgumentParser:
 
 
 class TestBareLaunch:
-    """Started with no arguments, the worker takes them from stdin."""
+    """Launched with the region's address, the worker opens its wire at
+    boot and takes its slot's identity from one line on stdin."""
+
+    def launch(self, monkeypatch, port, stdin):
+        monkeypatch.setattr(
+            sys, "argv",
+            ["repro.proc.worker", "--host", "127.0.0.1", "--port", str(port)],
+        )
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return main()
 
     def test_eof_before_a_line_exits_zero(self, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["repro.proc.worker"])
-        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
-        assert main() == 0
+        parent = ParentStub()
+        parent.start(lambda conn: None)
+        assert self.launch(monkeypatch, parent.port, io.StringIO("")) == 0
+        # The stub accepted the wire, and it ended with nothing on it.
+        parent.finish()
+        assert parent.messages == []
 
     def test_released_line_is_the_argv(self, monkeypatch):
         parent = ParentStub()
         parent.start(lambda conn: conn.sendall(framing.encode_eos()))
-        line = f"--port {parent.port} --worker-id 5 --incarnation 7\n"
-        monkeypatch.setattr(sys, "argv", ["repro.proc.worker"])
-        monkeypatch.setattr(sys, "stdin", io.StringIO(line))
-        assert main() == 0
+        line = io.StringIO("--worker-id 5 --incarnation 7\n")
+        assert self.launch(monkeypatch, parent.port, line) == 0
         parent.finish()
         hello = parent.of_type(framing.MSG_HELLO)
         assert [m.hello() for m in hello] == [(5, 7)]
+        # The line completed the options the launch began.
+        assert len(parent.of_type(framing.MSG_BYE)) == 1
+
+    def test_the_wire_opens_before_the_release(self, monkeypatch):
+        parent = ParentStub()
+        read_end, write_end = os.pipe()
+        release_pipe = os.fdopen(write_end, "wb", buffering=0)
+        lock = threading.Lock()
+        early = []
+
+        def release():
+            with lock:
+                if not release_pipe.closed:
+                    release_pipe.write(b"--worker-id 5 --incarnation 7\n")
+                    release_pipe.close()
+
+        def script(conn):
+            # Accepted while the worker still waits for its line: the
+            # wire is open, and nothing has been said on it.
+            early.append(select.select([conn], [], [], 0.2)[0])
+            release()
+            conn.sendall(framing.encode_eos())
+
+        # A worker that reads its line before it connects is released
+        # anyway, and fails below instead of hanging.
+        watchdog = threading.Timer(5.0, release)
+        watchdog.start()
+        parent.start(script)
+        with os.fdopen(read_end) as stdin:
+            assert self.launch(monkeypatch, parent.port, stdin) == 0
+        watchdog.cancel()
+        parent.finish()
+        assert early == [[]]
+        hello = parent.of_type(framing.MSG_HELLO)
+        assert [m.hello() for m in hello] == [(5, 7)]
+        assert parent.messages[0].type == framing.MSG_HELLO
+        # The HELLO came on the wire opened at boot: no second connect.
+        assert parent.accepted == 1
+
+    def test_a_refused_connect_exits_zero_quietly(self, monkeypatch, capsys):
+        # The region closed before its spare booted: nothing listens.
+        closed = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+        closed.close()
+        line = io.StringIO("--worker-id 0\n")
+        assert self.launch(monkeypatch, port, line) == 0
+        assert capsys.readouterr().err == ""
