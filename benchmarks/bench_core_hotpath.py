@@ -25,11 +25,13 @@ writes the fresh numbers and the speedups against that baseline to
     PYTHONPATH=src python -m pytest benchmarks/bench_core_hotpath.py --benchmark-only
 
 A second bench, ``bench_obs_overhead``, runs the fault-recovery
-scenario with observability off and on and reports to
+scenario with observability off and on, in interleaved pairs, and
+reports to
 ``benchmarks/_reports/obs_overhead.txt``: the off-by-default subsystem
-must cost the engine hot path < 2% versus
-``RECORDED_EVENTS_PER_SEC``, and full recording must stay a modest
-fraction of the run.
+must cost the engine hot path < 2% versus :class:`ReferenceSimulator`,
+an obs-free copy of the engine's per-event path timed in the same
+process, interleaved with the engine itself; and full recording must
+stay a modest fraction of the run.
 
 The methodology (chain counts, LCG-seeded rate points, solver rounds)
 is byte-for-byte the one used to capture the baseline — the ratios are
@@ -37,7 +39,9 @@ meaningful, the absolute numbers are machine-dependent.
 """
 
 import gc
+import statistics
 import time
+from heapq import heappop, heappush
 
 from bench_rate_function import populated_function
 from conftest import SMOKE, run_once, smoke_scale
@@ -47,7 +51,8 @@ from repro.experiments.config import fault_recovery_scenario
 from repro.experiments.figures import fig09_config
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweep import run_sweep
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.events import _FREE_LIST_MAX, Event
 
 #: Pre-overhaul numbers, measured with this file's exact methodology on
 #: the seed commit (reference machine: 1 core). Ratios against these are
@@ -60,9 +65,13 @@ SEED_BASELINE = {
     "fig09_static_sweep_seconds": 12.66,
 }
 
-#: Event-chain throughput this bench last recorded on the reference
-#: machine (events/s): the obs-off hot-path check's baseline.
-RECORDED_EVENTS_PER_SEC = 1_050_103.1
+#: Interleaved reference/engine pairs the obs-off hot-path check times.
+OBS_OFF_PAIRS = smoke_scale(200, 20)
+#: Largest median engine slowdown against the reference it accepts.
+OBS_OFF_MARGIN = 0.02
+#: Interleaved off/on pairs of the fault-recovery scenario the
+#: observability overhead is the median of.
+OBS_ABLATION_PAIRS = smoke_scale(9, 1)
 
 PE_COUNTS = (2, 4, 8, 16)
 POLICIES = ("oracle", "lb-static", "lb-adaptive", "rr")
@@ -71,9 +80,72 @@ POLICIES = ("oracle", "lb-static", "lb-adaptive", "rr")
 # --------------------------------------------------------------- measurement
 
 
-def measure_event_chains(n_chains: int = 8, events: int = 400_000) -> float:
+class ReferenceSimulator(Simulator):
+    """The engine's per-event path with no observability anywhere on it.
+
+    :meth:`call_after` and :meth:`_run` are copies of the engine's, as
+    they stood with every observability hook off that path (gauges read
+    the engine's counters only when collected). The obs-off check times
+    the engine against this class in the same process: a hook put back
+    on the engine's per-event path slows the engine and not this.
+    A deliberate change to the engine's loop is copied here too.
+    """
+
+    __slots__ = ()
+
+    def call_after(self, delay, callback):
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event.__new__(Event)
+        cell = [self.now + delay, seq, callback, event, True]
+        event._cell = cell
+        event._sim = self
+        heappush(self._heap, cell)
+        return event
+
+    def _run(self, end_time):
+        heap = self._heap
+        free = self._free
+        pop = heappop
+        self._running = True
+        self._stopped = False
+        try:
+            while not self._stopped:
+                while True:
+                    if not heap:
+                        return
+                    cell = heap[0]
+                    if cell[2] is None:
+                        pop(heap)
+                        self._dead -= 1
+                        continue
+                    if cell[0] > end_time:
+                        return
+                    pop(heap)
+                    break
+                cell[4] = False
+                self.now = cell[0]
+                self.events_processed += 1
+                callback = cell[2]
+                handle = cell[3]
+                if handle is None:
+                    if len(free) < _FREE_LIST_MAX:
+                        cell[2] = None
+                        free.append(cell)
+                elif type(handle) is Event:
+                    cell[3] = None
+                callback()
+        finally:
+            self._running = False
+
+
+def measure_event_chains(
+    n_chains: int = 8, events: int = 400_000, engine=Simulator
+) -> float:
     """Fired events/sec through interleaved self-rescheduling chains."""
-    sim = Simulator()
+    sim = engine()
     count = [0]
 
     def make(i):
@@ -147,76 +219,106 @@ def measure_fig09_sweep(jobs: int | None) -> float:
     return time.perf_counter() - t0
 
 
-def measure_obs_ablation(duration: float = 40.0) -> dict:
+def measure_obs_ablation(
+    duration: float = 40.0, pairs: int = OBS_ABLATION_PAIRS
+) -> dict:
     """Wall-clock cost of the observability subsystem, off vs on.
 
-    Runs the fault-recovery scenario twice — observability off (the
+    Runs the fault-recovery scenario with observability off (the
     default: no recorder is even built) and on (full audit + span +
-    metric recording, no file exporters) — and reports the relative
-    overhead. Recording may cost time but must never perturb the
-    simulation, so the two runs have to agree on every result scalar.
+    metric recording, no file exporters) in ``pairs`` interleaved
+    pairs, each pair in the other order than the last, and reports the
+    median relative overhead with its spread. Recording may cost time
+    but must never perturb the simulation, so the two runs have to
+    agree on every result scalar.
     """
     config = fault_recovery_scenario(duration=duration)
-
-    t0 = time.perf_counter()
-    off = run_experiment(config, "lb-adaptive")
-    off_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    on = run_experiment(config.with_observability(), "lb-adaptive")
-    on_seconds = time.perf_counter() - t0
-
-    assert on.emitted == off.emitted
-    assert on.final_weights == off.final_weights
-    assert on.events_processed == off.events_processed
+    seconds = {False: [], True: []}
+    for i in range(pairs):
+        for observed in (False, True) if i % 2 else (True, False):
+            t0 = time.perf_counter()
+            result = run_experiment(
+                config.with_observability() if observed else config,
+                "lb-adaptive",
+            )
+            seconds[observed].append(time.perf_counter() - t0)
+            if observed:
+                on = result
+            else:
+                off = result
+        assert on.emitted == off.emitted
+        assert on.final_weights == off.final_weights
+        assert on.events_processed == off.events_processed
+    overheads = sorted(
+        a / b - 1.0 for a, b in zip(seconds[True], seconds[False])
+    )
+    off_seconds = statistics.median(seconds[False])
+    on_seconds = statistics.median(seconds[True])
     return {
         "obs_off_wall_seconds": round(off_seconds, 4),
         "obs_on_wall_seconds": round(on_seconds, 4),
         "obs_off_tuples_per_sec": round(off.emitted / off_seconds, 1),
         "obs_on_tuples_per_sec": round(on.emitted / on_seconds, 1),
-        "overhead_fraction": round(on_seconds / off_seconds - 1.0, 4),
+        "overhead_fraction": round(statistics.median(overheads), 4),
+        "overhead_min": round(overheads[0], 4),
+        "overhead_max": round(overheads[-1], 4),
         "audit_records": len(on.obs.audit),
         "spans": len(on.obs.spans),
         "events": len(on.obs.events),
     }
 
 
-def measure_obs_off_hotpath(repeats: int = 5) -> dict:
-    """Best-of-N engine throughput vs the recorded obs-free measurement.
+def measure_obs_off_hotpath(pairs: int = OBS_OFF_PAIRS) -> dict:
+    """Engine event-chain throughput against :class:`ReferenceSimulator`.
 
     The observability hooks sit entirely off the per-event path when
-    the region doesn't opt in; this pins that merging the subsystem
-    cost the engine hot path less than noise (< 2%) against
-    ``RECORDED_EVENTS_PER_SEC``. The recorded number was taken at the
-    top of a fresh process with a young heap; collect-and-freeze the
-    heap this process has accumulated so the
-    generational GC doesn't tax the loop with work the baseline never
-    paid, and take the best of ``repeats`` to shed warm-up jitter.
+    the region doesn't opt in; this pins that the engine runs within
+    noise (< 2%) of an obs-free copy of that path. The two are timed in
+    ``pairs`` short interleaved pairs, each pair in the other order
+    than the last, and judged on the median of the per-pair ratios:
+    a pair's two runs share the host's state of the moment, and many
+    short pairs outvote the ones a neighbour's burst lands on. The heap
+    this process has accumulated is collected and frozen so the
+    generational GC taxes neither loop.
     """
+    events = smoke_scale(15_000, 5_000)
+    runs = {Simulator: [], ReferenceSimulator: []}
     gc.collect()
     gc.freeze()
     try:
-        best = max(
-            measure_event_chains(events=smoke_scale(400_000, 20_000))
-            for _ in range(repeats)
-        )
+        for i in range(pairs):
+            order = (Simulator, ReferenceSimulator)
+            for engine in order if i % 2 else order[::-1]:
+                runs[engine].append(
+                    measure_event_chains(events=events, engine=engine)
+                )
     finally:
         gc.unfreeze()
+    ratios = sorted(
+        now / ref for now, ref in zip(runs[Simulator], runs[ReferenceSimulator])
+    )
+    quartile = len(ratios) // 4
+    median = statistics.median(ratios)
     return {
-        "events_per_sec_best": round(best, 1),
-        "regression_fraction": round(
-            1.0 - best / RECORDED_EVENTS_PER_SEC, 4
+        "events_per_sec_median": round(statistics.median(runs[Simulator]), 1),
+        "reference_events_per_sec_median": round(
+            statistics.median(runs[ReferenceSimulator]), 1
         ),
+        "pairs": pairs,
+        "ratio_q1": round(ratios[quartile], 4),
+        "ratio_median": round(median, 4),
+        "ratio_q3": round(ratios[-1 - quartile], 4),
+        "regression_fraction": round(1.0 - median, 4),
     }
 
 
 def collect_obs_report() -> dict:
     """The scenario ablation plus the obs-off hot-path check.
 
-    The hot-path check runs *before* the scenario ablation so it sees
-    the same young heap the recorded baseline did.
+    The hot-path check runs *before* the scenario ablation, on the
+    younger heap.
     """
-    hotpath = measure_obs_off_hotpath(repeats=smoke_scale(5, 1))
+    hotpath = measure_obs_off_hotpath()
     section = measure_obs_ablation(duration=smoke_scale(240.0, 5.0))
     section["hotpath_obs_off"] = hotpath
     return section
@@ -316,11 +418,20 @@ def bench_obs_overhead(benchmark, report):
                 f"({section['obs_off_tuples_per_sec']:10.1f} tuples/s)",
                 f"obs on:  {section['obs_on_wall_seconds']:8.3f}s "
                 f"({section['obs_on_tuples_per_sec']:10.1f} tuples/s)",
-                f"overhead: {section['overhead_fraction'] * 100:+.1f}%  "
+                f"overhead: {section['overhead_fraction'] * 100:+.1f}% "
+                f"(median of {OBS_ABLATION_PAIRS} interleaved pairs, "
+                f"spread {section['overhead_min'] * 100:+.1f}% to "
+                f"{section['overhead_max'] * 100:+.1f}%; bound +50%)  "
                 f"[{section['audit_records']} audit records, "
                 f"{section['spans']} spans, {section['events']} events]",
-                f"hot path obs-off: {hot['events_per_sec_best']:.1f} "
-                f"events/s vs recorded {RECORDED_EVENTS_PER_SEC:.1f}",
+                f"hot path obs-off: {hot['events_per_sec_median']:.1f} "
+                f"events/s vs reference "
+                f"{hot['reference_events_per_sec_median']:.1f} "
+                f"(medians of {hot['pairs']} interleaved pairs)",
+                f"  regression {hot['regression_fraction']:+.4f} "
+                f"(margin {OBS_OFF_MARGIN}); engine/reference per pair "
+                f"q1 {hot['ratio_q1']:.4f}, median "
+                f"{hot['ratio_median']:.4f}, q3 {hot['ratio_q3']:.4f}",
             ]
         ),
     )
@@ -331,6 +442,5 @@ def bench_obs_overhead(benchmark, report):
     # fraction of the run: instruments live off the per-tuple path,
     # and spans/audit piggyback on existing episode boundaries.
     assert section["overhead_fraction"] < 0.5
-    # Obs off must be free — within noise of the recorded hot-path
-    # number.
-    assert hot["regression_fraction"] < 0.02
+    # Obs off must be free — within noise of the obs-free reference.
+    assert hot["regression_fraction"] < OBS_OFF_MARGIN

@@ -71,6 +71,10 @@ SAFE_RECOVER_ROUNDS = 3
 #: Consecutive A->B->A adoption flips before safe mode declares the
 #: optimizer oscillating and holds the weights.
 SAFE_FLIP_LIMIT = 3
+#: Per-round cap on total weight movement (units moved) in safe mode.
+#: Applied to regular adoptions; emergency quarantine re-solves are
+#: exempt.
+SAFE_MAX_CHURN = 150
 
 
 @dataclass(slots=True)
@@ -102,13 +106,9 @@ class BalancerConfig:
     #: Enable the overload guardrails: degenerate inputs (non-finite or
     #: stale counters, every channel saturated, oscillating adoptions)
     #: hold the last-good weights instead of feeding the optimizer, and
-    #: per-round weight movement is capped at :attr:`max_churn`. Off by
-    #: default — the plain control path is untouched.
+    #: per-round weight movement is capped at :data:`SAFE_MAX_CHURN`.
+    #: Off by default — the plain control path is untouched.
     safe_mode: bool = False
-    #: Per-round cap on total weight movement (units moved, ``None`` =
-    #: uncapped). Applied to regular adoptions in safe mode; emergency
-    #: quarantine re-solves are exempt.
-    max_churn: int | None = None
 
     def __post_init__(self) -> None:
         if self.resolution <= 1:
@@ -129,8 +129,6 @@ class BalancerConfig:
             )
         check_non_negative("cluster_threshold", self.cluster_threshold)
         check_positive("delta", self.delta)
-        if self.max_churn is not None:
-            check_positive("max_churn", self.max_churn)
 
 
 def even_split(resolution: int, n: int) -> list[int]:
@@ -263,6 +261,7 @@ class LoadBalancer:
         check_fraction("SAFE_SATURATION", SAFE_SATURATION)
         check_positive("SAFE_RECOVER_ROUNDS", SAFE_RECOVER_ROUNDS)
         check_positive("SAFE_FLIP_LIMIT", SAFE_FLIP_LIMIT)
+        check_positive("SAFE_MAX_CHURN", SAFE_MAX_CHURN)
         self.config = config or BalancerConfig()
         self.n_connections = n_connections
         if self.config.weight_floor * n_connections > self.config.resolution:
@@ -449,7 +448,7 @@ class LoadBalancer:
         last-good weights instead, and normal control resumes only after
         :data:`SAFE_RECOVER_ROUNDS` consecutive healthy rounds. Adoptions are
         additionally filtered for A->B->A oscillation and capped at
-        ``max_churn`` units of movement per round.
+        :data:`SAFE_MAX_CHURN` units of movement per round.
         """
         outcome = self._round(now, counters)
         primed = outcome == "primed"
@@ -579,11 +578,7 @@ class LoadBalancer:
                 return list(self._weights)
         else:
             self._flip_streak = 0
-        if self.config.max_churn is not None:
-            return limit_weight_churn(
-                self._weights, candidate, self.config.max_churn
-            )
-        return candidate
+        return limit_weight_churn(self._weights, candidate, SAFE_MAX_CHURN)
 
     def _accept(self, candidate: list[int]) -> bool:
         """Hysteresis gate: adopt only a meaningfully better allocation.

@@ -319,5 +319,5 @@ def overload_scenario(
         splitter_cost_multiplies=speed / (8.0 * overload_factor * capacity),
         region=RegionParams(overload_protection=protection),
         overload=OverloadConfig(shedding=shedding, seed=seed),
-        balancer=BalancerConfig(safe_mode=protection, max_churn=150),
+        balancer=BalancerConfig(safe_mode=protection),
     )

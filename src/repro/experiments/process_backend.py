@@ -12,15 +12,16 @@ delivered as real signals by
 Mapping from configuration to wall time: the fastest host's thread
 speed sets the base per-tuple cost in seconds
 (``tuple_cost / max_thread_speed``), and every worker gets a service
-multiplier ``max_speed / its_speed * initial_load_multiplier`` — ratios
+multiplier ``max_speed / its_speed * load_multiplier`` — at spawn from
+the load schedule's initial multipliers, and mid-run from its timed and
+progress-triggered changes, which the fault driver fires. Ratios
 between workers, which is all the paper's results depend on, are
 preserved exactly.
 
 What does **not** map (and raises, loudly, instead of silently lying):
 open-loop arrival rates, overload bursts, overload protection, an
-unordered merge, timed load-schedule events, and the
-``reroute``/``oracle`` policies — all are defined in terms of
-simulator machinery with no process equivalent yet.
+unordered merge, and the ``reroute``/``oracle`` policies — all are
+defined in terms of simulator machinery with no process equivalent yet.
 """
 
 from __future__ import annotations
@@ -91,22 +92,14 @@ def run_process_experiment(
             "the process backend has no overload layer; unset "
             "region.overload_protection"
         )
-    if config.load_schedule.events or config.load_schedule.count_events:
-        raise ValueError(
-            "timed/progress load-schedule events are not supported on "
-            "the process backend (initial multipliers are)"
-        )
-
     n = config.n_workers
     speeds = [
         config.host_specs[h].thread_speed for h in config.worker_host
     ]
     base_speed = max(speeds)
     cost_seconds = config.tuple_cost / base_speed
-    load = config.load_schedule.initial_multipliers(n)
-    multipliers = [
-        (base_speed / speeds[j]) * load[j] for j in range(n)
-    ]
+    load = config.load_schedule.scaled([base_speed / s for s in speeds])
+    multipliers = load.initial_multipliers(n)
 
     resolution = config.balancer.resolution
     balancer: LoadBalancer | None = None
@@ -152,8 +145,8 @@ def run_process_experiment(
             hub.link_round_source(lambda: balancer.rounds)
 
     driver: RealFaultDriver | None = None
-    if not config.fault_schedule.empty():
-        driver = RealFaultDriver(region).arm(config.fault_schedule)
+    if not config.fault_schedule.empty() or load.events or load.count_events:
+        driver = RealFaultDriver(region).arm(config.fault_schedule, load)
 
     total = config.total_tuples
     budget = timeout if timeout is not None else config.horizon()

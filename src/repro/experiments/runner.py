@@ -38,6 +38,7 @@ from repro.experiments.oracle import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RecoveryCoordinator, RecoveryLedger
+from repro.faults.schedule import progress_actions
 from repro.obs.console import ConsoleReporter
 from repro.obs.export import write_exports
 from repro.obs.hub import ObservabilityHub, ObsReport
@@ -379,67 +380,40 @@ def run_experiment(
                 when, lambda ws=weights: oracle.set_weights(ws)
             )
 
-    # Progress-triggered load changes (the "an eighth through the
-    # experiment" removals of the dynamic sweeps). Oracle* recomputes its
-    # capacity-proportional weights at the same trigger — exactly the
-    # paper's "it will change the allocation weights earlier than is
-    # optimal" behaviour, since queued backlog still reflects the old load.
-    # Each hook fires what ``merger.emitted`` has reached and returns the
-    # next count it waits for, so the merger calls it at those counts only.
-    progress_hooks: list = []
-    count_events = sorted(
-        config.load_schedule.count_events, key=lambda e: e.emitted
-    )
-    if count_events:
+    # Progress-triggered load changes (the dynamic sweeps' "an eighth
+    # through the experiment" removals) and crashes, in one list. Oracle*
+    # recomputes its capacity-proportional weights at each load change —
+    # the paper's "it will change the allocation weights earlier than is
+    # optimal", since queued backlog still reflects the old load. The hook
+    # fires what ``merger.emitted`` has reached and returns the next
+    # count it waits for, so the merger calls it at those counts only.
+    progress = progress_actions(config.fault_schedule, config.load_schedule)
+    if progress:
         multipliers = config.load_schedule.initial_multipliers(n)
-        pending = list(count_events)
 
-        def on_progress() -> float:
-            fired = False
-            while pending and region.merger.emitted >= pending[0].emitted:
-                event = pending.pop(0)
-                multipliers[event.worker] = event.multiplier
-                region.workers[event.worker].set_load_multiplier(
-                    event.multiplier
-                )
-                fired = True
-            if fired and oracle is not None:
+        def set_load(worker: int, multiplier: float) -> None:
+            multipliers[worker] = multiplier
+            region.workers[worker].set_load_multiplier(multiplier)
+            if oracle is not None:
                 capacities = worker_capacities(
                     config, 0.0, multipliers=multipliers
                 )
                 oracle.set_weights(
                     proportional_weights(capacities, resolution)
                 )
-            return pending[0].emitted if pending else math.inf
 
-        progress_hooks.append(on_progress)
-
-    # Progress-triggered crashes (the fault analogue of the count-based
-    # load removals: "crash worker 2 an eighth of the way through").
-    if injector is not None and config.fault_schedule.count_crashes:
-        pending_crashes = sorted(
-            config.fault_schedule.count_crashes, key=lambda e: e.emitted
-        )
-
-        def on_fault_progress() -> float:
-            while (
-                pending_crashes
-                and region.merger.emitted >= pending_crashes[0].emitted
-            ):
-                event = pending_crashes.pop(0)
-                injector.crash(event.worker, restart_after=event.restart_after)
-            return (
-                pending_crashes[0].emitted if pending_crashes else math.inf
-            )
-
-        progress_hooks.append(on_fault_progress)
-
-    if progress_hooks:
-        def dispatch_progress() -> float:
-            return min([hook() for hook in progress_hooks])
+        def on_progress() -> float:
+            while progress and region.merger.emitted >= progress[0][0]:
+                _, action, args = progress.pop(0)
+                if action == "set_load":
+                    set_load(*args)
+                else:
+                    worker, restart_after = args
+                    injector.crash(worker, restart_after=restart_after)
+            return progress[0][0] if progress else math.inf
 
         # Nothing is emitted yet, so this first call only reads thresholds.
-        region.merger.on_emitted(dispatch_progress(), dispatch_progress)
+        region.merger.on_emitted(on_progress(), on_progress)
 
     # Recording infrastructure. Every policy gets a blocking-rate view so
     # in-depth figures can be drawn for baselines too; LB policies reuse

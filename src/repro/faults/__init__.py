@@ -8,9 +8,12 @@ needs to survive exactly that:
 * :mod:`repro.faults.schedule` — a :class:`FaultSchedule` (modeled on
   :class:`~repro.workloads.external_load.LoadSchedule`) of timed and
   progress-triggered faults: PE crashes, delayed restarts, connection
-  stalls/flaps, and host-wide slowdown bursts. Its one action list
+  stalls/flaps, and offered-rate bursts. Its one action list
   (:meth:`FaultSchedule.actions`) arms both the simulator and the
-  process backend's fault driver;
+  process backend's fault driver, and
+  :func:`~repro.faults.schedule.progress_actions` lists its
+  count-triggered crashes with a load schedule's count-triggered
+  changes;
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` that applies
   those faults to a live region and keeps the fault log;
 * :mod:`repro.faults.recovery` — the :class:`RecoveryCoordinator`: a
@@ -36,7 +39,6 @@ _EXPORTS = {
     "CountCrashEvent": "repro.faults.schedule",
     "CrashEvent": "repro.faults.schedule",
     "FaultSchedule": "repro.faults.schedule",
-    "SlowdownEvent": "repro.faults.schedule",
     "StallEvent": "repro.faults.schedule",
 }
 

@@ -15,8 +15,9 @@ would experience it:
   up a fresh transport and waits for the recovery layer to reintegrate.
 * :meth:`FaultInjector.stall` / :meth:`FaultInjector.unstall` — the
   connection wedges / recovers (a flap); the worker process is fine.
-* :meth:`FaultInjector.slowdown` / :meth:`FaultInjector.end_slowdown` —
-  a host-wide burst multiplying every resident PE's per-tuple cost.
+* :meth:`FaultInjector.overload_burst` /
+  :meth:`FaultInjector.end_overload_burst` — the offered arrival rate
+  multiplies (the demand-side fault).
 
 Every action is appended to :attr:`FaultInjector.log`. A crash or a
 stall is also reported through :attr:`FaultInjector.on_fault`, which the
@@ -153,20 +154,6 @@ class FaultInjector:
         self.region.connections[worker].unstall()
         self._record("unstall", worker)
 
-    def slowdown(self, host: str, multiplier: float) -> None:
-        """Scale every PE on ``host`` by ``multiplier`` (burst start)."""
-        check_positive("multiplier", multiplier)
-        for pe in self._host_workers(host):
-            pe.set_load_multiplier(pe.load_multiplier * multiplier)
-        self._record("slowdown", None, detail=f"{host} x{multiplier:g}")
-
-    def end_slowdown(self, host: str, multiplier: float) -> None:
-        """Undo a previous :meth:`slowdown` burst on ``host``."""
-        check_positive("multiplier", multiplier)
-        for pe in self._host_workers(host):
-            pe.set_load_multiplier(pe.load_multiplier / multiplier)
-        self._record("slowdown_end", None, detail=f"{host} /{multiplier:g}")
-
     def overload_burst(self, factor: float) -> None:
         """Multiply the offered arrival rate by ``factor`` (burst start).
 
@@ -194,14 +181,6 @@ class FaultInjector:
                 "region's front (set ExperimentConfig.arrival_rate)"
             )
         return source
-
-    def _host_workers(self, host: str):
-        workers = [
-            pe for pe in self.region.workers if pe.host.name == host
-        ]
-        if not workers:
-            raise ValueError(f"no worker is placed on host {host!r}")
-        return workers
 
     def _record(
         self, kind: str, channel: int | None, detail: str = ""

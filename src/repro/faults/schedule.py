@@ -17,9 +17,6 @@ Supported faults:
   stalls the way a dead peer's TCP connection does.
 * :class:`StallEvent` — the connection wedges (optionally recovering
   after a duration: a *flap*). The worker is fine; nothing moves.
-* :class:`SlowdownEvent` — a host-wide slowdown burst: every PE placed on
-  the host takes ``multiplier`` times longer until the burst ends.
-  Composes multiplicatively with any external-load schedule.
 * :class:`CountCrashEvent` — a crash triggered by merger progress rather
   than wall time, mirroring the paper's "an eighth through the
   experiment" style of trigger.
@@ -35,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.util.validation import check_non_negative, check_positive
@@ -42,6 +40,7 @@ from repro.util.validation import check_non_negative, check_positive
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.sim.engine import Simulator
+    from repro.workloads.external_load import LoadSchedule
 
 
 @dataclass(slots=True, frozen=True)
@@ -76,22 +75,6 @@ class StallEvent:
         check_non_negative("time", self.time)
         if self.worker < 0:
             raise ValueError(f"worker must be non-negative, got {self.worker}")
-        if self.duration is not None:
-            check_positive("duration", self.duration)
-
-
-@dataclass(slots=True, frozen=True)
-class SlowdownEvent:
-    """At ``time``, slow every PE on host ``host`` by ``multiplier``."""
-
-    time: float
-    host: str
-    multiplier: float
-    duration: float | None = None
-
-    def __post_init__(self) -> None:
-        check_non_negative("time", self.time)
-        check_positive("multiplier", self.multiplier)
         if self.duration is not None:
             check_positive("duration", self.duration)
 
@@ -137,7 +120,6 @@ class FaultSchedule:
 
     crashes: list[CrashEvent] = field(default_factory=list)
     stalls: list[StallEvent] = field(default_factory=list)
-    slowdowns: list[SlowdownEvent] = field(default_factory=list)
     count_crashes: list[CountCrashEvent] = field(default_factory=list)
     bursts: list[OverloadBurstEvent] = field(default_factory=list)
 
@@ -172,7 +154,6 @@ class FaultSchedule:
         return not (
             self.crashes
             or self.stalls
-            or self.slowdowns
             or self.count_crashes
             or self.bursts
         )
@@ -199,9 +180,9 @@ class FaultSchedule:
         ``action`` names a method of the fault injector (and of the
         process backend's fault driver); ``args`` are its arguments.
         The order is crashes, then stalls with their unstalls, then
-        slowdowns with their ends, then bursts with their ends, so
-        same-time events keep their sequence. Progress-triggered crashes
-        (:attr:`count_crashes`) are not timed and are not listed.
+        bursts with their ends, so same-time events keep their sequence.
+        Progress-triggered crashes (:attr:`count_crashes`) are not timed
+        and are not listed (see :func:`progress_actions`).
         """
         actions = [
             (e.time, "crash", (e.worker, e.restart_after))
@@ -210,10 +191,6 @@ class FaultSchedule:
         # Each of these ends with its ``end`` action after ``duration``.
         for events, start, end, args_of in (
             (self.stalls, "stall", "unstall", lambda e: (e.worker,)),
-            (
-                self.slowdowns, "slowdown", "end_slowdown",
-                lambda e: (e.host, e.multiplier),
-            ),
             (
                 self.bursts, "overload_burst", "end_overload_burst",
                 lambda e: (e.factor,),
@@ -231,8 +208,29 @@ class FaultSchedule:
 
         Progress-triggered events (:attr:`count_crashes`) cannot be armed
         on the clock; the experiment runner fires them from its merger
-        progress hook via :meth:`FaultInjector.crash`.
+        progress hook (:func:`progress_actions`).
         """
         self.validate(injector.n_channels)
         for time, action, args in self.actions():
             sim.call_at(time, partial(getattr(injector, action), *args))
+
+
+def progress_actions(
+    faults: FaultSchedule, load: "LoadSchedule"
+) -> list[tuple[int, str, tuple]]:
+    """Every progress-triggered event as ``(emitted, action, args)``.
+
+    Load changes (``set_load``) and crashes (``crash``) in one list,
+    ascending by the merger's emitted count; at equal counts the load
+    changes come first. Both backends fire an entry once the ordered
+    merger has emitted its count.
+    """
+    actions = [
+        (e.emitted, "set_load", (e.worker, e.multiplier))
+        for e in load.count_events
+    ]
+    actions += [
+        (e.emitted, "crash", (e.worker, e.restart_after))
+        for e in faults.count_crashes
+    ]
+    return sorted(actions, key=itemgetter(0))

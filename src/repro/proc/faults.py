@@ -5,7 +5,8 @@ clock callbacks against a model injector. Here the *same schedule* is
 armed against live worker processes. Both read the one action list
 :meth:`~repro.faults.schedule.FaultSchedule.actions` makes of it, and
 :class:`RealFaultDriver` names its methods as the injector does
-(``crash``, ``stall``, ``unstall``, ``slowdown``, ``end_slowdown``):
+(``crash``, ``stall``, ``unstall``), plus ``set_load`` for a
+:class:`~repro.workloads.external_load.LoadSchedule`'s changes:
 
 * :class:`~repro.faults.schedule.CrashEvent` -> ``SIGKILL``. The
   supervisor's own policy (capped jittered backoff, restart budget)
@@ -17,13 +18,11 @@ armed against live worker processes. Both read the one action list
   failure the sim models; the supervisor detects the silence, SIGKILLs
   the frozen incarnation, and restarts — so the late ``SIGCONT`` lands
   on a corpse, harmlessly.
-* :class:`~repro.faults.schedule.SlowdownEvent` -> a CONTROL frame
-  setting the service-time multiplier. The process tree is one host, so
-  the host-wide slowdown applies to every live worker (and re-applies
-  to restarts that land during the burst).
-* :class:`~repro.faults.schedule.CountCrashEvent` -> ``SIGKILL`` once
-  the ordered merger has emitted ``emitted`` tuples, polled off the
-  region's real progress counter.
+* :class:`~repro.workloads.external_load.LoadEvent` -> ``set_load``,
+  the worker's service multiplier from then on, restarts included.
+* Count-triggered crashes and load changes fire once the ordered
+  merger has emitted their count, in
+  :func:`~repro.faults.schedule.progress_actions`' order.
 * :class:`~repro.faults.schedule.OverloadBurstEvent` is demand-side and
   has no process-backend equivalent: arming one raises.
 
@@ -38,8 +37,9 @@ import signal
 import threading
 from functools import partial
 
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import FaultSchedule, progress_actions
 from repro.util.validation import check_positive
+from repro.workloads.external_load import LoadSchedule
 
 
 class RealFaultDriver:
@@ -52,8 +52,9 @@ class RealFaultDriver:
         self.poll_interval = poll_interval
         #: Pending timed actions: ``(due_time, description, thunk)``.
         self._timed: list[tuple[float, str, callable]] = []
-        #: Pending progress-triggered crashes: ``(emitted, worker)``.
-        self._counted: list[tuple[int, int]] = []
+        #: Pending progress-triggered actions: ``(emitted, description,
+        #: thunk)``, ascending by count.
+        self._counted: list[tuple[int, str, callable]] = []
         #: Everything that actually fired: ``(region time, description)``.
         self.fired: list[tuple[float, str]] = []
         self._thread: threading.Thread | None = None
@@ -61,24 +62,26 @@ class RealFaultDriver:
 
     # ---------------------------------------------------------------- arming
 
-    def arm(self, schedule: FaultSchedule) -> "RealFaultDriver":
-        """Queue ``schedule``'s actions, each for the method it names."""
+    def arm(
+        self, schedule: FaultSchedule, load: LoadSchedule | None = None
+    ) -> "RealFaultDriver":
+        """Queue ``schedule``'s and ``load``'s (service multipliers)
+        actions, each for the method it names."""
+        load = load or LoadSchedule.none()
         schedule.validate(self.region.n_workers)
+        load.validate(self.region.n_workers)
         if schedule.bursts:
             raise ValueError(
                 "overload bursts drive the offered arrival rate; the "
                 "process backend has no rated source to burst"
             )
-        for time, action, args in schedule.actions():
-            self._timed.append((
-                time,
-                f"{action}({', '.join(map(repr, args))})",
-                partial(getattr(self, action), *args),
-            ))
-        for event in schedule.count_crashes:
-            self._counted.append((event.emitted, event.worker))
+        # Load changes first, as the simulator arms them.
+        for time, action, args in load.actions() + schedule.actions():
+            self._timed.append((time, *self._action(action, args)))
+        for emitted, action, args in progress_actions(schedule, load):
+            self._counted.append((emitted, *self._action(action, args)))
         self._timed.sort(key=lambda t: t[0])
-        self._counted.sort()
+        self._counted.sort(key=lambda t: t[0])
         return self
 
     # ---------------------------------------------------------------- actions
@@ -95,14 +98,10 @@ class RealFaultDriver:
         """``SIGCONT`` the worker (a corpse by now, if it was detected)."""
         self.supervisor.kill(worker, signal.SIGCONT)
 
-    def slowdown(self, host: str, multiplier: float) -> None:
-        """Set every live worker's service-time multiplier: one host."""
-        for slot in self.region.slots:
-            self.region.send_control(slot.index, multiplier)
-
-    def end_slowdown(self, host: str, multiplier: float) -> None:
-        """Reset every live worker's service-time multiplier to 1."""
-        self.slowdown(host, 1.0)
+    def set_load(self, worker: int, multiplier: float) -> None:
+        """Set the worker's service-time multiplier, for every later
+        incarnation too."""
+        self.region.send_control(worker, multiplier)
 
     # ------------------------------------------------------------- lifecycle
 
@@ -138,13 +137,20 @@ class RealFaultDriver:
             if self._counted:
                 emitted = self.region.emitted
                 while self._counted and self._counted[0][0] <= emitted:
-                    _, worker = self._counted.pop(0)
-                    self.crash(worker)
+                    _, description, thunk = self._counted.pop(0)
+                    thunk()
                     self.fired.append((
-                        now, f"crash({worker}) at emitted={emitted}"
+                        now, f"{description} at emitted={emitted}"
                     ))
             if self.exhausted:
                 return
+
+    def _action(self, action: str, args: tuple) -> tuple[str, callable]:
+        """``(description, thunk)`` of one ``(action, args)`` entry."""
+        return (
+            f"{action}({', '.join(map(repr, args))})",
+            partial(getattr(self, action), *args),
+        )
 
     def _kill(self, worker: int, sig: int) -> None:
         """Announce then deliver a lethal/freezing signal."""

@@ -86,6 +86,7 @@ from repro.net.blocking import BlockingCounter
 from repro.proc.supervisor import (
     UP,
     QUARANTINED,
+    STARTING,
     Supervisor,
     SupervisorConfig,
     WorkerSlot,
@@ -302,6 +303,9 @@ class ProcessRegion:
         self._wake: tuple[socket.socket, socket.socket] | None = None
         self._owner: dict[int, int] = {}
         self._parked: list[tuple[int, float, bytes]] = []
+        # Slots whose multiplier was set while an incarnation released
+        # with the old one was not yet admitted: it is sent on admission.
+        self._control_owed: set[int] = set()
         # The reorder buffer: results parked until their predecessors.
         self._held: dict[int, bytes] = {}
         self._next_expected = 0
@@ -524,11 +528,26 @@ class ProcessRegion:
     # --------------------------------------------------------------- control
 
     def send_control(self, index: int, multiplier: float) -> bool:
-        """Set a live worker's service-time multiplier (slowdown faults)."""
-        sent = self._send_frame(index, framing.encode_control(multiplier))
+        """Set worker ``index``'s service-time multiplier, for good: later
+        incarnations are released with it, the serving one gets a CONTROL
+        frame (a starting one on admission). Whether a frame went out."""
+        check_positive("multiplier", multiplier)
+        slot = self.slots[index]
+        with self._lock:
+            slot.multiplier = multiplier
+            if slot.state == STARTING:
+                self._control_owed.add(index)
+        return self._send_multiplier(index)
+
+    def _send_multiplier(self, index: int) -> bool:
+        """Send slot ``index``'s multiplier as read under its send lock,
+        so of two racing sends the later one carries the latest value."""
+        slot = self.slots[index]
+        with self._send_locks[index]:
+            frame = framing.encode_control(slot.multiplier)
+            sent = self._write_frame(index, frame, 0, None)
         # This send may have made the receiver's idle flush stand down
         # (it never waits for the send lock) with no ack left to retry.
-        slot = self.slots[index]
         self._flush_if_idle(slot, slot.incarnation)
         return sent
 
@@ -1029,6 +1048,10 @@ class ProcessRegion:
             ):
                 return None
             self._socks[worker_id] = conn
+            owed = worker_id in self._control_owed
+            self._control_owed.discard(worker_id)
+        if owed:
+            self._fail_over(self._send_multiplier, worker_id)
         return self.slots[worker_id], incarnation
 
     def _hang_up(self, sock: socket.socket) -> None:
@@ -1044,9 +1067,9 @@ class ProcessRegion:
             pass  # already ended
 
     def _fail_over(self, target: Callable, *args, **kwargs) -> None:
-        """Run a death path or a replay off the receiver: its sends may
-        wait on a worker blocked writing results only the receiver
-        reads."""
+        """Run a death path, a replay or an owed CONTROL off the
+        receiver: its sends may wait on a worker blocked writing results
+        only the receiver reads."""
         threading.Thread(
             target=target, args=args, kwargs=kwargs,
             name="repro-region-failover",

@@ -22,10 +22,11 @@ supervisor is built to handle:
 * EOF from the parent — the region is gone; exit quietly.
 
 Service work is simulated per tuple from the cost carried in each DATA
-frame times the worker's ``--multiplier`` (heterogeneous capacity) times
-a runtime CONTROL multiplier (host-slowdown faults). ``--mode spin``
-burns CPU for the duration (the multi-core benchmark), ``--mode sleep``
-sleeps it (cheap tests).
+frame times the worker's service multiplier: ``--multiplier`` at boot
+(heterogeneous capacity and external load), replaced outright by each
+CONTROL frame (a load change mid-run). ``--mode spin`` burns CPU for
+the duration (the multi-core benchmark), ``--mode sleep`` sleeps it
+(cheap tests).
 
 Batched wire protocol: tuples arriving in a ``DATA_BATCH`` run are
 serviced a whole run per wakeup, and their results accumulate into a
@@ -88,7 +89,6 @@ class WorkerMain:
         #: nonzero-exit crash detection.
         self.exit_after = exit_after
         self.exit_code = exit_code
-        self.control_multiplier = 1.0
         self.processed = 0
         self._draining = False
 
@@ -96,7 +96,7 @@ class WorkerMain:
 
     def _service(self, cost_seconds: float) -> float:
         """Perform one tuple's work; return the realized duration."""
-        duration = cost_seconds * self.multiplier * self.control_multiplier
+        duration = cost_seconds * self.multiplier
         if duration <= 0:
             return 0.0
         if self.mode == "sleep":
@@ -174,7 +174,7 @@ class WorkerMain:
                                 for entry in message.data_batch()
                             )
                         elif message.type == framing.MSG_CONTROL:
-                            self.control_multiplier = message.control()
+                            self.multiplier = message.control()
                         elif message.type == framing.MSG_EOS:
                             self._draining = True
                 # Service a whole run per wakeup, breaking out between

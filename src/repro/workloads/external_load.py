@@ -4,12 +4,15 @@ The paper simulates exogenous load by multiplying selected PEs' per-tuple
 cost: "one PE has a simulated external load causing it to take 100x longer
 to process tuples. An eighth through the experiment, we remove the
 simulated external load." A :class:`LoadSchedule` captures the initial
-multipliers plus any timed changes, and can arm them on a simulator.
+multipliers plus any timed or progress-triggered changes: the one way a
+worker's speed changes mid-run, on either backend (``set_load`` actions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.util.validation import check_non_negative, check_positive
@@ -122,14 +125,33 @@ class LoadSchedule:
             list(range(n_workers // 2)), multiplier, emitted
         )
 
+    def validate(self, n_workers: int) -> None:
+        """Raise if any multiplier targets a worker the region lacks."""
+        changes = self.events + self.count_events
+        worst = max([*self.initial, *(e.worker for e in changes)], default=-1)
+        if worst >= n_workers:
+            raise ValueError(
+                f"schedule loads worker {worst} but region has {n_workers}"
+            )
+
     def initial_multipliers(self, n_workers: int) -> list[float]:
         """Per-worker multipliers in force at time zero."""
-        for w in self.initial:
-            if w >= n_workers:
-                raise ValueError(
-                    f"schedule loads worker {w} but region has {n_workers}"
-                )
+        self.validate(n_workers)
         return [self.initial.get(j, 1.0) for j in range(n_workers)]
+
+    def scaled(self, factors: Sequence[float]) -> "LoadSchedule":
+        """This schedule with worker ``j``'s every multiplier times
+        ``factors[j]`` (and an initial multiplier for every worker)."""
+        initial = self.initial_multipliers(len(factors))
+
+        def scale(e):
+            return replace(e, multiplier=factors[e.worker] * e.multiplier)
+
+        return LoadSchedule(
+            initial={j: factors[j] * m for j, m in enumerate(initial)},
+            events=[scale(e) for e in self.events],
+            count_events=[scale(e) for e in self.count_events],
+        )
 
     def multiplier_at(self, worker: int, time: float) -> float:
         """The multiplier in force for ``worker`` at ``time``."""
@@ -145,16 +167,19 @@ class LoadSchedule:
         """Distinct times at which any multiplier changes, ascending."""
         return sorted({e.time for e in self.events})
 
+    def actions(self) -> list[tuple[float, str, tuple]]:
+        """Every timed change as ``(time, "set_load", (worker, multiplier))``:
+        it sets the multiplier outright, never compounding. Count-triggered
+        ones are in :func:`~repro.faults.schedule.progress_actions`."""
+        return [
+            (e.time, "set_load", (e.worker, e.multiplier))
+            for e in self.events
+        ]
+
     def arm(self, sim: "Simulator", workers: list["WorkerPE"]) -> None:
         """Schedule every timed change on ``sim`` against ``workers``."""
-        for event in self.events:
-            if event.worker >= len(workers):
-                raise ValueError(
-                    f"schedule loads worker {event.worker} but region has "
-                    f"{len(workers)}"
-                )
-            pe = workers[event.worker]
+        self.validate(len(workers))
+        for time, _, (worker, multiplier) in self.actions():
             sim.call_at(
-                event.time,
-                lambda pe=pe, m=event.multiplier: pe.set_load_multiplier(m),
+                time, partial(workers[worker].set_load_multiplier, multiplier)
             )

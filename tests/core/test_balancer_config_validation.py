@@ -100,9 +100,8 @@ class TestSafeModeKnobs:
     def test_safe_recover_rounds_must_be_positive(self, monkeypatch):
         assert_refused(monkeypatch, balancer, "SAFE_RECOVER_ROUNDS", 0, -1)
 
-    def test_max_churn_must_be_positive_when_set(self):
-        with pytest.raises(ValueError):
-            BalancerConfig(max_churn=0)
+    def test_max_churn_must_be_positive_when_set(self, monkeypatch):
+        assert_refused(monkeypatch, balancer, "SAFE_MAX_CHURN", 0, -1)
 
     def test_safe_flip_limit_must_be_positive(self, monkeypatch):
         assert_refused(monkeypatch, balancer, "SAFE_FLIP_LIMIT", 0, -3)

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro.core import balancer as balancer_module
 from repro.core.balancer import (
     SAFE_FLIP_LIMIT,
     SAFE_RECOVER_ROUNDS,
@@ -120,7 +121,7 @@ class TestRecovery:
         assert lb.in_safe_hold
 
     def test_weights_move_again_after_recovery(self):
-        lb = safe_balancer(max_churn=None)
+        lb = safe_balancer()
         lb.update(1.0, [0.0, 0.0])
         lb.update(2.0, [math.nan, 0.0])
         # Channel 0 blocks hard, channel 1 not at all: once recovered,
@@ -182,8 +183,9 @@ class TestChurnLimiter:
         with pytest.raises(ValueError):
             limit_weight_churn([500, 500], [400, 600], 0)
 
-    def test_update_respects_max_churn_per_round(self):
-        lb = safe_balancer(max_churn=10)
+    def test_update_respects_max_churn_per_round(self, monkeypatch):
+        monkeypatch.setattr(balancer_module, "SAFE_MAX_CHURN", 10)
+        lb = safe_balancer()
         now, counters = 0.0, [0.0, 0.0]
         previous = lb.weights
         for i in range(15):

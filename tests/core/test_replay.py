@@ -95,7 +95,6 @@ def control_inputs(draw):
     config = BalancerConfig(
         clustering=draw(st.booleans()),
         safe_mode=safe,
-        max_churn=draw(st.sampled_from([None, 40])) if safe else None,
     )
     rates = st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n)
     update = st.tuples(st.just("update"), st.floats(0.05, 2.0), rates)

@@ -15,6 +15,7 @@ from repro.experiments.process_backend import (
 from repro.experiments.runner import run_experiment
 from repro.proc.supervisor import SupervisorConfig
 from repro.streams.region import RegionParams
+from repro.workloads.external_load import LoadSchedule
 
 def scenario(cost_seconds, **kwargs):
     """``process_scenario`` at ``cost_seconds`` of service a tuple."""
@@ -204,3 +205,45 @@ class TestExecution:
         applied = [r["new_weights"] for r in audit]
         assert replay(audit, config.balancer, config.n_workers) == applied
         assert applied[-1] == result.final_weights
+
+
+@pytest.mark.sockets
+class TestLoadScheduleOnBothBackends:
+    """One progress-triggered load removal, run by either backend."""
+
+    @staticmethod
+    def config(backend):
+        # Worker 0 takes 20x longer until 10 tuples are merged.
+        config = scenario(
+            0.002, n_workers=2, total_tuples=200, crash_worker=None
+        )
+        return dataclasses.replace(
+            config,
+            load_schedule=LoadSchedule.removed_after_emitted([0], 20.0, 10),
+            region=dataclasses.replace(config.region, backend=backend),
+        )
+
+    def test_simulator_runs_it(self):
+        config = self.config("sim")
+        result = run_experiment(config, "rr", record_series=False)
+        assert result.completed
+        assert result.emitted == 200
+        assert result.tuples_lost == 0
+        loaded = run_experiment(
+            dataclasses.replace(
+                config, load_schedule=LoadSchedule.static_load([0], 20.0)
+            ),
+            "rr",
+            record_series=False,
+        )
+        assert result.execution_time < loaded.execution_time / 4
+
+    def test_process_backend_runs_it(self):
+        result = run_experiment(
+            self.config("process"), "rr", record_series=False
+        )
+        assert result.completed
+        assert result.emitted == 200
+        assert result.tuples_lost == 0
+        # Never removed, worker 0's 100 tuples alone would take 4 s.
+        assert result.execution_time < 2.0

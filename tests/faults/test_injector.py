@@ -66,7 +66,7 @@ class TestCrash:
         assert rig.injector.restarts == 1
 
 
-class TestStallAndSlowdown:
+class TestStall:
     def test_stall_blocks_unstall_resumes(self, rig_factory):
         total = 200
         rig = rig_factory(n=2, total=total)
@@ -75,20 +75,6 @@ class TestStallAndSlowdown:
         merger = rig.run(30.0, stop_on_total=total)
         assert merger.emitted == total
         assert rig.injector.stalls == 1
-
-    def test_slowdown_requires_known_host(self, rig_factory):
-        rig = rig_factory(n=2)
-        with pytest.raises(ValueError, match="no worker"):
-            rig.injector.slowdown("nonexistent", 2.0)
-
-    def test_slowdown_composes_multiplicatively(self, rig_factory):
-        rig = rig_factory(n=2)
-        rig.region.workers[0].set_load_multiplier(3.0)
-        rig.injector.slowdown("h0", 2.0)
-        assert rig.region.workers[0].load_multiplier == pytest.approx(6.0)
-        assert rig.region.workers[1].load_multiplier == pytest.approx(2.0)
-        rig.injector.end_slowdown("h0", 2.0)
-        assert rig.region.workers[0].load_multiplier == pytest.approx(3.0)
 
 
 class TestFaultAnchor:

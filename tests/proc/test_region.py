@@ -33,7 +33,7 @@ import time
 import pytest
 
 from repro.core.balancer import LoadBalancer
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import CountCrashEvent, FaultSchedule
 from repro.net import framing
 from repro.obs.hub import ObservabilityConfig, ObservabilityHub
 from repro.proc.faults import RealFaultDriver
@@ -47,6 +47,7 @@ from repro.proc.supervisor import (
     Supervisor,
     SupervisorConfig,
 )
+from repro.workloads.external_load import LoadEvent, LoadSchedule
 from tests.proc.fakewire import FakeWire
 
 pytestmark = pytest.mark.sockets
@@ -259,6 +260,48 @@ class TestKillRecovery:
         assert stats.time_to_reconverge is not None
         # The restarted worker produced results after rejoining.
         assert stats.per_worker_results[2] > 0
+
+
+class TestLoadChange:
+    """A load change is the worker's speed for good: restarts keep it."""
+
+    def test_restarted_worker_keeps_its_slowed_multiplier(self):
+        n, cost, slowed = 200, 0.002, 5.0
+        region = ProcessRegion(2, supervisor_config=FAST, window=8)
+        # The realized service time each result reports, by who served
+        # it: ``(worker, incarnation, seconds)``.
+        services = []
+        handle = region._handle_message
+
+        def spy(slot, incarnation, message):
+            if message.type == framing.MSG_RESULT:
+                services.append(
+                    (slot.index, incarnation, message.result()[1])
+                )
+            handle(slot, incarnation, message)
+
+        region._handle_message = spy
+        driver = RealFaultDriver(region, poll_interval=0.002).arm(
+            FaultSchedule(count_crashes=[CountCrashEvent(40, 0)]),
+            LoadSchedule(events=[LoadEvent(0.0, 0, slowed)]),
+        )
+        try:
+            region.start().wait_ready(timeout=30.0)
+            driver.start()
+            for i in range(n):
+                region.submit(cost, b"%d" % i)
+            region.drain(timeout=60.0)
+            outputs = list(region.outputs)
+        finally:
+            driver.stop()
+            region.close()
+        expect_ordered(outputs, n, lambda i: b"%d" % i)
+        reborn = [s for w, inc, s in services if w == 0 and inc >= 1]
+        assert reborn, "worker 0's next incarnation served nothing"
+        assert all(s == pytest.approx(slowed * cost) for s in reborn)
+        assert all(
+            s == pytest.approx(cost) for w, _, s in services if w == 1
+        )
 
 
 class TestStallDetection:
@@ -1636,6 +1679,31 @@ class TestAdmission:
             for peer in peers:
                 peer.close()
         assert outputs == [(0, b"a"), (1, b"b")]
+
+    def test_a_multiplier_set_while_starting_is_sent_on_admission(self):
+        # The slot's incarnation was released with the old multiplier
+        # and has not said HELLO: the set reaches it as it is admitted.
+        region = receiving_region(1)
+        slot = region.slots[0]
+        with region._lock:
+            slot.incarnation, slot.state = 0, STARTING
+        peer = socket.create_connection((region.host, region.port))
+        try:
+            assert not region.send_control(0, 3.0)
+            assert slot.multiplier == 3.0
+            peer.sendall(framing.encode_hello(0, 0))
+            peer.settimeout(10.0)
+            assembler, messages = framing.MessageAssembler(), []
+            while not messages:
+                chunk = peer.recv(65536)
+                assert chunk, "the region hung up"
+                messages = assembler.feed(chunk)
+        finally:
+            region.close()
+            peer.close()
+        assert [(m.type, m.control()) for m in messages] == [
+            (framing.MSG_CONTROL, 3.0)
+        ]
 
     def test_a_stale_hello_does_not_take_a_starting_slot(self):
         region = receiving_region(1)

@@ -115,7 +115,7 @@ class TestWorkerLoop:
         worker = make_worker(parent.port)
         assert worker.run() == 0
         parent.finish()
-        assert worker.control_multiplier == 2.5
+        assert worker.multiplier == 2.5
 
     def test_exit_after_dies_with_exit_code_mid_stream(self):
         parent = ParentStub()

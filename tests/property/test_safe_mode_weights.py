@@ -59,14 +59,9 @@ def valid_allocation(weights):
 # Two healthy rounds release a hold, so short histories cycle through
 # hold and recovery more than once.
 @mock.patch.object(balancer_module, "SAFE_RECOVER_ROUNDS", 2)
+@mock.patch.object(balancer_module, "SAFE_MAX_CHURN", MAX_CHURN)
 def test_weights_stay_valid_under_degenerate_counters(rounds):
-    lb = LoadBalancer(
-        N,
-        BalancerConfig(
-            safe_mode=True,
-            max_churn=MAX_CHURN,
-        ),
-    )
+    lb = LoadBalancer(N, BalancerConfig(safe_mode=True))
     now = 0.0
     previous = lb.weights
     for step, counters in rounds:
@@ -86,15 +81,9 @@ def test_weights_stay_valid_under_degenerate_counters(rounds):
     rounds=rounds,
     floor=st.integers(min_value=0, max_value=RESOLUTION // N),
 )
+@mock.patch.object(balancer_module, "SAFE_MAX_CHURN", MAX_CHURN)
 def test_weight_floor_survives_degenerate_counters(rounds, floor):
-    lb = LoadBalancer(
-        N,
-        BalancerConfig(
-            safe_mode=True,
-            max_churn=MAX_CHURN,
-            weight_floor=floor,
-        ),
-    )
+    lb = LoadBalancer(N, BalancerConfig(safe_mode=True, weight_floor=floor))
     now = 0.0
     for step, counters in rounds:
         now += step

@@ -92,9 +92,6 @@ OPTIONS_ALLOWLIST = {
     "repro.faults.schedule.FaultSchedule.stalls":
         "connection stalls and flaps the recovery and process-fault tests "
         "inject; no root schedules one yet",
-    "repro.faults.schedule.FaultSchedule.slowdowns":
-        "host slowdowns the fault tests inject; ROADMAP item 2's process "
-        "experiment is their first root",
     "repro.proc.region.ProcessRegion.__init__.host":
         "deployment setting: the address the region listens on and its "
         "workers dial",
