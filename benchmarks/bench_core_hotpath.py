@@ -88,7 +88,8 @@ class ReferenceSimulator(Simulator):
     the engine's counters only when collected). The obs-off check times
     the engine against this class in the same process: a hook put back
     on the engine's per-event path slows the engine and not this.
-    A deliberate change to the engine's loop is copied here too.
+    A deliberate change to the engine's loop is copied here too;
+    ``tests/sim/test_engine.py::TestBenchReference`` fails until it is.
     """
 
     __slots__ = ()

@@ -89,13 +89,16 @@ GARBAGE = st.sampled_from([math.nan, math.inf, -math.inf, -1.0])
 
 @st.composite
 def control_inputs(draw):
-    """A random control-plane history: (config, n, steps)."""
+    """A random control-plane history: (config, n, churn cap, steps)."""
     n = draw(st.integers(2, 4))
     safe = draw(st.booleans())
     config = BalancerConfig(
         clustering=draw(st.booleans()),
         safe_mode=safe,
     )
+    # 40 binds on most adoptions, so replay must reproduce the capped
+    # path's largest-remainder rounding; 150 is the shipped cap.
+    churn = draw(st.sampled_from([balancer_module.SAFE_MAX_CHURN, 40]))
     rates = st.lists(st.floats(0.0, 1.5), min_size=n, max_size=n)
     update = st.tuples(st.just("update"), st.floats(0.05, 2.0), rates)
     steps = [
@@ -110,7 +113,7 @@ def control_inputs(draw):
             st.tuples(st.just("garbage"), st.integers(0, n - 1), GARBAGE),
             st.tuples(st.just("rewind"), st.floats(0.0, 2.0), rates),
         ]
-    return config, n, draw(st.lists(st.one_of(*steps), max_size=40))
+    return config, n, churn, draw(st.lists(st.one_of(*steps), max_size=40))
 
 
 class TestReplayProperty:
@@ -119,7 +122,11 @@ class TestReplayProperty:
     # A flip limit of 2, so short histories reach the oscillation guard.
     @mock.patch.object(balancer_module, "SAFE_FLIP_LIMIT", 2)
     def test_replay_reproduces_every_record_bit_for_bit(self, inputs):
-        config, n, steps = inputs
+        config, n, churn, steps = inputs
+        with mock.patch.object(balancer_module, "SAFE_MAX_CHURN", churn):
+            self.check_replay(config, n, steps)
+
+    def check_replay(self, config, n, steps):
         balancer, log, clock = audited(n, config)
         counters = [0.0] * n
         balancer.update(0.0, counters)

@@ -671,8 +671,17 @@ def backed_off(region, index):
     failed before HELLO and waits out the backoff. Needs
     :func:`fail_before_hello` for ``index``."""
     slot = region.slots[index]
-    assert region.supervisor.kill(index, signal.SIGKILL)
-    wait_for(lambda: slot.incarnation == 1 and slot.state == DOWN)
+    supervisor = region.supervisor
+    assert supervisor.kill(index, signal.SIGKILL)
+
+    def failed_again():
+        # Under the lock: a release bumps the incarnation before it
+        # leaves DOWN, so an unlocked read can see incarnation 1 still
+        # DOWN before that incarnation has failed.
+        with supervisor.lock:
+            return slot.incarnation == 1 and slot.state == DOWN
+
+    wait_for(failed_again)
     return slot
 
 

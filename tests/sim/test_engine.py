@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulator."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -156,3 +159,56 @@ class TestTracing:
     def test_digest_requires_tracing_enabled(self):
         with pytest.raises(SimulationError):
             Simulator().trace_digest()
+
+
+def _method_bodies(path, class_name, names):
+    """``{name: ast dump}`` of ``class_name``'s methods in ``path``.
+
+    Docstrings and annotations are dropped, so the dump is the code
+    alone; comments never reach the AST.
+    """
+    tree = ast.parse(path.read_text())
+    cls = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+    )
+    bodies = {}
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in names:
+            continue
+        body = fn.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        for arg in fn.args.args:
+            arg.annotation = None
+        bodies[fn.name] = (ast.dump(fn.args), body)
+    return bodies
+
+
+class TestBenchReference:
+    def test_obs_free_reference_is_the_engine_loop(self):
+        """The hot-path bench's reference copies the engine's per-event path.
+
+        ``benchmarks/bench_core_hotpath.py`` times the engine against
+        ``ReferenceSimulator`` to show observability costs the loop
+        nothing; a stale copy would make that comparison meaningless.
+        The one allowed difference is the engine's dispatch to its
+        traced loop.
+        """
+        root = Path(__file__).resolve().parents[2]
+        names = ("call_after", "_run")
+        engine = _method_bodies(root / "src/repro/sim/engine.py", "Simulator", names)
+        copy = _method_bodies(
+            root / "benchmarks/bench_core_hotpath.py", "ReferenceSimulator", names
+        )
+        args, body = engine["_run"]
+        dispatch, body = body[0], body[1:]
+        assert "_trace" in ast.dump(dispatch)
+        engine["_run"] = (args, body)
+        for name in names:
+            engine_args, engine_body = engine[name]
+            copy_args, copy_body = copy[name]
+            assert copy_args == engine_args, name
+            assert [ast.dump(s) for s in copy_body] == [
+                ast.dump(s) for s in engine_body
+            ], name
